@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eisenstein import (
-    _BESSEL_DECAY_CUT,
+    _bessel_order,
     _divisor_norms_cached,
     _frequency_box,
+    _frequency_cut,
     _omega_embeds,
     maass_selberg_constant,
 )
@@ -71,7 +72,8 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     if zero_mode:
         out += q ** s + phi(ctx, s) * q ** (1 - s)
     ymins = [float(y.min()) for y in ys]
-    coords, _ = _frequency_box(field, ymins, _BESSEL_DECAY_CUT)
+    cut = _frequency_cut(field, s)
+    coords, _ = _frequency_box(field, ymins, cut)
     if coords.shape[0] == 0:
         return out
     order = np.lexsort((coords[:, 1], coords[:, 0]))
@@ -97,12 +99,11 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     # Bessel interpolants per place kind
     tables = []
     for i, deg in enumerate(field.place_degrees):
-        order_i = s - 0.5 if deg == 1 else 2 * s - 1
         args_min = factors[i] * float(ymins[i]) * float(l_abs[i].min())
         args_max = factors[i] * float(ys[i].max()) * float(l_abs[i].max())
         lo = max(args_min * 0.9, 1e-4)
-        hi = max(args_max * 1.1, lo * 2, _BESSEL_DECAY_CUT + 10)
-        tables.append(_BesselTable(order_i, lo, hi))
+        hi = max(args_max * 1.1, lo * 2, cut + 10)
+        tables.append(_BesselTable(_bessel_order(s, deg), lo, hi))
     taus = np.empty(coords.shape[0], dtype=complex)
     for j in range(coords.shape[0]):
         nu_el = field.from_ring_coords(int(coords[j, 0]), int(coords[j, 1]))
@@ -110,7 +111,6 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
         acc = sum(m ** (1 - 2 * s) for m in norms)
         taus[j] = norms[-1] ** (-(1 - 2 * s) / 2.0) * acc
     tail = np.zeros(n_pts, dtype=complex)
-    cut = _BESSEL_DECAY_CUT
     for j in range(coords.shape[0]):
         K = np.ones(n_pts, dtype=complex)
         phase = np.zeros(n_pts)

@@ -20,7 +20,8 @@ from .geometry import Cusp, Point, make_cusp
 from .specfun import bessel_k_grid
 from .zeta import ZetaContext, dedekind_zeta, make_context, phi, residue_phi
 
-_BESSEL_DECAY_CUT = 45.0   # drop Fourier terms with total Bessel argument above this
+_BESSEL_DECAY_CUT = 45.0   # Fourier terms kept: total Bessel argument up to this
+                           # plus the |Im| of the Bessel orders (_frequency_cut)
 
 
 @dataclass(frozen=True)
@@ -354,6 +355,21 @@ def default_norm_bound(field: FieldData, s: complex, tol: float) -> float:
 # Fourier evaluation
 # ---------------------------------------------------------------------------
 
+def _bessel_order(s: complex, deg: int) -> complex:
+    """Order of the MacDonald factor at a real (deg 1) or complex place."""
+    return s - 0.5 if deg == 1 else 2 * s - 1
+
+
+def _frequency_cut(field: FieldData, s: complex) -> float:
+    """Largest total Bessel argument the Fourier sums keep at order s.
+
+    K_{a+it}(y) stays at its size exp(-pi |t| / 2) over the whole range
+    y < |t| before it decays, so each place adds the |Im| of its order.
+    """
+    return _BESSEL_DECAY_CUT + sum(abs(_bessel_order(complex(s), deg).imag)
+                                   for deg in field.place_degrees)
+
+
 def _frequency_box(field: FieldData, ys, cut: float):
     """Integer coords of nu in o - {0} with sum_i a_i |nu^(i)| <= cut, where
     a_i = (2 pi or 4 pi) y_i / |dg^(i)|, plus the per-frequency weights."""
@@ -418,7 +434,7 @@ def eisenstein_fourier(field: FieldData, z: Point, s: complex,
     ys = [c[1] for c in z.coords]
     q = z.ny(field)
     zero_mode = q ** s + phi(ctx, s) * q ** (1 - s)
-    coords, weight = _frequency_box(field, ys, _BESSEL_DECAY_CUT)
+    coords, weight = _frequency_box(field, ys, _frequency_cut(field, s))
     if fourier_terms is not None and coords.shape[0] > fourier_terms:
         order = np.argsort(weight, kind="stable")[:fourier_terms]
         coords = coords[order]
@@ -464,8 +480,7 @@ def _fourier_tail(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
     # Bessel factors per place
     K = np.ones(n_freq, dtype=complex)
     for i, deg in enumerate(field.place_degrees):
-        order = s - 0.5 if deg == 1 else 2 * s - 1
-        K = K * bessel_k_grid(order, args[i])
+        K = K * bessel_k_grid(_bessel_order(s, deg), args[i])
     taus = np.empty(n_freq, dtype=complex)
     for j in range(n_freq):
         nu_el = field.from_ring_coords(int(coords[j, 0]), int(coords[j, 1]))
@@ -507,7 +522,8 @@ def eisenstein_truncated(field: FieldData, z: Point, params: EisensteinParams,
         lam = make_cusp(field, d, -c)  # cusp -d/c as (rho : sigma) = (d : -c)
         from .geometry import act
         z = act(lam.assoc_matrix.inverse(), z, field)
-    coords, weight = _frequency_box(field, [c[1] for c in z.coords], _BESSEL_DECAY_CUT)
+    coords, weight = _frequency_box(field, [c[1] for c in z.coords],
+                                    _frequency_cut(field, s))
     if coords.shape[0] == 0:
         return 0.0 + 0.0j
     q = z.ny(field)

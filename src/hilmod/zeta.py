@@ -2,9 +2,11 @@
 
 Continuation strategy: the Dedekind zeta of a quadratic field factors as
 zeta(s) * L(s, chi_D); both factors are expressed through the Hurwitz zeta,
-which an Euler-Maclaurin tail continues to the whole plane (s != 1).  This
-gives every value the package needs without approximate functional
-equations, and the Hecke functional equation becomes a genuine test.
+which an Euler-Maclaurin tail continues to the plane (s != 1) as far as
+Re s ~ -7; past that its terms cancel below double precision and it raises
+DomainError.  This gives every value the package needs without approximate
+functional equations, and the Hecke functional equation becomes a genuine
+test.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import PoleAtOne, PoleAtZeroOrOne, ScatteringPole, ZeroFrequency
+from .errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole, ZeroFrequency
 from .fields import (
     FieldData,
     FieldElement,
@@ -25,35 +27,79 @@ from .fields import (
 )
 from .specfun import gamma
 
-# Bernoulli numbers B_2, B_4, ... for the Euler-Maclaurin tail.
-_BERNOULLI = (
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
-    7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
-    -236364091.0 / 2730,
-)
+
+def _em_coefficients(count: int) -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 1..count: the coefficients b_n of
+    t / (e^t - 1) = sum b_n t^n satisfy sum_{k <= n} b_k / (n + 1 - k)! = 0."""
+    inv_fact = [1.0 / math.factorial(i) for i in range(2 * count + 2)]
+    b = [1.0]
+    for n in range(1, 2 * count + 1):
+        b.append(-sum(b[k] * inv_fact[n + 1 - k] for k in range(n)))
+    return tuple(b[2 * j] for j in range(1, count + 1))
+
+
+_EM_COEFFS = _em_coefficients(30)
+_EPS = np.finfo(float).eps
+_HURWITZ_RTOL = 1e-10
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Hurwitz zeta(s, a) for complex s != 1, real a > 0 (Euler-Maclaurin)."""
+    """Hurwitz zeta(s, a) for complex s != 1, real a > 0 (Euler-Maclaurin).
+
+    The first N = max(18, 1.3 |Im s| + 8) terms are summed and the rest is
+    the integral plus Bernoulli corrections, added up to the smallest one.
+    For Re s < 0 the summed terms grow like k^{-Re s} and cancel against
+    the integral, so there the N up to that count with the smallest
+    estimated error is used, the error being the rounding of the sum plus
+    the last correction.
+    ``DomainError`` is raised when that estimate exceeds 1e-10 of the
+    value, which happens from about Re s < -7 on and near zeros of
+    zeta(s, a) with Re s < 0.
+    """
     s = complex(s)
     if s == 1.0:
         raise PoleAtOne("hurwitz zeta pole at s=1")
-    N = max(18, int(1.3 * abs(s.imag)) + 8)
-    ks = np.arange(N) + a
-    acc = complex(np.sum(ks ** (-s)))
-    base = N + a
-    acc += base ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * base ** (-s)
-    # Euler-Maclaurin correction terms
+    n_max = max(18, int(1.3 * abs(s.imag)) + 8)
+    ks = np.arange(n_max) + a
+    powers = ks ** (-s)
+    if s.real >= 0:
+        return complex(np.sum(powers)) + _em_tail(s, n_max + a)[0]
+    partial = np.cumsum(powers)
+    # each power carries a relative rounding error of about |s log k|
+    rounding = _EPS * np.cumsum(np.abs(powers) * (1.0 + abs(s) * np.abs(np.log(ks))))
+    best, best_err = 0j, math.inf
+    for n in range(1, n_max + 1):
+        if rounding[n - 1] >= best_err:
+            break
+        tail, last = _em_tail(s, n + a)
+        err = rounding[n - 1] + last + _EPS * abs(tail) * (1.0 + abs(s) * math.log(n + a))
+        if err < best_err:
+            best, best_err = complex(partial[n - 1]) + tail, err
+    if best_err > _HURWITZ_RTOL * abs(best):
+        raise DomainError("hurwitz_zeta(%r, %r): estimated error %.1e at |value| %.1e"
+                          % (s, a, best_err, abs(best)))
+    return best
+
+
+def _em_tail(s: complex, base: float) -> tuple[complex, float]:
+    """sum_{k >= N} (k + a)^(-s) for base = N + a: the integral, the half
+    end term and the Bernoulli corrections up to the smallest one, whose
+    size is returned with the value."""
+    acc = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
     term_pow = base ** (-s - 1.0)
     poch = s
-    fact = 1.0
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        fact *= (2 * j - 1) * (2 * j)
-        acc += b2j / fact * poch * term_pow
+    last = math.inf
+    for j, c in enumerate(_EM_COEFFS, start=1):
+        term = c * poch * term_pow
+        if abs(term) >= last:   # the series is asymptotic
+            break
+        acc += term
+        last = abs(term)
+        if last <= _EPS * abs(acc):
+            break
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         term_pow /= base * base
-    return acc
+    return acc, last
 
 
 def riemann_zeta(s: complex) -> complex:

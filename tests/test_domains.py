@@ -32,6 +32,17 @@ def test_grid_matches_scalar_quadratic(field_q5, ctx_q5):
         assert abs(grid[j] - scal) <= 1e-7 * abs(scal)
 
 
+def test_grid_matches_scalar_high_t(field_q, ctx_q):
+    # the grid keeps the frequencies the scalar route keeps; its Bessel
+    # table interpolates linearly, hence the looser tolerance
+    X, Y = np.array([0.28, -0.1]), np.array([1.3, 2.0])
+    s = 1.5 + 35j
+    grid = D.eisenstein_fourier_grid(field_q, s, [X], [Y], ctx_q)
+    for j in range(2):
+        scal = E.eisenstein_fourier(field_q, G.make_point(field_q, (X[j], Y[j])), s, ctx=ctx_q)
+        assert abs(grid[j] - scal) <= 1e-4 * abs(scal)
+
+
 def test_modular_domain_volume():
     assert abs(D.modular_domain_volume_numeric() - math.pi / 3) < 1e-9
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import kv
@@ -91,6 +92,52 @@ def test_enumerate_pairs_complete_against_box_brute(d):
                     val = (-dd) / c
                     seen.add((val.a, val.b))
     assert len(pairs) == len(seen)
+
+
+def mpmath_eisenstein_oracle(z, s, terms=40):
+    """The classical expansion for K = Q at complex s, with mpmath Bessel
+    factors, zeta values and divisor sums at 30 digits."""
+    x, y = z.coords[0]
+    with mp.workdps(30):
+        s = mp.mpc(s)
+        xi = lambda w: mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
+        total = y ** s + xi(2 * s - 1) / xi(2 * s) * y ** (1 - s)
+        for n in range(1, terms + 1):
+            sigma = sum(mp.mpf(dv) ** (1 - 2 * s) for dv in divisors(n))
+            total += 4 * mp.sqrt(y) / xi(2 * s) * n ** (s - 0.5) * sigma \
+                * mp.besselk(s - 0.5, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
+        return complex(total)
+
+
+_HIGH_T = (1.5 + 25j, 1.5 + 35j, 1.5 + 50j)
+
+
+@pytest.mark.parametrize("s", _HIGH_T)
+def test_dual_method_high_t(field_q, ctx_q, s):
+    # the real-line Bessel rule with a fixed frequency cut gave 3.1e-5, 66
+    # and 2.1e12 here
+    inf = G.cusp_infinity(field_q)
+    z = G.make_point(field_q, (0.28, 1.3))
+    direct = E.eisenstein_direct(field_q, inf, z, E.EisensteinParams(s=s, norm_bound=2e6))
+    fourier = E.eisenstein_fourier(field_q, z, s, ctx=ctx_q)
+    assert abs(direct - fourier) <= 1e-6 * abs(fourier)
+
+
+@pytest.mark.parametrize("s", _HIGH_T)
+def test_fourier_matches_mpmath_oracle_high_t(field_q, ctx_q, s):
+    # with the shifted contour but the cut fixed at 45 the error was 9.8e-5
+    # at 1.5+35i and 0.47 at 1.5+50i
+    z = G.make_point(field_q, (0.28, 1.3))
+    got = E.eisenstein_fourier(field_q, z, s, ctx=ctx_q)
+    expect = mpmath_eisenstein_oracle(z, s)
+    assert abs(got - expect) <= 1e-9 * abs(expect)
+
+
+def test_frequency_cut_grows_with_order(field_q, field_q5, field_qi):
+    assert E._frequency_cut(field_q, 1.5) == E._BESSEL_DECAY_CUT
+    assert E._frequency_cut(field_q, 1.5 - 20j) == E._BESSEL_DECAY_CUT + 20
+    assert E._frequency_cut(field_q5, 2 + 10j) == E._BESSEL_DECAY_CUT + 20
+    assert E._frequency_cut(field_qi, 2 + 10j) == E._BESSEL_DECAY_CUT + 20
 
 
 def test_direct_requires_convergence(field_q):

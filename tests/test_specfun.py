@@ -1,12 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hilmod import fields as F
 from hilmod import specfun as S
-from hilmod.errors import DomainError, PoleAtNonPositiveInteger, ZeroFrequency
+from hilmod.errors import DomainError, PoleAtNonPositiveInteger
 
 
 def bessel_oracle(s, y, upper=40.0):
@@ -107,26 +107,62 @@ def test_bessel_domain_errors():
         S.bessel_k(0.5 + 101j, 1.0)
 
 
-def test_bessel_product_real_place(field_q):
-    # one real place, y=1, |l|=1, s=1: K_1(2 pi)
-    got = S.bessel_k_product(1.0, [1.0], [1.0], field_q)
-    assert abs(got - bessel_oracle(1.0, 2 * math.pi)) <= 1e-10 * abs(got)
+# Validated region of bessel_k and the relative tolerance its docstring states.
+_GRID_RE = (-10.0, -6.5, -2.2, -0.7, 0.0, 0.3, 1.0, 2.5, 5.0, 10.0)
+_GRID_IM = (-100.0, -55.0, -20.0, -3.3, 0.0, 0.9, 1.5, 2.7, 8.0, 13.0, 33.0, 61.0, 100.0)
+_GRID_Y = (0.05, 0.13, 0.6, 1.0, 3.7, 9.5, 24.0, 50.0)
+_BESSEL_DOC_RTOL = 1e-10
 
 
-def test_bessel_product_complex_place(field_qi):
-    # one complex place, y=0.5, |l|=1, s=0: K_0(4 pi * 0.5) = K_0(2 pi)
-    got = S.bessel_k_product(0.0, [0.5], [1.0], field_qi)
-    expect = bessel_oracle(0.0, 2 * math.pi)
-    assert abs(got - expect) <= 1e-10 * abs(expect)
+def test_bessel_mpmath_grid():
+    ys = np.array(_GRID_Y)
+    worst = 0.0
+    with mp.workdps(40):
+        for sig in _GRID_RE:
+            for t in _GRID_IM:
+                s = complex(sig, t)
+                got = S.bessel_k_grid(s, ys)
+                for y, g in zip(_GRID_Y, got):
+                    expect = complex(mp.besselk(s, y))
+                    worst = max(worst, abs(g - expect) / abs(expect))
+    assert worst <= _BESSEL_DOC_RTOL
 
 
-def test_bessel_product_two_places(field_q5):
-    got = S.bessel_k_product(0.75, [0.9, 1.1], [0.7, -1.2], field_q5)
-    expect = bessel_oracle(0.75, 2 * math.pi * 0.9 * 0.7) \
-        * bessel_oracle(0.75, 2 * math.pi * 1.1 * 1.2)
-    assert abs(got - expect) <= 1e-9 * abs(expect)
+@pytest.mark.parametrize("s, y", [(0.2 + 20j, 0.3), (0.2 + 30j, 2.0), (0.2 + 100j, 2.0),
+                                  (1 + 9.7j, 2.5), (2 + 19.9j, 7.0), (0.5 - 77j, 0.05)])
+def test_bessel_high_order_against_mpmath(s, y):
+    # the real-line rule was off by 1.7e-3, 8.9e3 and 1.4e51 at the first three
+    with mp.workdps(40):
+        expect = complex(mp.besselk(s, y))
+    assert abs(S.bessel_k(s, y) - expect) <= _BESSEL_DOC_RTOL * abs(expect)
 
 
-def test_bessel_product_zero_frequency(field_q5):
-    with pytest.raises(ZeroFrequency):
-        S.bessel_k_product(1.0, [1.0, 1.0], [0.0, 1.0], field_q5)
+def test_bessel_grid_matches_scalar_calls():
+    # one shared call per order agrees with argument-by-argument calls
+    ys = np.array([0.07, 0.9, 3.0, 14.0, 48.0])
+    for s in (0.4, 1.5 + 12j, -3 - 40j):
+        grid = S.bessel_k_grid(s, ys)
+        for y, g in zip(ys, grid):
+            assert abs(g - S.bessel_k(s, y)) <= 1e-12 * abs(g)
+
+
+def test_bessel_node_cap_raises(monkeypatch):
+    # an order that needs thousands of nodes raises rather than returning
+    # the last, unconverged level
+    assert abs(S.bessel_k(0.5 + 90j, 0.3)) > 0
+    monkeypatch.setattr(S, "_BESSEL_MAX_NODES", 128)
+    with pytest.raises(DomainError):
+        S.bessel_k(0.5 + 90j, 0.3)
+    with pytest.raises(DomainError):
+        S.bessel_k_grid(0.5 + 90j, np.array([0.3, 1.0]))
+
+
+def test_bessel_near_zero_of_real_order_k():
+    # K_{it}(y) is real with zeros for y < t; at a zero only the floor
+    # relative to the integrand applies, and no DomainError is raised
+    t = 10.0
+    with mp.workdps(40):
+        y0 = float(mp.findroot(lambda y: mp.besselk(1j * t, y).real, 0.3437))
+        envelope = abs(complex(mp.besselk(1j * t, 0.97 * y0)))
+        expect = complex(mp.besselk(1j * t, y0))
+    assert abs(S.bessel_k(1j * t, y0) - expect) <= 1e-12 * envelope

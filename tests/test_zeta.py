@@ -7,7 +7,7 @@ import pytest
 
 from hilmod import fields as F
 from hilmod import zeta as Z
-from hilmod.errors import PoleAtOne, PoleAtZeroOrOne, ScatteringPole, ZeroFrequency
+from hilmod.errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole, ZeroFrequency
 
 
 def test_hurwitz_against_mpmath():
@@ -17,6 +17,39 @@ def test_hurwitz_against_mpmath():
             got = Z.hurwitz_zeta(s, a)
             expect = complex(mp.zeta(s, a))
             assert abs(got - expect) <= 1e-11 * (abs(expect) + 1e-6)
+
+
+def _hurwitz_matches_or_raises(s, a, rtol=1e-10):
+    """The documented contract: within rtol of mpmath, or DomainError."""
+    with mp.workdps(50):
+        expect = complex(mp.zeta(s, a))
+    try:
+        got = Z.hurwitz_zeta(s, a)
+    except DomainError:
+        return False
+    assert abs(got - expect) <= rtol * abs(expect), (s, a)
+    return True
+
+
+def test_hurwitz_negative_real_part_against_mpmath():
+    # N = 18 gave relative errors 5.9e-8 here: the summed terms cancel
+    assert _hurwitz_matches_or_raises(-5 + 3j, 0.3)
+    assert _hurwitz_matches_or_raises(-3 + 40j, 0.5)
+
+
+@pytest.mark.parametrize("s, a", [(-9 + 0.5j, 0.3), (-20 + 1j, 0.5)])
+def test_hurwitz_far_left_never_silently_wrong(s, a):
+    # N = 18 returned relative errors 3.1e-2 and 3.3e7 here, without error
+    _hurwitz_matches_or_raises(s, a)
+
+
+def test_hurwitz_left_half_plane_sweep():
+    rng = np.random.default_rng(11)
+    returned = 0
+    for _ in range(60):
+        s = complex(rng.uniform(-12.0, 0.0), rng.uniform(-100.0, 100.0))
+        returned += _hurwitz_matches_or_raises(s, float(rng.uniform(0.05, 1.0)))
+    assert returned >= 30
 
 
 def test_riemann_classical():
