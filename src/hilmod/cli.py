@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import domains, eisenstein, equidist, fields, geometry, zeta
@@ -153,6 +154,13 @@ def _check_rows(kind: str, field_d: int, tolerance: float | None):
         for s, y in ((0.7 + 0.3j, 2.0), (0.3, 1.0), (1.2 - 2.0j, 5.0)):
             add("K_s(y)=K_{-s}(y) s=%s y=%g" % (s, y),
                 bessel_k(s, y), bessel_k(-s, y), tol)
+        # at real order the symmetry rows compare two mirror-image sums,
+        # so they cannot catch a wrong K; these closed forms can
+        for y in (0.5, 2.0, 7.0):
+            k_half = math.sqrt(math.pi / (2 * y)) * math.exp(-y)
+            add("K_1/2(y) closed form y=%g" % y, bessel_k(0.5, y), k_half, tol)
+            add("K_3/2(y) closed form y=%g" % y, bessel_k(1.5, y),
+                k_half * (1 + 1 / y), tol)
     else:
         raise HilmodError("unknown check kind %r" % (kind,))
     return rows

@@ -54,30 +54,26 @@ def _point_arrays(field: FieldData, xs, ys):
     return xs, ys, q
 
 
-def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
-                            ctx: ZetaContext | None = None,
-                            zero_mode: bool = True) -> np.ndarray:
-    """Fourier-expansion values over arrays of coordinates (infinity cusp).
+@dataclass
+class _GridFrequencies:
+    """Frequency set-up shared by the grid evaluators: the frequencies l of
+    the box for the smallest heights, sorted by ring coordinates, with
+    per-place |l| and l, the traces Tr(l alpha_k) over the integral basis,
+    the per-place argument factors and Bessel tables, and tau_l."""
 
-    xs, ys: lists over places of per-point coordinate arrays (complex x at
-    half-space places).  All points share one frequency box computed from
-    the smallest heights, and Bessel factors come from a dense log-grid
-    interpolant (refined enough for ~1e-8 relative error).
-    """
-    s = complex(s)
-    ctx = ctx or make_context(field)
-    xs, ys, q = _point_arrays(field, xs, ys)
-    n_pts = q.size
-    out = np.zeros(n_pts, dtype=complex)
-    if zero_mode:
-        out += q ** s + phi(ctx, s) * q ** (1 - s)
-    ymins = [float(y.min()) for y in ys]
+    cut: float
+    factors: list
+    l_abs: list
+    l_val: list
+    traces: np.ndarray
+    tables: list
+    taus: np.ndarray
+
+
+def _grid_frequencies(field: FieldData, s: complex, ymins, ymaxs) -> _GridFrequencies:
     cut = _frequency_cut(field, s)
     coords, _ = _frequency_box(field, ymins, cut)
-    if coords.shape[0] == 0:
-        return out
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
-    coords = coords[order]
+    coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
     dg = [complex(v) for v in embed(field.different_gen, field)]
     oe = _omega_embeds(field)
     # frequency embeddings and per-place argument factors
@@ -96,38 +92,147 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
         l_val = [nu / dg[0]]
         l_abs = [np.abs(l_val[0])]
         factors = [4 * math.pi]
+    # Tr(l alpha_k) is an integer: l lies in the inverse different
+    traces = np.zeros((coords.shape[0], field.n))
+    for k, alpha in enumerate(field.integral_basis):
+        for i, (a, deg) in enumerate(zip(embed(alpha, field), field.place_degrees)):
+            traces[:, k] += (l_val[i] * float(a)) if deg == 1 \
+                else 2 * (l_val[i] * complex(a)).real
+    traces = np.rint(traces)
     # Bessel interpolants per place kind
     tables = []
-    for i, deg in enumerate(field.place_degrees):
-        args_min = factors[i] * float(ymins[i]) * float(l_abs[i].min())
-        args_max = factors[i] * float(ys[i].max()) * float(l_abs[i].max())
-        lo = max(args_min * 0.9, 1e-4)
-        hi = max(args_max * 1.1, lo * 2, cut + 10)
-        tables.append(_BesselTable(_bessel_order(s, deg), lo, hi))
+    if coords.shape[0]:
+        for i, deg in enumerate(field.place_degrees):
+            args_min = factors[i] * float(ymins[i]) * float(l_abs[i].min())
+            args_max = factors[i] * float(ymaxs[i]) * float(l_abs[i].max())
+            lo = max(args_min * 0.9, 1e-4)
+            hi = max(args_max * 1.1, lo * 2, cut + 10)
+            tables.append(_BesselTable(_bessel_order(s, deg), lo, hi))
     taus = np.empty(coords.shape[0], dtype=complex)
     for j in range(coords.shape[0]):
         nu_el = field.from_ring_coords(int(coords[j, 0]), int(coords[j, 1]))
         norms = _divisor_norms_cached(field, nu_el)
         acc = sum(m ** (1 - 2 * s) for m in norms)
         taus[j] = norms[-1] ** (-(1 - 2 * s) / 2.0) * acc
+    return _GridFrequencies(cut, factors, l_abs, l_val, traces, tables, taus)
+
+
+def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
+                            ctx: ZetaContext | None = None,
+                            zero_mode: bool = True) -> np.ndarray:
+    """Fourier-expansion values over arrays of coordinates (infinity cusp).
+
+    xs, ys: lists over places of per-point coordinate arrays (complex x at
+    half-space places).  All points share one frequency box computed from
+    the smallest heights, and Bessel factors come from a linear interpolant
+    of e^x K(x) on 16,384 log-spaced points.  Against `eisenstein_fourier`
+    on ten sets of 12 reduced points per field (Q, Q(sqrt 5), Q(i), heights
+    0.85 to 1.7) the relative error was at most 2.2e-9 at s = 1.5, 2 and
+    1.3+0.5i (worst on Q(sqrt 5) at s = 2).  It grows with |Im s|: the
+    worst over the three fields was 3.7e-7 at s = 1.5+5i, 4.3e-6 at 1.5+10i
+    (1.3e-6 on Q) and 2.2e-5 at 1.5+20i.
+    """
+    s = complex(s)
+    ctx = ctx or make_context(field)
+    xs, ys, q = _point_arrays(field, xs, ys)
+    n_pts = q.size
+    out = np.zeros(n_pts, dtype=complex)
+    if zero_mode:
+        out += q ** s + phi(ctx, s) * q ** (1 - s)
+    fr = _grid_frequencies(field, s, [float(y.min()) for y in ys],
+                           [float(y.max()) for y in ys])
+    if fr.taus.size == 0:
+        return out
     tail = np.zeros(n_pts, dtype=complex)
-    for j in range(coords.shape[0]):
+    for j in range(fr.taus.size):
         K = np.ones(n_pts, dtype=complex)
         phase = np.zeros(n_pts)
         total_arg = np.zeros(n_pts)
         for i, deg in enumerate(field.place_degrees):
-            arg = factors[i] * ys[i] * float(l_abs[i][j])
+            arg = fr.factors[i] * ys[i] * float(fr.l_abs[i][j])
             total_arg += arg
-            K = K * tables[i](arg)
+            K = K * fr.tables[i](arg)
             if deg == 1:
-                phase = phase + float(l_val[i][j]) * xs[i]
+                phase = phase + float(fr.l_val[i][j]) * xs[i]
             else:
-                phase = phase + 2 * (complex(l_val[i][j]) * xs[i]).real
-        term = taus[j] * K * np.exp(2j * math.pi * phase)
-        term[total_arg > cut] = 0.0
+                phase = phase + 2 * (complex(fr.l_val[i][j]) * xs[i]).real
+        term = fr.taus[j] * K * np.exp(2j * math.pi * phase)
+        term[total_arg > fr.cut] = 0.0
         tail += term
     zs2 = completed_zeta(ctx, 2 * s)
     return out + 2 ** field.r * np.sqrt(q) / zs2 * tail
+
+
+_BOX_BLOCK = 1 << 16  # Bessel table values evaluated per block
+
+
+def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
+                           ctx: ZetaContext | None = None) -> np.ndarray:
+    """Box averages of E(z, s) over the cusp cross sections at heights qs.
+
+    The box [-1/2, 1/2]^(n + r - 1) of local coordinates (X, Y) carries the
+    tensor product of the 1-D rule (nodes, weights) on every axis.  The value
+    is that quadrature of `eisenstein_fourier_grid` over the box points,
+    summed in another order: the heights depend only on (q, Y), and since
+    x = O X the phase e(Tr(l x)) splits into one 1-D sum per X axis,
+    Phi_k(m) = sum_j w_j e(m X_j) with m = Tr(l alpha_k).  So each q costs
+    one Bessel row per Y node and frequency, not one per box point:
+
+        zero mode * sum w + 2^r sqrt(q) / xi(2s)
+            * sum_l tau_l [sum_Y w_Y K_l(y(q, Y))] prod_k Phi_k(Tr(l alpha_k)).
+
+    The frequency box and the Bessel tables are those of the grid over the
+    same points, and so is the accuracy of the Fourier values: relative
+    error at most 2.2e-9 at real s, growing with |Im s| (4.3e-6 at
+    s = 1.5+10i).
+    """
+    s = complex(s)
+    ctx = ctx or make_context(field)
+    qs = np.asarray(qs, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    dim_y = field.r - 1
+    # one height row per (q, Y node)
+    if dim_y:
+        Y = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * dim_y, indexing="ij")], axis=1)
+        wy = np.prod([g.ravel() for g in np.meshgrid(*[weights] * dim_y, indexing="ij")], axis=0)
+    else:
+        Y, wy = None, np.ones(1)
+    X0 = np.zeros((wy.size, field.n))
+    ys = [[] for _ in range(field.r)]
+    for qv in qs:
+        _, yq = slice_embeddings(field, float(qv), X0, Y)
+        for i in range(field.r):
+            ys[i].append(yq[i])
+    ys = [np.concatenate(v) for v in ys]
+    box_weight = float(weights.sum()) ** field.n * float(wy.sum())
+    out = (qs ** s + phi(ctx, s) * qs ** (1 - s)) * box_weight
+    fr = _grid_frequencies(field, s, [float(y.min()) for y in ys],
+                           [float(y.max()) for y in ys])
+    n_freq = fr.taus.size
+    if n_freq == 0:
+        return out
+    # prod_k Phi_k(Tr(l alpha_k)), one 1-D sum per X axis
+    phases = np.ones(n_freq, dtype=complex)
+    for k in range(field.n):
+        phases *= np.exp(2j * math.pi * fr.traces[:, k, None] * nodes[None, :]) @ weights
+    coef = fr.taus * phases
+    rows = ys[0].size
+    tail = np.zeros(qs.size, dtype=complex)
+    step = max(1, _BOX_BLOCK // rows)
+    for lo in range(0, n_freq, step):
+        b = slice(lo, lo + step)
+        K = np.ones((rows, coef[b].size), dtype=complex)
+        total_arg = np.zeros(K.shape)
+        for i in range(field.r):
+            arg = fr.factors[i] * ys[i][:, None] * fr.l_abs[i][None, b]
+            total_arg += arg
+            K *= fr.tables[i](arg)
+        K[total_arg > fr.cut] = 0.0
+        Kq = np.einsum("qyl,y->ql", K.reshape(qs.size, wy.size, -1), wy)
+        tail += Kq @ coef[b]
+    zs2 = completed_zeta(ctx, 2 * s)
+    return out + 2 ** field.r * np.sqrt(qs) / zs2 * tail
 
 
 # ---------------------------------------------------------------------------

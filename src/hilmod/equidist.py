@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import slice_candidates
+from .domains import eisenstein_box_average, slice_candidates
 from .eisenstein import max_cusp_height
 from .errors import PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData
@@ -134,70 +134,70 @@ def _totients(field: FieldData, N: int) -> np.ndarray:
     return _totient_cache[field.d][1][:N]
 
 
-def _piecewise_psi_integral(f: TestFunction, fun, edges, order: int) -> float:
-    """GL integration of fun between consecutive edges (shoulder-junction
-    aware: spectral accuracy on each smooth piece)."""
-    from .quadrature import gl_panel_nodes
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-15:
-            continue
-        x, w = gl_panel_nodes(a, b, 1, order)
-        total += float(np.dot(w, fun(x)))
-    return total
+_KERNEL_BLOCK = 1 << 13  # integrand values evaluated per block
 
 
-def _break_edges(f: TestFunction, kappa: float, transform) -> list[float]:
-    """Sorted edge list from the psi shoulder breaks under a level map."""
-    breaks = (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
-    out = []
-    for b in breaks:
-        v = transform(b)
-        if v is not None:
-            out.append(v)
+def _piecewise_integral(edges: np.ndarray, fun, order: int) -> np.ndarray:
+    """Row-wise GL integrals of fun between consecutive edges.
+
+    edges: (K, P + 1) with each row ascending; fun(rows, x) gives the
+    integrand of the given rows of K at nodes x of shape (k, P, order).
+    Zero-length pieces get zero weight.  Rows are evaluated in blocks of
+    about _KERNEL_BLOCK nodes, so memory does not grow with K."""
+    gx, gw = gl_panel_nodes(-1.0, 1.0, 1, order)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    out = np.empty(edges.shape[0])
+    step = max(1, _KERNEL_BLOCK // (half.shape[1] * order))
+    for lo in range(0, edges.shape[0], step):
+        rows = slice(lo, lo + step)
+        x = mid[rows, :, None] + half[rows, :, None] * gx
+        out[rows] = np.einsum("kpo,kp,o->k", fun(rows, x), half[rows], gw)
     return out
 
 
-def _kernel_half_plane(f: TestFunction, kappa: float, order: int = 24) -> float:
-    """K1(kappa) = int_R psi(kappa / (x^2 + 1)) dx."""
-    if kappa <= f.t0:
-        return 0.0
-    def level(b):
-        return math.sqrt(kappa / b - 1.0) if b < kappa else None
-    edges = sorted({0.0, *(_break_edges(f, kappa, level))})
-    xmax = math.sqrt(kappa / f.t0 - 1.0)
-    edges = [e for e in edges if e < xmax] + [xmax]
-    fun = lambda x: f.profile(kappa / (x * x + 1.0))
-    return 2.0 * _piecewise_psi_integral(f, fun, edges, order)
+def _break_edges(f: TestFunction, kappa: np.ndarray, start: float, level) -> np.ndarray:
+    """Edges [start, L(t1), L(t1 - sh), L(t0 + sh), L(t0)] for each kappa,
+    one row each, under a level map L(b) = level(kappa / b) that decreases
+    in b and is clamped at start: a break above kappa gives a zero-length
+    piece, and kappa <= t0 gives only those.  Rows are sorted, as the
+    shoulders may overlap."""
+    breaks = np.array([f.t1, f.t1 - f.shoulder, f.t0 + f.shoulder, f.t0])
+    lev = level(kappa[:, None] / breaks)
+    return np.sort(np.concatenate([np.full((kappa.size, 1), start), lev], axis=1), axis=1)
 
 
-def _kernel_half_space(f: TestFunction, kappa: float, order: int = 24) -> float:
-    """K2(kappa) = pi int_1^inf psi(kappa / w^2) dw."""
-    if kappa <= f.t0:
-        return 0.0
-    def level(b):
-        w = math.sqrt(kappa / b)
-        return w if w > 1.0 else None
-    wmax = math.sqrt(kappa / f.t0)
-    edges = sorted({1.0, *(_break_edges(f, kappa, level))})
-    edges = [e for e in edges if e < wmax] + [wmax]
-    fun = lambda w: f.profile(kappa / (w * w))
-    return math.pi * _piecewise_psi_integral(f, fun, edges, order)
+def _plane_level(ratio):
+    return np.sqrt(np.maximum(ratio - 1.0, 0.0))
 
 
-def _kernel_two_planes(f: TestFunction, kappa: float, order: int = 24) -> float:
-    """K(kappa) = int_R K1(kappa / (x^2 + 1)) dx (two real places)."""
-    if kappa <= f.t0:
-        return 0.0
-    def level(b):
-        return math.sqrt(kappa / b - 1.0) if b < kappa else None
-    edges = sorted({0.0, *(_break_edges(f, kappa, level))})
-    xmax = math.sqrt(kappa / f.t0 - 1.0)
-    edges = [e for e in edges if e < xmax] + [xmax]
+def _kernel_half_plane(f: TestFunction, kappa, order: int = 24) -> np.ndarray:
+    """K1(kappa) = int_R psi(kappa / (x^2 + 1)) dx, for an array of kappa."""
+    kappa = np.asarray(kappa, dtype=float).ravel()
+    edges = _break_edges(f, kappa, 0.0, _plane_level)
+    fun = lambda rows, x: f.profile(kappa[rows, None, None] / (x * x + 1.0))
+    return 2.0 * _piecewise_integral(edges, fun, order)
+
+
+def _kernel_half_space(f: TestFunction, kappa, order: int = 24) -> np.ndarray:
+    """K2(kappa) = pi int_1^inf psi(kappa / w^2) dw, for an array of kappa."""
+    kappa = np.asarray(kappa, dtype=float).ravel()
+    edges = _break_edges(f, kappa, 1.0, lambda ratio: np.sqrt(np.maximum(ratio, 1.0)))
+    fun = lambda rows, w: f.profile(kappa[rows, None, None] / (w * w))
+    return math.pi * _piecewise_integral(edges, fun, order)
+
+
+def _kernel_two_planes(f: TestFunction, kappa, order: int = 24) -> np.ndarray:
+    """K(kappa) = int_R K1(kappa / (x^2 + 1)) dx (two real places), for an
+    array of kappa; each block of outer nodes goes to K1 in one call."""
+    kappa = np.asarray(kappa, dtype=float).ravel()
     inner = max(order - 8, 12)
-    def fun(xs):
-        return np.array([_kernel_half_plane(f, kappa / (x * x + 1.0), inner) for x in xs])
-    return 2.0 * _piecewise_psi_integral(f, fun, edges, max(order - 8, 12))
+    edges = _break_edges(f, kappa, 0.0, _plane_level)
+
+    def fun(rows, x):
+        k1 = _kernel_half_plane(f, kappa[rows, None, None] / (x * x + 1.0), inner)
+        return k1.reshape(x.shape)
+    return 2.0 * _piecewise_integral(edges, fun, inner)
 
 
 def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
@@ -207,14 +207,13 @@ def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
         return 0.0
     T = _totients(field, nmax)
     if field.d == 0:
-        kern = lambda kap: _kernel_half_plane(f, kap, order)
+        kern = _kernel_half_plane
     elif field.d > 0:
-        kern = lambda kap: _kernel_two_planes(f, kap, order)
+        kern = _kernel_two_planes
     else:
-        kern = lambda kap: _kernel_half_space(f, kap, order)
-    acc = 0.0
-    for n in range(nmax, 0, -1):  # ascending kernel size, fixed order
-        acc += T[n - 1] * kern(1.0 / (n * n * q))
+        kern = _kernel_half_space
+    n = np.arange(nmax, 0, -1)  # ascending kernel size, fixed order
+    acc = float(np.dot(T[n - 1], kern(f, 1.0 / (n * n * q), order)))
     scale = 2.0 ** field.r2 / math.sqrt(field.D)
     return scale * q * acc
 
@@ -222,7 +221,6 @@ def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
 def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> float:
     from .geometry import _geom_cache
     from .eisenstein import _omega_embeds
-    from .quadrature import gl_panel_nodes
     Omat, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
     cands = slice_candidates(field, q, f.t0 * 0.999, margin=3.0)
     if cands.count == 0:
@@ -242,7 +240,6 @@ def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> floa
     if field.d == 0:
         c = coords[:, 0].astype(float)
         dd = coords[:, 2].astype(float)
-        w = math.sqrt(max(budget - q * q * 1.0, 0.0))  # conservative
         w = math.sqrt(budget)
         lo = np.maximum((-dd - w) / c, -0.5)
         hi = np.minimum((-dd + w) / c, 0.5)
@@ -318,28 +315,6 @@ def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> floa
         vals = f.profile(q / (V1 * V1))
         total += float(np.einsum("ab,a,b->", vals, w1, w2))
     return total
-
-
-_NODE_CAPS = {1: 1 << 17, 2: 2048, 3: 256}
-
-
-def cusp_section_average_auto(f: TestFunction, q: float, field: FieldData,
-                              rtol: float, atol: float, start_nodes: int = 32):
-    """Node-doubling slice average; returns (value, est_error, nodes)."""
-    dim = field.n + field.r - 1
-    cap = _NODE_CAPS[dim]
-    nodes = start_nodes
-    prev = None
-    while True:
-        val = cusp_section_average(f, q, field, nodes)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= rtol * abs(val) + atol:
-                return val, err, nodes
-        if nodes >= cap:
-            return val, abs(val - prev) if prev is not None else math.inf, nodes
-        prev = val
-        nodes *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +406,9 @@ def rankin_selberg_check(field: FieldData, f: TestFunction, s: complex,
 def _unfolded_ef_integral(field: FieldData, f: TestFunction, s: complex,
                           ctx: ZetaContext, nodes: int = 14) -> complex:
     """C1 * int psi(q) q^{-2} [box average of E at height q] dq with the
-    box average done by tensor quadrature on pointwise Fourier values
-    (one batched evaluation over all q and box nodes)."""
-    from .domains import eisenstein_fourier_grid
-    from .geometry import slice_embeddings
-    dimx, dimy = field.n, field.r - 1
-    axes = []
-    for _ in range(dimx + dimy):
-        axes.append(gl_panel_nodes(-0.5, 0.5, max(1, nodes // 7), 7))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    X = np.stack([g.ravel() for g in grids[:dimx]], axis=1)
-    Y = np.stack([g.ravel() for g in grids[dimx:]], axis=1) if dimy else None
-    wbox = np.ones(X.shape[0])
-    for w in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
-        wbox = wbox * w.ravel()
+    box average done by tensor quadrature on Fourier values, summed over
+    the box in factored form (`eisenstein_box_average`)."""
+    xs, wx = gl_panel_nodes(-0.5, 0.5, max(1, nodes // 7), 7)
     # q nodes over the shoulder pieces
     qs_all, qw_all = [], []
     edges = (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
@@ -456,20 +420,7 @@ def _unfolded_ef_integral(field: FieldData, f: TestFunction, s: complex,
         qw_all.append(ww)
     qs_all = np.concatenate(qs_all)
     qw_all = np.concatenate(qw_all)
-    # stack every (q, box) point into one grid evaluation
-    n_box = X.shape[0]
-    xs_cat = [[] for _ in range(field.r)]
-    ys_cat = [[] for _ in range(field.r)]
-    for qv in qs_all:
-        xs, ys = slice_embeddings(field, qv, X, Y)
-        for i in range(field.r):
-            xs_cat[i].append(xs[i])
-            ys_cat[i].append(ys[i])
-    xs_cat = [np.concatenate(v) for v in xs_cat]
-    ys_cat = [np.concatenate(v) for v in ys_cat]
-    E = eisenstein_fourier_grid(field, s, xs_cat, ys_cat, ctx)
-    E = E.reshape(qs_all.size, n_box)
-    box_avg = E @ wbox
+    box_avg = eisenstein_box_average(field, s, qs_all, xs, wx, ctx)
     total = complex(np.sum(qw_all * f.profile(qs_all) * box_avg / qs_all ** 2))
     return unfold_constant(field) * total
 
@@ -505,7 +456,7 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
     """Least-squares slope of log |m_q(f) - m(f)| against log q on the
     dyadic grid q_k = 2^{-k}; the first two grid points are dropped from
     the fit as pre-asymptotic."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     ctx = ctx or make_context(field)
     cap = node_cap or 80  # kernel GL order cap for the unfolded route
     mf = haar_average(f, field, ctx)
@@ -552,7 +503,7 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
         se = math.sqrt(float(resid @ resid) / dof / float(((lq - lq.mean()) ** 2).sum()))
         ci = (slope - 1.96 * se, slope + 1.96 * se)
     return ExperimentReport(qs, ms, mf, errs, nodes_used, slope, ci,
-                            time.time() - t_start, degenerate, drop, k_min)
+                            time.perf_counter() - t_start, degenerate, drop, k_min)
 
 
 def vertical_line_scan(f: TestFunction, sigma: float, t_max: float,

@@ -342,14 +342,6 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def chi_values(field: FieldData, N: int) -> list[int]:
-    """Values chi_D(1..N) of the quadratic character (all ones for Q)."""
-    if field.d == 0:
-        return [1] * N
-    D = field.disc_signed
-    return [kronecker(D, m) for m in range(1, N + 1)]
-
-
 def ideal_count_coeffs(field: FieldData, N: int) -> list[int]:
     """Number of integral ideals of each norm 1..N.
 

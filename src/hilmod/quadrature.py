@@ -1,14 +1,10 @@
-"""Gauss-Legendre panel quadrature, tensor grids, and a Halton fallback."""
+"""Composite Gauss-Legendre panel quadrature."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
-
-from .errors import QuadratureBudgetExceeded
 
 
 @lru_cache(maxsize=64)
@@ -26,114 +22,3 @@ def gl_panel_nodes(a: float, b: float, panels: int, order: int = 12):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 rtol: float = 1e-10, max_panels: int = 4096, order: int = 12):
-    """Panel-doubling GL integration of a vectorised integrand."""
-    panels = 1
-    prev = None
-    while True:
-        x, w = gl_panel_nodes(a, b, panels, order)
-        val = np.sum(w * f(x))
-        if prev is not None and abs(val - prev) <= rtol * (abs(val) + 1e-300):
-            return val
-        if panels >= max_panels:
-            return val
-        prev = val
-        panels *= 2
-
-
-def integrate_log_1d(f, a: float, b: float, rtol: float = 1e-10,
-                     max_panels: int = 4096, order: int = 12):
-    """GL integration with a log substitution, for integrands on (0, b]."""
-    def g(u):
-        x = np.exp(u)
-        return f(x) * x
-    return integrate_1d(g, math.log(a), math.log(b), rtol, max_panels, order)
-
-
-def tensor_grid(dims: Sequence[tuple[float, float]], points_per_dim: int,
-                order: int = 8):
-    """Tensor GL grid over a box; returns (N, d) nodes and (N,) weights."""
-    panels = max(1, points_per_dim // order)
-    axes = [gl_panel_nodes(a, b, panels, order) for (a, b) in dims]
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        weights = weights * wg.ravel()
-    return nodes, weights
-
-
-def halton(n: int, dim: int, skip: int = 20) -> np.ndarray:
-    """First n points of the Halton sequence in [0,1)^dim."""
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    if dim > len(primes):
-        raise ValueError("halton limited to %d dimensions" % len(primes))
-    out = np.empty((n, dim))
-    for j in range(dim):
-        base = primes[j]
-        idx = np.arange(skip + 1, skip + n + 1)
-        col = np.zeros(n)
-        denom = float(base)
-        rem = idx.copy()
-        while rem.max() > 0:
-            col += (rem % base) / denom
-            rem //= base
-            denom *= base
-        out[:, j] = col
-    return out
-
-
-def box_average(func, dims: Sequence[tuple[float, float]],
-                rtol: float = 1e-8, atol: float = 0.0,
-                start_points: int = 16, max_points: int = 1 << 20,
-                raise_on_budget: bool = False):
-    """Average of func over a box by node-doubling tensor GL (QMC above dim 3).
-
-    func takes an (N, d) array of nodes and returns (N,) values.  Returns
-    (average, est_error).
-    """
-    dim = len(dims)
-    vol = 1.0
-    for a, b in dims:
-        vol *= (b - a)
-    if dim <= 3:
-        pts = start_points
-        prev = None
-        while True:
-            nodes, w = tensor_grid(dims, pts)
-            val = float(np.dot(w, func(nodes))) / vol
-            if prev is not None:
-                err = abs(val - prev)
-                if err <= rtol * (abs(val) + 1e-300) + atol:
-                    return val, err
-            if pts ** dim >= max_points:
-                if raise_on_budget and prev is not None and \
-                        abs(val - prev) > rtol * (abs(val) + 1e-300) + atol:
-                    raise QuadratureBudgetExceeded(
-                        "box_average: %d^%d nodes insufficient" % (pts, dim))
-                return val, abs(val - prev) if prev is not None else float("nan")
-            prev = val
-            pts *= 2
-    # quasi-Monte Carlo fallback for higher-dimensional boxes
-    n = max(1024, start_points ** dim)
-    prev = None
-    lo = np.array([a for a, _ in dims])
-    span = np.array([b - a for a, b in dims])
-    while True:
-        pts01 = halton(n, dim)
-        nodes = lo[None, :] + pts01 * span[None, :]
-        val = float(np.mean(func(nodes)))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= rtol * (abs(val) + 1e-300) + atol:
-                return val, err
-        if n >= max_points:
-            if raise_on_budget:
-                raise QuadratureBudgetExceeded("halton budget exhausted")
-            return val, abs(val - prev) if prev is not None else float("nan")
-        prev = val
-        n *= 2

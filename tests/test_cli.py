@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -65,6 +67,18 @@ def test_check_pass_and_exit_codes(capsys):
     # absurd tolerance forces failure exit
     rc, out, _ = run_cli(capsys, "check", "bessel", "--tolerance", "1e-30")
     assert rc == 1
+
+
+def test_check_bessel_closed_forms(capsys):
+    # K_1/2 and K_3/2 against their closed forms: rows that, unlike the
+    # K_s = K_-s symmetry at real order, would catch a wrong K
+    rc, out, _ = run_cli(capsys, "check", "bessel")
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    closed = [r for r in rows if "closed form" in r["check"]]
+    assert sorted({r["check"].split()[0] for r in closed}) == ["K_1/2(y)", "K_3/2(y)"]
+    assert len(closed) >= 4
+    assert all(r["status"] == "pass" for r in closed)
 
 
 def test_check_functional_equation(capsys):

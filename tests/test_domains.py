@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hilmod import eisenstein as E
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
+from hilmod.quadrature import gl_panel_nodes
+from conftest import random_point
 
 
 def test_grid_matches_scalar(field_q, ctx_q):
@@ -41,6 +44,50 @@ def test_grid_matches_scalar_high_t(field_q, ctx_q):
     for j in range(2):
         scal = E.eisenstein_fourier(field_q, G.make_point(field_q, (X[j], Y[j])), s, ctx=ctx_q)
         assert abs(grid[j] - scal) <= 1e-4 * abs(scal)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_grid_accuracy_real_order(d):
+    # the docstring's real-order figure: at most 2.2e-9 over reduced points
+    # (worst on this very set, Q(sqrt 5) at s = 2); pinned with a 2x margin
+    field = F.make_field(d)
+    ctx = Z.make_context(field)
+    inf = G.cusp_infinity(field)
+    rng = random.Random(7 + d)
+    pts = [G.reduce_mod_stabilizer(inf, random_point(field, rng, 0.85, 1.7), field)[0]
+           for _ in range(12)]
+    xs = [np.array([p.coords[i][0] for p in pts]) for i in range(field.r)]
+    ys = [np.array([p.coords[i][1] for p in pts]) for i in range(field.r)]
+    for s in (1.5, 2.0, 1.3 + 0.5j):
+        grid = D.eisenstein_fourier_grid(field, s, xs, ys, ctx)
+        scal = np.array([E.eisenstein_fourier(field, p, s, ctx=ctx) for p in pts])
+        assert np.max(np.abs(grid - scal) / np.abs(scal)) <= 5e-9
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+@pytest.mark.parametrize("s", [2.0, 1.5 + 5j])
+def test_box_average_matches_pointwise_grid(d, s):
+    field = F.make_field(d)
+    ctx = Z.make_context(field)
+    nodes, weights = gl_panel_nodes(-0.5, 0.5, 1, 4)
+    qs = np.array([0.7, 1.9])
+    got = D.eisenstein_box_average(field, s, qs, nodes, weights, ctx)
+    # the same tensor rule, point by point
+    dims = field.n + field.r - 1
+    X_all = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * dims, indexing="ij")], axis=1)
+    w = np.prod(np.stack([g.ravel() for g in np.meshgrid(*[weights] * dims, indexing="ij")]),
+                axis=0)
+    X, Y = X_all[:, :field.n], (X_all[:, field.n:] if field.r > 1 else None)
+    xs, ys = [[] for _ in range(field.r)], [[] for _ in range(field.r)]
+    for q in qs:
+        xq, yq = G.slice_embeddings(field, q, X, Y)
+        for i in range(field.r):
+            xs[i].append(xq[i])
+            ys[i].append(yq[i])
+    vals = D.eisenstein_fourier_grid(field, s, [np.concatenate(v) for v in xs],
+                                     [np.concatenate(v) for v in ys], ctx)
+    expect = vals.reshape(qs.size, -1) @ w
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
 def test_modular_domain_volume():

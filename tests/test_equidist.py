@@ -94,6 +94,86 @@ def test_unfolded_vs_horoball_routes(d):
         assert abs(a - b) <= 7e-4
 
 
+# --- unfolded kernels against scipy quad ----------------------------------
+# bump [2, 4], shoulder 0.5: kappa <= t0 (twice), just above t0, between the
+# break levels, and above t1
+
+_KAPPAS = (1.5, 2.0, 2.05, 3.0, 12.0)
+
+
+def _psi_scalar(f, t):
+    def ramp(u):
+        if u <= 0.0:
+            return 0.0
+        if u >= 1.0:
+            return 1.0
+        a, b = math.exp(-1.0 / u), math.exp(-1.0 / (1.0 - u))
+        return a / (a + b)
+    return f.amplitude * ramp((t - f.t0) / f.shoulder) * ramp((f.t1 - t) / f.shoulder)
+
+
+def _quad_breaks(f, fun, a, b, level, kappa, eps=1e-13):
+    breaks = (f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
+    pts = [level(v) for v in breaks if v < kappa]
+    return quad(fun, a, b, points=pts or None, limit=200, epsabs=eps, epsrel=eps)[0]
+
+
+def _ref_half_plane(f, kappa, eps=1e-13):
+    if kappa <= f.t0:
+        return 0.0
+    level = lambda b: math.sqrt(kappa / b - 1.0)
+    return 2.0 * _quad_breaks(f, lambda x: _psi_scalar(f, kappa / (x * x + 1.0)),
+                              0.0, level(f.t0), level, kappa, eps)
+
+
+def _assert_kernel(got, ref):
+    for k, g in zip(_KAPPAS, got):
+        r = ref(k)
+        assert abs(g - r) <= 1e-10 * max(1.0, abs(r)), (k, g, r)
+        if k <= 2.0:
+            assert g == 0.0
+
+
+def test_kernel_half_plane_against_quad(field_q):
+    f = Q.make_test_function(field_q, 2.0, 4.0)
+    _assert_kernel(Q._kernel_half_plane(f, _KAPPAS, 48), lambda k: _ref_half_plane(f, k))
+
+
+def test_kernel_half_space_against_quad(field_qi):
+    f = Q.make_test_function(field_qi, 2.0, 4.0)
+
+    def ref(kappa):
+        if kappa <= f.t0:
+            return 0.0
+        level = lambda b: math.sqrt(kappa / b)
+        return math.pi * _quad_breaks(f, lambda w: _psi_scalar(f, kappa / (w * w)),
+                                      1.0, level(f.t0), level, kappa)
+    _assert_kernel(Q._kernel_half_space(f, _KAPPAS, 48), ref)
+
+
+def test_kernel_two_planes_against_nested_quad(field_q5):
+    f = Q.make_test_function(field_q5, 2.0, 4.0)
+
+    def ref(kappa):
+        if kappa <= f.t0:
+            return 0.0
+        level = lambda b: math.sqrt(kappa / b - 1.0)
+        inner = lambda x: _ref_half_plane(f, kappa / (x * x + 1.0), 1e-12)
+        return 2.0 * _quad_breaks(f, inner, 0.0, level(f.t0), level, kappa, 1e-12)
+    _assert_kernel(Q._kernel_two_planes(f, _KAPPAS, 48), ref)
+
+
+def test_kernel_two_planes_blocks(field_q5, monkeypatch):
+    # three outer kappa rows per block at order 24 (inner order 16), and
+    # three inner rows per block of the half-plane kernel
+    f = Q.make_test_function(field_q5, 2.0, 4.0)
+    monkeypatch.setattr(Q, "_KERNEL_BLOCK", 3 * 4 * 16)
+    kappas = np.linspace(1.9, 9.0, 11)
+    together = Q._kernel_two_planes(f, kappas)
+    alone = np.array([Q._kernel_two_planes(f, [k])[0] for k in kappas])
+    np.testing.assert_allclose(together, alone, rtol=1e-14, atol=0.0)
+
+
 def test_haar_average_closed_form(field_q, ctx_q):
     f = Q.make_test_function(field_q, 2.5, 3.5)
     mf = Q.haar_average(f, field_q, ctx_q)

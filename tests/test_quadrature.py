@@ -1,7 +1,4 @@
-import math
-
 import numpy as np
-from hypothesis import given, settings, strategies as st
 
 from hilmod import quadrature as QD
 
@@ -11,58 +8,3 @@ def test_gl_panels_polynomial_exact():
     got = float(np.sum(w * x ** 7))
     expect = (2.0 ** 8 - 1.0) / 8
     assert abs(got - expect) < 1e-12
-
-
-def test_integrate_1d_smooth():
-    val = QD.integrate_1d(np.sin, 0.0, math.pi)
-    assert abs(val - 2.0) < 1e-12
-
-
-def test_integrate_log_1d():
-    val = QD.integrate_log_1d(lambda x: 1.0 / x, 1e-4, 1.0)
-    assert abs(val - math.log(1e4)) < 1e-10
-
-
-def test_tensor_grid_weights_sum():
-    nodes, w = QD.tensor_grid([(-0.5, 0.5), (0.0, 2.0)], 16)
-    assert abs(w.sum() - 2.0) < 1e-12
-    assert nodes.shape[1] == 2
-
-
-def test_box_average_matches_product():
-    f = lambda pts: np.cos(pts[:, 0]) * pts[:, 1] ** 2
-    val, err = QD.box_average(f, [(-1.0, 1.0), (0.0, 1.0)], rtol=1e-10)
-    expect = (2 * math.sin(1.0) / 2) * (1.0 / 3)
-    assert abs(val - expect) < 1e-9
-
-
-def test_box_average_qmc_high_dim():
-    # 4-dimensional box goes through the Halton fallback
-    f = lambda pts: pts.sum(axis=1)
-    val, err = QD.box_average(f, [(0.0, 1.0)] * 4, rtol=1e-3)
-    assert abs(val - 2.0) < 5e-3
-
-
-@given(st.integers(16, 200))
-@settings(max_examples=20, deadline=None)
-def test_halton_in_unit_box(n):
-    pts = QD.halton(n, 3)
-    assert pts.shape == (n, 3)
-    assert float(pts.min()) >= 0.0 and float(pts.max()) < 1.0
-    # crude uniformity: mean near 1/2 in every coordinate
-    assert np.all(np.abs(pts.mean(axis=0) - 0.5) < 0.25)
-
-
-def test_box_average_budget_exceeded():
-    import pytest
-    from hilmod.errors import QuadratureBudgetExceeded
-    rng_state = {"n": 0}
-
-    def noisy(pts):
-        # deterministic but non-converging integrand (changes with call count)
-        rng_state["n"] += 1
-        return np.cos(1e4 * rng_state["n"] * pts[:, 0])
-
-    with pytest.raises(QuadratureBudgetExceeded):
-        QD.box_average(noisy, [(0.0, 1.0)], rtol=1e-14, max_points=64,
-                       raise_on_budget=True)
