@@ -58,6 +58,14 @@ def test_eval_eisenstein_two_methods(capsys):
     assert abs(a - b) <= 1e-6 * abs(a)
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "1e-3"])
+def test_eval_eisenstein_direct_bad_bound_row(capsys, bound):
+    rc, out, _ = run_cli(capsys, "eval", "eisenstein-direct", "--field-d", "0",
+                         "--s", "1.5", "--z", "0.28,1.3", "--norm-bound", bound)
+    assert rc == 1
+    assert json.loads(out)["error"] == "DomainError"
+
+
 def test_check_pass_and_exit_codes(capsys):
     rc, out, _ = run_cli(capsys, "check", "bessel")
     assert rc == 0

@@ -11,7 +11,7 @@ from hilmod import eisenstein as E
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
-from hilmod.errors import DegenerateParameters, NotConvergent
+from hilmod.errors import DegenerateParameters, DomainError, NotConvergent
 from conftest import random_group_element, random_point
 
 
@@ -55,7 +55,15 @@ def test_canonicalize_idempotent(field_q5):
     assert once == twice
 
 
-@pytest.mark.parametrize("d", [5, -1])
+def _cusp_key(c, d):
+    """The cusp -d/c, which names the unit orbit of a coprime pair."""
+    if c.is_zero():
+        return "inf"
+    val = (-d) / c
+    return val.a, val.b
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, -3])
 def test_enumerate_pairs_complete_against_box_brute(d):
     field = F.make_field(d)
     inf = G.cusp_infinity(field)
@@ -64,34 +72,81 @@ def test_enumerate_pairs_complete_against_box_brute(d):
     bound = 30.0
     pairs = E.enumerate_pairs(field, inf, z, bound)
     BV = bound * z.ny(field)
-    # brute force: scan a generous integer box, keep coprime pairs with V <= BV,
-    # count orbits via the exact cusp-value invariant (plus c=0 orbit)
+    # brute force: V over a generous box of ring coordinates (c1, c2, d1, d2),
+    # from the embeddings of the integral basis; the exact coprimality test
+    # and the cusp value -d/c only on the pairs with V <= BV
+    r = np.arange(-12, 13)
+    r2 = r if field.d else np.zeros(1, dtype=int)
+    c1, c2, d1, d2 = (a.ravel() for a in np.meshgrid(r, r2, r, r2, indexing="ij"))
+    e = [[complex(v) for v in F.embed(field.from_ring_coords(*b), field)]
+         for b in ((1, 0), (0, 1))]
+    V = np.ones(c1.shape)
+    for i, deg in enumerate(field.place_degrees):
+        x, y = z.coords[i]
+        ce, de = c1 * e[0][i] + c2 * e[1][i], d1 * e[0][i] + d2 * e[1][i]
+        V *= (np.abs(ce * x + de) ** 2 + np.abs(ce) ** 2 * y * y) ** deg
+    assert not np.any(np.abs(V / BV - 1) < 1e-9)  # nothing on the boundary
     seen = set()
-    R = 10
-    for c1 in range(-R, R + 1):
-        for c2 in range(-R, R + 1):
-            for d1 in range(-R, R + 1):
-                for d2 in range(-R, R + 1):
-                    c = field.from_ring_coords(c1, c2)
-                    dd = field.from_ring_coords(d1, d2)
-                    if c.is_zero() and dd.is_zero():
-                        continue
-                    if not F.is_coprime_pair(c, dd, field):
-                        continue
-                    V = 1.0
-                    for i, deg in enumerate(field.place_degrees):
-                        x, y = z.coords[i]
-                        ce = complex(F.embed(c, field)[i])
-                        de = complex(F.embed(dd, field)[i])
-                        V *= (abs(ce * x + de) ** 2 + abs(ce) ** 2 * y * y) ** deg
-                    if V > BV * (1 - 1e-9):
-                        continue
-                    if c.is_zero():
-                        seen.add("inf")
-                        continue
-                    val = (-dd) / c
-                    seen.add((val.a, val.b))
-    assert len(pairs) == len(seen)
+    for j in np.flatnonzero((V <= BV) & ((c1 != 0) | (c2 != 0) | (d1 != 0) | (d2 != 0))):
+        c = field.from_ring_coords(int(c1[j]), int(c2[j]))
+        dd = field.from_ring_coords(int(d1[j]), int(d2[j]))
+        if F.is_coprime_pair(c, dd, field):
+            seen.add(_cusp_key(c, dd))
+    got = [_cusp_key(p.c, p.d) for p in pairs]
+    assert len(got) == len(set(got))
+    assert set(got) == seen
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
+    field = F.make_field(d)
+    inf = G.cusp_infinity(field)
+    z = random_point(field, random.Random(10 + d))
+    bound = 2e3
+    params = E.EisensteinParams(s=1.3 + 0.5j, norm_bound=bound)
+    pairs = E.enumerate_pairs(field, inf, z, bound)
+    value = E.eisenstein_direct(field, inf, z, params)
+    vlo, vhi = E._pair_geometry(field, z, bound * z.ny(field))[2:4]
+    for block in (13, 97):
+        monkeypatch.setattr(E, "_PAIR_BLOCK", block)
+        assert E.enumerate_pairs(field, inf, z, bound) == pairs
+        got = E.eisenstein_direct(field, inf, z, params)
+        assert abs(got - value) <= 1e-14 * abs(value)
+    # at block 13 the (c, dv) rows span several blocks; the du level does at both
+    assert np.maximum(vhi - vlo + 1, 0).sum() > 2 * 13
+    assert len(pairs) > 10 * 97
+
+
+@pytest.mark.parametrize("d, point, bound, count", [
+    (0, [(0.28, 1.3)], 2e6, 1909868),
+    (5, [(0.21, 1.05), (-0.37, 0.93)], 2e5, 163493),
+    (-1, [(0.21 + 0.13j, 0.95)], 2e5, 163776),
+])
+def test_direct_pair_counts_pinned(d, point, bound, count):
+    # pair counts of these points, found by a per-c enumeration as well
+    field = F.make_field(d)
+    z = G.make_point(field, *point)
+    parts = E.eisenstein_direct(field, G.cusp_infinity(field), z,
+                                E.EisensteinParams(s=1.5, norm_bound=bound),
+                                return_parts=True)
+    assert parts[3] == count
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, 1e-3])
+def test_direct_rejects_bad_bound(field_q, bound):
+    # 1e-3 leaves no pair in the outer window [B/2, B], so no tail slope
+    inf = G.cusp_infinity(field_q)
+    z = G.make_point(field_q, (0.28, 1.3))
+    with pytest.raises(DomainError):
+        E.eisenstein_direct(field_q, inf, z, E.EisensteinParams(s=1.5, norm_bound=bound))
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.inf])
+def test_enumerate_pairs_rejects_bad_bound(field_q, bound):
+    inf = G.cusp_infinity(field_q)
+    z = G.make_point(field_q, (0.28, 1.3))
+    with pytest.raises(DomainError):
+        E.enumerate_pairs(field_q, inf, z, bound)
 
 
 def mpmath_eisenstein_oracle(z, s, terms=40):
