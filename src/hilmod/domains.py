@@ -17,8 +17,9 @@ from .eisenstein import (
     _omega_embeds,
     maass_selberg_constant,
 )
+from .errors import QuadratureBudgetExceeded
 from .fields import FieldData, embed
-from .geometry import slice_embeddings, unfold_constant
+from .geometry import _geom_cache, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
 from .zeta import ZetaContext, completed_zeta, make_context, phi
@@ -267,13 +268,18 @@ def _modular_domain_grid(T: float, panels_x: int, panels_y: int, order: int = 8)
     return np.concatenate(X), np.concatenate(Y), np.concatenate(W)
 
 
+_MS_MAX_PANELS = 96  # panel cap per axis of the Maass-Selberg grid
+
+
 def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
                           rtol: float = 3e-4, ctx: ZetaContext | None = None):
     """Numeric integral of E^T(z,s) E^T(z,s') over the modular surface (Q only).
 
     Splits the classical domain at y = T; below, E^T = E via the Fourier
     grid; above, both truncated series are bare frequency tails and the
-    contribution is exponentially negligible (still integrated).
+    contribution is exponentially negligible (still integrated).  The panel
+    count doubles from 12 until two values agree to rtol, and raises
+    QuadratureBudgetExceeded if they do not by 96 panels per axis.
     """
     if field.d != 0:
         raise ValueError("numeric Maass-Selberg integral implemented for Q only")
@@ -295,8 +301,10 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
         val += complex(np.sum(W2.ravel() * t1 * t2 / Y2.ravel() ** 2))
         if prev is not None and abs(val - prev) <= rtol * abs(val):
             return val
-        if panels >= 96:
-            return val
+        if panels >= _MS_MAX_PANELS:
+            raise QuadratureBudgetExceeded(
+                "Maass-Selberg integral not converged at %d panels: last change %.3g, "
+                "rtol %.3g" % (panels, abs(val - prev) / abs(val), rtol))
         prev = val
         panels *= 2
 
@@ -318,85 +326,81 @@ class SliceCandidates:
 
 def slice_candidates(field: FieldData, q: float, floor: float,
                      margin: float = 4.0) -> SliceCandidates:
-    """Pairs (c, d), c != 0, whose cusp can reach height > floor somewhere on
-    the cross section at height q (box bounds with a safety margin)."""
-    from .geometry import _geom_cache
+    """Pairs (c, d), c != 0, whose cusp may rise above height `floor` on the
+    cross section at height q, one pair per cusp.
+
+    Reach bound: the slice has prod_i y_i^deg_i = q and |c_i z_i + d_i| >=
+    |c_i| y_i, so V(c, d; z) = prod_i |c_i z_i + d_i|^(2 deg_i) >= N(c)^2 q^2
+    and the cusp's height q / V is at most 1 / (N(c)^2 q).  Every c with
+    N(c)^2 q floor >= 1 is dropped before its d range is built; the d ranges
+    are box bounds with a safety margin."""
+    from .eisenstein import _c_candidates, _coprime_mask, _ragged_ranges
     Omat, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
-    # per-place extremes of y on the slice
-    if field.r >= 2:
-        ymin = [q ** (1.0 / field.n) * math.exp(-abs(ulogs[i])) for i in range(field.r)]
-    else:
-        ymin = [q ** (1.0 / field.n)]
+    # per-place minima of y on the slice, and extremes of x over the box
+    ymin = [q ** (1.0 / field.n) * math.exp(-abs(u)) for u in ulogs] or [q ** (1.0 / field.n)]
     xmax = np.abs(Omat).sum(axis=1) * 0.5
     budget = q / floor  # |N(c z + d)|^2 <= q / floor
-    oe = _omega_embeds(field) if field.d != 0 else None
-    blocks = []
     if field.d == 0:
-        cmax = int(math.sqrt(budget) / ymin[0] * margin ** 0.25)
-        for c in range(1, max(cmax, 1) + 1):
-            w = math.sqrt(budget * margin)
-            lo = int(math.ceil(-c * xmax[0] - w))
-            hi = int(math.floor(c * xmax[0] + w))
-            d = np.arange(lo, hi + 1)
-            d = d[np.gcd(d, c) == 1]
-            blocks.append(np.stack([np.full(d.shape, c), np.zeros_like(d), d,
-                                    np.zeros_like(d)], axis=1))
+        cu = np.arange(1, int(1.0 / math.sqrt(q * floor)) + 2)
+        cv = np.zeros_like(cu)
     elif field.d > 0:
-        R = field.regulator
-        M = math.sqrt(budget) * math.exp(2 * R) * margin
-        amax = [math.sqrt(M) / ymin[0], math.sqrt(M) / ymin[1]]
-        from .eisenstein import _c_candidates, _ragged_ranges, _coprime_mask
-        cu, cv = _c_candidates(field, amax)
-        live = ~((cu == 0) & (cv == 0))
-        cu, cv = cu[live], cv[live]
-        ce1 = cu + cv * oe[0].real
-        ce2 = cu + cv * oe[1].real
-        for k in range(cu.size):
-            w1 = math.sqrt(M)
-            lo1, hi1 = -abs(ce1[k]) * xmax[0] - w1, abs(ce1[k]) * xmax[0] + w1
-            lo2, hi2 = -abs(ce2[k]) * xmax[1] - w1, abs(ce2[k]) * xmax[1] + w1
-            delta = oe[0].real - oe[1].real
-            vlo = int(math.ceil((lo1 - hi2) / delta))
-            vhi = int(math.floor((hi1 - lo2) / delta))
-            dv = np.arange(vlo, vhi + 1)
-            dlo = np.maximum(np.ceil(lo1 - dv * oe[0].real), np.ceil(lo2 - dv * oe[1].real)).astype(np.int64)
-            dhi = np.minimum(np.floor(hi1 - dv * oe[0].real), np.floor(hi2 - dv * oe[1].real)).astype(np.int64)
-            rows, du = _ragged_ranges(dlo, dhi)
-            if du.size == 0:
-                continue
-            dvv = dv[rows]
-            n = du.size
-            blocks.append(np.stack([np.full(n, cu[k]), np.full(n, cv[k]), du, dvv], axis=1))
+        M = math.sqrt(budget) * math.exp(2 * field.regulator) * margin
+        cu, cv = _c_candidates(field, [math.sqrt(M) / ymin[0], math.sqrt(M) / ymin[1]])
     else:
-        from .eisenstein import _c_candidates, _ragged_ranges
         V1max = math.sqrt(budget) * margin
-        amax = [math.sqrt(V1max) / ymin[0]]
-        cu, cv = _c_candidates(field, amax)
-        live = ~((cu == 0) & (cv == 0))
-        cu, cv = cu[live], cv[live]
-        ce = cu + cv * np.complex128(oe[0])
-        for k in range(cu.size):
-            rad = math.sqrt(V1max) + abs(ce[k]) * xmax[0] * 1.5
-            vspan = int(math.floor(rad / oe[0].imag)) + 1
-            dv = np.arange(-vspan, vspan + 1)
-            w = np.sqrt(np.maximum(rad ** 2 - (dv * oe[0].imag) ** 2, 0.0)) + 1
-            dlo = np.ceil(-w - dv * oe[0].real).astype(np.int64)
-            dhi = np.floor(w - dv * oe[0].real).astype(np.int64)
-            rows, du = _ragged_ranges(dlo, dhi)
-            if du.size == 0:
-                continue
-            dvv = dv[rows]
-            n = du.size
-            blocks.append(np.stack([np.full(n, cu[k]), np.full(n, cv[k]), du, dvv], axis=1))
-    if not blocks:
-        return SliceCandidates(np.zeros((0, 4), dtype=np.int64))
-    coords = np.concatenate(blocks).astype(np.int64)
+        cu, cv = _c_candidates(field, [math.sqrt(V1max) / ymin[0]])
+    live = ((cu != 0) | (cv != 0)) & (_reach(field, cu, cv, q, floor) < 1.0)
+    cu, cv = cu[live], cv[live]
+    # per c, the range of the second coordinate dv of d, then of the first
+    if field.d == 0:
+        w = math.sqrt(budget * margin)
+        vlo = vhi = cv
+
+        def d_range(k, dv):
+            return np.ceil(-cu[k] * xmax[0] - w), np.floor(cu[k] * xmax[0] + w)
+    elif field.d > 0:
+        o1, o2 = (v.real for v in _omega_embeds(field))
+        w = math.sqrt(M)
+        a1, a2 = np.abs(cu + cv * o1) * xmax[0], np.abs(cu + cv * o2) * xmax[1]
+        vlo = np.ceil((-a1 - w - (a2 + w)) / (o1 - o2))
+        vhi = np.floor((a1 + w - (-a2 - w)) / (o1 - o2))
+
+        def d_range(k, dv):
+            return (np.maximum(np.ceil(-a1[k] - w - dv * o1), np.ceil(-a2[k] - w - dv * o2)),
+                    np.minimum(np.floor(a1[k] + w - dv * o1), np.floor(a2[k] + w - dv * o2)))
+    else:
+        o = _omega_embeds(field)[0]
+        rad = math.sqrt(V1max) + np.abs(cu + cv * np.complex128(o)) * xmax[0] * 1.5
+        vhi = np.floor(rad / o.imag) + 1
+        vlo = -vhi
+
+        def d_range(k, dv):
+            w = np.sqrt(np.maximum(rad[k] ** 2 - (dv * o.imag) ** 2, 0.0)) + 1
+            return np.ceil(-w - dv * o.real), np.floor(w - dv * o.real)
+    k, dv = _ragged_ranges(vlo.astype(np.int64), vhi.astype(np.int64))
+    lo, hi = d_range(k, dv)
+    j, du = _ragged_ranges(lo.astype(np.int64), hi.astype(np.int64))
+    coords = np.stack([cu[k[j]], cv[k[j]], du, dv[j]], axis=1).astype(np.int64)
+    coords = coords[_coprime_mask(field, *coords.T)]
     if field.d != 0:
-        from .eisenstein import _coprime_mask
-        keep = _coprime_mask(field, coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3])
-        coords = coords[keep]
         coords = _dedupe_by_cusp_value(field, coords)
     return SliceCandidates(coords)
+
+
+def _coord_norm(field: FieldData, c1, c2):
+    """N(c) of c = c1 + c2 omega from its integer coordinates (exact)."""
+    if field.d == 0:
+        return c1
+    if field.d % 4 == 1:  # omega^2 = t + omega, t = (d-1)/4
+        return c1 * c1 + c1 * c2 - (field.d - 1) // 4 * c2 * c2
+    return c1 * c1 - field.d * c2 * c2
+
+
+def _reach(field: FieldData, c1, c2, q: float, floor: float) -> np.ndarray:
+    """N(c)^2 q floor: a cusp -d/c rises above `floor` somewhere on the
+    slice at height q only if this is below 1."""
+    n = np.asarray(_coord_norm(field, c1, c2), dtype=float)
+    return n * n * (q * floor)
 
 
 def _dedupe_by_cusp_value(field: FieldData, coords: np.ndarray) -> np.ndarray:
@@ -415,14 +419,9 @@ def _dedupe_by_cusp_value(field: FieldData, coords: np.ndarray) -> np.ndarray:
         cc1, cc2 = c1, -c2
     # numerator (-d) * conj(c) in basis coords: (u1 + v1 w)(u2 + v2 w)
     u1, v1, u2, v2 = -d1, -d2, cc1, cc2
-    if field.d % 4 == 1:
-        nu = u1 * u2 + t * v1 * v2
-        nv = u1 * v2 + v1 * u2 + v1 * v2
-        nc = c1 * c1 + c1 * c2 - t * c2 * c2   # N(c) in the {1, omega} basis
-    else:
-        nu = u1 * u2 + t * v1 * v2
-        nv = u1 * v2 + v1 * u2
-        nc = c1 * c1 - t * c2 * c2
+    nu = u1 * u2 + t * v1 * v2
+    nv = u1 * v2 + v1 * u2 + (v1 * v2 if field.d % 4 == 1 else 0)
+    nc = _coord_norm(field, c1, c2)
     # fold the sign of N(c) into the numerator so the key is the exact value
     sgn = np.sign(nc)
     nu, nv, den = nu * sgn, nv * sgn, np.abs(nc)
@@ -433,64 +432,70 @@ def _dedupe_by_cusp_value(field: FieldData, coords: np.ndarray) -> np.ndarray:
     return coords[np.sort(first)]
 
 
-def other_height_max(field: FieldData, q: float, X: np.ndarray,
-                     Y: np.ndarray | None, cands: SliceCandidates) -> np.ndarray:
-    """Max height over the non-infinity candidate cusps at slice points."""
-    xs, ys = slice_embeddings(field, q, X, Y)
-    n_pts = X.shape[0]
-    best_V = np.full(n_pts, np.inf)
-    coords = cands.coords
-    if coords.shape[0] == 0:
-        return np.zeros(n_pts)
-    oe = _omega_embeds(field) if field.d != 0 else None
-    if field.d == 0:
-        for c1, c2, d1, d2 in coords:
-            V = (c1 * xs[0] + d1) ** 2 + (c1 * ys[0]) ** 2
-            np.minimum(best_V, V, out=best_V)
-    elif field.d > 0:
-        ce1 = coords[:, 0] + coords[:, 1] * oe[0].real
-        ce2 = coords[:, 0] + coords[:, 1] * oe[1].real
-        de1 = coords[:, 2] + coords[:, 3] * oe[0].real
-        de2 = coords[:, 2] + coords[:, 3] * oe[1].real
-        for k in range(coords.shape[0]):
-            V = ((ce1[k] * xs[0] + de1[k]) ** 2 + (ce1[k] * ys[0]) ** 2) \
-                * ((ce2[k] * xs[1] + de2[k]) ** 2 + (ce2[k] * ys[1]) ** 2)
-            np.minimum(best_V, V, out=best_V)
-    else:
-        ce = coords[:, 0] + coords[:, 1] * np.complex128(oe[0])
-        de = coords[:, 2] + coords[:, 3] * np.complex128(oe[0])
-        for k in range(coords.shape[0]):
-            V1 = np.abs(ce[k] * xs[0] + de[k]) ** 2 + (abs(ce[k]) * ys[0]) ** 2
-            np.minimum(best_V, V1 * V1, out=best_V)
-    return q / best_V
-
-
 def box_grid(field: FieldData, n_per_dim: int):
-    """Uniform midpoint grid over the (X, Y) unit box; returns (X, Y, weight)."""
-    dim_x = field.n
-    dim_y = field.r - 1
-    axes = [(np.arange(n_per_dim) + 0.5) / n_per_dim - 0.5
-            for _ in range(dim_x + dim_y)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    X = np.stack(flat[:dim_x], axis=1)
-    Y = np.stack(flat[dim_x:], axis=1) if dim_y else None
-    w = 1.0 / flat[0].size
-    return X, Y, w
+    """Uniform midpoint grid over the (X, Y) unit box, in row-major order
+    with the Y axes last; returns (X, Y), Y None when r = 1."""
+    axis = (np.arange(n_per_dim) + 0.5) / n_per_dim - 0.5
+    flat = [g.ravel() for g in np.meshgrid(*[axis] * (field.n + field.r - 1), indexing="ij")]
+    X = np.stack(flat[:field.n], axis=1)
+    return X, (np.stack(flat[field.n:], axis=1) if field.r > 1 else None)
+
+
+def shadow_mask(field: FieldData, q: float, T: float, n: int,
+                margin: float = 4.0) -> np.ndarray:
+    """Which points of `box_grid(field, n)` on the cross section at height q
+    lie in some other cusp's horoball of height > T, i.e. have q / V > T for
+    some pair (c, d) of `slice_candidates(field, q, T, margin)`.
+
+    Since prod_i y_i^deg_i = q, V >= N(c)^2 q^2 (1 + a_i^2)^deg_i at each
+    place i, with a_i = |c_i x_i + d_i| / (|c_i| y_i); so q / V > T needs
+    |x_i + d_i / c_i| < max y_i sqrt(rho^(1/deg_i) - 1), rho = 1 / (N(c)^2 q T).
+    Each candidate is evaluated only on the grid points of the X box that
+    these bounds leave, at every Y node."""
+    from .eisenstein import _ragged_blocks
+    X, Y = box_grid(field, n)
+    mask = np.zeros(X.shape[0], dtype=bool)
+    coords = slice_candidates(field, q, T, margin).coords
+    xs, ys = slice_embeddings(field, q, X, Y)
+    oe = [1.0] if field.d == 0 else _omega_embeds(field)
+    rho = 1.0 / _reach(field, coords[:, 0], coords[:, 1], q, T)
+    ce, de, ctr, half = [], [], [], []
+    for i, deg in enumerate(field.place_degrees):
+        o = oe[i] if deg == 2 else oe[i].real
+        ce.append(coords[:, 0] + coords[:, 1] * o)
+        de.append(coords[:, 2] + coords[:, 3] * o)
+        c = -de[i] / ce[i]
+        ctr += [c.real, c.imag] if deg == 2 else [c]
+        half += [ys[i].max() * np.sqrt(rho ** (1.0 / deg) * (1 + 1e-9) - 1)] * deg
+    O_inv = _geom_cache(field.d)[1]
+    Xc, Xh = O_inv @ np.array(ctr), np.abs(O_inv) @ np.array(half) + 1e-9
+    axis = (np.arange(n) + 0.5) / n - 0.5  # the axis of box_grid
+    lo = np.searchsorted(axis, Xc - Xh)
+    hi = np.searchsorted(axis, Xc + Xh, side="right")
+    live = np.flatnonzero(np.all(hi > lo, axis=0))
+    lo, lens = lo[:, live], (hi - lo)[:, live]
+    nY = n ** (field.r - 1)  # grid point (X, Y) has flat index iX * nY + iY
+    for rows, pos in _ragged_blocks(np.zeros(live.size, dtype=np.int64),
+                                    np.prod(lens, axis=0) - 1):
+        iX = lo[0, rows] + pos if field.n == 1 else \
+            (lo[0, rows] + pos // lens[1, rows]) * n + lo[1, rows] + pos % lens[1, rows]
+        k = live[rows]
+        V = np.prod([((np.abs(ce[i][k] * xs[i][iX * nY] + de[i][k]) ** 2)[:, None]
+                      + (np.abs(ce[i][k])[:, None] * ys[i][:nY]) ** 2) ** deg
+                     for i, deg in enumerate(field.place_degrees)], axis=0)
+        mask[(iX[:, None] * nY + np.arange(nY))[q / V > T]] = True
+    return mask
 
 
 def shadow_fraction(field: FieldData, q: float, T: float,
                     n_per_dim: int = 48, margin: float = 4.0) -> float:
     """Box fraction of the cross section at height q lying in some other
-    cusp's horoball of height > T."""
-    cands = slice_candidates(field, q, T, margin)
-    if cands.count == 0:
-        return 0.0
+    cusp's horoball of height > T: the mean of `shadow_mask` over n_per_dim
+    points per axis (n_per_dim^2 * 8 for Q).  A cusp's height on the slice is
+    at most 1 / (N(c)^2 q), so only those with N(c)^2 q T < 1 are scanned."""
     dim = field.n + field.r - 1
     n = n_per_dim if dim > 1 else n_per_dim ** 2 * 8
-    X, Y, w = box_grid(field, n)
-    mu = other_height_max(field, q, X, Y, cands)
-    return float(np.mean(mu > T))
+    return float(np.mean(shadow_mask(field, q, T, n, margin)))
 
 
 def remark_identity_check(field: FieldData, sprime: float, T: float,

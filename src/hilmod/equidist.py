@@ -24,12 +24,18 @@ from .eisenstein import orbifold_volume
 # ---------------------------------------------------------------------------
 
 def _ramp(t: np.ndarray, sharpness: float) -> np.ndarray:
-    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        f0 = np.where(t > 0, np.exp(-sharpness / np.maximum(t, 1e-300)), 0.0)
-        f1 = np.where(t < 1, np.exp(-sharpness / np.maximum(1 - t, 1e-300)), 0.0)
-    return f0 / (f0 + f1)
+    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, and e0 / (e0 + e1) with
+    e0 = exp(-sharpness / t), e1 = exp(-sharpness / (1 - t)) only in between."""
+    t = np.array(t, dtype=float)
+    t[t <= 0] = 0.0
+    t[t >= 1] = 1.0
+    inner = (t > 0) & (t < 1)
+    ti = t[inner]
+    with np.errstate(over="ignore"):
+        f0 = np.exp(-sharpness / ti)
+        f1 = np.exp(-sharpness / (1 - ti))
+    t[inner] = f0 / (f0 + f1)
+    return t
 
 
 @dataclass(frozen=True)
@@ -258,8 +264,6 @@ def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> floa
         ce2 = coords[:, 0] + coords[:, 1] * oe[1].real
         de1 = coords[:, 2] + coords[:, 3] * oe[0].real
         de2 = coords[:, 2] + coords[:, 3] * oe[1].real
-        reach = (ce1 * ylo[0] * ce2 * ylo[1]) ** 2 <= budget
-        ce1, ce2, de1, de2 = ce1[reach], ce2[reach], de1[reach], de2[reach]
         b1 = budget / np.maximum((ce2 * ylo[1]) ** 2, 1e-300)
         b2 = budget / np.maximum((ce1 * ylo[0]) ** 2, 1e-300)
         ctr = np.stack([-de1 / ce1, -de2 / ce2], axis=0)

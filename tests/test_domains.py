@@ -9,6 +9,7 @@ from hilmod import eisenstein as E
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
+from hilmod.errors import QuadratureBudgetExceeded
 from hilmod.quadrature import gl_panel_nodes
 from conftest import random_point
 
@@ -133,3 +134,61 @@ def test_slice_candidates_dedupe_unique_cusps(field_q5):
         v = (-dd) / c
         assert (v.a, v.b) not in vals
         vals.add((v.a, v.b))
+
+
+def test_maass_selberg_numeric_raises_at_panel_cap(field_q, ctx_q, monkeypatch):
+    # 12 and 24 panels agree to about 6e-14, never to 1e-15
+    monkeypatch.setattr(D, "_MS_MAX_PANELS", 24)
+    with pytest.raises(QuadratureBudgetExceeded):
+        D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, rtol=1e-15, ctx=ctx_q)
+
+
+def _full_grid_shadowed(field, q, T, X, Y, cands):
+    """Reference scan: the largest other-cusp height q / V at every grid
+    point over every candidate pair, compared with T."""
+    xs, ys = G.slice_embeddings(field, q, X, Y)
+    n_pts = X.shape[0]
+    best_V = np.full(n_pts, np.inf)
+    coords = cands.coords
+    if coords.shape[0] == 0:
+        return np.zeros(n_pts, dtype=bool)
+    oe = E._omega_embeds(field) if field.d != 0 else None
+    if field.d == 0:
+        for c1, c2, d1, d2 in coords:
+            V = (c1 * xs[0] + d1) ** 2 + (c1 * ys[0]) ** 2
+            np.minimum(best_V, V, out=best_V)
+    elif field.d > 0:
+        ce1 = coords[:, 0] + coords[:, 1] * oe[0].real
+        ce2 = coords[:, 0] + coords[:, 1] * oe[1].real
+        de1 = coords[:, 2] + coords[:, 3] * oe[0].real
+        de2 = coords[:, 2] + coords[:, 3] * oe[1].real
+        for k in range(coords.shape[0]):
+            V = ((ce1[k] * xs[0] + de1[k]) ** 2 + (ce1[k] * ys[0]) ** 2) \
+                * ((ce2[k] * xs[1] + de2[k]) ** 2 + (ce2[k] * ys[1]) ** 2)
+            np.minimum(best_V, V, out=best_V)
+    else:
+        ce = coords[:, 0] + coords[:, 1] * np.complex128(oe[0])
+        de = coords[:, 2] + coords[:, 3] * np.complex128(oe[0])
+        for k in range(coords.shape[0]):
+            V1 = np.abs(ce[k] * xs[0] + de[k]) ** 2 + (abs(ce[k]) * ys[0]) ** 2
+            np.minimum(best_V, V1 * V1, out=best_V)
+    return q / best_V > T
+
+
+@pytest.mark.parametrize("d, n", [(0, 2048), (5, 16), (-1, 48)])
+def test_shadow_mask_matches_full_grid_scan(d, n, monkeypatch):
+    # The reference scans every candidate of the box bounds, as if no cusp
+    # failed the reach test: thousands of pairs on the deepest slices.  The
+    # nodes 0.991/(N^2 T) put the cusps of norm N = 1 and 4, which all three
+    # fields have, just inside the reach bound, where a bound 1% too strict
+    # loses their shadows.
+    field = F.make_field(d)
+    T, margin = 3.0, 2.0
+    qs = list(np.geomspace(3.0, 4e-3, 9)) + [0.991 / (N * N * T) for N in (1, 4)]
+    X, Y = D.box_grid(field, n)
+    for q in qs:
+        with monkeypatch.context() as m:
+            m.setattr(D, "_reach", lambda field, c1, c2, q, floor: np.zeros(np.shape(c1)))
+            cands = D.slice_candidates(field, q, T, margin)
+        ref = _full_grid_shadowed(field, q, T, X, Y, cands)
+        assert np.array_equal(D.shadow_mask(field, q, T, n, margin), ref), q

@@ -297,3 +297,68 @@ def test_convergence_trend(d):
     rep = Q.decay_exponent_fit(f, field, k_min, k_max)
     early = max(rep.errors[: 4 - k_min + 1])
     assert rep.errors[-1] <= early / 4
+
+
+def _ramp_closed_form(t, sharpness):
+    """exp(-s/t) / (exp(-s/t) + exp(-s/(1-t))) on the clipped t, with both
+    exponentials taken at every point."""
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        f0 = np.where(t > 0, np.exp(-sharpness / np.maximum(t, 1e-300)), 0.0)
+        f1 = np.where(t < 1, np.exp(-sharpness / np.maximum(1 - t, 1e-300)), 0.0)
+    return f0 / (f0 + f1)
+
+
+def test_ramp_bitwise_closed_form():
+    edge = [-3.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.25, 0.5,
+            1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 4.0]
+    for s in (1.0, 2.5):
+        for t in edge:  # 0-d inputs
+            got, want = np.asarray(Q._ramp(t, s)), np.asarray(_ramp_closed_form(t, s))
+            assert got.shape == () and got.tobytes() == want.tobytes(), (t, s)
+        t = np.concatenate([edge, np.linspace(-0.5, 1.5, 2001)]).reshape(3, 11, 61)
+        got = Q._ramp(t, s)
+        assert got.shape == t.shape
+        assert got.tobytes() == _ramp_closed_form(t, s).tobytes()
+
+
+# Pinned on x86-64 with numpy 2.4: box averages of the default bump at the
+# equidist benchmark's horoball strata, and the decay fit's m_q for
+# q = 2^-2 .. 2^-k_max, as float.hex.
+_HOROBALL_PINS = {
+    0: ["0x1.afffd635f0f61p-4", "0x1.40ebc96f023ecp-3"],
+    5: ["0x1.3b5a9ac30d5a5p-3", "0x1.a718a335c1cecp-4"],
+    -1: ["0x1.123440cbe036cp-3", "0x1.aa6d57bc5a685p-4"],
+}
+_DECAY_PINS = {
+    0: (20, ["0x1.56a3f10940daap-3", "0x1.1b6e56fd9e3bep-3", "0x1.9d3173c2bfc78p-4",
+             "0x1.09dd792ba0582p-3", "0x1.42699777e9015p-3", "0x1.3b84d47f4097fp-3",
+             "0x1.220446f0fbe84p-3", "0x1.16e9c470d3d26p-3", "0x1.1805049263806p-3",
+             "0x1.1f5ba44bc6d88p-3", "0x1.1cb2082e6645cp-3", "0x1.1cd098ebb41c4p-3",
+             "0x1.1d5854b505848p-3", "0x1.1cf6a6e29739cp-3", "0x1.1d4dfe3f32d7dp-3",
+             "0x1.1d252ebc963cap-3", "0x1.1d2369b14edf9p-3", "0x1.1d2cbe64ad426p-3",
+             "0x1.1d22c477d2a16p-3"]),
+    5: (11, ["0x1.695fa9f2ac837p-3", "0x1.29f3e95585a6dp-3", "0x1.e474221d531c0p-4",
+             "0x1.99f0a1e5b0962p-4", "0x1.1725564d566afp-3", "0x1.cde54e585d512p-4",
+             "0x1.e7f979e4377e9p-4", "0x1.dbe29e46c5d0dp-4", "0x1.fd16472b43f79p-4",
+             "0x1.ec381e1cf5107p-4"]),
+    -1: (20, ["0x1.5ff12887d737cp-3", "0x1.088d07c0ae997p-3", "0x1.07f4de65e169dp-3",
+              "0x1.84fb2fa3b441fp-4", "0x1.2b56f9731e471p-3", "0x1.c7cb51fb6602fp-4",
+              "0x1.f4a2602a44563p-4", "0x1.def019a0aa2eap-4", "0x1.eb165b660135cp-4",
+              "0x1.eea4aa34c8cbcp-4", "0x1.f007ead5b599dp-4", "0x1.e3841524b496cp-4",
+              "0x1.e7a108fca9bd9p-4", "0x1.ec22d32d23667p-4", "0x1.e8a3aa9aae4b6p-4",
+              "0x1.e89353d708e1cp-4", "0x1.e8331d4c8a5ddp-4", "0x1.e92d9b9ecc435p-4",
+              "0x1.e93e6f57c0376p-4"]),
+}
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_horoball_and_decay_fit_pinned(d):
+    field = F.make_field(d)
+    f = Q.make_test_function(field, 1.8, 2.8)
+    got = [Q.cusp_section_average(f, q, field, nodes=20, method="horoball").hex()
+           for q in (0.1525, 0.0406)]
+    assert got == _HOROBALL_PINS[d]
+    k_max, pins = _DECAY_PINS[d]
+    rep = Q.decay_exponent_fit(f, field, 2, k_max, ctx=Z.make_context(field))
+    assert [float(v).hex() for v in rep.m_values] == pins

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,17 +10,25 @@ from hilmod.errors import NoUnits, UnsupportedField
 
 
 def brute_fundamental_unit(d):
-    """Oracle: smallest unit > 1 by direct search over basis coordinates."""
+    """Oracle: smallest unit > 1 by direct search over basis coordinates
+    (u, v), 1 <= v < 200, |u| <= 400, in v-major order.  The norm of
+    u + v omega is the integer form u^2 + uv - ((d-1)/4) v^2 when
+    d = 1 (mod 4), where omega = (1 + sqrt d) / 2, and u^2 - d v^2 otherwise."""
     fd = F.make_field(d)
+    v, u = (g.ravel() for g in np.meshgrid(np.arange(1, 200), np.arange(-400, 401),
+                                            indexing="ij"))
+    if d % 4 == 1:
+        norm = u * u + u * v - (d - 1) // 4 * v * v
+    else:
+        norm = u * u - d * v * v
+    unit = np.abs(norm) == 1
     best = None
-    for v in range(1, 200):
-        for u in range(-400, 401):
-            el = fd.from_ring_coords(u, v)
-            if abs(el.norm()) != 1:
-                continue
-            e1 = abs(F.embed(el, fd)[0])
-            if e1 > 1 and (best is None or e1 < best[0]):
-                best = (e1, el)
+    for uu, vv in zip(u[unit], v[unit]):
+        el = fd.from_ring_coords(int(uu), int(vv))
+        assert abs(el.norm()) == 1
+        e1 = abs(F.embed(el, fd)[0])
+        if e1 > 1 and (best is None or e1 < best[0]):
+            best = (e1, el)
     return best[1]
 
 
