@@ -184,14 +184,14 @@ def cmd_check(args) -> int:
 def _load_config(args) -> dict:
     cfg = {"schema": SCHEMA_VERSION, "field_d": 0, "k_min": 3, "k_max": 12,
            "t0": equidist.DEFAULT_BUMP[0], "t1": equidist.DEFAULT_BUMP[1],
-           "amplitude": 1.0, "seed": 0, "out": None, "svg": None}
+           "amplitude": 1.0, "out": None, "svg": None}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if loaded.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise HilmodError("unsupported config schema %r" % loaded.get("schema"))
         cfg.update(loaded)
-    for key in ("field_d", "k_min", "k_max", "seed"):
+    for key in ("field_d", "k_min", "k_max"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -222,7 +222,7 @@ def cmd_equidist(args) -> int:
     else:
         sys.stdout.write(csv_text)
     meta = {"schema": SCHEMA_VERSION, "field_d": cfg["field_d"],
-            "seed": cfg["seed"], "fitted_slope": report.fitted_slope,
+            "fitted_slope": report.fitted_slope,
             "slope_ci": list(report.slope_ci), "degenerate": report.degenerate,
             "markers": {"unconditional": 0.5, "riemann_hypothesis": 0.75},
             "runtime_s": round(report.runtime, 3)}
@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field-d", type=int, default=None)
     p.add_argument("--k-min", type=int, dest="k_min", default=None)
     p.add_argument("--k-max", type=int, dest="k_max", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_equidist)

@@ -10,15 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eisenstein import (
+    FrequencyTable,
     _bessel_order,
-    _divisor_norms_cached,
-    _frequency_box,
-    _frequency_cut,
     _omega_embeds,
+    frequency_table,
     maass_selberg_constant,
 )
 from .errors import QuadratureBudgetExceeded
-from .fields import FieldData, embed
+from .fields import FieldData
 from .geometry import _geom_cache, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
@@ -55,67 +54,32 @@ def _point_arrays(field: FieldData, xs, ys):
     return xs, ys, q
 
 
-@dataclass
-class _GridFrequencies:
-    """Frequency set-up shared by the grid evaluators: the frequencies l of
-    the box for the smallest heights, sorted by ring coordinates, with
-    per-place |l| and l, the traces Tr(l alpha_k) over the integral basis,
-    the per-place argument factors and Bessel tables, and tau_l."""
-
-    cut: float
-    factors: list
-    l_abs: list
-    l_val: list
-    traces: np.ndarray
-    tables: list
-    taus: np.ndarray
+_BOX_BLOCK = 1 << 16  # Bessel table values evaluated per block
 
 
-def _grid_frequencies(field: FieldData, s: complex, ymins, ymaxs) -> _GridFrequencies:
-    cut = _frequency_cut(field, s)
-    coords, _ = _frequency_box(field, ymins, cut)
-    coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
-    dg = [complex(v) for v in embed(field.different_gen, field)]
-    oe = _omega_embeds(field)
-    # frequency embeddings and per-place argument factors
-    if field.d == 0:
-        l_abs = [np.abs(coords[:, 0]).astype(float)]
-        l_val = [coords[:, 0].astype(float)]
-        factors = [2 * math.pi]
-    elif field.d > 0:
-        nu1 = coords[:, 0] + coords[:, 1] * oe[0].real
-        nu2 = coords[:, 0] + coords[:, 1] * oe[1].real
-        l_val = [nu1 / dg[0].real, nu2 / dg[1].real]
-        l_abs = [np.abs(l_val[0]), np.abs(l_val[1])]
-        factors = [2 * math.pi, 2 * math.pi]
-    else:
-        nu = coords[:, 0] + coords[:, 1] * np.complex128(oe[0])
-        l_val = [nu / dg[0]]
-        l_abs = [np.abs(l_val[0])]
-        factors = [4 * math.pi]
-    # Tr(l alpha_k) is an integer: l lies in the inverse different
-    traces = np.zeros((coords.shape[0], field.n))
-    for k, alpha in enumerate(field.integral_basis):
-        for i, (a, deg) in enumerate(zip(embed(alpha, field), field.place_degrees)):
-            traces[:, k] += (l_val[i] * float(a)) if deg == 1 \
-                else 2 * (l_val[i] * complex(a)).real
-    traces = np.rint(traces)
-    # Bessel interpolants per place kind
-    tables = []
-    if coords.shape[0]:
-        for i, deg in enumerate(field.place_degrees):
-            args_min = factors[i] * float(ymins[i]) * float(l_abs[i].min())
-            args_max = factors[i] * float(ymaxs[i]) * float(l_abs[i].max())
-            lo = max(args_min * 0.9, 1e-4)
-            hi = max(args_max * 1.1, lo * 2, cut + 10)
-            tables.append(_BesselTable(_bessel_order(s, deg), lo, hi))
-    taus = np.empty(coords.shape[0], dtype=complex)
-    for j in range(coords.shape[0]):
-        nu_el = field.from_ring_coords(int(coords[j, 0]), int(coords[j, 1]))
-        norms = _divisor_norms_cached(field, nu_el)
-        acc = sum(m ** (1 - 2 * s) for m in norms)
-        taus[j] = norms[-1] ** (-(1 - 2 * s) / 2.0) * acc
-    return _GridFrequencies(cut, factors, l_abs, l_val, traces, tables, taus)
+def _bessel_blocks(field: FieldData, s: complex, table: FrequencyTable, ys):
+    """The Bessel products prod_i K_i(factors[i] y_i |l_i|) over rows of
+    heights ys (one array per place) and the frequencies of `table`, as
+    (frequency slice, rows x frequencies) blocks of at most _BOX_BLOCK values
+    (one frequency at least), zero where the total argument passes the cut.
+    K_i is a `_BesselTable` over the span of the arguments."""
+    interp = []
+    for i, deg in enumerate(field.place_degrees):
+        f, l_abs = table.factors[i], table.l_abs[i]
+        lo = max(f * float(ys[i].min()) * float(l_abs.min()) * 0.9, 1e-4)
+        hi = max(f * float(ys[i].max()) * float(l_abs.max()) * 1.1, lo * 2, table.cut + 10)
+        interp.append(_BesselTable(_bessel_order(s, deg), lo, hi))
+    step = max(1, _BOX_BLOCK // ys[0].size)
+    for a in range(0, table.taus.size, step):
+        b = slice(a, a + step)
+        K = np.ones((ys[0].size, table.taus[b].size), dtype=complex)
+        total_arg = np.zeros(K.shape)
+        for i in range(field.r):
+            arg = table.factors[i] * ys[i][:, None] * table.l_abs[i][None, b]
+            total_arg += arg
+            K *= interp[i](arg)
+        K[total_arg > table.cut] = 0.0
+        yield b, K
 
 
 def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
@@ -124,7 +88,7 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     """Fourier-expansion values over arrays of coordinates (infinity cusp).
 
     xs, ys: lists over places of per-point coordinate arrays (complex x at
-    half-space places).  All points share one frequency box computed from
+    half-space places).  All points share one frequency table computed from
     the smallest heights, and Bessel factors come from a linear interpolant
     of e^x K(x) on 16,384 log-spaced points.  Against `eisenstein_fourier`
     on ten sets of 12 reduced points per field (Q, Q(sqrt 5), Q(i), heights
@@ -136,35 +100,19 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     s = complex(s)
     ctx = ctx or make_context(field)
     xs, ys, q = _point_arrays(field, xs, ys)
-    n_pts = q.size
-    out = np.zeros(n_pts, dtype=complex)
+    out = np.zeros(q.size, dtype=complex)
     if zero_mode:
         out += q ** s + phi(ctx, s) * q ** (1 - s)
-    fr = _grid_frequencies(field, s, [float(y.min()) for y in ys],
-                           [float(y.max()) for y in ys])
-    if fr.taus.size == 0:
+    table = frequency_table(field, s, [float(y.min()) for y in ys])
+    if table.taus.size == 0:
         return out
-    tail = np.zeros(n_pts, dtype=complex)
-    for j in range(fr.taus.size):
-        K = np.ones(n_pts, dtype=complex)
-        phase = np.zeros(n_pts)
-        total_arg = np.zeros(n_pts)
-        for i, deg in enumerate(field.place_degrees):
-            arg = fr.factors[i] * ys[i] * float(fr.l_abs[i][j])
-            total_arg += arg
-            K = K * fr.tables[i](arg)
-            if deg == 1:
-                phase = phase + float(fr.l_val[i][j]) * xs[i]
-            else:
-                phase = phase + 2 * (complex(fr.l_val[i][j]) * xs[i]).real
-        term = fr.taus[j] * K * np.exp(2j * math.pi * phase)
-        term[total_arg > fr.cut] = 0.0
-        tail += term
+    tail = np.zeros(q.size, dtype=complex)
+    for b, K in _bessel_blocks(field, s, table, ys):
+        phase = sum(deg * (table.l_val[i][None, b] * xs[i][:, None]).real
+                    for i, deg in enumerate(field.place_degrees))
+        tail += (K * np.exp(2j * math.pi * phase)) @ table.taus[b]
     zs2 = completed_zeta(ctx, 2 * s)
     return out + 2 ** field.r * np.sqrt(q) / zs2 * tail
-
-
-_BOX_BLOCK = 1 << 16  # Bessel table values evaluated per block
 
 
 def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
@@ -182,7 +130,7 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
         zero mode * sum w + 2^r sqrt(q) / xi(2s)
             * sum_l tau_l [sum_Y w_Y K_l(y(q, Y))] prod_k Phi_k(Tr(l alpha_k)).
 
-    The frequency box and the Bessel tables are those of the grid over the
+    The frequency table and the Bessel blocks are those of the grid over the
     same points, and so is the accuracy of the Fourier values: relative
     error at most 2.2e-9 at real s, growing with |Im s| (4.3e-6 at
     s = 1.5+10i).
@@ -208,28 +156,16 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
     ys = [np.concatenate(v) for v in ys]
     box_weight = float(weights.sum()) ** field.n * float(wy.sum())
     out = (qs ** s + phi(ctx, s) * qs ** (1 - s)) * box_weight
-    fr = _grid_frequencies(field, s, [float(y.min()) for y in ys],
-                           [float(y.max()) for y in ys])
-    n_freq = fr.taus.size
-    if n_freq == 0:
+    table = frequency_table(field, s, [float(y.min()) for y in ys])
+    if table.taus.size == 0:
         return out
     # prod_k Phi_k(Tr(l alpha_k)), one 1-D sum per X axis
-    phases = np.ones(n_freq, dtype=complex)
+    phases = np.ones(table.taus.size, dtype=complex)
     for k in range(field.n):
-        phases *= np.exp(2j * math.pi * fr.traces[:, k, None] * nodes[None, :]) @ weights
-    coef = fr.taus * phases
-    rows = ys[0].size
+        phases *= np.exp(2j * math.pi * table.traces[:, k, None] * nodes[None, :]) @ weights
+    coef = table.taus * phases
     tail = np.zeros(qs.size, dtype=complex)
-    step = max(1, _BOX_BLOCK // rows)
-    for lo in range(0, n_freq, step):
-        b = slice(lo, lo + step)
-        K = np.ones((rows, coef[b].size), dtype=complex)
-        total_arg = np.zeros(K.shape)
-        for i in range(field.r):
-            arg = fr.factors[i] * ys[i][:, None] * fr.l_abs[i][None, b]
-            total_arg += arg
-            K *= fr.tables[i](arg)
-        K[total_arg > fr.cut] = 0.0
+    for b, K in _bessel_blocks(field, s, table, ys):
         Kq = np.einsum("qyl,y->ql", K.reshape(qs.size, wy.size, -1), wy)
         tail += Kq @ coef[b]
     zs2 = completed_zeta(ctx, 2 * s)
@@ -284,21 +220,21 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
     if field.d != 0:
         raise ValueError("numeric Maass-Selberg integral implemented for Q only")
     ctx = ctx or make_context(field)
+    # strip above T: truncated tails only, the same at every panel count
+    xs2, wx2 = gl_panel_nodes(-0.5, 0.5, 8, 8)
+    ys2, wy2 = gl_panel_nodes(T, T + 6.0, 8, 8)
+    X2, Y2 = np.meshgrid(xs2, ys2, indexing="ij")
+    W2 = np.outer(wx2, wy2)
+    t1 = eisenstein_fourier_grid(field, s, [X2.ravel()], [Y2.ravel()], ctx, zero_mode=False)
+    t2 = eisenstein_fourier_grid(field, sp, [X2.ravel()], [Y2.ravel()], ctx, zero_mode=False)
+    strip = complex(np.sum(W2.ravel() * t1 * t2 / Y2.ravel() ** 2))
     panels = 12
     prev = None
     while True:
         X, Y, W = _modular_domain_grid(T, panels, panels)
         Es = eisenstein_fourier_grid(field, s, [X], [Y], ctx)
         Esp = eisenstein_fourier_grid(field, sp, [X], [Y], ctx)
-        val = complex(np.sum(W * Es * Esp / Y ** 2))
-        # strip above T: truncated tails only
-        xs2, wx2 = gl_panel_nodes(-0.5, 0.5, 8, 8)
-        ys2, wy2 = gl_panel_nodes(T, T + 6.0, 8, 8)
-        X2, Y2 = np.meshgrid(xs2, ys2, indexing="ij")
-        W2 = np.outer(wx2, wy2)
-        t1 = eisenstein_fourier_grid(field, s, [X2.ravel()], [Y2.ravel()], ctx, zero_mode=False)
-        t2 = eisenstein_fourier_grid(field, sp, [X2.ravel()], [Y2.ravel()], ctx, zero_mode=False)
-        val += complex(np.sum(W2.ravel() * t1 * t2 / Y2.ravel() ** 2))
+        val = complex(np.sum(W * Es * Esp / Y ** 2)) + strip
         if prev is not None and abs(val - prev) <= rtol * abs(val):
             return val
         if panels >= _MS_MAX_PANELS:

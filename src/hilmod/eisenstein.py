@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameters, DomainError, NotConvergent
+from .errors import DegenerateParameters, DomainError, NotConvergent, ZeroFrequency
 from .fields import FieldData, FieldElement, embed, ideal_divisor_norms
 from .geometry import Cusp, Point, make_cusp
 from .specfun import bessel_k_grid
-from .zeta import ZetaContext, dedekind_zeta, make_context, phi, residue_phi
+from .zeta import (ZetaContext, completed_zeta, dedekind_zeta, make_context, phi,
+                   residue_phi)
 
 _BESSEL_DECAY_CUT = 45.0   # Fourier terms kept: total Bessel argument up to this
                            # plus the |Im| of the Bessel orders (_frequency_cut)
@@ -255,39 +256,6 @@ def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
     return out
 
 
-def canonicalize_pair(field: FieldData, z: Point, c: FieldElement, d: FieldElement):
-    """Exact unit-orbit canonical form of (c, d) at the point z: the
-    fundamental-unit power lands the log-ratio of the place values in
-    [-2R, 2R), then torsion is fixed by sign (or angular sector)."""
-    if field.d > 0:
-        from .fields import unit_power
-        ce, de = embed(c, field), embed(d, field)
-        (x1, y1), (x2, y2) = z.coords
-        V1 = (ce[0] * x1 + de[0]) ** 2 + (ce[0] * y1) ** 2
-        V2 = (ce[1] * x2 + de[1]) ** 2 + (ce[1] * y2) ** 2
-        t = math.log(V1 / V2)
-        k = -math.floor((t + 2 * field.regulator) / (4 * field.regulator))
-        if k:
-            u = unit_power(field, k)
-            c, d = c * u, d * u
-    if field.d < 0 and field.omega > 2:
-        from .fields import roots_of_unity
-        for w in roots_of_unity(field):
-            cw, dw = c * w, d * w
-            lead = cw if not cw.is_zero() else dw
-            e = complex(embed(lead, field)[0])
-            if math.atan2(e.imag, e.real) % (2 * math.pi) \
-                    < 2 * math.pi / field.omega - 1e-14:
-                return cw, dw
-        return c, d
-    lead = c if not c.is_zero() else d
-    u, v = lead.ring_coords() if lead.is_integral() else (float(lead.a), float(lead.b))
-    first = u if u != 0 else v
-    if first < 0:
-        return -c, -d
-    return c, d
-
-
 # ---------------------------------------------------------------------------
 # Direct evaluation
 # ---------------------------------------------------------------------------
@@ -398,25 +366,81 @@ def _frequency_box(field: FieldData, ys, cut: float):
     return coords, weight[keep]
 
 
-_tau_cache: dict = {}
+@dataclass
+class FrequencyTable:
+    """The frequencies l = nu / dg, nu in o - {0}, that the Fourier sums
+    keep at order s: ring coordinates of nu in lexicographic order, l and
+    |l| at each place (l real at degree-1 places), the argument factors
+    2 pi deg (the Bessel argument at place i is factors[i] y_i |l_i|, and
+    terms whose total argument passes `cut` are dropped), the integer traces
+    Tr(l alpha_k) over the integral basis, and taus = tau_{1-2s}(l)."""
+
+    cut: float
+    coords: np.ndarray
+    l_val: list
+    l_abs: list
+    factors: list
+    traces: np.ndarray
+    taus: np.ndarray
 
 
-def _tau_for_nu(ctx: ZetaContext, nu: FieldElement, s_tau: complex) -> complex:
-    norms = _divisor_norms_cached(ctx.field, nu)
-    ntot = norms[-1]
-    acc = 0.0 + 0.0j
-    for m in norms:
-        acc += m ** s_tau
-    return ntot ** (-s_tau / 2.0) * acc
+def frequency_table(field: FieldData, s: complex, ys,
+                    terms: int | None = None) -> FrequencyTable:
+    """The frequency box of `_frequency_box` at the heights ys and the cut of
+    order s, or its `terms` frequencies of smallest total argument."""
+    s = complex(s)
+    cut = _frequency_cut(field, s)
+    coords, weight = _frequency_box(field, ys, cut)
+    if terms is not None and coords.shape[0] > terms:
+        coords = coords[np.argsort(weight, kind="stable")[:terms]]
+    coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+    dg = [complex(v) for v in embed(field.different_gen, field)]
+    l_val = []
+    for o, g, deg in zip(_omega_embeds(field), dg, field.place_degrees):
+        l = (coords[:, 0] + coords[:, 1] * o) / g
+        l_val.append(l if deg == 2 else l.real)
+    traces = np.rint([sum(deg * (l * complex(a)).real for l, a, deg
+                          in zip(l_val, embed(alpha, field), field.place_degrees))
+                      for alpha in field.integral_basis]).T
+    return FrequencyTable(cut, coords, l_val, [np.abs(l) for l in l_val],
+                          [2 * math.pi * deg for deg in field.place_degrees], traces,
+                          tau_divisor_sums(field, coords, 1 - 2 * s))
 
 
-def _divisor_norms_cached(field: FieldData, nu: FieldElement):
-    key = (field.d, nu.ring_coords())
-    hit = _tau_cache.get(key)
-    if hit is None:
-        hit = tuple(sorted(ideal_divisor_norms(field, nu)))
-        _tau_cache[key] = hit
-    return hit
+def tau_divisor_sums(field: FieldData, coords: np.ndarray, w: complex) -> np.ndarray:
+    """tau_w(l) = N(nu)^(-w/2) sum over the ideal divisors a of (nu) of
+    N(a)^w, for l = nu / dg (h = 1), one value per row of ring coordinates
+    of nu."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if not coords.any(axis=1).all():
+        raise ZeroFrequency("tau of zero frequency")
+    norms = [sorted(ideal_divisor_norms(field, field.from_ring_coords(int(u), int(v))))
+             for u, v in coords]
+    sizes = np.array([len(m) for m in norms], dtype=np.int64)
+    flat = np.array([m for row in norms for m in row], dtype=float)
+    ends = np.cumsum(sizes)
+    sums = np.add.reduceat(flat.astype(complex) ** w, ends - sizes)
+    return flat[ends - 1] ** (-w / 2) * sums
+
+
+def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
+                   terms: int | None = None) -> complex:
+    """The non-constant Fourier terms of E(z, s) at the infinity cusp,
+
+        2^r sqrt(N(y)) / xi_K(2s) sum_l tau_{1-2s}(l) prod_i K_i e(Tr(l x)),
+
+    over the frequency table at the heights of z, with K_i the MacDonald
+    factor of place i by `bessel_k_grid`."""
+    xs, ys = zip(*z.coords)
+    table = frequency_table(field, s, ys, terms)
+    if table.taus.size == 0:
+        return 0j
+    K, phase = np.ones(table.taus.size, dtype=complex), 0.0
+    for i, deg in enumerate(field.place_degrees):
+        K = K * bessel_k_grid(_bessel_order(s, deg), table.factors[i] * ys[i] * table.l_abs[i])
+        phase = phase + deg * (table.l_val[i] * xs[i]).real
+    tail = complex(np.sum(table.taus * K * np.exp(2j * math.pi * phase)))
+    return 2 ** field.r * math.sqrt(z.ny(field)) / completed_zeta(ctx, 2 * s) * tail
 
 
 def eisenstein_fourier(field: FieldData, z: Point, s: complex,
@@ -426,63 +450,9 @@ def eisenstein_fourier(field: FieldData, z: Point, s: complex,
     the scattering quotient is regular, including 1/2 < Re(s) <= 1."""
     s = complex(s)
     ctx = ctx or make_context(field)
-    ys = [c[1] for c in z.coords]
     q = z.ny(field)
     zero_mode = q ** s + phi(ctx, s) * q ** (1 - s)
-    coords, weight = _frequency_box(field, ys, _frequency_cut(field, s))
-    if fourier_terms is not None and coords.shape[0] > fourier_terms:
-        order = np.argsort(weight, kind="stable")[:fourier_terms]
-        coords = coords[order]
-    if coords.shape[0] == 0:
-        return zero_mode
-    tail = _fourier_tail(field, ctx, z, s, coords)
-    zeta_star_2s = _completed(ctx, 2 * s)
-    return zero_mode + 2 ** field.r * math.sqrt(q) / zeta_star_2s * tail
-
-
-def _completed(ctx: ZetaContext, w: complex) -> complex:
-    from .zeta import completed_zeta
-    return completed_zeta(ctx, w)
-
-
-def _fourier_tail(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
-                  coords: np.ndarray) -> complex:
-    """sum over nu of tau_{1-2s}(l) K_{s-1/2}(y*, l) e^{2 pi i Tr(l x*)}."""
-    xs = [c[0] for c in z.coords]
-    ys = [c[1] for c in z.coords]
-    dg = [complex(v) for v in embed(field.different_gen, field)]
-    o_emb = _omega_embeds(field)
-    n_freq = coords.shape[0]
-    # frequency embeddings l^(i) = nu^(i) / dg^(i)
-    if field.d == 0:
-        l1 = coords[:, 0].astype(float)
-        args = [2 * math.pi * ys[0] * np.abs(l1)]
-        phases = l1 * xs[0]
-        l_embs = [l1]
-    elif field.d > 0:
-        nu1 = coords[:, 0] + coords[:, 1] * o_emb[0].real
-        nu2 = coords[:, 0] + coords[:, 1] * o_emb[1].real
-        l1, l2 = nu1 / dg[0].real, nu2 / dg[1].real
-        args = [2 * math.pi * ys[0] * np.abs(l1), 2 * math.pi * ys[1] * np.abs(l2)]
-        phases = l1 * xs[0] + l2 * xs[1]
-        l_embs = [l1, l2]
-    else:
-        nu = coords[:, 0] + coords[:, 1] * np.complex128(o_emb[0])
-        l1 = nu / dg[0]
-        args = [4 * math.pi * ys[0] * np.abs(l1)]
-        phases = 2 * (l1 * complex(xs[0])).real
-        l_embs = [l1]
-    # Bessel factors per place
-    K = np.ones(n_freq, dtype=complex)
-    for i, deg in enumerate(field.place_degrees):
-        K = K * bessel_k_grid(_bessel_order(s, deg), args[i])
-    taus = np.empty(n_freq, dtype=complex)
-    for j in range(n_freq):
-        nu_el = field.from_ring_coords(int(coords[j, 0]), int(coords[j, 1]))
-        taus[j] = _tau_for_nu(ctx, nu_el, 1 - 2 * s)
-    terms = taus * K * np.exp(2j * math.pi * phases)
-    order2 = np.lexsort((coords[:, 1], coords[:, 0]))
-    return complex(np.sum(terms[order2]))
+    return zero_mode + _fourier_terms(field, ctx, z, s, fourier_terms)
 
 
 def max_cusp_height(field: FieldData, z: Point, floor: float = 0.2):
@@ -517,13 +487,7 @@ def eisenstein_truncated(field: FieldData, z: Point, params: EisensteinParams,
         lam = make_cusp(field, d, -c)  # cusp -d/c as (rho : sigma) = (d : -c)
         from .geometry import act
         z = act(lam.assoc_matrix.inverse(), z, field)
-    coords, weight = _frequency_box(field, [c[1] for c in z.coords],
-                                    _frequency_cut(field, s))
-    if coords.shape[0] == 0:
-        return 0.0 + 0.0j
-    q = z.ny(field)
-    tail = _fourier_tail(field, ctx, z, s, coords)
-    return 2 ** field.r * math.sqrt(q) / _completed(ctx, 2 * s) * tail
+    return _fourier_terms(field, ctx, z, s)
 
 
 # ---------------------------------------------------------------------------

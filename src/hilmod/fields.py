@@ -628,72 +628,30 @@ def split_type(field: FieldData, p: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[chi]
 
 
-_prime_gen_cache: dict[tuple[int, int], list[FieldElement]] = {}
-
-
-def prime_ideal_generators(field: FieldData, p: int) -> list[FieldElement]:
-    """Generators of the prime ideals above p (one entry per prime ideal)."""
-    key = (field.d, p)
-    if key in _prime_gen_cache:
-        return _prime_gen_cache[key]
-    if field.d == 0:
-        gens = [field.element(p)]
-    else:
-        ty = split_type(field, p)
-        if ty == "inert":
-            gens = [field.element(p)]
-        else:
-            cands = elements_of_norm(field, p)
-            if not cands:
-                raise ValueError("no element of norm %d in d=%d (h=1 violated?)" % (p, field.d))
-            if ty == "ramified":
-                gens = [cands[0]]
-            else:
-                pi = cands[0]
-                pib = pi.conjugate()
-                gens = [pi, pib]
-    _prime_gen_cache[key] = gens
-    return gens
-
-
-def element_valuation(x: FieldElement, pi: FieldElement, field: FieldData) -> int:
-    """Largest k with pi^k | x (x integral nonzero)."""
-    v = 0
-    cur = x
-    while True:
-        nxt = exact_divide(cur, pi, field)
-        if nxt is None:
-            return v
-        cur = nxt
-        v += 1
-
-
 def ideal_factorization(field: FieldData, x: FieldElement) -> list[tuple[int, int]]:
-    """Factor the principal ideal (x) as [(prime-ideal norm, exponent), ...]."""
+    """Factor the principal ideal (x) as [(prime-ideal norm, exponent), ...].
+
+    The exponents come from integers alone: N = |N(x)| and the content
+    g = gcd(u, v) of x = u + v omega.  An inert p has exponent v_p(N) / 2
+    and a ramified p = P^2 has v_p(N).  For a split p = P P', p^v_p(g)
+    divides x and what is left lies in at most one of P and P', so the
+    exponents are v_p(g) and v_p(N) - v_p(g).
+    """
     if x.is_zero():
         raise ValueError("cannot factor the zero ideal")
-    n = abs(int(x.norm())) if x.norm().denominator == 1 else None
-    if n is None:
-        raise ValueError("element must be integral")
+    g = math.gcd(*x.ring_coords())
     out = []
-    for p, e in factor_int(n):
-        if field.d == 0:
-            out.append((p, e))
-            continue
+    for p, e in factor_int(int(x.norm())):
         ty = split_type(field, p)
         if ty == "inert":
             out.append((p * p, e // 2))
-        elif ty == "ramified":
-            pi = prime_ideal_generators(field, p)[0]
-            out.append((p, element_valuation(x, pi, field)))
-        else:
-            pi, pib = prime_ideal_generators(field, p)
-            v1 = element_valuation(x, pi, field)
-            v2 = element_valuation(x, pib, field)
-            if v1:
-                out.append((p, v1))
-            if v2:
-                out.append((p, v2))
+        elif ty == "split":
+            a = 0
+            while g % p == 0:
+                g, a = g // p, a + 1
+            out += [(p, a), (p, e - a)]
+        else:  # ramified, or a prime of Q
+            out.append((p, e))
     return [(q, e) for (q, e) in out if e > 0]
 
 

@@ -1,4 +1,4 @@
-"""Dedekind zeta, completed zeta, scattering quotient, and divisor sums.
+"""Dedekind zeta, completed zeta and the scattering quotient.
 
 Continuation strategy: the Dedekind zeta of a quadratic field factors as
 zeta(s) * L(s, chi_D); both factors are expressed through the Hurwitz zeta,
@@ -17,14 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole, ZeroFrequency
-from .fields import (
-    FieldData,
-    FieldElement,
-    ideal_count_coeffs,
-    ideal_divisor_norms,
-    kronecker,
-)
+from .errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole
+from .fields import FieldData, ideal_count_coeffs, kronecker
 from .specfun import gamma
 
 
@@ -238,20 +232,3 @@ def residue_phi(ctx: ZetaContext) -> float:
     num = 2.0 ** (f.r1 - 1) * f.h * f.regulator / f.omega
     return num / completed_zeta(ctx, 2.0).real
 
-
-def tau_divisor_sum(ctx: ZetaContext, l: FieldElement, s: complex) -> complex:
-    """Divisor sum tau_s(l) = N(bdl)^{-s/2} sum over ideal divisors q of (bdl)
-    of N(q)^s, for a frequency l in the inverse different (b = o for h = 1)."""
-    if l.is_zero():
-        raise ZeroFrequency("tau of zero frequency")
-    f = ctx.field
-    nu = l * f.different_gen  # integral generator of (b d l)
-    if not nu.is_integral():
-        raise ValueError("frequency not in the inverse different")
-    norms = ideal_divisor_norms(f, nu)
-    n_total = abs(int(nu.norm()))
-    s = complex(s)
-    acc = 0.0 + 0.0j
-    for m in sorted(norms):
-        acc += m ** s
-    return n_total ** (-s / 2.0) * acc

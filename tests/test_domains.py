@@ -91,6 +91,28 @@ def test_box_average_matches_pointwise_grid(d, s):
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_grid_and_box_across_block_boundaries(d, monkeypatch):
+    # blocks of 13 and 97 Bessel values hold 1 to 48 frequencies, where the
+    # unpatched block holds all of them
+    field = F.make_field(d)
+    ctx = Z.make_context(field)
+    rng = random.Random(d)
+    pts = [random_point(field, rng, y_lo=0.9, y_hi=1.7) for _ in range(12)]
+    xs = [np.array([p.coords[i][0] for p in pts]) for i in range(field.r)]
+    ys = [np.array([p.coords[i][1] for p in pts]) for i in range(field.r)]
+    nodes, weights = gl_panel_nodes(-0.5, 0.5, 1, 4)
+    qs = np.array([0.7, 1.9])
+
+    def values():
+        return np.concatenate([D.eisenstein_fourier_grid(field, 1.5, xs, ys, ctx),
+                               D.eisenstein_box_average(field, 2.0, qs, nodes, weights, ctx)])
+    whole = values()
+    for block in (13, 97):
+        monkeypatch.setattr(D, "_BOX_BLOCK", block)
+        assert np.all(np.abs(values() - whole) <= 1e-14 * np.abs(whole)), block
+
+
 def test_modular_domain_volume():
     assert abs(D.modular_domain_volume_numeric() - math.pi / 3) < 1e-9
 
@@ -134,6 +156,21 @@ def test_slice_candidates_dedupe_unique_cusps(field_q5):
         v = (-dd) / c
         assert (v.a, v.b) not in vals
         vals.add((v.a, v.b))
+
+
+def test_maass_selberg_strip_computed_once(field_q, ctx_q, monkeypatch):
+    # the strip above T does not depend on the panel count: two grid calls
+    # (one per order) however many panel doublings the integral takes
+    calls = []
+    grid = D.eisenstein_fourier_grid
+
+    def counted(*args, zero_mode=True, **kwargs):
+        calls.append(zero_mode)
+        return grid(*args, zero_mode=zero_mode, **kwargs)
+    monkeypatch.setattr(D, "eisenstein_fourier_grid", counted)
+    D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, ctx=ctx_q)
+    assert calls.count(True) >= 4
+    assert calls.count(False) == 2
 
 
 def test_maass_selberg_numeric_raises_at_panel_cap(field_q, ctx_q, monkeypatch):

@@ -46,15 +46,6 @@ def test_enumerate_pairs_small_bound(field_q):
     assert [(int(p.c.a), int(p.d.a)) for p in pairs] == [(0, 1)]
 
 
-def test_canonicalize_idempotent(field_q5):
-    z = G.make_point(field_q5, (0.2, 1.0), (-0.1, 1.1))
-    c = field_q5.from_ring_coords(2, 1)
-    d = field_q5.from_ring_coords(-1, 1)
-    once = E.canonicalize_pair(field_q5, z, c, d)
-    twice = E.canonicalize_pair(field_q5, z, *once)
-    assert once == twice
-
-
 def _cusp_key(c, d):
     """The cusp -d/c, which names the unit orbit of a coprime pair."""
     if c.is_zero():

@@ -265,3 +265,39 @@ def test_kronecker_against_quadratic_residues():
         for a in range(1, p):
             expect = 1 if a in residues else -1
             assert F.kronecker(a, p) == expect
+
+
+def _valuation_search_divisor_norms(fd, x, gens):
+    """Reference for ideal_divisor_norms: the exponent of each prime ideal
+    above a split or ramified p | N(x) found by repeated exact division by
+    a generator of norm p (gens caches one per p); inert and rational p
+    read the exponent off N(x)."""
+    fact = []
+    for p, e in F.factor_int(int(x.norm())):
+        ty = F.split_type(fd, p)
+        if ty in ("rational", "inert"):
+            fact.append((p, e) if ty == "rational" else (p * p, e // 2))
+            continue
+        if p not in gens:
+            gens[p] = F.elements_of_norm(fd, p)[0]
+        for pi in [gens[p]] if ty == "ramified" else [gens[p], gens[p].conjugate()]:
+            v, cur = 0, F.exact_divide(x, pi, fd)
+            while cur is not None:
+                v, cur = v + 1, F.exact_divide(cur, pi, fd)
+            fact.append((p, v))
+    norms = [1]
+    for q, k in fact:
+        norms = [m * q ** j for m in norms for j in range(k + 1)]
+    return sorted(norms)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, -3, 13, -7])
+def test_divisor_norms_match_valuation_search(d):
+    fd = F.make_field(d)
+    gens = {}
+    for u in range(-9, 10):
+        for v in range(-9, 10) if d else [0]:
+            if u or v:
+                x = fd.from_ring_coords(u, v)
+                assert sorted(F.ideal_divisor_norms(fd, x)) \
+                    == _valuation_search_divisor_norms(fd, x, gens), (u, v)
