@@ -5,19 +5,22 @@ identity for quadratic fields, and horoball scans on cusp cross sections."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .eisenstein import (
     FrequencyTable,
+    _ball_points,
     _bessel_order,
-    _omega_embeds,
+    _canonical_c,
+    _coprime_mask,
+    _embed_coords,
+    _ragged_blocks,
     frequency_table,
     maass_selberg_constant,
 )
 from .errors import QuadratureBudgetExceeded
-from .fields import FieldData
+from .fields import FieldData, _omega_square_coords
 from .geometry import _geom_cache, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
@@ -249,87 +252,85 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
 # Cusp-slice horoball scans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SliceCandidates:
-    """Integer pair data (c1, c2, d1, d2) relevant on one cusp cross section."""
-
-    coords: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.coords.shape[0]
-
-
-def slice_candidates(field: FieldData, q: float, floor: float,
-                     margin: float = 4.0) -> SliceCandidates:
+def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     """Pairs (c, d), c != 0, whose cusp may rise above height `floor` on the
-    cross section at height q, one pair per cusp.
+    cross section at height q, one pair per cusp, as rows of ring
+    coordinates (c1, c2, d1, d2).
 
     Reach bound: the slice has prod_i y_i^deg_i = q and |c_i z_i + d_i| >=
     |c_i| y_i, so V(c, d; z) = prod_i |c_i z_i + d_i|^(2 deg_i) >= N(c)^2 q^2
-    and the cusp's height q / V is at most 1 / (N(c)^2 q).  Every c with
-    N(c)^2 q floor >= 1 is dropped before its d range is built; the d ranges
-    are box bounds with a safety margin."""
-    from .eisenstein import _c_candidates, _coprime_mask, _ragged_ranges
-    Omat, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
-    # per-place minima of y on the slice, and extremes of x over the box
-    ymin = [q ** (1.0 / field.n) * math.exp(-abs(u)) for u in ulogs] or [q ** (1.0 / field.n)]
-    xmax = np.abs(Omat).sum(axis=1) * 0.5
-    budget = q / floor  # |N(c z + d)|^2 <= q / floor
-    if field.d == 0:
-        cu = np.arange(1, int(1.0 / math.sqrt(q * floor)) + 2)
-        cv = np.zeros_like(cu)
-    elif field.d > 0:
-        M = math.sqrt(budget) * math.exp(2 * field.regulator) * margin
-        cu, cv = _c_candidates(field, [math.sqrt(M) / ymin[0], math.sqrt(M) / ymin[1]])
-    else:
-        V1max = math.sqrt(budget) * margin
-        cu, cv = _c_candidates(field, [math.sqrt(V1max) / ymin[0]])
-    live = ((cu != 0) | (cv != 0)) & (_reach(field, cu, cv, q, floor) < 1.0)
-    cu, cv = cu[live], cv[live]
-    # per c, the range of the second coordinate dv of d, then of the first
-    if field.d == 0:
-        w = math.sqrt(budget * margin)
-        vlo = vhi = cv
+    and the cusp's height q / V is at most 1 / (N(c)^2 q); only c with
+    N(c)^2 q floor < 1 are kept.  c is torsion-canonical and unit-balanced
+    (`_unit_balanced`), so each coprime pair is a distinct cusp, and
+    |c_i| < (q floor)^(-1/(2n)) e^(R/2) (no e^(R/2) when r = 1).  The cusp
+    rises above `floor` only where |x_i + d_i / c_i| < h_i (`_half_widths`),
+    so |d_i| < |c_i| (max |x_i| over the box + h_i)."""
+    ulogs = _geom_cache(field.d)[4]
+    # e^(R/2) per unit of rank r - 1; 1 + 1e-9 guards rounding only
+    radius = (q * floor) ** (-0.5 / field.n) * math.exp((field.r - 1) * field.regulator / 2) \
+        * (1 + 1e-9)
+    _, cu, cv = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, radius)] * field.r)
+    keep = _canonical_c(field, cu, cv)
+    cu, cv = cu[keep], cv[keep]
+    reach = _reach(field, cu, cv, q, floor)
+    keep = _unit_balanced(field, cu, cv) & (reach < 1.0)
+    cu, cv, reach = cu[keep], cv[keep], reach[keep]
+    corners = np.indices((2,) * field.n).reshape(field.n, -1).T - 0.5
+    xmax = [np.abs(x).max() for x in slice_embeddings(field, q, corners, None)[0]]
+    ymax = [q ** (1.0 / field.n) * math.exp(abs(u)) for u in ulogs] or [q ** (1.0 / field.n)]
+    h = _half_widths(field, 1.0 / reach, ymax)
+    radii = [np.abs(c) * (xm + hi) for c, xm, hi in zip(_embed_coords(field, cu, cv), xmax, h)]
+    k, du, dv = _ball_points(field, [np.zeros(cu.size)] * field.r, radii)
+    coords = np.stack([cu[k], cv[k], du, dv], axis=1)
+    return coords[_coprime_mask(field, *coords.T)]
 
-        def d_range(k, dv):
-            return np.ceil(-cu[k] * xmax[0] - w), np.floor(cu[k] * xmax[0] + w)
-    elif field.d > 0:
-        o1, o2 = (v.real for v in _omega_embeds(field))
-        w = math.sqrt(M)
-        a1, a2 = np.abs(cu + cv * o1) * xmax[0], np.abs(cu + cv * o2) * xmax[1]
-        vlo = np.ceil((-a1 - w - (a2 + w)) / (o1 - o2))
-        vhi = np.floor((a1 + w - (-a2 - w)) / (o1 - o2))
 
-        def d_range(k, dv):
-            return (np.maximum(np.ceil(-a1[k] - w - dv * o1), np.ceil(-a2[k] - w - dv * o2)),
-                    np.minimum(np.floor(a1[k] + w - dv * o1), np.floor(a2[k] + w - dv * o2)))
-    else:
-        o = _omega_embeds(field)[0]
-        rad = math.sqrt(V1max) + np.abs(cu + cv * np.complex128(o)) * xmax[0] * 1.5
-        vhi = np.floor(rad / o.imag) + 1
-        vlo = -vhi
+def _half_widths(field: FieldData, rho: np.ndarray, ymax):
+    """Per place i, the largest |x_i + d_i / c_i| at which the cusp -d/c can
+    be above T on a slice whose heights are at most ymax[i], for
+    rho = 1 / (N(c)^2 q T): since prod_i y_i^deg_i = q, V >= N(c)^2 q^2
+    (1 + a_i^2)^deg_i with a_i = |c_i x_i + d_i| / (|c_i| y_i), so q / V > T
+    needs a_i^2 < rho^(1/deg_i) - 1."""
+    return [y * np.sqrt(rho ** (1.0 / deg) * (1 + 1e-9) - 1)
+            for y, deg in zip(ymax, field.place_degrees)]
 
-        def d_range(k, dv):
-            w = np.sqrt(np.maximum(rad[k] ** 2 - (dv * o.imag) ** 2, 0.0)) + 1
-            return np.ceil(-w - dv * o.real), np.floor(w - dv * o.real)
-    k, dv = _ragged_ranges(vlo.astype(np.int64), vhi.astype(np.int64))
-    lo, hi = d_range(k, dv)
-    j, du = _ragged_ranges(lo.astype(np.int64), hi.astype(np.int64))
-    coords = np.stack([cu[k[j]], cv[k[j]], du, dv[j]], axis=1).astype(np.int64)
-    coords = coords[_coprime_mask(field, *coords.T)]
-    if field.d != 0:
-        coords = _dedupe_by_cusp_value(field, coords)
-    return SliceCandidates(coords)
+
+def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
+    """Whether c = cu + cv omega has log|c_1 / c_2| in [-R, R): one c in each
+    orbit of the fundamental unit eps (eps_1 > 1 on every supported field);
+    all c when r = 1.  The window's edges are decided in integers: c with
+    |c_1 / c_2| = eps_1 is c = +-eps sigma(c), and is dropped; c with
+    |c_1 / c_2| = 1 / eps_1 is eps c = +-sigma(c), and is kept."""
+    if field.r == 1:
+        return np.ones(cu.shape, dtype=bool)
+    c1, c2 = _embed_coords(field, cu, cv)
+    t = np.log(np.abs(c1 / c2))
+    eu, ev = field.fundamental_unit.ring_coords()
+    su, sv = _coord_conj(field, cu, cv)
+
+    def assoc(a, b, u, v):  # a + b omega = +-(u + v omega)
+        return ((a == u) & (b == v)) | ((a == -u) & (b == -v))
+    upper = assoc(*_coord_mul(field, eu, ev, su, sv), cu, cv)
+    lower = assoc(*_coord_mul(field, eu, ev, cu, cv), su, sv)
+    R = field.regulator
+    return (((t >= -R) & (t < R)) & ~upper) | lower
+
+
+def _coord_mul(field: FieldData, a, b, c, d):
+    """(a + b omega)(c + d omega) in ring coordinates, omega^2 = t + s omega."""
+    t, s = _omega_square_coords(field)
+    return a * c + t * b * d, a * d + b * c + s * b * d
+
+
+def _coord_conj(field: FieldData, u, v):
+    """sigma(u + v omega) = (u + s v) - v omega, as sigma(omega) = s - omega."""
+    return u + _omega_square_coords(field)[1] * v, -v
 
 
 def _coord_norm(field: FieldData, c1, c2):
-    """N(c) of c = c1 + c2 omega from its integer coordinates (exact)."""
-    if field.d == 0:
-        return c1
-    if field.d % 4 == 1:  # omega^2 = t + omega, t = (d-1)/4
-        return c1 * c1 + c1 * c2 - (field.d - 1) // 4 * c2 * c2
-    return c1 * c1 - field.d * c2 * c2
+    """N(c) = c sigma(c) of c = c1 + c2 omega from its integer coordinates
+    (exact)."""
+    return c1 if field.n == 1 else _coord_mul(field, c1, c2, *_coord_conj(field, c1, c2))[0]
 
 
 def _reach(field: FieldData, c1, c2, q: float, floor: float) -> np.ndarray:
@@ -337,35 +338,6 @@ def _reach(field: FieldData, c1, c2, q: float, floor: float) -> np.ndarray:
     slice at height q only if this is below 1."""
     n = np.asarray(_coord_norm(field, c1, c2), dtype=float)
     return n * n * (q * floor)
-
-
-def _dedupe_by_cusp_value(field: FieldData, coords: np.ndarray) -> np.ndarray:
-    """Keep one pair per cusp: the value -d/c is unit-invariant, so the key
-    (numerator coords of -d * conj(c), N(c)) normalised by gcd and sign
-    identifies the cusp exactly (all integer arithmetic)."""
-    if coords.shape[0] == 0:
-        return coords
-    c1, c2, d1, d2 = (coords[:, k] for k in range(4))
-    if field.d % 4 == 1:
-        # conj(u + v w) = (u + v) - v w;  w^2 = t + w, t = (d-1)/4
-        t = (field.d - 1) // 4
-        cc1, cc2 = c1 + c2, -c2
-    else:
-        t = field.d
-        cc1, cc2 = c1, -c2
-    # numerator (-d) * conj(c) in basis coords: (u1 + v1 w)(u2 + v2 w)
-    u1, v1, u2, v2 = -d1, -d2, cc1, cc2
-    nu = u1 * u2 + t * v1 * v2
-    nv = u1 * v2 + v1 * u2 + (v1 * v2 if field.d % 4 == 1 else 0)
-    nc = _coord_norm(field, c1, c2)
-    # fold the sign of N(c) into the numerator so the key is the exact value
-    sgn = np.sign(nc)
-    nu, nv, den = nu * sgn, nv * sgn, np.abs(nc)
-    g = np.gcd(np.gcd(np.abs(nu), np.abs(nv)), den)
-    g[g == 0] = 1
-    key = np.stack([nu // g, nv // g, den // g], axis=1)
-    _, first = np.unique(key, axis=0, return_index=True)
-    return coords[np.sort(first)]
 
 
 def box_grid(field: FieldData, n_per_dim: int):
@@ -377,32 +349,27 @@ def box_grid(field: FieldData, n_per_dim: int):
     return X, (np.stack(flat[field.n:], axis=1) if field.r > 1 else None)
 
 
-def shadow_mask(field: FieldData, q: float, T: float, n: int,
-                margin: float = 4.0) -> np.ndarray:
+def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
     """Which points of `box_grid(field, n)` on the cross section at height q
     lie in some other cusp's horoball of height > T, i.e. have q / V > T for
-    some pair (c, d) of `slice_candidates(field, q, T, margin)`.
+    some pair (c, d) of `slice_candidates(field, q, T)`.
 
-    Since prod_i y_i^deg_i = q, V >= N(c)^2 q^2 (1 + a_i^2)^deg_i at each
-    place i, with a_i = |c_i x_i + d_i| / (|c_i| y_i); so q / V > T needs
-    |x_i + d_i / c_i| < max y_i sqrt(rho^(1/deg_i) - 1), rho = 1 / (N(c)^2 q T).
     Each candidate is evaluated only on the grid points of the X box that
-    these bounds leave, at every Y node."""
-    from .eisenstein import _ragged_blocks
+    its per-place bounds |x_i + d_i / c_i| < h_i (`_half_widths`, at the
+    grid's largest heights) leave, at every Y node."""
     X, Y = box_grid(field, n)
     mask = np.zeros(X.shape[0], dtype=bool)
-    coords = slice_candidates(field, q, T, margin).coords
+    coords = slice_candidates(field, q, T)
     xs, ys = slice_embeddings(field, q, X, Y)
-    oe = [1.0] if field.d == 0 else _omega_embeds(field)
     rho = 1.0 / _reach(field, coords[:, 0], coords[:, 1], q, T)
-    ce, de, ctr, half = [], [], [], []
-    for i, deg in enumerate(field.place_degrees):
-        o = oe[i] if deg == 2 else oe[i].real
-        ce.append(coords[:, 0] + coords[:, 1] * o)
-        de.append(coords[:, 2] + coords[:, 3] * o)
-        c = -de[i] / ce[i]
-        ctr += [c.real, c.imag] if deg == 2 else [c]
-        half += [ys[i].max() * np.sqrt(rho ** (1.0 / deg) * (1 + 1e-9) - 1)] * deg
+    ce = _embed_coords(field, coords[:, 0], coords[:, 1])
+    de = _embed_coords(field, coords[:, 2], coords[:, 3])
+    ctr, half = [], []
+    for c, d, h, deg in zip(ce, de, _half_widths(field, rho, [y.max() for y in ys]),
+                            field.place_degrees):
+        x = -d / c
+        ctr += [x.real, x.imag] if deg == 2 else [x]
+        half += [h] * deg
     O_inv = _geom_cache(field.d)[1]
     Xc, Xh = O_inv @ np.array(ctr), np.abs(O_inv) @ np.array(half) + 1e-9
     axis = (np.arange(n) + 0.5) / n - 0.5  # the axis of box_grid
@@ -424,14 +391,14 @@ def shadow_mask(field: FieldData, q: float, T: float, n: int,
 
 
 def shadow_fraction(field: FieldData, q: float, T: float,
-                    n_per_dim: int = 48, margin: float = 4.0) -> float:
+                    n_per_dim: int = 48) -> float:
     """Box fraction of the cross section at height q lying in some other
     cusp's horoball of height > T: the mean of `shadow_mask` over n_per_dim
     points per axis (n_per_dim^2 * 8 for Q).  A cusp's height on the slice is
     at most 1 / (N(c)^2 q), so only those with N(c)^2 q T < 1 are scanned."""
     dim = field.n + field.r - 1
     n = n_per_dim if dim > 1 else n_per_dim ** 2 * 8
-    return float(np.mean(shadow_mask(field, q, T, n, margin)))
+    return float(np.mean(shadow_mask(field, q, T, n)))
 
 
 def remark_identity_check(field: FieldData, sprime: float, T: float,
@@ -452,7 +419,7 @@ def remark_identity_check(field: FieldData, sprime: float, T: float,
     C1 = unfold_constant(field)
     # locate where shadows appear, by a coarse downward scan from T
     q_hi = T
-    while q_hi > 1e-4 and shadow_fraction(field, q_hi, T, 16, margin=2.0) == 0.0:
+    while q_hi > 1e-4 and shadow_fraction(field, q_hi, T, 16) == 0.0:
         q_hi *= 0.7
     q_hi = min(q_hi * 1.6, T)
     deep = field.d == 0  # 1-D slices are cheap, resolve the kinks finely
@@ -463,7 +430,7 @@ def remark_identity_check(field: FieldData, sprime: float, T: float,
     small = []
     for u, w in zip(us, wu):
         qv = math.exp(u)
-        frac = shadow_fraction(field, qv, T, n_per_dim, margin=2.0)
+        frac = shadow_fraction(field, qv, T, n_per_dim)
         if qv < 3 * q_lo:
             small.append(frac)
         J += w * qv ** (sprime - 1.0) * frac

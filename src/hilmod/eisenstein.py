@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameters, DomainError, NotConvergent, ZeroFrequency
-from .fields import FieldData, FieldElement, embed, ideal_divisor_norms
-from .geometry import Cusp, Point, make_cusp
+from .fields import (FieldData, FieldElement, _omega_square_coords, embed,
+                     ideal_divisor_norms)
+from .geometry import Cusp, Point, act, make_cusp
 from .specfun import bessel_k_grid
 from .zeta import (ZetaContext, completed_zeta, dedekind_zeta, make_context, phi,
                    residue_phi)
@@ -81,38 +82,68 @@ def _omega_embeds(field: FieldData):
     return [complex(v) for v in embed(om, field)]
 
 
-def _c_candidates(field: FieldData, amax: list[float]):
-    """Integer coords (c1, c2) with |c^{(i)}| <= amax[i] (quadratic fields)."""
-    oe = _omega_embeds(field)
-    o1, o2 = (oe[0], oe[1]) if field.d > 0 else (oe[0], None)
-    if field.d > 0:
-        delta = o1.real - o2.real
-        v_lo = int(math.ceil((-amax[0] - amax[1]) / abs(delta)))
-        v_hi = int(math.floor((amax[0] + amax[1]) / abs(delta)))
-        v = np.arange(v_lo, v_hi + 1)
-        lo = np.maximum(np.ceil(-amax[0] - v * o1.real), np.ceil(-amax[1] - v * o2.real))
-        hi = np.minimum(np.floor(amax[0] - v * o1.real), np.floor(amax[1] - v * o2.real))
-        rows, u = _ragged_ranges(lo.astype(np.int64), hi.astype(np.int64))
-        return u, v[rows]
-    # imaginary: disc of radius amax[0]
-    rad = amax[0]
-    vspan = int(math.floor(rad / abs(o1.imag))) + 1
-    v = np.arange(-vspan, vspan + 1)
-    w = np.sqrt(np.maximum(rad ** 2 - (v * o1.imag) ** 2, 0.0))
-    lo = np.ceil(-w - v * o1.real).astype(np.int64)
-    hi = np.floor(w - v * o1.real).astype(np.int64)
-    rows, u = _ragged_ranges(lo, hi)
-    return u, v[rows]
+def _embed_coords(field: FieldData, u, v):
+    """u + v omega at each place, from integer coordinate arrays: real at
+    degree-1 places, complex at the complex place."""
+    return [u + v * (o if deg == 2 else o.real)
+            for o, deg in zip(_omega_embeds(field), field.place_degrees)]
+
+
+def _ball_ranges(field: FieldData, centres, radii):
+    """The points x = u + v omega of o with |x^(i) - centres[i]| <= radii[i]
+    at every place i, one ball per row of the centre and radius arrays, as
+    chained ranges: per ball the range [vlo, vhi] of v, and u_range(k, v),
+    the range [ulo, uhi] of u for the rows (ball k, v).
+
+    v is 0 on Q; at two real places x^(1) - x^(2) = v (omega^(1) - omega^(2))
+    bounds it, at a complex place Im x = v Im omega does.  This is the only
+    lattice code that knows the place structure."""
+    if field.r2:
+        (m,), (w,), (o,) = centres, radii, _omega_embeds(field)
+        vlo, vhi = np.ceil((m.imag - w) / o.imag), np.floor((m.imag + w) / o.imag)
+
+        def u_range(k, v):
+            h = np.sqrt(np.maximum(w[k] ** 2 - (v * o.imag - m.imag[k]) ** 2, 0.0))
+            return np.ceil(m.real[k] - h - v * o.real), np.floor(m.real[k] + h - v * o.real)
+    else:
+        o = [oi.real for oi in _omega_embeds(field)]
+        lo = [m - w for m, w in zip(centres, radii)]
+        hi = [m + w for m, w in zip(centres, radii)]
+        if field.n == 1:
+            vlo = vhi = np.zeros(lo[0].shape)
+        else:
+            delta = o[0] - o[1]  # sqrt(D) > 0
+            vlo, vhi = np.ceil((lo[0] - hi[1]) / delta), np.floor((hi[0] - lo[1]) / delta)
+
+        def u_range(k, v):
+            return (np.maximum.reduce([np.ceil(a[k] - v * oi) for a, oi in zip(lo, o)]),
+                    np.minimum.reduce([np.floor(b[k] - v * oi) for b, oi in zip(hi, o)]))
+    return vlo.astype(np.int64), vhi.astype(np.int64), u_range
+
+
+def _ball_blocks(field: FieldData, centres, radii):
+    """The points of `_ball_ranges` as a stream of (k, u, v) blocks, k the
+    ball of each point: balls in order, then v, then u; each block holds at
+    most _PAIR_BLOCK points."""
+    vlo, vhi, u_range = _ball_ranges(field, centres, radii)
+    for k, v in _ragged_blocks(vlo, vhi):
+        lo, hi = u_range(k, v)
+        for j, u in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
+            yield k[j], u, v[j]
+
+
+def _ball_points(field: FieldData, centres, radii):
+    """Every block of `_ball_blocks` in one (k, u, v) triple."""
+    blocks = [(np.zeros(0, dtype=np.int64),) * 3]
+    blocks += _ball_blocks(field, centres, radii)
+    return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
 def _coprime_mask(field: FieldData, c1, c2, d1, d2):
     """Vectorised test <c, d> = o via the gcd of the 2x2 minors."""
-    if field.d == 0:
+    if field.n == 1:
         return np.gcd(c1, d1) == 1
-    if field.d % 4 == 1:
-        t, u = (field.d - 1) // 4, 1
-    else:
-        t, u = field.d, 0
+    t, u = _omega_square_coords(field)
     rows = [
         (c1, c2), (t * c2, c1 + u * c2),
         (d1, d2), (t * d2, d1 + u * d2),
@@ -135,79 +166,29 @@ def _canonical_c(field: FieldData, cu: np.ndarray, cv: np.ndarray) -> np.ndarray
 
 
 def _pair_geometry(field: FieldData, z: Point, BV: float):
-    """The field-kind pieces of the pair enumeration at z.
+    """The c and d balls of the pair enumeration at z.
 
-    Returns the torsion-canonical c != 0 that can reach V <= BV, as ring
-    coordinates (cu, cv); per c, the range [vlo, vhi] of the second ring
-    coordinate dv of d; d_range(k, dv), the range of the first coordinate du
-    of d for the rows (c_k, dv); and norm(k, dv, du), the V of each
-    candidate with the mask of those kept.  The mask is V <= BV and, for
-    real fields, the log-ratio window t = log(V1/V2) in [-2R, 2R), which
-    keeps one representative per orbit of the fundamental unit.
+    A pair is kept when V = prod_i V_i^deg_i <= BV, with
+    V_i = |c_i x_i + d_i|^2 + |c_i|^2 y_i^2, and, at two real places, when
+    t = log(V_1 / V_2) lies in [-2R, 2R), which keeps one representative per
+    orbit of the fundamental unit.  Then V_i <= B at every place, with
+    B = BV^(1/n), times e^R at two real places.  Returns the torsion-canonical
+    c != 0 with |c_i| y_i <= sqrt(B) as ring coordinates (cu, cv), their
+    embeddings ce, and per c the d ball: centres -c_i x_i and radii
+    sqrt(B - |c_i|^2 y_i^2).
     """
-    if field.d == 0:
-        (x, y), = z.coords
-        c = np.arange(1, int(math.floor(math.sqrt(BV) / y)) + 1)
-        w2 = BV - (c * y) ** 2
-        c, w = c[w2 >= 0], np.sqrt(w2[w2 >= 0])
-        zero = np.zeros_like(c)
-
-        def d_range(k, dv):
-            return np.ceil(-c[k] * x - w[k]), np.floor(-c[k] * x + w[k])
-
-        def norm(k, dv, du):
-            ck = c[k]
-            V = (ck * x + du) ** 2 + (ck * y) ** 2
-            return V, V <= BV
-        return c, zero, zero, zero, d_range, norm
-    oe = _omega_embeds(field)
-    if field.d > 0:
-        (x1, y1), (x2, y2) = z.coords
-        o1, o2 = oe[0].real, oe[1].real
-        R = field.regulator
-        M = math.sqrt(BV) * math.exp(R) * 1.0000001
-        cu, cv = _c_candidates(field, [math.sqrt(M) / y1, math.sqrt(M) / y2])
-        ce1, ce2 = cu + cv * o1, cu + cv * o2
-        w1s, w2s = M - (ce1 * y1) ** 2, M - (ce2 * y2) ** 2
-        keep = _canonical_c(field, cu, cv) & (w1s >= 0) & (w2s >= 0)
-        cu, cv, ce1, ce2 = cu[keep], cv[keep], ce1[keep], ce2[keep]
-        w1, w2 = np.sqrt(w1s[keep]), np.sqrt(w2s[keep])
-        lo1, hi1 = -ce1 * x1 - w1, -ce1 * x1 + w1
-        lo2, hi2 = -ce2 * x2 - w2, -ce2 * x2 + w2
-        delta = o1 - o2  # sqrt(D) > 0
-        vlo, vhi = np.ceil((lo1 - hi2) / delta), np.floor((hi1 - lo2) / delta)
-
-        def d_range(k, dv):
-            return (np.maximum(np.ceil(lo1[k] - dv * o1), np.ceil(lo2[k] - dv * o2)),
-                    np.minimum(np.floor(hi1[k] - dv * o1), np.floor(hi2[k] - dv * o2)))
-
-        def norm(k, dv, du):
-            V1 = (ce1[k] * x1 + (du + dv * o1)) ** 2 + (ce1[k] * y1) ** 2
-            V2 = (ce2[k] * x2 + (du + dv * o2)) ** 2 + (ce2[k] * y2) ** 2
-            V, t = V1 * V2, np.log(V1 / V2)
-            return V, (V <= BV) & (t >= -2 * R) & (t < 2 * R)
-        return cu, cv, vlo, vhi, d_range, norm
-    (x, y), = z.coords
-    o = np.complex128(oe[0])
-    sqBV = math.sqrt(BV)  # per-place bound: V1^2 <= BV
-    cu, cv = _c_candidates(field, [math.sqrt(sqBV) / y])
-    ce = cu + cv * o
-    r2 = sqBV - (np.abs(ce) * y) ** 2
-    keep = _canonical_c(field, cu, cv) & (r2 >= 0)
-    cu, cv, ce, rad = cu[keep], cv[keep], ce[keep], np.sqrt(r2[keep])
-    center = -ce * x
-    vlo = np.ceil((center.imag - rad) / o.imag)
-    vhi = np.floor((center.imag + rad) / o.imag)
-
-    def d_range(k, dv):
-        w = np.sqrt(np.maximum(rad[k] ** 2 - (dv * o.imag - center.imag[k]) ** 2, 0.0))
-        return (np.ceil(center.real[k] - w - dv * o.real),
-                np.floor(center.real[k] + w - dv * o.real))
-
-    def norm(k, dv, du):
-        V = (np.abs(ce[k] * x + (du + dv * o)) ** 2 + (np.abs(ce[k]) * y) ** 2) ** 2
-        return V, V <= BV
-    return cu, cv, vlo, vhi, d_range, norm
+    xs, ys = zip(*z.coords)
+    B = BV if field.n == 1 else math.sqrt(BV)
+    if field.r == 2:
+        B = B * math.exp(field.regulator) * 1.0000001
+    zero = [np.zeros(1)] * field.r
+    _, cu, cv = _ball_points(field, zero, [np.full(1, math.sqrt(B) / y) for y in ys])
+    ce = _embed_coords(field, cu, cv)
+    w2 = [B - (np.abs(c) * y) ** 2 for c, y in zip(ce, ys)]
+    keep = np.logical_and.reduce([_canonical_c(field, cu, cv)] + [w >= 0 for w in w2])
+    ce = [c[keep] for c in ce]
+    return (cu[keep], cv[keep], ce, [-c * x for c, x in zip(ce, xs)],
+            [np.sqrt(w[keep]) for w in w2])
 
 
 def _pair_blocks(field: FieldData, z: Point, BV: float):
@@ -216,21 +197,27 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     of (coords, V) blocks; coords rows are ring coordinates (c1, c2, d1, d2).
 
     (0, 1) stands for the c = 0 orbit.  Torsion is fixed on c before any d
-    is built, the d ranges come from two chained ragged ranges, over (c, dv)
-    and then over du, and each block examines at most _PAIR_BLOCK
-    candidates, so memory is bounded by the block, not by BV.
+    is built, the d balls of `_pair_geometry` are enumerated by
+    `_ball_blocks`, and each block examines at most _PAIR_BLOCK candidates,
+    so memory is bounded by the block, not by BV.
     """
     if BV >= 1.0:
         yield np.array([[0, 0, 1, 0]], dtype=np.int64), np.array([1.0])
-    cu, cv, vlo, vhi, d_range, norm = _pair_geometry(field, z, BV)
-    for k, dv in _ragged_blocks(vlo.astype(np.int64), vhi.astype(np.int64)):
-        lo, hi = d_range(k, dv)
-        for j, du in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
-            V, keep = norm(k[j], dv[j], du)
-            i = j[keep]
-            cols = cu[k[i]], cv[k[i]], du[keep], dv[i]
-            ok = np.flatnonzero(_coprime_mask(field, *cols))
-            yield np.stack([col[ok] for col in cols], axis=1), V[keep][ok]
+    cu, cv, ce, centres, radii = _pair_geometry(field, z, BV)
+    R = field.regulator
+    for k, du, dv in _ball_blocks(field, centres, radii):
+        V, Vp = 1.0, []
+        for c, de, (x, y), deg in zip(ce, _embed_coords(field, du, dv), z.coords,
+                                      field.place_degrees):
+            Vp.append(np.abs(c[k] * x + de) ** 2 + (np.abs(c[k]) * y) ** 2)
+            V = V * Vp[-1] ** deg
+        keep = V <= BV
+        if field.r == 2:
+            t = np.log(Vp[0] / Vp[1])
+            keep &= (t >= -2 * R) & (t < 2 * R)
+        cols = cu[k[keep]], cv[k[keep]], du[keep], dv[keep]
+        ok = np.flatnonzero(_coprime_mask(field, *cols))
+        yield np.stack([col[ok] for col in cols], axis=1), V[keep][ok]
 
 
 def _pair_table(field: FieldData, z: Point, BV: float):
@@ -335,35 +322,14 @@ def _frequency_cut(field: FieldData, s: complex) -> float:
 
 def _frequency_box(field: FieldData, ys, cut: float):
     """Integer coords of nu in o - {0} with sum_i a_i |nu^(i)| <= cut, where
-    a_i = (2 pi or 4 pi) y_i / |dg^(i)|, plus the per-frequency weights."""
-    dg = embed(field.different_gen, field)
-    if field.d == 0:
-        a1 = 2 * math.pi * ys[0]
-        nmax = int(math.floor(cut / a1))
-        n = np.arange(-nmax, nmax + 1)
-        n = n[n != 0]
-        coords = np.stack([n, np.zeros_like(n)], axis=1)
-        weight = a1 * np.abs(n)
-        return coords, weight
-    oe = _omega_embeds(field)
-    o1 = oe[0]
-    if field.d > 0:
-        o2 = oe[1]
-        a1 = 2 * math.pi * ys[0] / abs(complex(dg[0]))
-        a2 = 2 * math.pi * ys[1] / abs(complex(dg[1]))
-        amax = [cut / a1, cut / a2]
-        u, v = _c_candidates(field, amax)
-        e1 = u + v * o1.real
-        e2 = u + v * o2.real
-        weight = a1 * np.abs(e1) + a2 * np.abs(e2)
-    else:
-        a1 = 4 * math.pi * ys[0] / abs(complex(dg[0]))
-        u, v = _c_candidates(field, [cut / a1])
-        e1 = np.abs(u + v * np.complex128(o1))
-        weight = a1 * e1
-    keep = (weight <= cut) & ~((u == 0) & (v == 0))
-    coords = np.stack([u[keep], v[keep]], axis=1)
-    return coords, weight[keep]
+    a_i = 2 pi deg_i y_i / |dg^(i)|, plus the per-frequency weights: the
+    points of one ball of radii cut / a_i."""
+    a = [2 * math.pi * deg * y / abs(complex(g)) for y, g, deg
+         in zip(ys, embed(field.different_gen, field), field.place_degrees)]
+    _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
+    weight = sum(ai * np.abs(e) for ai, e in zip(a, _embed_coords(field, u, v)))
+    keep = (weight <= cut) & ((u != 0) | (v != 0))
+    return np.stack([u[keep], v[keep]], axis=1), weight[keep]
 
 
 @dataclass
@@ -485,7 +451,6 @@ def eisenstein_truncated(field: FieldData, z: Point, params: EisensteinParams,
         c = field.from_ring_coords(c1, c2)
         d = field.from_ring_coords(d1, d2)
         lam = make_cusp(field, d, -c)  # cusp -d/c as (rho : sigma) = (d : -c)
-        from .geometry import act
         z = act(lam.assoc_matrix.inverse(), z, field)
     return _fourier_terms(field, ctx, z, s)
 

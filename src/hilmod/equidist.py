@@ -6,17 +6,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .domains import eisenstein_box_average, slice_candidates
-from .eisenstein import max_cusp_height
+from .eisenstein import _embed_coords, max_cusp_height, orbifold_volume
 from .errors import PoleAtOne, QuadratureBudgetExceeded
-from .fields import FieldData
-from .geometry import Cusp, Point, cusp_infinity, unfold_constant
+from .fields import FieldData, ideal_totient_sums, make_field
+from .geometry import Cusp, Point, _geom_cache, cusp_infinity, unfold_constant
 from .quadrature import gl_panel_nodes
 from .zeta import ZetaContext, make_context, phi
-from .eisenstein import orbifold_volume
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +128,15 @@ def cusp_section_average(f: TestFunction, q: float, field: FieldData,
 
 # --- unfolded route: arithmetic kernels -----------------------------------
 
-_totient_cache: dict = {}
+@lru_cache(maxsize=16)
+def _totient_table(d: int, capacity: int) -> np.ndarray:
+    return np.array(ideal_totient_sums(make_field(d), capacity), dtype=float)
 
 
 def _totients(field: FieldData, N: int) -> np.ndarray:
-    from .fields import ideal_totient_sums
-    cap, arr = _totient_cache.get(field.d, (0, None))
-    if N > cap:
-        arr = np.array(ideal_totient_sums(field, max(N, 2 * cap, 64)), dtype=float)
-        _totient_cache[field.d] = (arr.size, arr)
-    return _totient_cache[field.d][1][:N]
+    """The ideal totient sums of norms 1..N, from a cached table whose
+    capacity is the next power of two >= max(N, 64)."""
+    return _totient_table(field.d, 1 << (max(N, 64) - 1).bit_length())[:N]
 
 
 _KERNEL_BLOCK = 1 << 13  # integrand values evaluated per block
@@ -225,14 +224,11 @@ def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
 
 
 def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> float:
-    from .geometry import _geom_cache
-    from .eisenstein import _omega_embeds
     Omat, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
-    cands = slice_candidates(field, q, f.t0 * 0.999, margin=3.0)
-    if cands.count == 0:
+    coords = slice_candidates(field, q, f.t0 * 0.999)
+    if coords.shape[0] == 0:
         return 0.0
     absOinv = np.abs(O_inv)
-    oe = _omega_embeds(field) if field.d != 0 else None
     budget = q / (f.t0 * 0.999)
     if field.r >= 2:
         ylo = [q ** 0.5 * math.exp(-abs(ulogs[i])) for i in range(2)]
@@ -242,10 +238,10 @@ def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> floa
         ylo = [q ** (1.0 / field.n)]
         ygrid = None
     total = 0.0
-    coords = cands.coords
+    ce = _embed_coords(field, coords[:, 0], coords[:, 1])
+    de = _embed_coords(field, coords[:, 2], coords[:, 3])
     if field.d == 0:
-        c = coords[:, 0].astype(float)
-        dd = coords[:, 2].astype(float)
+        c, dd = ce[0], de[0]
         w = math.sqrt(budget)
         lo = np.maximum((-dd - w) / c, -0.5)
         hi = np.minimum((-dd + w) / c, 0.5)
@@ -260,10 +256,7 @@ def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> floa
             total += float(np.dot(xw, f.profile(q / V)))
         return total
     if field.d > 0:
-        ce1 = coords[:, 0] + coords[:, 1] * oe[0].real
-        ce2 = coords[:, 0] + coords[:, 1] * oe[1].real
-        de1 = coords[:, 2] + coords[:, 3] * oe[0].real
-        de2 = coords[:, 2] + coords[:, 3] * oe[1].real
+        (ce1, ce2), (de1, de2) = ce, de
         b1 = budget / np.maximum((ce2 * ylo[1]) ** 2, 1e-300)
         b2 = budget / np.maximum((ce1 * ylo[0]) ** 2, 1e-300)
         ctr = np.stack([-de1 / ce1, -de2 / ce2], axis=0)
@@ -290,8 +283,7 @@ def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> floa
             vals = f.profile(q / V)
             total += float(np.einsum("abc,a,b,c->", vals, w1, w2, ygw))
         return total
-    ce = coords[:, 0] + coords[:, 1] * np.complex128(oe[0])
-    de = coords[:, 2] + coords[:, 3] * np.complex128(oe[0])
+    (ce,), (de,) = ce, de
     b1 = math.sqrt(budget)
     rad2 = b1 - (np.abs(ce) * ylo[0]) ** 2
     live = rad2 > 0

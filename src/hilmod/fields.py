@@ -162,7 +162,8 @@ class FieldData:
 
     def from_ring_coords(self, u: int, v: int = 0) -> FieldElement:
         """Element u*1 + v*omega from integral-basis coordinates."""
-        return self.integral_basis[0] * self.element(u) + self.ring_gen * self.element(v)
+        g = self.ring_gen
+        return FieldElement(Fraction(u) + v * g.a, v * g.b, self.d)
 
 
 def _is_squarefree(m: int) -> bool:

@@ -147,15 +147,25 @@ def test_remark_identity(d):
     assert abs(lhs - rhs) <= 1e-3 * abs(rhs)
 
 
-def test_slice_candidates_dedupe_unique_cusps(field_q5):
-    cands = D.slice_candidates(field_q5, 0.05, 2.0)
-    vals = set()
-    for c1, c2, d1, d2 in cands.coords:
-        c = field_q5.from_ring_coords(int(c1), int(c2))
-        dd = field_q5.from_ring_coords(int(d1), int(d2))
+@pytest.mark.parametrize("d", [5, 3, -1, -3])
+def test_slice_candidates_dedupe_unique_cusps(d):
+    # q < 1/(4T): on Q(sqrt 3) the cusps with c = 1 + sqrt 3 (norm -2) reach.
+    # That c sits on the edge of the unit-balance window, |c_1/c_2| = eps_1
+    # exactly; its partner 1 - sqrt 3 sits on the other edge, and exactly one
+    # of the two must be kept.
+    field = F.make_field(d)
+    coords = D.slice_candidates(field, 0.05, 2.0)
+    vals, norm2 = set(), set()
+    for c1, c2, d1, d2 in coords:
+        c = field.from_ring_coords(int(c1), int(c2))
+        dd = field.from_ring_coords(int(d1), int(d2))
         v = (-dd) / c
         assert (v.a, v.b) not in vals
         vals.add((v.a, v.b))
+        if abs(c.norm()) == 2:
+            norm2.add((int(c1), int(c2)))
+    if d == 3:
+        assert norm2 == {(1, -1)}
 
 
 def test_maass_selberg_strip_computed_once(field_q, ctx_q, monkeypatch):
@@ -180,52 +190,49 @@ def test_maass_selberg_numeric_raises_at_panel_cap(field_q, ctx_q, monkeypatch):
         D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, rtol=1e-15, ctx=ctx_q)
 
 
-def _full_grid_shadowed(field, q, T, X, Y, cands):
-    """Reference scan: the largest other-cusp height q / V at every grid
-    point over every candidate pair, compared with T."""
+def _box_shadowed(field, q, T, X, Y, K):
+    """Reference scan: whether q / V > T at each grid point for some coprime
+    pair (c, d) of ring coordinates in [-K, K]^4 (c2 = d2 = 0 on Q), c != 0.
+    Only the bound V >= N(c)^2 q^2 of the slice prunes c, with N(c) from
+    the embeddings; the exact coprimality test runs on the pairs that shadow
+    a point.  Also returns whether such a pair has a coordinate at +-K."""
     xs, ys = G.slice_embeddings(field, q, X, Y)
-    n_pts = X.shape[0]
-    best_V = np.full(n_pts, np.inf)
-    coords = cands.coords
-    if coords.shape[0] == 0:
-        return np.zeros(n_pts, dtype=bool)
-    oe = E._omega_embeds(field) if field.d != 0 else None
-    if field.d == 0:
-        for c1, c2, d1, d2 in coords:
-            V = (c1 * xs[0] + d1) ** 2 + (c1 * ys[0]) ** 2
-            np.minimum(best_V, V, out=best_V)
-    elif field.d > 0:
-        ce1 = coords[:, 0] + coords[:, 1] * oe[0].real
-        ce2 = coords[:, 0] + coords[:, 1] * oe[1].real
-        de1 = coords[:, 2] + coords[:, 3] * oe[0].real
-        de2 = coords[:, 2] + coords[:, 3] * oe[1].real
-        for k in range(coords.shape[0]):
-            V = ((ce1[k] * xs[0] + de1[k]) ** 2 + (ce1[k] * ys[0]) ** 2) \
-                * ((ce2[k] * xs[1] + de2[k]) ** 2 + (ce2[k] * ys[1]) ** 2)
-            np.minimum(best_V, V, out=best_V)
-    else:
-        ce = coords[:, 0] + coords[:, 1] * np.complex128(oe[0])
-        de = coords[:, 2] + coords[:, 3] * np.complex128(oe[0])
-        for k in range(coords.shape[0]):
-            V1 = np.abs(ce[k] * xs[0] + de[k]) ** 2 + (abs(ce[k]) * ys[0]) ** 2
-            np.minimum(best_V, V1 * V1, out=best_V)
-    return q / best_V > T
+    e = [[complex(v) for v in F.embed(field.from_ring_coords(*b), field)]
+         for b in ((1, 0), (0, 1))]
+    r = np.arange(-K, K + 1)
+    r2 = r if field.d else np.zeros(1, dtype=int)
+    u, v = (a.ravel() for a in np.meshgrid(r, r2, indexing="ij"))
+    emb = [u * e[0][i] + v * e[1][i] for i in range(field.r)]
+    norm2 = np.prod([np.abs(a) ** (2 * deg) for a, deg in zip(emb, field.place_degrees)], axis=0)
+    mask = np.zeros(X.shape[0], dtype=bool)
+    on_edge = False
+    for k in np.flatnonzero((norm2 > 0.5) & (norm2 * q * T < 1)):
+        V = np.ones((u.size, X.shape[0]))
+        for i, deg in enumerate(field.place_degrees):
+            V *= (np.abs(emb[i][k] * xs[i][None, :] + emb[i][:, None]) ** 2
+                  + (abs(emb[i][k]) * ys[i][None, :]) ** 2) ** deg
+        hit = q / V > T
+        c = field.from_ring_coords(int(u[k]), int(v[k]))
+        for j in np.flatnonzero(hit.any(axis=1)):
+            if F.is_coprime_pair(c, field.from_ring_coords(int(u[j]), int(v[j])), field):
+                mask |= hit[j]
+                on_edge |= K in np.abs([u[k], v[k], u[j], v[j]])
+    return mask, on_edge
 
 
-@pytest.mark.parametrize("d, n", [(0, 2048), (5, 16), (-1, 48)])
-def test_shadow_mask_matches_full_grid_scan(d, n, monkeypatch):
-    # The reference scans every candidate of the box bounds, as if no cusp
-    # failed the reach test: thousands of pairs on the deepest slices.  The
-    # nodes 0.991/(N^2 T) put the cusps of norm N = 1 and 4, which all three
-    # fields have, just inside the reach bound, where a bound 1% too strict
-    # loses their shadows.
+@pytest.mark.parametrize("d, n, K", [(0, 2048, 12), (5, 8, 9), (-1, 48, 8), (3, 8, 16),
+                                     (-3, 48, 8)])
+def test_shadow_mask_matches_full_grid_scan(d, n, K):
+    # The reference takes every pair of a box of ring coordinates, not the
+    # candidates of slice_candidates.  The nodes 0.991/(N^2 T) put the cusps
+    # of norm N = 1, 2 and 4 just inside the reach bound, where a bound 1%
+    # too strict loses their shadows; N = 2 on Q(sqrt 3) is the cusp
+    # c = 1 + sqrt 3 on the edge of the unit-balance window.
     field = F.make_field(d)
-    T, margin = 3.0, 2.0
-    qs = list(np.geomspace(3.0, 4e-3, 9)) + [0.991 / (N * N * T) for N in (1, 4)]
+    T = 3.0
+    qs = list(np.geomspace(3.0, 1.5e-2, 6)) + [0.991 / (N * N * T) for N in (1, 2, 4)]
     X, Y = D.box_grid(field, n)
     for q in qs:
-        with monkeypatch.context() as m:
-            m.setattr(D, "_reach", lambda field, c1, c2, q, floor: np.zeros(np.shape(c1)))
-            cands = D.slice_candidates(field, q, T, margin)
-        ref = _full_grid_shadowed(field, q, T, X, Y, cands)
-        assert np.array_equal(D.shadow_mask(field, q, T, n, margin), ref), q
+        ref, on_edge = _box_shadowed(field, q, T, X, Y, K)
+        assert not on_edge, q  # the box holds every cusp that shadows a point
+        assert np.array_equal(D.shadow_mask(field, q, T, n), ref), q

@@ -88,6 +88,36 @@ def test_enumerate_pairs_complete_against_box_brute(d):
     assert set(got) == seen
 
 
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 3, -3, 13, -7])
+def test_ball_points_match_box_brute(d, monkeypatch):
+    # random balls against a scan of a box of ring coordinates, with the
+    # embeddings of the integral basis; and the order: balls, then v, then u
+    field = F.make_field(d)
+    rng = np.random.default_rng(100 + d)
+    nb = 5
+    centres = [rng.uniform(-6, 6, nb) + (1j * rng.uniform(-6, 6, nb) if deg == 2 else 0)
+               for deg in field.place_degrees]
+    radii = [rng.uniform(0.05, 5, nb) for _ in field.place_degrees]
+    r = np.arange(-40, 41)
+    u, v = (a.ravel() for a in np.meshgrid(r, r if field.d else np.zeros(1, dtype=int)))
+    e = [[complex(x) for x in F.embed(field.from_ring_coords(*b), field)]
+         for b in ((1, 0), (0, 1))]
+    want = set()
+    for k in range(nb):
+        gap = np.stack([np.abs(u * e[0][i] + v * e[1][i] - centres[i][k]) - radii[i][k]
+                        for i in range(field.r)])
+        assert not np.any(np.abs(gap) < 1e-9)  # nothing on a boundary
+        want |= {(k, int(a), int(b)) for a, b in zip(u[(gap < 0).all(axis=0)],
+                                                      v[(gap < 0).all(axis=0)])}
+    k, bu, bv = E._ball_points(field, centres, radii)
+    got = list(zip(k.tolist(), bu.tolist(), bv.tolist()))
+    assert len(want) > 20
+    assert set(got) == want and len(got) == len(want)
+    assert got == sorted(got, key=lambda p: (p[0], p[2], p[1]))
+    monkeypatch.setattr(E, "_PAIR_BLOCK", 7)
+    assert [tuple(a) for a in zip(*E._ball_points(field, centres, radii))] == got
+
+
 @pytest.mark.parametrize("d", [0, 5, -1])
 def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
     field = F.make_field(d)
@@ -97,7 +127,7 @@ def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
     params = E.EisensteinParams(s=1.3 + 0.5j, norm_bound=bound)
     pairs = E.enumerate_pairs(field, inf, z, bound)
     value = E.eisenstein_direct(field, inf, z, params)
-    vlo, vhi = E._pair_geometry(field, z, bound * z.ny(field))[2:4]
+    vlo, vhi, _ = E._ball_ranges(field, *E._pair_geometry(field, z, bound * z.ny(field))[3:])
     for block in (13, 97):
         monkeypatch.setattr(E, "_PAIR_BLOCK", block)
         assert E.enumerate_pairs(field, inf, z, bound) == pairs

@@ -327,8 +327,8 @@ def test_ramp_bitwise_closed_form():
 # q = 2^-2 .. 2^-k_max, as float.hex.
 _HOROBALL_PINS = {
     0: ["0x1.afffd635f0f61p-4", "0x1.40ebc96f023ecp-3"],
-    5: ["0x1.3b5a9ac30d5a5p-3", "0x1.a718a335c1cecp-4"],
-    -1: ["0x1.123440cbe036cp-3", "0x1.aa6d57bc5a685p-4"],
+    5: ["0x1.3b5a9ac30d5acp-3", "0x1.a718a335c1ce4p-4"],
+    -1: ["0x1.123440cbe036cp-3", "0x1.aa6d57bc5a686p-4"],
 }
 _DECAY_PINS = {
     0: (20, ["0x1.56a3f10940daap-3", "0x1.1b6e56fd9e3bep-3", "0x1.9d3173c2bfc78p-4",

@@ -301,3 +301,12 @@ def test_divisor_norms_match_valuation_search(d):
                 x = fd.from_ring_coords(u, v)
                 assert sorted(F.ideal_divisor_norms(fd, x)) \
                     == _valuation_search_divisor_norms(fd, x, gens), (u, v)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, -3, 13, -7])
+def test_from_ring_coords_matches_product_form(d):
+    fd = F.make_field(d)
+    for u in range(-12, 13):
+        for v in range(-12, 13):
+            want = fd.integral_basis[0] * fd.element(u) + fd.ring_gen * fd.element(v)
+            assert fd.from_ring_coords(u, v) == want
