@@ -4,6 +4,7 @@ identity for quadratic fields, and horoball scans on cusp cross sections."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,14 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     return out + 2 ** field.r * np.sqrt(q) / zs2 * tail
 
 
+def _y_rows(field: FieldData, q: float, nodes, weights):
+    """Heights (one array per place) on the slice at height q at the tensor rule
+    (nodes, weights) on the r - 1 Y axes, and its weights; one row when r = 1."""
+    Y = np.array(list(itertools.product(nodes, repeat=field.r - 1)))
+    wy = np.prod(list(itertools.product(weights, repeat=field.r - 1)), axis=1)
+    return slice_embeddings(field, q, np.zeros((wy.size, field.n)), Y)[1], wy
+
+
 def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
                            ctx: ZetaContext | None = None) -> np.ndarray:
     """Box averages of E(z, s) over the cusp cross sections at heights qs.
@@ -143,20 +152,10 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
     qs = np.asarray(qs, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    dim_y = field.r - 1
     # one height row per (q, Y node)
-    if dim_y:
-        Y = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * dim_y, indexing="ij")], axis=1)
-        wy = np.prod([g.ravel() for g in np.meshgrid(*[weights] * dim_y, indexing="ij")], axis=0)
-    else:
-        Y, wy = None, np.ones(1)
-    X0 = np.zeros((wy.size, field.n))
-    ys = [[] for _ in range(field.r)]
-    for qv in qs:
-        _, yq = slice_embeddings(field, float(qv), X0, Y)
-        for i in range(field.r):
-            ys[i].append(yq[i])
-    ys = [np.concatenate(v) for v in ys]
+    per_q = [_y_rows(field, float(qv), nodes, weights) for qv in qs]
+    wy = per_q[0][1]
+    ys = [np.concatenate(v) for v in zip(*(yq for yq, _ in per_q))]
     box_weight = float(weights.sum()) ** field.n * float(wy.sum())
     out = (qs ** s + phi(ctx, s) * qs ** (1 - s)) * box_weight
     table = frequency_table(field, s, [float(y.min()) for y in ys])
@@ -265,7 +264,6 @@ def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     |c_i| < (q floor)^(-1/(2n)) e^(R/2) (no e^(R/2) when r = 1).  The cusp
     rises above `floor` only where |x_i + d_i / c_i| < h_i (`_half_widths`),
     so |d_i| < |c_i| (max |x_i| over the box + h_i)."""
-    ulogs = _geom_cache(field.d)[4]
     # e^(R/2) per unit of rank r - 1; 1 + 1e-9 guards rounding only
     radius = (q * floor) ** (-0.5 / field.n) * math.exp((field.r - 1) * field.regulator / 2) \
         * (1 + 1e-9)
@@ -275,11 +273,11 @@ def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     reach = _reach(field, cu, cv, q, floor)
     keep = _unit_balanced(field, cu, cv) & (reach < 1.0)
     cu, cv, reach = cu[keep], cv[keep], reach[keep]
-    corners = np.indices((2,) * field.n).reshape(field.n, -1).T - 0.5
-    xmax = [np.abs(x).max() for x in slice_embeddings(field, q, corners, None)[0]]
-    ymax = [q ** (1.0 / field.n) * math.exp(abs(u)) for u in ulogs] or [q ** (1.0 / field.n)]
-    h = _half_widths(field, 1.0 / reach, ymax)
-    radii = [np.abs(c) * (xm + hi) for c, xm, hi in zip(_embed_coords(field, cu, cv), xmax, h)]
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=field.n + field.r - 1)))
+    xs, ys = slice_embeddings(field, q, corners[:, :field.n], corners[:, field.n:])
+    h = _half_widths(field, 1.0 / reach, [y.max() for y in ys])
+    radii = [np.abs(c) * (np.abs(x).max() + hi)
+             for c, x, hi in zip(_embed_coords(field, cu, cv), xs, h)]
     k, du, dv = _ball_points(field, [np.zeros(cu.size)] * field.r, radii)
     coords = np.stack([cu[k], cv[k], du, dv], axis=1)
     return coords[_coprime_mask(field, *coords.T)]
@@ -349,45 +347,92 @@ def box_grid(field: FieldData, n_per_dim: int):
     return X, (np.stack(flat[field.n:], axis=1) if field.r > 1 else None)
 
 
-def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
-    """Which points of `box_grid(field, n)` on the cross section at height q
-    lie in some other cusp's horoball of height > T, i.e. have q / V > T for
-    some pair (c, d) of `slice_candidates(field, q, T)`.
-
-    Each candidate is evaluated only on the grid points of the X box that
-    its per-place bounds |x_i + d_i / c_i| < h_i (`_half_widths`, at the
-    grid's largest heights) leave, at every Y node."""
-    X, Y = box_grid(field, n)
-    mask = np.zeros(X.shape[0], dtype=bool)
-    coords = slice_candidates(field, q, T)
-    xs, ys = slice_embeddings(field, q, X, Y)
-    rho = 1.0 / _reach(field, coords[:, 0], coords[:, 1], q, T)
+def _shadow_boxes(field: FieldData, coords: np.ndarray, q: float, floor: float, ymax):
+    """Per candidate (rows of `slice_candidates(field, q, floor)`): the
+    embeddings ce, de of c and d, rho = 1 / reach, and the edges of its X
+    sub-box O^-1 ctr -+ |O^-1| half within the box, where ctr stacks the real
+    components of -d_i / c_i and half the `_half_widths` at heights ymax."""
+    rho = 1.0 / _reach(field, coords[:, 0], coords[:, 1], q, floor)
     ce = _embed_coords(field, coords[:, 0], coords[:, 1])
     de = _embed_coords(field, coords[:, 2], coords[:, 3])
     ctr, half = [], []
-    for c, d, h, deg in zip(ce, de, _half_widths(field, rho, [y.max() for y in ys]),
-                            field.place_degrees):
+    for c, d, h, deg in zip(ce, de, _half_widths(field, rho, ymax), field.place_degrees):
         x = -d / c
         ctr += [x.real, x.imag] if deg == 2 else [x]
         half += [h] * deg
     O_inv = _geom_cache(field.d)[1]
     Xc, Xh = O_inv @ np.array(ctr), np.abs(O_inv) @ np.array(half) + 1e-9
+    return ce, de, rho, np.maximum(Xc - Xh, -0.5), np.minimum(Xc + Xh, 0.5)
+
+
+def _shadow_V(field: FieldData, ce, de, xs, ys):
+    """V(c, d; z) = prod_i (|c_i x_i + d_i|^2 + |c_i|^2 y_i^2)^deg_i, by which the
+    cusp -d/c has height q / V at z on the slice at height q (arrays broadcast)."""
+    return np.prod([(np.abs(c * x + d) ** 2 + (np.abs(c) * y) ** 2) ** deg
+                    for c, d, x, y, deg in zip(ce, de, xs, ys, field.place_degrees)], axis=0)
+
+
+def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
+    """Which points of `box_grid(field, n)` on the cross section at height q
+    lie in some other cusp's horoball of height > T, i.e. have q / V > T for
+    some pair (c, d) of `slice_candidates(field, q, T)`.
+
+    Each candidate is evaluated only on the grid points of its X sub-box
+    (`_shadow_boxes`, at the grid's largest heights), at every Y node."""
+    X, Y = box_grid(field, n)
+    mask = np.zeros(X.shape[0], dtype=bool)
+    xs, ys = slice_embeddings(field, q, X, Y)
+    ce, de, _, lo, hi = _shadow_boxes(field, slice_candidates(field, q, T), q, T,
+                                      [y.max() for y in ys])
     axis = (np.arange(n) + 0.5) / n - 0.5  # the axis of box_grid
-    lo = np.searchsorted(axis, Xc - Xh)
-    hi = np.searchsorted(axis, Xc + Xh, side="right")
-    live = np.flatnonzero(np.all(hi > lo, axis=0))
-    lo, lens = lo[:, live], (hi - lo)[:, live]
+    lo = np.searchsorted(axis, lo)
+    lens = np.searchsorted(axis, hi, side="right") - lo
+    count = np.where(np.all(lens > 0, axis=0), np.prod(lens, axis=0), 0)
     nY = n ** (field.r - 1)  # grid point (X, Y) has flat index iX * nY + iY
-    for rows, pos in _ragged_blocks(np.zeros(live.size, dtype=np.int64),
-                                    np.prod(lens, axis=0) - 1):
+    for rows, pos in _ragged_blocks(np.zeros(count.size, dtype=np.int64), count - 1):
         iX = lo[0, rows] + pos if field.n == 1 else \
             (lo[0, rows] + pos // lens[1, rows]) * n + lo[1, rows] + pos % lens[1, rows]
-        k = live[rows]
-        V = np.prod([((np.abs(ce[i][k] * xs[i][iX * nY] + de[i][k]) ** 2)[:, None]
-                      + (np.abs(ce[i][k])[:, None] * ys[i][:nY]) ** 2) ** deg
-                     for i, deg in enumerate(field.place_degrees)], axis=0)
+        V = _shadow_V(field, [c[rows][:, None] for c in ce], [d[rows][:, None] for d in de],
+                      [x[iX * nY][:, None] for x in xs], [y[:nY] for y in ys])
         mask[(iX[:, None] * nY + np.arange(nY))[q / V > T]] = True
     return mask
+
+
+def shadow_integral(field: FieldData, q: float, floor: float, profile, nodes: int) -> float:
+    """Sum over the cusps -d/c of `slice_candidates(field, q, floor)` of the
+    integral of profile(q / V) over their X sub-boxes (`_shadow_boxes`) on the
+    slice at height q, for a profile that vanishes below `floor`, by the rule
+    of `equidist.cusp_section_average`.  Blocks of (candidate, X point) pairs
+    (`_ragged_blocks`) take their Y rows in slices of as many values.  A
+    candidate that straddles blocks is summed in parts, so the candidates are
+    taken in lexicographic order and their totals added by math.fsum: the
+    value does not depend on the enumeration order."""
+    coords = slice_candidates(field, q, floor)
+    coords = coords[np.lexsort(coords.T[::-1])]
+    ys, wy = _y_rows(field, q, *gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6)))
+    ce, de, rho, lo, hi = _shadow_boxes(field, coords, q, floor, [y.max() for y in ys])
+    panels = np.minimum(3 + 2 * rho ** (0.5 / field.n), 20).astype(np.int64)
+    width = (hi - lo) / panels
+    m = panels * nodes  # nodes per X axis; X point (iX_0, iX_1) has index iX_0 * m + iX_1
+    gx, gw = gl_panel_nodes(0.0, 1.0, 1, nodes)
+    totals = np.zeros(rho.size)
+    for rows, pos in _ragged_blocks(np.zeros(rho.size, dtype=np.int64),
+                                    np.where(np.all(hi > lo, axis=0), m ** field.n, 0) - 1):
+        X, w = np.empty((rows.size, field.n)), np.ones(rows.size)
+        for a in range(field.n - 1, -1, -1):
+            iX, pos = pos % m[rows], pos // m[rows]
+            g = iX % nodes
+            X[:, a] = lo[a, rows] + width[a, rows] * (iX // nodes + gx[g])
+            w *= width[a, rows] * gw[g]
+        xs = slice_embeddings(field, q, X, None)[0]
+        step = max(1, rows.size // wy.size)  # slices of at most rows.size values
+        for j in range(0, rows.size, step):
+            b = slice(j, j + step)
+            V = _shadow_V(field, [c[rows[b], None] for c in ce], [d[rows[b], None] for d in de],
+                          [x[b, None] for x in xs], ys)
+            w[b] *= profile(q / V) @ wy
+        totals += np.bincount(rows, w, minlength=rho.size)
+    return math.fsum(totals)
 
 
 def shadow_fraction(field: FieldData, q: float, T: float,

@@ -10,11 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import eisenstein_box_average, slice_candidates
-from .eisenstein import _embed_coords, max_cusp_height, orbifold_volume
+from .domains import eisenstein_box_average, shadow_integral
+from .eisenstein import max_cusp_height, orbifold_volume
 from .errors import PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData, ideal_totient_sums, make_field
-from .geometry import Cusp, Point, _geom_cache, cusp_infinity, unfold_constant
+from .geometry import Cusp, Point, cusp_infinity, unfold_constant
 from .quadrature import gl_panel_nodes
 from .zeta import ZetaContext, make_context, phi
 
@@ -112,9 +112,14 @@ def cusp_section_average(f: TestFunction, q: float, field: FieldData,
                 kernel K(1/(n^2 q)), a short 1- or 2-dimensional
                 psi-integral split at the shoulder junctions.
 
-    "horoball"  integrates psi over each candidate shadow by composite
-                Gauss-Legendre in the box coordinates (nodes per panel),
-                the geometric route used to cross-check the first.
+    "horoball"  the geometric cross-check: psi integrated over each other
+                cusp's shadow by one composite Gauss-Legendre rule for every
+                field (`shadow_integral`, floor 0.999 t0), min(3 + 2
+                rho^(1/(2n)), 20) panels of `nodes` nodes per X axis with
+                rho = 1 / (N(c)^2 q floor), 2 panels of max(nodes // 2, 6) on
+                Y.  At nodes = 20 it is within 4.9e-4 of the unfolded route on
+                nine fields, two bumps and 40 q in [0.004, 0.3]
+                (scripts/horoball_accuracy.py).
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -122,7 +127,7 @@ def cusp_section_average(f: TestFunction, q: float, field: FieldData,
     if method == "unfolded":
         return total + _unfolded_sum(f, q, field, order)
     if method == "horoball":
-        return total + _shadow_sum(f, q, field, nodes)
+        return total + shadow_integral(field, q, f.t0 * 0.999, f.profile, nodes)
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -221,96 +226,6 @@ def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
     acc = float(np.dot(T[n - 1], kern(f, 1.0 / (n * n * q), order)))
     scale = 2.0 ** field.r2 / math.sqrt(field.D)
     return scale * q * acc
-
-
-def _shadow_sum(f: TestFunction, q: float, field: FieldData, nodes: int) -> float:
-    Omat, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
-    coords = slice_candidates(field, q, f.t0 * 0.999)
-    if coords.shape[0] == 0:
-        return 0.0
-    absOinv = np.abs(O_inv)
-    budget = q / (f.t0 * 0.999)
-    if field.r >= 2:
-        ylo = [q ** 0.5 * math.exp(-abs(ulogs[i])) for i in range(2)]
-        ygx, ygw = gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6))
-        ygrid = [q ** 0.5 * np.exp(2.0 * ygx * ulogs[i]) for i in range(2)]
-    else:
-        ylo = [q ** (1.0 / field.n)]
-        ygrid = None
-    total = 0.0
-    ce = _embed_coords(field, coords[:, 0], coords[:, 1])
-    de = _embed_coords(field, coords[:, 2], coords[:, 3])
-    if field.d == 0:
-        c, dd = ce[0], de[0]
-        w = math.sqrt(budget)
-        lo = np.maximum((-dd - w) / c, -0.5)
-        hi = np.minimum((-dd + w) / c, 0.5)
-        live = hi > lo
-        c, dd, lo, hi = c[live], dd[live], lo[live], hi[live]
-        # panel count scales with how far the ball towers above the support
-        fat = q / ((c * q) ** 2) / f.t1
-        for j in range(c.size):
-            P = int(min(4 + 3 * math.sqrt(max(fat[j], 1.0)), 40))
-            xs, xw = gl_panel_nodes(lo[j], hi[j], P, nodes)
-            V = (c[j] * xs + dd[j]) ** 2 + (c[j] * q) ** 2
-            total += float(np.dot(xw, f.profile(q / V)))
-        return total
-    if field.d > 0:
-        (ce1, ce2), (de1, de2) = ce, de
-        b1 = budget / np.maximum((ce2 * ylo[1]) ** 2, 1e-300)
-        b2 = budget / np.maximum((ce1 * ylo[0]) ** 2, 1e-300)
-        ctr = np.stack([-de1 / ce1, -de2 / ce2], axis=0)
-        halfw = np.stack([np.sqrt(b1) / np.abs(ce1), np.sqrt(b2) / np.abs(ce2)], axis=0)
-        Xc = O_inv @ ctr
-        Xh = absOinv @ halfw
-        lo = np.maximum(Xc - Xh, -0.5)
-        hi = np.minimum(Xc + Xh, 0.5)
-        live = (hi[0] > lo[0]) & (hi[1] > lo[1])
-        idx = np.nonzero(live)[0]
-        fat = budget / np.maximum((ce1 * ylo[0] * ce2 * ylo[1]) ** 2, 1e-300)
-        y1 = ygrid[0][None, None, :]
-        y2 = ygrid[1][None, None, :]
-        for j in idx:
-            P = int(min(2 + math.sqrt(max(fat[j], 1.0)), 8))
-            X1, w1 = gl_panel_nodes(lo[0, j], hi[0, j], P, nodes)
-            X2, w2 = gl_panel_nodes(lo[1, j], hi[1, j], P, nodes)
-            X1 = X1[:, None, None]
-            X2 = X2[None, :, None]
-            x1 = Omat[0, 0] * X1 + Omat[0, 1] * X2
-            x2 = Omat[1, 0] * X1 + Omat[1, 1] * X2
-            V = ((ce1[j] * x1 + de1[j]) ** 2 + (ce1[j] * y1) ** 2) \
-                * ((ce2[j] * x2 + de2[j]) ** 2 + (ce2[j] * y2) ** 2)
-            vals = f.profile(q / V)
-            total += float(np.einsum("abc,a,b,c->", vals, w1, w2, ygw))
-        return total
-    (ce,), (de,) = ce, de
-    b1 = math.sqrt(budget)
-    rad2 = b1 - (np.abs(ce) * ylo[0]) ** 2
-    live = rad2 > 0
-    idx = np.nonzero(live)[0]
-    fat = b1 / np.maximum((np.abs(ce) * ylo[0]) ** 2, 1e-300)
-    for j in idx:
-        ctr = -de[j] / ce[j]
-        halfr = math.sqrt(rad2[j]) / abs(ce[j])
-        Xc = O_inv @ np.array([ctr.real, ctr.imag])
-        Xh = absOinv @ np.array([halfr, halfr])
-        lo = np.maximum(Xc - Xh, -0.5)
-        hi = np.minimum(Xc + Xh, 0.5)
-        if hi[0] <= lo[0] or hi[1] <= lo[1]:
-            continue
-        P = int(min(2 + 2 * math.sqrt(max(fat[j], 1.0)), 20))
-        X1, w1 = gl_panel_nodes(lo[0], hi[0], P, nodes)
-        X2, w2 = gl_panel_nodes(lo[1], hi[1], P, nodes)
-        X1m = X1[:, None]
-        X2m = X2[None, :]
-        xr = Omat[0, 0] * X1m + Omat[0, 1] * X2m
-        xi = Omat[1, 0] * X1m + Omat[1, 1] * X2m
-        V1 = (ce[j].real * xr - ce[j].imag * xi + de[j].real) ** 2 \
-            + (ce[j].real * xi + ce[j].imag * xr + de[j].imag) ** 2 \
-            + (abs(ce[j]) * ylo[0]) ** 2
-        vals = f.profile(q / (V1 * V1))
-        total += float(np.einsum("ab,a,b->", vals, w1, w2))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hilmod import domains as D
 from hilmod import eisenstein as E
 from hilmod import equidist as Q
 from hilmod import fields as F
@@ -90,8 +91,57 @@ def test_unfolded_vs_horoball_routes(d):
     for q in (0.11, 0.02):
         a = Q.cusp_section_average(f, q, field, method="unfolded")
         b = Q.cusp_section_average(f, q, field, nodes=20, method="horoball")
-        # horoball route carries ~1e-4 quadrature error; unfolded is exact
+        # the horoball route carries quadrature error, 1.9e-4 at most on these
+        # six cases and 4.9e-4 over scripts/horoball_accuracy.py; unfolded is exact
         assert abs(a - b) <= 7e-4
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, -3])
+def test_horoball_route_accuracy(d):
+    # default bump, at nodes of the sweep in scripts/horoball_accuracy.py
+    field = F.make_field(d)
+    f = Q.make_test_function(field)
+    for q in (0.2152, 0.1108, 0.06, 0.03):
+        a = Q.cusp_section_average(f, q, field, method="unfolded")
+        b = Q.cusp_section_average(f, q, field, nodes=20, method="horoball")
+        assert abs(a - b) <= 5e-4, q
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_horoball_independent_of_candidate_order(d, monkeypatch):
+    # at q = 0.0256 the candidates of Q(sqrt 5) and Q(i) fill more than one
+    # block, so a candidate's total depends on where its points start
+    field = F.make_field(d)
+    f = Q.make_test_function(field)
+    qs = (0.1525, 0.0406, 0.0256)
+
+    def values():
+        return [Q.cusp_section_average(f, q, field, nodes=20, method="horoball").hex()
+                for q in qs]
+    want = values()
+    candidates = D.slice_candidates
+    rng = np.random.default_rng(7)
+    for reorder in (lambda c: c[::-1], lambda c: c[rng.permutation(c.shape[0])]):
+        monkeypatch.setattr(D, "slice_candidates",
+                            lambda *args, reorder=reorder: reorder(candidates(*args)))
+        assert values() == want
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_horoball_across_block_boundaries(d, monkeypatch):
+    # blocks of 7 and 97 X points cut candidates apart, where the unpatched
+    # block holds all of them
+    field = F.make_field(d)
+    f = Q.make_test_function(field)
+    qs = (0.1525, 0.0406)
+
+    def values():
+        return np.array([Q.cusp_section_average(f, q, field, nodes=4, method="horoball")
+                         for q in qs])
+    whole = values()
+    for block in (7, 97):
+        monkeypatch.setattr(E, "_PAIR_BLOCK", block)
+        assert np.all(np.abs(values() - whole) <= 1e-14 * np.abs(whole)), block
 
 
 # --- unfolded kernels against scipy quad ----------------------------------
@@ -326,9 +376,9 @@ def test_ramp_bitwise_closed_form():
 # equidist benchmark's horoball strata, and the decay fit's m_q for
 # q = 2^-2 .. 2^-k_max, as float.hex.
 _HOROBALL_PINS = {
-    0: ["0x1.afffd635f0f61p-4", "0x1.40ebc96f023ecp-3"],
-    5: ["0x1.3b5a9ac30d5acp-3", "0x1.a718a335c1ce4p-4"],
-    -1: ["0x1.123440cbe036cp-3", "0x1.aa6d57bc5a686p-4"],
+    0: ["0x1.b0217f38caafap-4", "0x1.40da82aa0869bp-3"],
+    5: ["0x1.3b652548ab10ap-3", "0x1.a625204aaec41p-4"],
+    -1: ["0x1.12d34b4663938p-3", "0x1.aa599c65d821ap-4"],
 }
 _DECAY_PINS = {
     0: (20, ["0x1.56a3f10940daap-3", "0x1.1b6e56fd9e3bep-3", "0x1.9d3173c2bfc78p-4",
