@@ -2,12 +2,12 @@
 fields: Eisenstein series by two routes, the classical integral identities,
 and cusp-section equidistribution experiments."""
 
-from .fields import FieldData, FieldElement, IdealRep, make_field
+from .fields import FieldData, FieldElement, make_field
 from .geometry import Cusp, GroupElement, LocalCoords, Point
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldData", "FieldElement", "IdealRep", "make_field",
+    "FieldData", "FieldElement", "make_field",
     "Cusp", "GroupElement", "LocalCoords", "Point",
 ]

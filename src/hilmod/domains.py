@@ -14,14 +14,13 @@ from .eisenstein import (
     _ball_points,
     _bessel_order,
     _canonical_c,
-    _coprime_mask,
     _embed_coords,
     _ragged_blocks,
     frequency_table,
     maass_selberg_constant,
 )
 from .errors import QuadratureBudgetExceeded
-from .fields import FieldData, _omega_square_coords
+from .fields import FieldData, _coord_conj, _coord_mul, _coord_norm, _coprime_mask
 from .geometry import _geom_cache, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
@@ -312,23 +311,6 @@ def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
     lower = assoc(*_coord_mul(field, eu, ev, cu, cv), su, sv)
     R = field.regulator
     return (((t >= -R) & (t < R)) & ~upper) | lower
-
-
-def _coord_mul(field: FieldData, a, b, c, d):
-    """(a + b omega)(c + d omega) in ring coordinates, omega^2 = t + s omega."""
-    t, s = _omega_square_coords(field)
-    return a * c + t * b * d, a * d + b * c + s * b * d
-
-
-def _coord_conj(field: FieldData, u, v):
-    """sigma(u + v omega) = (u + s v) - v omega, as sigma(omega) = s - omega."""
-    return u + _omega_square_coords(field)[1] * v, -v
-
-
-def _coord_norm(field: FieldData, c1, c2):
-    """N(c) = c sigma(c) of c = c1 + c2 omega from its integer coordinates
-    (exact)."""
-    return c1 if field.n == 1 else _coord_mul(field, c1, c2, *_coord_conj(field, c1, c2))[0]
 
 
 def _reach(field: FieldData, c1, c2, q: float, floor: float) -> np.ndarray:

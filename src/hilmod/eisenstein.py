@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameters, DomainError, NotConvergent, ZeroFrequency
-from .fields import (FieldData, FieldElement, _omega_square_coords, embed,
-                     ideal_divisor_norms)
+from .fields import FieldData, FieldElement, _coprime_mask, embed, ideal_divisor_norms
 from .geometry import Cusp, Point, act, make_cusp
 from .specfun import bessel_k_grid
 from .zeta import (ZetaContext, completed_zeta, dedekind_zeta, make_context, phi,
@@ -139,23 +138,6 @@ def _ball_points(field: FieldData, centres, radii):
     return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
-def _coprime_mask(field: FieldData, c1, c2, d1, d2):
-    """Vectorised test <c, d> = o via the gcd of the 2x2 minors."""
-    if field.n == 1:
-        return np.gcd(c1, d1) == 1
-    t, u = _omega_square_coords(field)
-    rows = [
-        (c1, c2), (t * c2, c1 + u * c2),
-        (d1, d2), (t * d2, d1 + u * d2),
-    ]
-    g = np.zeros(c1.shape, dtype=np.int64)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            g = np.gcd(g, np.abs(m))
-    return g == 1
-
-
 def _canonical_c(field: FieldData, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """c != 0 in torsion-canonical form: its first nonzero coordinate is
     positive, or, when omega > 2, arg c lies in [0, 2 pi / omega)."""
@@ -229,10 +211,10 @@ def _pair_table(field: FieldData, z: Point, BV: float):
 
 
 def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
-    """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y) N(a)^2."""
+    """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y)."""
     if not 0 < bound < math.inf:
         raise DomainError("bound must be positive and finite, got %r" % (bound,))
-    BV = bound * z.ny(field) * cusp.ideal.norm ** 2
+    BV = bound * z.ny(field)
     coords, V = _pair_table(field, z, BV)
     order = np.lexsort((coords[:, 3], coords[:, 2], coords[:, 1], coords[:, 0], V))
     out = []
@@ -272,7 +254,7 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
         B = default_norm_bound(field, s, params.target_tol)
     elif not 0 < B < math.inf:
         raise DomainError("norm_bound must be positive and finite, got %r" % (B,))
-    ny = z.ny(field) * cusp.ideal.norm ** 2
+    ny = z.ny(field)
     BV = B * ny
     log_ny = math.log(ny)
     main, count, inner = 0j, 0, 0

@@ -177,37 +177,30 @@ def _break_edges(f: TestFunction, kappa: np.ndarray, start: float, level) -> np.
     return np.sort(np.concatenate([np.full((kappa.size, 1), start), lev], axis=1), axis=1)
 
 
-def _plane_level(ratio):
-    return np.sqrt(np.maximum(ratio - 1.0, 0.0))
+# Per place degree: the factor, the start of the integral, the level map
+# L(ratio) and the divisor v(x) of kappa.  A degree-1 place contributes
+# 2 int_0^inf over x^2 + 1, a degree-2 place pi int_1^inf over w^2.
+_PLACE_RULES = {
+    1: (2.0, 0.0, lambda ratio: np.sqrt(np.maximum(ratio - 1.0, 0.0)), lambda x: x * x + 1.0),
+    2: (math.pi, 1.0, lambda ratio: np.sqrt(np.maximum(ratio, 1.0)), lambda w: w * w),
+}
 
 
-def _kernel_half_plane(f: TestFunction, kappa, order: int = 24) -> np.ndarray:
-    """K1(kappa) = int_R psi(kappa / (x^2 + 1)) dx, for an array of kappa."""
+def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
+                     order: int) -> np.ndarray:
+    """K(kappa) = int psi(kappa / prod_i v_i) over the places of the given
+    degrees (`_PLACE_RULES`), for an array of kappa: one GL integral per
+    place, each block of outer nodes going to the next place in one call;
+    `order` nodes per piece on every axis."""
     kappa = np.asarray(kappa, dtype=float).ravel()
-    edges = _break_edges(f, kappa, 0.0, _plane_level)
-    fun = lambda rows, x: f.profile(kappa[rows, None, None] / (x * x + 1.0))
-    return 2.0 * _piecewise_integral(edges, fun, order)
-
-
-def _kernel_half_space(f: TestFunction, kappa, order: int = 24) -> np.ndarray:
-    """K2(kappa) = pi int_1^inf psi(kappa / w^2) dw, for an array of kappa."""
-    kappa = np.asarray(kappa, dtype=float).ravel()
-    edges = _break_edges(f, kappa, 1.0, lambda ratio: np.sqrt(np.maximum(ratio, 1.0)))
-    fun = lambda rows, w: f.profile(kappa[rows, None, None] / (w * w))
-    return math.pi * _piecewise_integral(edges, fun, order)
-
-
-def _kernel_two_planes(f: TestFunction, kappa, order: int = 24) -> np.ndarray:
-    """K(kappa) = int_R K1(kappa / (x^2 + 1)) dx (two real places), for an
-    array of kappa; each block of outer nodes goes to K1 in one call."""
-    kappa = np.asarray(kappa, dtype=float).ravel()
-    inner = max(order - 8, 12)
-    edges = _break_edges(f, kappa, 0.0, _plane_level)
-
-    def fun(rows, x):
-        k1 = _kernel_half_plane(f, kappa[rows, None, None] / (x * x + 1.0), inner)
-        return k1.reshape(x.shape)
-    return 2.0 * _piecewise_integral(edges, fun, inner)
+    factor, start, level, v = _PLACE_RULES[degrees[0]]
+    edges = _break_edges(f, kappa, start, level)
+    if len(degrees) == 1:
+        fun = lambda rows, x: f.profile(kappa[rows, None, None] / v(x))
+    else:
+        fun = lambda rows, x: _unfolded_kernel(
+            f, kappa[rows, None, None] / v(x), degrees[1:], order).reshape(x.shape)
+    return factor * _piecewise_integral(edges, fun, order)
 
 
 def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
@@ -216,14 +209,10 @@ def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
     if nmax < 1:
         return 0.0
     T = _totients(field, nmax)
-    if field.d == 0:
-        kern = _kernel_half_plane
-    elif field.d > 0:
-        kern = _kernel_two_planes
-    else:
-        kern = _kernel_half_space
+    axis_order = order if field.r == 1 else max(order - 8, 12)
     n = np.arange(nmax, 0, -1)  # ascending kernel size, fixed order
-    acc = float(np.dot(T[n - 1], kern(f, 1.0 / (n * n * q), order)))
+    acc = float(np.dot(T[n - 1], _unfolded_kernel(f, 1.0 / (n * n * q),
+                                                  field.place_degrees, axis_order)))
     scale = 2.0 ** field.r2 / math.sqrt(field.D)
     return scale * q * acc
 

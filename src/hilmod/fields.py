@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+
+import numpy as np
 
 from .errors import NoUnits, UnsupportedField
 
@@ -85,28 +86,24 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def coords(self) -> tuple[Fraction, Fraction]:
+        """Rational coordinates (u, v) of self = u + v*omega in the integral
+        basis {1, omega}, omega = (1 + sqrt d)/2 when d = 1 mod 4, else
+        sqrt d (v = 0 on Q)."""
+        if self.d % 4 == 1:
+            return self.a - self.b, 2 * self.b
+        return self.a, self.b
+
     def is_integral(self) -> bool:
         """Whether the element lies in the ring of integers."""
-        if self.d == 0:
-            return self.a.denominator == 1
-        if self.d % 4 == 1:
-            # o = Z[(1+sqrt d)/2]: a = u + v/2, b = v/2 with u, v integers.
-            v = 2 * self.b
-            u = self.a - self.b
-            return v.denominator == 1 and u.denominator == 1
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return all(c.denominator == 1 for c in self.coords())
 
     def ring_coords(self) -> tuple[int, int]:
         """Coordinates w.r.t. the integral basis {1, omega}; element must be integral."""
         if not self.is_integral():
             raise ValueError("element is not integral: %r" % (self,))
-        if self.d == 0:
-            return int(self.a), 0
-        if self.d % 4 == 1:
-            v = int(2 * self.b)
-            u = int(self.a - self.b)
-            return u, v
-        return int(self.a), int(self.b)
+        u, v = self.coords()
+        return int(u), int(v)
 
     def __repr__(self) -> str:
         if self.d == 0 or self.b == 0:
@@ -344,41 +341,55 @@ def kronecker(a: int, n: int) -> int:
 
 
 def ideal_count_coeffs(field: FieldData, N: int) -> list[int]:
-    """Number of integral ideals of each norm 1..N.
+    """Number of integral ideals of each norm 1..N."""
+    return _ideal_sieve(field, N, lambda q, a: 1)
 
-    Multiplicative sieve: a_{p^k} from the splitting type of p, read off the
-    Kronecker symbol (D|p).
-    """
+
+def ideal_totient_sums(field: FieldData, N: int) -> list[int]:
+    """T(n) = sum over integral ideals of norm n of the ideal totient
+    Phi(a) = N(a) prod_{p | a} (1 - 1/N(p)); equals Euler phi for Q."""
+    return _ideal_sieve(field, N, lambda q, a: q ** a - q ** (a - 1) if a else 1)
+
+
+def _ideal_sieve(field: FieldData, N: int, weight) -> list[int]:
+    """Sum over the integral ideals of norm n, for n = 1..N, of a weight
+    that is multiplicative over prime ideals: weight(N(P), a) at P^a.
+
+    Multiplicative sieve over the rational prime powers p^k; the local sum
+    at p^k runs over the ideals of norm p^k made of the primes above p
+    (`split_type`)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if field.d == 0:
-        return [1] * N
-    D = field.disc_signed
-    a = [0] * (N + 1)
-    a[1] = 1
+    out = [0] * (N + 1)
+    out[1] = 1
     spf = _smallest_prime_factors(N)
+    local = {}
     for m in range(2, N + 1):
         p = spf[m]
         pk, rest = p, m // p
         while rest % p == 0:
             rest //= p
             pk *= p
-        a[m] = a[rest] * _ideal_count_prime_power(D, p, pk)
-    return a[1:]
+        if pk not in local:
+            norms = {"split": (p, p), "inert": (p * p,), "ramified": (p,)}[split_type(field, p)]
+            local[pk] = _local_sum(norms, pk, weight)
+        out[m] = out[rest] * local[pk]
+    return out[1:]
 
 
-def _ideal_count_prime_power(D: int, p: int, pk: int) -> int:
-    k = 0
-    q = pk
-    while q > 1:
-        q //= p
-        k += 1
-    chi = kronecker(D, p)
-    if chi == 1:
-        return k + 1
-    if chi == -1:
-        return 1 if k % 2 == 0 else 0
-    return 1  # ramified
+def _local_sum(norms: tuple[int, ...], pk: int, weight) -> int:
+    """Sum of prod_P weight(N(P), a_P) over the ideals prod_P P^a_P of norm
+    pk, for the primes P above p with the given norms."""
+    sums = {1: 1}  # norm -> weight sum over the products of the primes so far
+    for q in norms:
+        nxt = {}
+        for n, w in sums.items():
+            a = 0
+            while pk % n == 0:
+                nxt[n] = nxt.get(n, 0) + w * weight(q, a)
+                n, a = n * q, a + 1
+        sums = nxt
+    return sums.get(pk, 0)
 
 
 def _smallest_prime_factors(N: int) -> list[int]:
@@ -414,68 +425,106 @@ def factor_int(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Ideal machinery (h = 1: every ideal is principal)
+# Ring arithmetic in integral-basis coordinates (h = 1: every ideal is
+# principal).  Only this section knows omega^2 = t + s*omega.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealRep:
-    """Principal ideal, carried as a generator plus its norm."""
-
-    generator: FieldElement
-    norm: int
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IdealRep):
-            return NotImplemented
-        if self.norm != other.norm:
-            return False
-        if self.generator.is_zero() or other.generator.is_zero():
-            return self.generator.is_zero() and other.generator.is_zero()
-        q = self.generator / other.generator
-        return q.is_integral() and abs(q.norm()) == 1
-
-    def __hash__(self):
-        return hash(self.norm)
-
-
-def _module_norm(rows: Sequence[tuple[int, int]]) -> int:
-    """Index in Z^2 of the Z-module spanned by integer rows (gcd of 2x2 minors)."""
-    g = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            m = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            g = math.gcd(g, abs(m))
-    return g
-
-
 def _omega_square_coords(field: FieldData) -> tuple[int, int]:
-    """omega^2 = t + u*omega in the integral basis."""
+    """omega^2 = t + s*omega in the integral basis."""
     d = field.d
     if d % 4 == 1:
         return (d - 1) // 4, 1
     return d, 0
 
 
-def _mul_by_omega(field: FieldData, u: int, v: int) -> tuple[int, int]:
-    t, w = _omega_square_coords(field)
-    # (u + v*omega)*omega = v*omega^2 + u*omega
-    return v * t, u + v * w
+def _coord_mul(field: FieldData, a, b, c, d):
+    """(a + b omega)(c + d omega) in ring coordinates, omega^2 = t + s omega."""
+    t, s = _omega_square_coords(field)
+    return a * c + t * b * d, a * d + b * c + s * b * d
+
+
+def _coord_conj(field: FieldData, u, v):
+    """sigma(u + v omega) = (u + s v) - v omega, as sigma(omega) = s - omega."""
+    return u + _omega_square_coords(field)[1] * v, -v
+
+
+def _coord_norm(field: FieldData, c1, c2):
+    """N(c) = c sigma(c) of c = c1 + c2 omega from its integer coordinates
+    (exact)."""
+    return c1 if field.n == 1 else _coord_mul(field, c1, c2, *_coord_conj(field, c1, c2))[0]
+
+
+def _coprime_mask(field: FieldData, c1, c2, d1, d2):
+    """Vectorised test <c, d> = o via the gcd of the 2x2 minors."""
+    if field.n == 1:
+        return np.gcd(c1, d1) == 1
+    t, s = _omega_square_coords(field)
+    rows = [
+        (c1, c2), (t * c2, c1 + s * c2),
+        (d1, d2), (t * d2, d1 + s * d2),
+    ]
+    g = np.zeros(c1.shape, dtype=np.int64)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            m = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
+            g = np.gcd(g, np.abs(m))
+    return g == 1
+
+
+def _ideal_rows(field: FieldData, *elements: FieldElement) -> list[tuple[int, ...]]:
+    """Ring coordinates of x * b for each x and each integral basis element
+    b: the rows of a Z-basis (with repeats) of the ideal <x, ...>."""
+    basis = ((1, 0), (0, 1))[:field.n]
+    return [_coord_mul(field, *x.ring_coords(), *b)[:field.n] for x in elements for b in basis]
+
+
+def _hnf(rows: list[tuple[int, ...]]):
+    """Row Hermite normal form of an integer matrix of full column rank n,
+    with its unimodular transform: returns (H, U) with U @ rows = H, H's
+    first n rows upper triangular with a positive diagonal and the entries
+    above each pivot in [0, pivot), and the other rows zero.  Exact in
+    Python ints (Cohen, GTM 138, §2.4)."""
+    H = [list(r) for r in rows]
+    U = [[int(i == j) for j in range(len(H))] for i in range(len(H))]
+    for c in range(len(H[0])):
+        for i in range(c + 1, len(H)):
+            a, b = H[c][c], H[i][c]
+            if b == 0:
+                continue
+            g, x, y = _ext_gcd(a, b)  # x a + y b = g: [[x, y], [-b/g, a/g]] has det 1
+            for M in (H, U):
+                M[c], M[i] = ([x * p + y * q for p, q in zip(M[c], M[i])],
+                              [a // g * q - b // g * p for p, q in zip(M[c], M[i])])
+        if H[c][c] == 0:
+            raise ValueError("rows do not have full column rank")
+        if H[c][c] < 0:
+            H[c], U[c] = [-v for v in H[c]], [-v for v in U[c]]
+        for i in range(c):
+            k = H[i][c] // H[c][c]
+            H[i] = [p - k * q for p, q in zip(H[i], H[c])]
+            U[i] = [p - k * q for p, q in zip(U[i], U[c])]
+    return H, U
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
 
 def pair_ideal_norm(x: FieldElement, y: FieldElement, field: FieldData) -> int:
-    """Norm of the integral ideal <x, y> (x, y integral, not both zero)."""
-    if field.d == 0:
-        return abs(math.gcd(int(x.a), int(y.a)))
-    rows = []
-    for el in (x, y):
-        if el.is_zero():
-            continue
-        u, v = el.ring_coords()
-        rows.append((u, v))
-        rows.append(_mul_by_omega(field, u, v))
-    if not rows:
+    """Norm of the integral ideal <x, y> (x, y integral, not both zero): the
+    product of the Hermite diagonal."""
+    if x.is_zero() and y.is_zero():
         raise ValueError("<0, 0> is not an ideal")
-    return _module_norm(rows)
+    H, _ = _hnf(_ideal_rows(field, x, y))
+    return math.prod(H[i][i] for i in range(field.n))
 
 
 def is_coprime_pair(x: FieldElement, y: FieldElement, field: FieldData) -> bool:
@@ -537,85 +586,37 @@ def exact_divide(x: FieldElement, g: FieldElement, field: FieldData) -> FieldEle
 
 
 def ideal_gcd_generator(x: FieldElement, y: FieldElement, field: FieldData) -> FieldElement:
-    """Generator of <x, y> for a class-number-one field."""
+    """Generator of <x, y> for a class-number-one field.
+
+    x and y are scaled by the lcm of the denominators of their ring
+    coordinates; the generator is an element of norm N(<x, y>) that divides
+    both."""
     if x.is_zero() and y.is_zero():
         raise ValueError("gcd of zero pair")
-    if field.d == 0:
-        from math import gcd
-        def _q_gcd(a: Fraction, b: Fraction) -> Fraction:
-            den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-            return Fraction(gcd(int(a * den), int(b * den)), den)
-        return field.element(_q_gcd(x.a, y.a))
-    # scale to integral elements first
-    scale = 1
-    for el in (x, y):
-        for c in (el.a, el.b):
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    sx = x * field.element(2 * scale)
-    sy = y * field.element(2 * scale)
-    n = pair_ideal_norm(sx, sy, field)
-    for g in elements_of_norm(field, n):
+    scale = field.element(math.lcm(*(c.denominator for el in (x, y) for c in el.coords())))
+    sx, sy = x * scale, y * scale
+    for g in elements_of_norm(field, pair_ideal_norm(sx, sy, field)):
         if exact_divide(sx, g, field) is not None and exact_divide(sy, g, field) is not None:
-            return g / field.element(2 * scale)
+            return g / scale
     raise ValueError("no principal generator found (h=1 violated?)")
 
 
 def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tuple[FieldElement, FieldElement]:
-    """xi, eta integral with rho*eta - sigma*xi = 1; requires <rho, sigma> = o."""
-    if field.d == 0:
-        a, b = int(rho.a), int(sigma.a)
-        g, u, v = _ext_gcd(a, b)
-        if abs(g) != 1:
-            raise ValueError("pair not coprime")
-        # a*u + b*v = g: want rho*eta - sigma*xi = 1
-        return field.element(-v * g), field.element(u * g)
-    # Solve over Z^4: rho*eta - sigma*xi = 1 with eta = (e1,e2), xi = (x1,x2)
-    # in integral-basis coordinates.  Columns of the 2x4 system are the basis
-    # images; solve by integer row reduction on the transposed system.
-    cols = []
-    for base in (field.integral_basis[0], field.ring_gen):
-        prod = rho * base
-        cols.append(prod.ring_coords())
-    for base in (field.integral_basis[0], field.ring_gen):
-        prod = -(sigma * base)
-        cols.append(prod.ring_coords())
-    sol = _solve_integer_2x4(cols, (1, 0))
-    if sol is None:
+    """xi, eta integral with rho*eta - sigma*xi = 1; requires <rho, sigma> = o.
+
+    The transform row of the Hermite reduction that gives 1 is (eta, -xi) in
+    ring coordinates.  Every other solution is (xi + k rho, eta + k sigma)
+    with k in o; the one returned has the ring coordinates of eta / sigma in
+    [-1/2, 1/2), so it is canonical and small.  Exact for every input."""
+    H, U = _hnf(_ideal_rows(field, rho, sigma))
+    n = field.n
+    if math.prod(H[i][i] for i in range(n)) != 1:
         raise ValueError("pair not coprime")
-    e1, e2, x1, x2 = sol
-    eta = field.from_ring_coords(e1, e2)
-    xi = field.from_ring_coords(x1, x2)
+    eta, xi = field.from_ring_coords(*U[0][:n]), -field.from_ring_coords(*U[0][n:])
+    if not sigma.is_zero():
+        k = field.from_ring_coords(*(math.floor(c + Fraction(1, 2)) for c in (eta / sigma).coords()))
+        xi, eta = xi - k * rho, eta - k * sigma
     return xi, eta
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _solve_integer_2x4(cols: list[tuple[int, int]], target: tuple[int, int]):
-    """Solve sum_j cols[j] * v_j = target over integers (4 unknowns, 2 equations).
-
-    Hermite-style column reduction with unimodular bookkeeping.
-    """
-    import itertools
-
-    # brute-force small solutions first (entries are tiny in practice)
-    for bound in (3, 8, 20):
-        rng = range(-bound, bound + 1)
-        for v in itertools.product(rng, repeat=4):
-            s0 = sum(cols[j][0] * v[j] for j in range(4))
-            s1 = sum(cols[j][1] * v[j] for j in range(4))
-            if (s0, s1) == target:
-                return v
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +624,11 @@ def _solve_integer_2x4(cols: list[tuple[int, int]], target: tuple[int, int]):
 # ---------------------------------------------------------------------------
 
 def split_type(field: FieldData, p: int) -> str:
-    if field.d == 0:
-        return "rational"
-    chi = kronecker(field.disc_signed, p)
+    """How p factors in o: "split" into two primes of norm p, "inert" (one
+    prime of norm p^2) or "ramified" (one prime of norm p).  Q has no
+    quadratic character (zeta_Q has no L-factor), so its primes take the
+    ramified rule: one prime of norm p."""
+    chi = kronecker(field.disc_signed, p) if field.n == 2 else 0
     return {1: "split", -1: "inert", 0: "ramified"}[chi]
 
 
@@ -640,9 +643,10 @@ def ideal_factorization(field: FieldData, x: FieldElement) -> list[tuple[int, in
     """
     if x.is_zero():
         raise ValueError("cannot factor the zero ideal")
-    g = math.gcd(*x.ring_coords())
+    u, v = x.ring_coords()
+    g = math.gcd(u, v)
     out = []
-    for p, e in factor_int(int(x.norm())):
+    for p, e in factor_int(_coord_norm(field, u, v)):
         ty = split_type(field, p)
         if ty == "inert":
             out.append((p * p, e // 2))
@@ -663,38 +667,3 @@ def ideal_divisor_norms(field: FieldData, x: FieldElement) -> list[int]:
     for q, e in fact:
         norms = [m * q ** j for m in norms for j in range(e + 1)]
     return norms
-
-
-def _totient_prime_power(D: int, p: int, k: int, rational: bool) -> int:
-    """Sum of ideal totients over the ideals of norm p^k."""
-    if rational or kronecker(D, p) == 0:
-        return p ** k - p ** (k - 1)  # single prime of norm p
-    if kronecker(D, p) == -1:
-        if k % 2:
-            return 0
-        return p ** k - p ** (k - 2) if k >= 2 else 1
-    # split: ideals p1^a p2^(k-a)
-    def f(a: int) -> int:
-        return 1 if a == 0 else p ** a - p ** (a - 1)
-    return sum(f(a) * f(k - a) for a in range(k + 1))
-
-
-def ideal_totient_sums(field: FieldData, N: int) -> list[int]:
-    """T(n) = sum over integral ideals of norm n of the ideal totient
-    Phi(a) = N(a) prod_{p | a} (1 - 1/N(p)); equals Euler phi for Q."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    T = [0] * (N + 1)
-    T[1] = 1
-    spf = _smallest_prime_factors(N)
-    rational = field.d == 0
-    D = field.disc_signed
-    for m in range(2, N + 1):
-        p = spf[m]
-        pk, rest, k = p, m // p, 1
-        while rest % p == 0:
-            rest //= p
-            pk *= p
-            k += 1
-        T[m] = T[rest] * _totient_prime_power(D, p, k, rational)
-    return T[1:]

@@ -13,7 +13,6 @@ from .errors import SingularBasisMatrix
 from .fields import (
     FieldData,
     FieldElement,
-    IdealRep,
     embed,
     fe_one,
     fe_zero,
@@ -134,7 +133,6 @@ class Cusp:
 
     rho: FieldElement
     sigma: FieldElement
-    ideal: IdealRep
     assoc_matrix: GroupElement
 
     def value(self):
@@ -154,7 +152,7 @@ class Cusp:
 
 def cusp_infinity(field: FieldData) -> Cusp:
     one, zero = fe_one(field.d), fe_zero(field.d)
-    return Cusp(one, zero, IdealRep(one, 1), identity_element(field))
+    return Cusp(one, zero, identity_element(field))
 
 
 def make_cusp(field: FieldData, rho, sigma) -> Cusp:
@@ -171,7 +169,7 @@ def make_cusp(field: FieldData, rho, sigma) -> Cusp:
         return cusp_infinity(field)
     xi, eta = solve_bezout(rho, sigma, field)
     A = GroupElement(rho, xi, sigma, eta)
-    return Cusp(rho, sigma, IdealRep(fe_one(field.d), 1), A)
+    return Cusp(rho, sigma, A)
 
 
 def _canonical_unit_rep(field: FieldData, rho: FieldElement, sigma: FieldElement):
@@ -209,7 +207,8 @@ def _sign_normalize(field, rho, sigma):
 
 
 def height(cusp: Cusp, z: Point, field: FieldData) -> float:
-    """mu(lambda, z) = N(a)^2 N(y) / |N(-sigma z + rho)|^2."""
+    """mu(lambda, z) = N(y) / |N(-sigma z + rho)|^2 (the normalised pair has
+    <rho, sigma> = o, so N(a) = 1)."""
     re = embed(cusp.rho, field)
     se = embed(cusp.sigma, field)
     denom = 1.0
@@ -220,7 +219,7 @@ def height(cusp: Cusp, z: Point, field: FieldData) -> float:
         else:
             n = abs(re[i] - se[i] * x) ** 2 + abs(se[i]) ** 2 * y * y
         denom *= n ** deg
-    return cusp.ideal.norm ** 2 * z.ny(field) / denom
+    return z.ny(field) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,6 @@ def local_coords(cusp: Cusp, z: Point, field: FieldData) -> LocalCoords:
     O, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
     zs = act(cusp.assoc_matrix.inverse(), z, field)
     ny = zs.ny(field)
-    q = cusp.ideal.norm * ny
     r = field.r
     if r >= 2:
         rhs = np.array([
@@ -321,14 +319,14 @@ def local_coords(cusp: Cusp, z: Point, field: FieldData) -> LocalCoords:
     else:
         Y = ()
     X = tuple(O_inv @ _x_components(zs, field))
-    return LocalCoords(q, Y, X)
+    return LocalCoords(ny, Y, X)
 
 
 def from_local_coords(cusp: Cusp, lc: LocalCoords, field: FieldData) -> Point:
     O, O_inv, U, U_inv, ulogs = _geom_cache(field.d)
     if lc.q <= 0:
         raise ValueError("q must be positive")
-    ny = lc.q / cusp.ideal.norm
+    ny = lc.q
     r = field.r
     ys = []
     for i in range(r):

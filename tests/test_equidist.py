@@ -186,7 +186,7 @@ def _assert_kernel(got, ref):
 
 def test_kernel_half_plane_against_quad(field_q):
     f = Q.make_test_function(field_q, 2.0, 4.0)
-    _assert_kernel(Q._kernel_half_plane(f, _KAPPAS, 48), lambda k: _ref_half_plane(f, k))
+    _assert_kernel(Q._unfolded_kernel(f, _KAPPAS, (1,), 48), lambda k: _ref_half_plane(f, k))
 
 
 def test_kernel_half_space_against_quad(field_qi):
@@ -198,7 +198,7 @@ def test_kernel_half_space_against_quad(field_qi):
         level = lambda b: math.sqrt(kappa / b)
         return math.pi * _quad_breaks(f, lambda w: _psi_scalar(f, kappa / (w * w)),
                                       1.0, level(f.t0), level, kappa)
-    _assert_kernel(Q._kernel_half_space(f, _KAPPAS, 48), ref)
+    _assert_kernel(Q._unfolded_kernel(f, _KAPPAS, (2,), 48), ref)
 
 
 def test_kernel_two_planes_against_nested_quad(field_q5):
@@ -210,17 +210,17 @@ def test_kernel_two_planes_against_nested_quad(field_q5):
         level = lambda b: math.sqrt(kappa / b - 1.0)
         inner = lambda x: _ref_half_plane(f, kappa / (x * x + 1.0), 1e-12)
         return 2.0 * _quad_breaks(f, inner, 0.0, level(f.t0), level, kappa, 1e-12)
-    _assert_kernel(Q._kernel_two_planes(f, _KAPPAS, 48), ref)
+    _assert_kernel(Q._unfolded_kernel(f, _KAPPAS, (1, 1), 40), ref)
 
 
 def test_kernel_two_planes_blocks(field_q5, monkeypatch):
-    # three outer kappa rows per block at order 24 (inner order 16), and
-    # three inner rows per block of the half-plane kernel
+    # three outer kappa rows per block at per-axis order 16 (the two-plane
+    # order of _unfolded_sum at 24), and three inner rows per block
     f = Q.make_test_function(field_q5, 2.0, 4.0)
     monkeypatch.setattr(Q, "_KERNEL_BLOCK", 3 * 4 * 16)
     kappas = np.linspace(1.9, 9.0, 11)
-    together = Q._kernel_two_planes(f, kappas)
-    alone = np.array([Q._kernel_two_planes(f, [k])[0] for k in kappas])
+    together = Q._unfolded_kernel(f, kappas, (1, 1), 16)
+    alone = np.array([Q._unfolded_kernel(f, [k], (1, 1), 16)[0] for k in kappas])
     np.testing.assert_allclose(together, alone, rtol=1e-14, atol=0.0)
 
 

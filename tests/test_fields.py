@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hilmod import fields as F
 from hilmod.errors import NoUnits, UnsupportedField
@@ -220,11 +222,72 @@ def test_bezout(d, rho, sigma):
     fd = F.make_field(d)
     conv = lambda v: fd.from_ring_coords(*v) if isinstance(v, tuple) else fd.element(v)
     r, s = conv(rho), conv(sigma)
-    if not F.is_coprime_pair(r, s, fd):
-        pytest.skip("pair not coprime")
+    assert F.is_coprime_pair(r, s, fd)
     xi, eta = F.solve_bezout(r, s, fd)
     assert (r * eta - s * xi) == F.fe_one(d)
     assert xi.is_integral() and eta.is_integral()
+
+
+_BEZOUT_FIELDS = {d: F.make_field(d) for d in (0, 5, -1, -3, 13, 41, -163)}
+_BIG = st.integers(-10 ** 6, 10 ** 6)
+
+
+@given(d=st.sampled_from(sorted(_BEZOUT_FIELDS)), c=st.tuples(_BIG, _BIG, _BIG, _BIG))
+@settings(max_examples=200, deadline=None)
+def test_bezout_exact_and_reduced(d, c):
+    # exact for large entries, and eta / sigma reduced into the unit box
+    fd = _BEZOUT_FIELDS[d]
+    u1, v1, u2, v2 = c if fd.n == 2 else (c[0], 0, c[2], 0)
+    rho, sigma = fd.from_ring_coords(u1, v1), fd.from_ring_coords(u2, v2)
+    assume(not sigma.is_zero() and F.is_coprime_pair(rho, sigma, fd))
+    xi, eta = F.solve_bezout(rho, sigma, fd)
+    assert rho * eta - sigma * xi == F.fe_one(d)
+    assert xi.is_integral() and eta.is_integral()
+    assert all(-Fraction(1, 2) <= w < Fraction(1, 2) for w in (eta / sigma).coords())
+
+
+def _minor_gcd(fd, x, y):
+    """Index of <x, y> in o from the gcd of the 2x2 minors of the rows
+    x, x omega, y, y omega, built by field-element arithmetic."""
+    rows = [el.ring_coords() for a in (x, y) for el in (a, a * fd.ring_gen)]
+    if fd.n == 1:
+        return math.gcd(*(r[0] for r in rows))
+    return math.gcd(*(p[0] * q[1] - p[1] * q[0] for p, q in itertools.combinations(rows, 2)))
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, -7])
+def test_pair_ideal_norm_matches_minors_and_mask(d):
+    fd = F.make_field(d)
+    box, vbox = range(-4, 5), range(-4, 5) if d else [0]
+    coords = np.array([c for c in itertools.product(box, vbox, box, vbox) if any(c)])
+    norms = []
+    for c1, c2, d1, d2 in coords.tolist():
+        x, y = fd.from_ring_coords(c1, c2), fd.from_ring_coords(d1, d2)
+        norms.append(F.pair_ideal_norm(x, y, fd))
+        assert norms[-1] == _minor_gcd(fd, x, y)
+    norms = np.array(norms)
+    assert (norms == 1).any() and (norms > 1).any()
+    np.testing.assert_array_equal(F._coprime_mask(fd, *coords.T), norms == 1)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, -7])
+def test_gcd_generator_generates_the_pair_ideal(d):
+    # same ideal: the integral modules <s g> and <s x, s y> have one HNF
+    fd = F.make_field(d)
+    rng = random.Random(17 + d)
+    elem = lambda lo, hi: fd.from_ring_coords(rng.randint(lo, hi), rng.randint(lo, hi) if d else 0)
+    hnf = lambda *els: F._hnf(F._ideal_rows(fd, *els))[0][:fd.n]
+    for trial in range(24):
+        k = elem(1, 5)
+        x, y = k * elem(-3, 3), k * elem(-3, 3)
+        if x.is_zero() and y.is_zero():
+            continue
+        if d == 5 and trial % 2:
+            x, y = x * fd.element(Fraction(1, 2)), y / fd.from_ring_coords(2, 1)  # norm 5
+        g = F.ideal_gcd_generator(x, y, fd)
+        s = fd.element(math.lcm(*(w.denominator for el in (x, y) for w in el.coords())))
+        assert hnf(g * s) == hnf(x * s, y * s)
+        assert F.exact_divide(x, g, fd) is not None and F.exact_divide(y, g, fd) is not None
 
 
 def test_divisor_norms(field_q, field_qi):

@@ -265,6 +265,16 @@ def test_laplacian_eigenrelation_ny(d, s):
     assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
 
+def test_make_cusp_bezout_beyond_small_entries(field_q5):
+    # <101 + 33 omega, 250 + 71 omega> = o, but no Bezout solution has all
+    # four coordinates in [-20, 20]
+    rho, sigma = field_q5.from_ring_coords(101, 33), field_q5.from_ring_coords(250, 71)
+    lam = G.make_cusp(field_q5, rho, sigma)
+    A = lam.assoc_matrix
+    assert A.a == lam.rho and A.c == lam.sigma
+    assert A.a * A.d - A.b * A.c == F.fe_one(5)
+
+
 def test_cusp_normalization_makes_equality_decidable(field_q5):
     u = field_q5.fundamental_unit
     a = G.make_cusp(field_q5, field_q5.element(1), field_q5.element(2))
