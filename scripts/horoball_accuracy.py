@@ -11,7 +11,14 @@ quadrature.  Takes no options:
     python scripts/horoball_accuracy.py
 
 Measured worst error over the sweep: 4.86e-4 (Q(sqrt 13), bump [2.5, 3.5],
-q = 0.0070), on x86-64 with numpy 2.4.
+q = 0.0070), on x86-64 with numpy 2.4.  Time per field of the horoball
+evaluations, bumps [1.8, 2.8] and [2.5, 3.5], two runs on a 2-core x86-64
+host: Q 0.03-0.06 and 0.03-0.06 s; Q(sqrt 5) 2.8-2.9 and 2.0-2.2 s; Q(i)
+1.2-1.3 and 0.9 s; Q(sqrt 2) 3.4-3.5 and 2.5-2.7 s; Q(sqrt 3) 3.9-4.2 and
+2.5-3.0 s; Q(sqrt -2) 1.0-1.1 and 0.7 s; Q(sqrt -3) 0.8 and 0.5-0.6 s;
+Q(sqrt -7) 1.1-1.2 and 0.8-0.9 s; Q(sqrt 13) 3.0-3.4 and 2.2-2.6 s.  On the
+imaginary fields the time also moves by up to 30% with the process's
+earlier allocations, through minor page faults.
 """
 
 import pathlib

@@ -350,8 +350,22 @@ def _shadow_boxes(field: FieldData, coords: np.ndarray, q: float, floor: float, 
 def _shadow_V(field: FieldData, ce, de, xs, ys):
     """V(c, d; z) = prod_i (|c_i x_i + d_i|^2 + |c_i|^2 y_i^2)^deg_i, by which the
     cusp -d/c has height q / V at z on the slice at height q (arrays broadcast)."""
-    return np.prod([(np.abs(c * x + d) ** 2 + (np.abs(c) * y) ** 2) ** deg
-                    for c, d, x, y, deg in zip(ce, de, xs, ys, field.place_degrees)], axis=0)
+    return math.prod((np.abs(c * x + d) ** 2 + (np.abs(c) * y) ** 2) ** deg
+                     for c, d, x, y, deg in zip(ce, de, xs, ys, field.place_degrees))
+
+
+def _passing(field: FieldData, ce, de, rows, xs, ys, q: float, floor: float):
+    """Slices (k, q / V on every row of the heights ys) of at most rows.size
+    values, of the pairs (candidate rows[k], X point k of xs) with q / V >
+    floor at each place's lowest height in ys.  V grows with each y_i, in
+    floats too (each step rounds monotonically): the rest stay <= floor."""
+    top = q / _shadow_V(field, (c[rows] for c in ce), (d[rows] for d in de), xs,
+                        [y.min() for y in ys])  # the largest q / V over the rows
+    live, step = np.flatnonzero(top > floor), max(1, rows.size // ys[0].size)
+    for k in (live[j:j + step] for j in range(0, live.size, step)):
+        yield k, (top[k, None] if ys[0].size == 1 else q / _shadow_V(
+            field, [c[rows[k], None] for c in ce], [d[rows[k], None] for d in de],
+            [x[k, None] for x in xs], ys))
 
 
 def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
@@ -360,7 +374,8 @@ def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
     some pair (c, d) of `slice_candidates(field, q, T)`.
 
     Each candidate is evaluated only on the grid points of its X sub-box
-    (`_shadow_boxes`, at the grid's largest heights), at every Y node."""
+    (`_shadow_boxes`, at the grid's largest heights), at every Y node where
+    it passes T at the lowest heights (`_passing`: V grows with each y_i)."""
     X, Y = box_grid(field, n)
     mask = np.zeros(X.shape[0], dtype=bool)
     xs, ys = slice_embeddings(field, q, X, Y)
@@ -371,12 +386,12 @@ def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
     lens = np.searchsorted(axis, hi, side="right") - lo
     count = np.where(np.all(lens > 0, axis=0), np.prod(lens, axis=0), 0)
     nY = n ** (field.r - 1)  # grid point (X, Y) has flat index iX * nY + iY
+    ys = [y[:nY] for y in ys]
     for rows, pos in _ragged_blocks(np.zeros(count.size, dtype=np.int64), count - 1):
         iX = lo[0, rows] + pos if field.n == 1 else \
             (lo[0, rows] + pos // lens[1, rows]) * n + lo[1, rows] + pos % lens[1, rows]
-        V = _shadow_V(field, [c[rows][:, None] for c in ce], [d[rows][:, None] for d in de],
-                      [x[iX * nY][:, None] for x in xs], [y[:nY] for y in ys])
-        mask[(iX[:, None] * nY + np.arange(nY))[q / V > T]] = True
+        for k, t in _passing(field, ce, de, rows, [x[iX * nY] for x in xs], ys, q, T):
+            mask[(iX[k, None] * nY + np.arange(nY))[t > T]] = True
     return mask
 
 
@@ -385,10 +400,12 @@ def shadow_integral(field: FieldData, q: float, floor: float, profile, nodes: in
     integral of profile(q / V) over their X sub-boxes (`_shadow_boxes`) on the
     slice at height q, for a profile that vanishes below `floor`, by the rule
     of `equidist.cusp_section_average`.  Blocks of (candidate, X point) pairs
-    (`_ragged_blocks`) take their Y rows in slices of as many values.  A
-    candidate that straddles blocks is summed in parts, so the candidates are
-    taken in lexicographic order and their totals added by math.fsum: the
-    value does not depend on the enumeration order."""
+    (`_ragged_blocks`) take their Y rows in slices of as many values where
+    the cusp passes `floor` at the lowest heights (`_passing`: V grows with
+    each y_i); elsewhere profile(q / V) is 0 on every row, and the term is
+    exactly 0.0.  A candidate that straddles blocks is summed in parts, so
+    the candidates are taken in lexicographic order and their totals added
+    by math.fsum: the value does not depend on the enumeration order."""
     coords = slice_candidates(field, q, floor)
     coords = coords[np.lexsort(coords.T[::-1])]
     ys, wy = _y_rows(field, q, *gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6)))
@@ -402,18 +419,16 @@ def shadow_integral(field: FieldData, q: float, floor: float, profile, nodes: in
                                     np.where(np.all(hi > lo, axis=0), m ** field.n, 0) - 1):
         X, w = np.empty((rows.size, field.n)), np.ones(rows.size)
         for a in range(field.n - 1, -1, -1):
-            iX, pos = pos % m[rows], pos // m[rows]
-            g = iX % nodes
-            X[:, a] = lo[a, rows] + width[a, rows] * (iX // nodes + gx[g])
+            pos, iX = np.divmod(pos, m[rows])
+            panel, g = np.divmod(iX, nodes)
+            X[:, a] = lo[a, rows] + width[a, rows] * (panel + gx[g])
             w *= width[a, rows] * gw[g]
         xs = slice_embeddings(field, q, X, None)[0]
-        step = max(1, rows.size // wy.size)  # slices of at most rows.size values
-        for j in range(0, rows.size, step):
-            b = slice(j, j + step)
-            V = _shadow_V(field, [c[rows[b], None] for c in ce], [d[rows[b], None] for d in de],
-                          [x[b, None] for x in xs], ys)
-            w[b] *= profile(q / V) @ wy
-        totals += np.bincount(rows, w, minlength=rho.size)
+        del X  # not needed past xs: frees its memory before the Y rows
+        part = np.zeros(rows.size)  # 0.0 where q / V <= floor on every Y row
+        for k, t in _passing(field, ce, de, rows, xs, ys, q, floor):
+            part[k] = w[k] * (profile(t) @ wy)
+        totals += np.bincount(rows, part, minlength=rho.size)
     return math.fsum(totals)
 
 

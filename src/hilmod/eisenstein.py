@@ -211,7 +211,9 @@ def _pair_table(field: FieldData, z: Point, BV: float):
 
 
 def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
-    """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y)."""
+    """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y), at infinity only."""
+    if cusp.value() is not None:
+        raise DomainError("pairs are enumerated at the infinity cusp only")
     if not 0 < bound < math.inf:
         raise DomainError("bound must be positive and finite, got %r" % (bound,))
     BV = bound * z.ny(field)
@@ -244,8 +246,10 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     ascending order of V, the value differs by at most 1.0e-15 relative
     (324 values on eight fields).  Raises DomainError for a bound that is
     not positive and finite, or so small that no pair lies in the outer
-    window.
+    window, and for any cusp but infinity, the only one it sums at.
     """
+    if cusp.value() is not None:
+        raise DomainError("the direct route sums at the infinity cusp only")
     s = complex(params.s)
     if s.real <= 1.0:
         raise NotConvergent("direct series requires Re(s) > 1")

@@ -170,6 +170,26 @@ def test_enumerate_pairs_rejects_bad_bound(field_q, bound):
         E.enumerate_pairs(field_q, inf, z, bound)
 
 
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_direct_route_rejects_finite_cusps(d):
+    # the pair sum runs at the infinity cusp; a finite cusp used to return
+    # the values at infinity unchanged
+    field = F.make_field(d)
+    z = G.make_point(field, *{0: [(0.28, 1.3)], 5: [(0.1, 1.1), (0.2, 1.4)],
+                              -1: [(0.1 + 0.2j, 1.2)]}[d])
+    params = E.EisensteinParams(s=1.5, norm_bound=60.0)
+    for rho, sigma in ((0, 1), (1, 1), (1, 2)):
+        cusp = G.make_cusp(field, rho, sigma)
+        assert cusp.value() is not None
+        with pytest.raises(DomainError):
+            E.eisenstein_direct(field, cusp, z, params)
+        with pytest.raises(DomainError):
+            E.enumerate_pairs(field, cusp, z, 4.0)
+    inf = G.cusp_infinity(field)
+    assert E.eisenstein_direct(field, inf, z, params) == E.eisenstein_direct(
+        field, G.make_cusp(field, 1, 0), z, params)
+
+
 def mpmath_eisenstein_oracle(z, s, terms=40):
     """The classical expansion for K = Q at complex s, with mpmath Bessel
     factors, zeta values and divisor sums at 30 digits."""

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hilmod import domains as D
@@ -142,6 +143,87 @@ def test_horoball_across_block_boundaries(d, monkeypatch):
     for block in (7, 97):
         monkeypatch.setattr(E, "_PAIR_BLOCK", block)
         assert np.all(np.abs(values() - whole) <= 1e-14 * np.abs(whole)), block
+
+
+# --- the horoball route's lowest-height test -------------------------------
+
+_Q_REACH = (0.007, 0.0406, 0.1525)
+
+
+@given(d=st.sampled_from([5, 2, 13]), q=st.sampled_from(_Q_REACH),
+       pick=st.integers(0, 10 ** 6), X=st.tuples(*[st.floats(-0.5, 0.5)] * 2),
+       nodes=st.sampled_from([4, 12, 20, 28]))
+@settings(max_examples=150, deadline=None)
+def test_lowest_heights_bound_v_on_every_y_row(d, q, pick, X, nodes):
+    # V at each place's lowest height of the Y rule is at most V on every Y
+    # row, in floats, so shadow_integral may drop the rows of an X node where
+    # q over it is at most the floor
+    field = F.make_field(d)
+    coords = D.slice_candidates(field, q, 1.8)
+    c1, c2, d1, d2 = coords[pick % coords.shape[0]]
+    ce = E._embed_coords(field, np.array([c1]), np.array([c2]))
+    de = E._embed_coords(field, np.array([d1]), np.array([d2]))
+    ys = D._y_rows(field, q, *gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6)))[0]
+    xs = G.slice_embeddings(field, q, np.array([X]), None)[0]
+    low = D._shadow_V(field, ce, de, xs, [y.min() for y in ys])
+    rows = D._shadow_V(field, [c[:, None] for c in ce], [e[:, None] for e in de],
+                       [x[:, None] for x in xs], ys)
+    assert rows.shape == (1, ys[0].size)
+    assert np.all(low[:, None] <= rows)
+
+
+# Recorded from the values before the lowest-height test: the test drops only
+# terms that are exactly 0.0, so these stay the same bits.
+_REAL_HOROBALL_PINS = {
+    2: ["0x1.e78485388e5c3p-4", "0x1.cd4a26d0c0428p-4", "0x1.f2bd82e054221p-4"],
+    3: ["0x1.70f62ae7aa929p-4", "0x1.eae818a3050ecp-4", "0x1.973e8177885ffp-4"],
+    13: ["0x1.594fa2cf7b7ebp-4", "0x1.e2176864dc42ap-4", "0x1.876e6cfa9646ap-4"],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 13])
+def test_horoball_pinned_real_quadratic(d):
+    field = F.make_field(d)
+    f = Q.make_test_function(field)
+    got = [Q.cusp_section_average(f, q, field, nodes=20, method="horoball").hex()
+           for q in _Q_REACH]
+    assert got == _REAL_HOROBALL_PINS[d]
+
+
+def test_horoball_evaluates_few_profile_values(monkeypatch):
+    # work, not time: on Q(sqrt 5) at q = 0.0406 about 11% of the (X node,
+    # Y row) pairs pass the lowest-height test; evaluating every pair, as
+    # with the test switched off, costs at least four times as many values
+    field = F.make_field(5)
+    f = Q.make_test_function(field)
+    seen = []
+    profile = Q.TestFunction.profile
+
+    def counted(self, t):
+        seen.append(np.size(t))
+        return profile(self, t)
+
+    monkeypatch.setattr(Q.TestFunction, "profile", counted)
+
+    def work():
+        seen.clear()
+        value = Q.cusp_section_average(f, 0.0406, field, nodes=20, method="horoball")
+        return value, sum(seen)
+    value, count = work()
+    monkeypatch.setattr(D, "_passing", _passing_every_pair)
+    full_value, full_count = work()
+    assert full_value.hex() == value.hex()
+    assert 4 * count <= full_count
+
+
+def _passing_every_pair(field, ce, de, rows, xs, ys, q, floor):
+    """`domains._passing` without the lowest-height test: every pair, on
+    every Y row, in the same slices of at most rows.size values."""
+    step = max(1, rows.size // ys[0].size)
+    for j in range(0, rows.size, step):
+        k = np.arange(j, min(j + step, rows.size))
+        yield k, q / D._shadow_V(field, [c[rows[k], None] for c in ce],
+                                 [d[rows[k], None] for d in de], [x[k, None] for x in xs], ys)
 
 
 # --- unfolded kernels against scipy quad ----------------------------------
