@@ -176,7 +176,8 @@ def _pair_geometry(field: FieldData, z: Point, BV: float):
 def _pair_blocks(field: FieldData, z: Point, BV: float):
     """Coprime unit-orbit representatives (c, d) with V <= BV, where
     V = prod_i (|c^(i) x_i + d^(i)|^2 + |c^(i)|^2 y_i^2)^{N_i}, as a stream
-    of (coords, V) blocks; coords rows are ring coordinates (c1, c2, d1, d2).
+    of (cols, ok, V) blocks: the candidates' ring coordinates (c1, c2, d1, d2)
+    as four columns, their V, and the indices ok of the coprime ones.
 
     (0, 1) stands for the c = 0 orbit.  Torsion is fixed on c before any d
     is built, the d balls of `_pair_geometry` are enumerated by
@@ -184,7 +185,7 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     so memory is bounded by the block, not by BV.
     """
     if BV >= 1.0:
-        yield np.array([[0, 0, 1, 0]], dtype=np.int64), np.array([1.0])
+        yield tuple(np.array([v]) for v in (0, 0, 1, 0)), np.array([0]), np.array([1.0])
     cu, cv, ce, centres, radii = _pair_geometry(field, z, BV)
     R = field.regulator
     for k, du, dv in _ball_blocks(field, centres, radii):
@@ -198,14 +199,13 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
             t = np.log(Vp[0] / Vp[1])
             keep &= (t >= -2 * R) & (t < 2 * R)
         cols = cu[k[keep]], cv[k[keep]], du[keep], dv[keep]
-        ok = np.flatnonzero(_coprime_mask(field, *cols))
-        yield np.stack([col[ok] for col in cols], axis=1), V[keep][ok]
+        yield cols, np.flatnonzero(_coprime_mask(field, *cols)), V[keep]
 
 
 def _pair_table(field: FieldData, z: Point, BV: float):
     """Every block of _pair_blocks in one (coords, V) table."""
     blocks = [(np.zeros((0, 4), dtype=np.int64), np.zeros(0))]
-    blocks += _pair_blocks(field, z, BV)
+    blocks += ((np.stack(cols, axis=1)[ok], V[ok]) for cols, ok, V in _pair_blocks(field, z, BV))
     coords, V = zip(*blocks)
     return np.concatenate(coords), np.concatenate(V)
 
@@ -262,7 +262,9 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     BV = B * ny
     log_ny = math.log(ny)
     main, count, inner = 0j, 0, 0
-    for _, V in _pair_blocks(field, z, BV):
+    for cols, ok, V in _pair_blocks(field, z, BV):
+        del cols  # free the coordinates before the next block is built
+        V = V[ok]
         w = log_ny - np.log(V)
         main += complex(np.sum(np.exp(s * w if s.imag else s.real * w)))
         count += V.size

@@ -61,22 +61,29 @@ _BESSEL_RTOL = 1e-12
 _BESSEL_FLOOR = 1e-14         # rounding floor, relative to sum |integrand|
 _BESSEL_SHIFT_GAP = 3.0       # theta <= pi/2 - gap / |Im s|
 _BESSEL_BLOCK = 1 << 18       # integrand values evaluated per block
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def gamma(s: complex) -> complex:
-    """Gamma(s) for complex s by the Lanczos approximation with reflection."""
+    """Gamma(s) by the Lanczos approximation with reflection; ``DomainError`` where the
+    value leaves the normal double range or sin(pi s) overflows (Re s < 1/2, |Im s| > 225)."""
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise PoleAtNonPositiveInteger("gamma pole at s=%g" % s.real)
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (_sinpi(s) * gamma(1.0 - s))
-    z = s - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = math.pi / (_sinpi(s) * gamma(1.0 - s))
+    else:
+        z = s - 1.0
+        acc = _LANCZOS_C[0]
+        for k in range(1, len(_LANCZOS_C)):
+            acc += _LANCZOS_C[k] / (z + k)
+        t = z + _LANCZOS_G + 0.5
+        out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
+    if not _TINY <= abs(out) < math.inf:
+        raise DomainError("gamma(%r) is outside the double range" % (s,))
+    return out
 
 
 def _sinpi(s: complex) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole
 from .fields import FieldData, ideal_count_coeffs, kronecker
-from .specfun import gamma
+from .specfun import _TINY, gamma
 
 
 def _em_coefficients(count: int) -> tuple[float, ...]:
@@ -190,13 +190,16 @@ def dedekind_zeta_series(ctx: ZetaContext, s: complex, N: int = 200_000,
 
 
 def lambda_factor(field: FieldData, s: complex) -> complex:
-    """Archimedean factor 2^{-r2 s} D^{s/2} pi^{-ns/2} Gamma(s/2)^{r1} Gamma(s)^{r2}."""
+    """Archimedean factor 2^{-r2 s} D^{s/2} pi^{-ns/2} Gamma(s/2)^{r1} Gamma(s)^{r2};
+    ``DomainError`` where it leaves the normal double range (so in `phi`)."""
     s = complex(s)
     out = 2.0 ** (-field.r2 * s) * field.D ** (s / 2.0) * math.pi ** 0.0
     out *= cmath.exp(-(field.n * s / 2.0) * math.log(math.pi))
     out *= gamma(s / 2.0) ** field.r1
     if field.r2:
         out *= gamma(s) ** field.r2
+    if not _TINY <= abs(out) < math.inf:
+        raise DomainError("Lambda factor at s=%r is outside the double range" % (s,))
     return out
 
 

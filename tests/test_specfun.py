@@ -41,6 +41,22 @@ def test_gamma_pole():
         S.gamma(-3)
 
 
+@pytest.mark.parametrize("s", [0.25 + 270j, 0.5 + 540j, -0.5 - 300j])
+def test_gamma_raises_outside_double_range(s):
+    # sin(pi s) of the reflection overflows at 0.25 + 270i and -0.5 - 300i
+    # (the value was nan), and |Gamma(0.5 + 540i)| ~ 1e-368 underflows (it
+    # was 0)
+    with pytest.raises(DomainError):
+        S.gamma(s)
+
+
+@pytest.mark.parametrize("s", [0.25 + 200j, 0.5 + 200j, 0.75 - 270j, 2.0 - 220j])
+def test_gamma_large_imaginary_part_against_mpmath(s):
+    # the values next to those points are still returned, to 3.1e-13
+    exact = complex(mp.gamma(s))
+    assert abs(S.gamma(s) - exact) <= 1e-12 * abs(exact)
+
+
 def test_bessel_half_order_closed_form():
     # K_{1/2}(y) = sqrt(pi/(2y)) e^{-y}
     for y in (0.3, 1.0, 4.0):

@@ -143,6 +143,20 @@ def test_phi_pole_and_value(ctx_q):
     assert abs(got - 1.7445680821312562) < 1e-10
 
 
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_phi_raises_outside_double_range(d):
+    # phi(0.8 + 250i) was nan on all three fields (a Gamma reflection
+    # overflows), and phi(1.5 + 230i) on Q(sqrt 5) (its Lambda factors at
+    # 2 + 460i and 3 + 460i underflow); at t = 200 phi is still a value
+    ctx = Z.make_context(F.make_field(d))
+    with pytest.raises(DomainError):
+        Z.phi(ctx, 0.8 + 250j)
+    if d == 5:
+        with pytest.raises(DomainError):
+            Z.phi(ctx, 1.5 + 230j)
+    assert cmath.isfinite(Z.phi(ctx, 0.8 + 200j))
+
+
 def brute_tau(ctx, l_int, s):
     divisors = [d for d in range(1, abs(l_int) + 1) if l_int % d == 0]
     return abs(l_int) ** (-s / 2) * sum(d ** s for d in divisors)
