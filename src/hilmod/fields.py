@@ -351,6 +351,12 @@ def ideal_totient_sums(field: FieldData, N: int) -> list[int]:
     return _ideal_sieve(field, N, lambda q, a: q ** a - q ** (a - 1) if a else 1)
 
 
+def ideal_mobius_sums(field: FieldData, N: int) -> list[int]:
+    """mu_K(n) = sum of the Moebius function over the integral ideals of norm
+    n, for n = 1..N: the coefficients of 1 / zeta_K(s)."""
+    return _ideal_sieve(field, N, lambda q, a: (1, -1, 0)[min(a, 2)])
+
+
 def _ideal_sieve(field: FieldData, N: int, weight) -> list[int]:
     """Sum over the integral ideals of norm n, for n = 1..N, of a weight
     that is multiplicative over prime ideals: weight(N(P), a) at P^a.

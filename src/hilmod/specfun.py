@@ -80,7 +80,9 @@ def gamma(s: complex) -> complex:
         for k in range(1, len(_LANCZOS_C)):
             acc += _LANCZOS_C[k] / (z + k)
         t = z + _LANCZOS_G + 0.5
-        out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
+        # t^(z + 1/2) e^-t as one exponential: finite wherever Gamma is
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = math.sqrt(2.0 * math.pi) * np.exp((z + 0.5) * np.log(t) - t) * acc
     if not _TINY <= abs(out) < math.inf:
         raise DomainError("gamma(%r) is outside the double range" % (s,))
     return out

@@ -193,9 +193,10 @@ def lambda_factor(field: FieldData, s: complex) -> complex:
     """Archimedean factor 2^{-r2 s} D^{s/2} pi^{-ns/2} Gamma(s/2)^{r1} Gamma(s)^{r2};
     ``DomainError`` where it leaves the normal double range (so in `phi`)."""
     s = complex(s)
-    out = 2.0 ** (-field.r2 * s) * field.D ** (s / 2.0) * math.pi ** 0.0
+    out = 2.0 ** (-field.r2 * s) * field.D ** (s / 2.0)
     out *= cmath.exp(-(field.n * s / 2.0) * math.log(math.pi))
-    out *= gamma(s / 2.0) ** field.r1
+    if field.r1:
+        out *= gamma(s / 2.0) ** field.r1
     if field.r2:
         out *= gamma(s) ** field.r2
     if not _TINY <= abs(out) < math.inf:

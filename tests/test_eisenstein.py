@@ -153,6 +153,62 @@ def test_direct_pair_counts_pinned(d, point, bound, count):
     assert parts[3] == count
 
 
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
+def test_direct_count_matches_enumeration(d):
+    # the Moebius table must reach floor(sqrt(B / N(y))): below N(y) = 1 the
+    # pairs of smallest V sit past sqrt(B), where a table sized from B alone
+    # lost pairs
+    field = F.make_field(d)
+    rng = random.Random(40 + d)
+    inf = G.cusp_infinity(field)
+    for ny in (0.3, 0.8, 1.9):
+        z = G.make_point(field, *[
+            (rng.uniform(-0.5, 0.5) if deg == 1
+             else complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), ny ** (1 / field.n))
+            for deg in field.place_degrees])
+        parts = E.eisenstein_direct(field, inf, z, E.EisensteinParams(s=1.5, norm_bound=400.0),
+                                    return_parts=True)
+        assert parts[3] == len(E.enumerate_pairs(field, inf, z, 400.0))
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
+def test_direct_sum_matches_coprime_fsum(d):
+    # the Moebius-weighted sum over every pair against the coprime pairs of
+    # _pair_table, added in ascending V by math.fsum, with the tail fitted to
+    # their outer window; at BV = 1.5 the (0, 1) orbit lies in that window
+    field = F.make_field(d)
+    inf = G.cusp_infinity(field)
+    z = random_point(field, random.Random(60 + d))
+    ny = z.ny(field)
+    for BV in (2e4 * ny, 1.5):
+        _, V = E._pair_table(field, z, BV)
+        V = np.sort(V)
+        A = np.count_nonzero(V > BV / 2) / (BV / 2)
+        for s in (2.0, 1.3 + 0.5j):
+            value, _, _, count = E.eisenstein_direct(
+                field, inf, z, E.EisensteinParams(s=s, norm_bound=BV / ny), return_parts=True)
+            terms = np.exp(s * (math.log(ny) - np.log(V)))
+            tail = A * ny ** s * BV ** (1 - s) / (s - 1)
+            ref = complex(math.fsum(terms.real), math.fsum(terms.imag)) + tail
+            assert count == V.size
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_direct_route_tests_no_coprimality(field_q5, monkeypatch):
+    # every pair is summed once with Moebius weights; no gcd is taken
+    inf = G.cusp_infinity(field_q5)
+    z = G.make_point(field_q5, (0.21, 1.05), (-0.37, 0.93))
+    params = E.EisensteinParams(s=1.3 + 0.5j, norm_bound=2e3)
+    value = E.eisenstein_direct(field_q5, inf, z, params)
+
+    def refuse(*args):
+        raise AssertionError("coprimality tested")
+    monkeypatch.setattr(E, "_coprime_mask", refuse)
+    monkeypatch.setattr(F, "_coprime_mask", refuse)
+    monkeypatch.setattr(np, "gcd", refuse)
+    assert E.eisenstein_direct(field_q5, inf, z, params) == value
+
+
 @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, 1e-3])
 def test_direct_rejects_bad_bound(field_q, bound):
     # 1e-3 leaves no pair in the outer window [B/2, B], so no tail slope

@@ -41,13 +41,24 @@ def test_gamma_pole():
         S.gamma(-3)
 
 
-@pytest.mark.parametrize("s", [0.25 + 270j, 0.5 + 540j, -0.5 - 300j])
+@pytest.mark.parametrize("s", [0.25 + 270j, 0.5 + 540j, -0.5 - 300j, -171.5, 171.7, 400.0])
 def test_gamma_raises_outside_double_range(s):
     # sin(pi s) of the reflection overflows at 0.25 + 270i and -0.5 - 300i
     # (the value was nan), and |Gamma(0.5 + 540i)| ~ 1e-368 underflows (it
-    # was 0)
+    # was 0); Gamma(-171.5) ~ 1.9e-310 is subnormal, and Gamma(171.7) and
+    # Gamma(400) overflow (the Lanczos power raised OverflowError)
     with pytest.raises(DomainError):
         S.gamma(s)
+
+
+def test_gamma_near_the_overflow_edge():
+    # Gamma(171) = 170! ~ 7.3e306 and Gamma(171.5) ~ 9.5e307 are doubles;
+    # t^(z + 1/2) alone overflowed before e^-t brought it back
+    exact = math.factorial(170)
+    assert abs(S.gamma(171.0) - exact) <= 1e-13 * exact
+    for s in (171.5, 171.6 + 1j):
+        exact = complex(mp.gamma(s))
+        assert abs(S.gamma(s) - exact) <= 2e-13 * abs(exact)
 
 
 @pytest.mark.parametrize("s", [0.25 + 200j, 0.5 + 200j, 0.75 - 270j, 2.0 - 220j])

@@ -7,6 +7,7 @@ import pytest
 
 from hilmod import eisenstein as E
 from hilmod import fields as F
+from hilmod import specfun as S
 from hilmod import zeta as Z
 from hilmod.errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole, ZeroFrequency
 
@@ -155,6 +156,28 @@ def test_phi_raises_outside_double_range(d):
         with pytest.raises(DomainError):
             Z.phi(ctx, 1.5 + 230j)
     assert cmath.isfinite(Z.phi(ctx, 0.8 + 200j))
+
+
+def test_lambda_factor_calls_gamma_per_place_kind(field_qi, monkeypatch):
+    # no real place on Q(i): only Gamma(s) is taken, not a discarded
+    # Gamma(s/2)^0 that could raise by itself
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return S.gamma(s)
+    monkeypatch.setattr(Z, "gamma", counted)
+    Z.lambda_factor(field_qi, 1.5 + 2j)
+    assert calls == [1.5 + 2j]
+
+
+@pytest.mark.parametrize("s", [1.5, 0.3 + 4j, 2.5 - 30j])
+def test_lambda_factor_imaginary_field_against_mpmath(field_qi, s):
+    # 2^{-s} D^{s/2} pi^{-s} Gamma(s) with D = 4
+    with mp.workdps(30):
+        s_mp = mp.mpc(s)
+        exact = complex(2 ** -s_mp * mp.mpf(4) ** (s_mp / 2) * mp.pi ** -s_mp * mp.gamma(s_mp))
+    assert abs(Z.lambda_factor(field_qi, s) - exact) <= 1e-13 * abs(exact)
 
 
 def brute_tau(ctx, l_int, s):
