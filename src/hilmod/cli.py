@@ -210,11 +210,11 @@ def cmd_equidist(args) -> int:
     report = equidist.decay_exponent_fit(f, fd, cfg["k_min"], cfg["k_max"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "q", "m_q", "m", "e", "nodes"])
-    for k, (q, mq, e, n) in enumerate(zip(report.q_grid, report.m_values,
-                                          report.errors, report.nodes_used)):
-        writer.writerow([cfg["k_min"] + k, "%.12g" % q, "%.12g" % mq,
-                         "%.12g" % report.m_limit, "%.12g" % e, n])
+    writer.writerow(["k", "q", "m_q", "m", "e", "nodes", "quad_err"])
+    for row in report.rows():
+        writer.writerow([row["k"], "%.12g" % row["q"], "%.12g" % row["m_q"],
+                         "%.12g" % row["m"], "%.12g" % row["e"], row["nodes"],
+                         "%.3g" % row["quad_err"]])
     csv_text = buf.getvalue()
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:

@@ -109,7 +109,7 @@ def test_equidist_deterministic_csv(tmp_path, capsys):
     assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
-    assert header == "k,q,m_q,m,e,nodes"
+    assert header == "k,q,m_q,m,e,nodes,quad_err"
     meta = json.loads(err1.strip().splitlines()[-1])
     assert meta["markers"] == {"unconditional": 0.5, "riemann_hypothesis": 0.75}
     svg_text = svg.read_text()

@@ -12,7 +12,7 @@ from hilmod import equidist as Q
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
-from hilmod.errors import PoleAtOne
+from hilmod.errors import PoleAtOne, QuadratureBudgetExceeded
 from hilmod.quadrature import gl_panel_nodes
 from conftest import random_group_element, random_point
 
@@ -296,14 +296,42 @@ def test_kernel_two_planes_against_nested_quad(field_q5):
 
 
 def test_kernel_two_planes_blocks(field_q5, monkeypatch):
-    # three outer kappa rows per block at per-axis order 16 (the two-plane
-    # order of _unfolded_sum at 24), and three inner rows per block
+    # three kappa rows per block of four pieces at order 16
     f = Q.make_test_function(field_q5, 2.0, 4.0)
     monkeypatch.setattr(Q, "_KERNEL_BLOCK", 3 * 4 * 16)
     kappas = np.linspace(1.9, 9.0, 11)
     together = Q._unfolded_kernel(f, kappas, (1, 1), 16)
     alone = np.array([Q._unfolded_kernel(f, [k], (1, 1), 16)[0] for k in kappas])
     np.testing.assert_allclose(together, alone, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [0, -1, 5])
+def test_place_weight_mellin_is_archimedean_ratio(d):
+    # int_0^inf (1 + x^2)^-w w(x) dx = int_1^inf t^-w rho(t) dt is the ratio
+    # Lambda(2w - 1) / Lambda(2w) of the archimedean factors, up to the
+    # sqrt(D) / 2^r2 of _unfolded_sum: sqrt(pi) G(w - 1/2) / G(w) on Q,
+    # pi / (2w - 1) on Q(i), pi G(w - 1/2)^2 / G(w)^2 on Q(sqrt 5)
+    field = F.make_field(d)
+    weight = Q._PLACE_WEIGHTS[field.place_degrees]
+    for w in (1.3, 2.0, 3.7):
+        got = quad(lambda x: weight(x, 1.0 + x * x) * (1.0 + x * x) ** -w, 0.0, math.inf,
+                   limit=400, epsabs=0.0, epsrel=1e-13)[0]
+        ratio = Z.lambda_factor(field, 2 * w - 1) / Z.lambda_factor(field, 2 * w)
+        want = math.sqrt(field.D) / 2 ** field.r2 * ratio.real
+        assert abs(got - want) <= 1e-11 * want, (w, got, want)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
+def test_unfolded_sum_converges_in_order(d):
+    # the decay fit's order 32 (5e-11: 2.5e-11 on Q at k = 3, where the
+    # shoulder ramps are not analytic at the breaks) and 48 against 96
+    field = F.make_field(d)
+    f = Q.make_test_function(field)
+    for k in range(2, 17):
+        ref = Q._unfolded_sum(f, 2.0 ** -k, field, 96)
+        for order, tol in ((32, 5e-11), (48, 1e-12)):
+            got = Q._unfolded_sum(f, 2.0 ** -k, field, order)
+            assert abs(got - ref) <= tol * abs(ref), (k, order, got, ref)
 
 
 def test_haar_average_closed_form(field_q, ctx_q):
@@ -400,7 +428,19 @@ def test_decay_fit_report_shape(field_q, ctx_q):
     assert all(e >= 0 for e in rep.errors)
     rows = list(rep.rows())
     assert rows[0]["k"] == 3 and rows[-1]["k"] == 8
+    assert all(r["nodes"] == 32 and r["quad_err"] <= 0.1 * r["e"] for r in rows)
     assert rep.runtime >= 0
+
+
+def test_decay_fit_raises_on_unconverged_slice(field_q, ctx_q, monkeypatch):
+    f = Q.make_test_function(field_q)
+    average = Q.cusp_section_average
+
+    def coarse_order_off(f, q, field, order):
+        return average(f, q, field, order=order) + (1e-3 if order == 20 else 0.0)
+    monkeypatch.setattr(Q, "cusp_section_average", coarse_order_off)
+    with pytest.raises(QuadratureBudgetExceeded):
+        Q.decay_exponent_fit(f, field_q, 3, 8, ctx_q)
 
 
 def test_vertical_scan_shape_and_linearity(field_q, ctx_q):
@@ -470,17 +510,17 @@ _DECAY_PINS = {
              "0x1.1d5854b505848p-3", "0x1.1cf6a6e29739cp-3", "0x1.1d4dfe3f32d7dp-3",
              "0x1.1d252ebc963cap-3", "0x1.1d2369b14edf9p-3", "0x1.1d2cbe64ad426p-3",
              "0x1.1d22c477d2a16p-3"]),
-    5: (11, ["0x1.695fa9f2ac837p-3", "0x1.29f3e95585a6dp-3", "0x1.e474221d531c0p-4",
-             "0x1.99f0a1e5b0962p-4", "0x1.1725564d566afp-3", "0x1.cde54e585d512p-4",
-             "0x1.e7f979e4377e9p-4", "0x1.dbe29e46c5d0dp-4", "0x1.fd16472b43f79p-4",
-             "0x1.ec381e1cf5107p-4"]),
-    -1: (20, ["0x1.5ff12887d737cp-3", "0x1.088d07c0ae997p-3", "0x1.07f4de65e169dp-3",
-              "0x1.84fb2fa3b441fp-4", "0x1.2b56f9731e471p-3", "0x1.c7cb51fb6602fp-4",
-              "0x1.f4a2602a44563p-4", "0x1.def019a0aa2eap-4", "0x1.eb165b660135cp-4",
-              "0x1.eea4aa34c8cbcp-4", "0x1.f007ead5b599dp-4", "0x1.e3841524b496cp-4",
-              "0x1.e7a108fca9bd9p-4", "0x1.ec22d32d23667p-4", "0x1.e8a3aa9aae4b6p-4",
-              "0x1.e89353d708e1cp-4", "0x1.e8331d4c8a5ddp-4", "0x1.e92d9b9ecc435p-4",
-              "0x1.e93e6f57c0376p-4"]),
+    5: (11, ["0x1.695fa9f328b97p-3", "0x1.29f3e958da8b6p-3", "0x1.e474222e171f8p-4",
+             "0x1.99f0a1faaf6c0p-4", "0x1.1725565678caep-3", "0x1.cde54e68412b9p-4",
+             "0x1.e7f979f43a204p-4", "0x1.dbe29e56b7b3cp-4", "0x1.fd16472049bf2p-4",
+             "0x1.ec382099d186ep-4"]),
+    -1: (20, ["0x1.5ff12887d6a2bp-3", "0x1.088d07c0a092dp-3", "0x1.07f4de65e1423p-3",
+              "0x1.84fb2fa3a63ecp-4", "0x1.2b56f973208e2p-3", "0x1.c7cb51fb5ee5ap-4",
+              "0x1.f4a2602a44cc0p-4", "0x1.def019a0a5712p-4", "0x1.eb165b6601490p-4",
+              "0x1.eea4aa34c7950p-4", "0x1.f007ead5b7092p-4", "0x1.e3841524b4bdcp-4",
+              "0x1.e7a108fca8e0dp-4", "0x1.ec22d32d24346p-4", "0x1.e8a3aa9aa952dp-4",
+              "0x1.e89353d709578p-4", "0x1.e8331d4c8a08dp-4", "0x1.e92d9b9ecb7a7p-4",
+              "0x1.e93e6f57bf362p-4"]),
 }
 
 
