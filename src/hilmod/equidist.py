@@ -12,7 +12,7 @@ import numpy as np
 
 from .domains import eisenstein_box_average, shadow_integral
 from .eisenstein import max_cusp_height, orbifold_volume
-from .errors import PoleAtOne, QuadratureBudgetExceeded
+from .errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData, ideal_totient_sums, make_field
 from .geometry import Cusp, Point, cusp_infinity, unfold_constant
 from .quadrature import gl_panel_nodes
@@ -98,10 +98,14 @@ def eval_test_function(f: TestFunction, z: Point, field: FieldData) -> float:
 # Slice averages
 # ---------------------------------------------------------------------------
 
-def cusp_section_average(f: TestFunction, q: float, field: FieldData,
+def cusp_section_average(f: TestFunction, q, field: FieldData,
                          nodes: int = 16, method: str = "unfolded",
-                         order: int = 24) -> float:
+                         order: int = 24):
     """m_i(f, q): box average of f over the cross section at height q.
+
+    q is one height, giving a float, or a 1-D array of heights, giving an
+    array of the same length with the same values as one call per height;
+    every height must be positive and finite (else `DomainError`).
 
     Horoballs above the support floor t0 > l1 are pairwise disjoint, so
     the average decomposes into psi(q) plus one term per cusp reaching
@@ -112,8 +116,9 @@ def cusp_section_average(f: TestFunction, q: float, field: FieldData,
                 kernel K(1/(n^2 q)), one psi-integral in x with a closed-form
                 weight per place-degree signature, split at the shoulder
                 junctions (`_unfolded_kernel`).  Against order 96 the sum
-                is within 1.3e-9 relative at the default order 24 and 2.6e-11
-                at 32, on seven fields and q = 2^-2 .. 2^-16.
+                is within 1.2e-9 relative at the default order 24 and 2.5e-11
+                at 32, on seven fields and q = 2^-2 .. 2^-16.  An array of
+                heights takes one kernel call for all of them.
 
     "horoball"  the geometric cross-check: psi integrated over each other
                 cusp's shadow by one composite Gauss-Legendre rule for every
@@ -124,16 +129,22 @@ def cusp_section_average(f: TestFunction, q: float, field: FieldData,
                 the lowest Y heights; V grows with each y_i, so the terms left
                 out are exactly 0.  At nodes = 20 it is within 4.9e-4 of the
                 unfolded route on nine fields, two bumps and 40 q in
-                [0.004, 0.3] (scripts/horoball_accuracy.py).
+                [0.004, 0.3] (scripts/horoball_accuracy.py).  An array of
+                heights is taken one height at a time.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    total = float(f.profile(q))
+    qs = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(qs) & (qs > 0)):
+        raise DomainError("heights must be positive and finite, got %r" % (q,))
+    heights = np.atleast_1d(qs)
+    total = f.profile(heights)
     if method == "unfolded":
-        return total + _unfolded_sum(f, q, field, order)
-    if method == "horoball":
-        return total + shadow_integral(field, q, f.t0 * 0.999, f.profile, nodes)
-    raise ValueError("unknown method %r" % (method,))
+        total = total + _unfolded_sum(f, heights, field, order)
+    elif method == "horoball":
+        total = total + np.array([shadow_integral(field, float(h), f.t0 * 0.999, f.profile,
+                                                  nodes) for h in heights])
+    else:
+        raise ValueError("unknown method %r" % (method,))
+    return float(total[0]) if qs.ndim == 0 else total
 
 
 # --- unfolded route: arithmetic kernels -----------------------------------
@@ -150,25 +161,6 @@ def _totients(field: FieldData, N: int) -> np.ndarray:
 
 
 _KERNEL_BLOCK = 1 << 13  # integrand values evaluated per block
-
-
-def _piecewise_integral(edges: np.ndarray, fun, order: int) -> np.ndarray:
-    """Row-wise GL integrals of fun between consecutive edges.
-
-    edges: (K, P + 1) with each row ascending; fun(rows, x) gives the
-    integrand of the given rows of K at nodes x of shape (k, P, order).
-    Zero-length pieces get zero weight.  Rows are evaluated in blocks of
-    about _KERNEL_BLOCK nodes, so memory does not grow with K."""
-    gx, gw = gl_panel_nodes(-1.0, 1.0, 1, order)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    out = np.empty(edges.shape[0])
-    step = max(1, _KERNEL_BLOCK // (half.shape[1] * order))
-    for lo in range(0, edges.shape[0], step):
-        rows = slice(lo, lo + step)
-        x = mid[rows, :, None] + half[rows, :, None] * gx
-        out[rows] = np.einsum("kpo,kp,o->k", fun(rows, x), half[rows], gw)
-    return out
 
 
 def _break_edges(f: TestFunction, kappa: np.ndarray) -> np.ndarray:
@@ -205,25 +197,37 @@ def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
                      order: int) -> np.ndarray:
     """K(kappa) = int_0^inf psi(kappa / (1 + x^2)) w(x) dx for an array of
     kappa, with the weight of the place degrees (`_PLACE_WEIGHTS`): one GL
-    rule of `order` nodes on each piece between the shoulder breaks."""
+    rule of `order` nodes on each piece between the shoulder breaks.  Rows
+    are evaluated in blocks of about _KERNEL_BLOCK nodes, edges included,
+    so memory does not grow with the number of kappa."""
     kappa = np.asarray(kappa, dtype=float).ravel()
     weight = _PLACE_WEIGHTS[degrees]
-
-    def fun(rows, x):
+    gx, gw = gl_panel_nodes(-1.0, 1.0, 1, order)
+    out = np.empty(kappa.size)
+    step = max(1, _KERNEL_BLOCK // (4 * order))  # 4 pieces per row
+    for lo in range(0, kappa.size, step):
+        k = kappa[lo:lo + step]
+        edges = _break_edges(f, k)
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        x = 0.5 * (edges[:, 1:, None] + edges[:, :-1, None]) + half[:, :, None] * gx
         t = x * x + 1.0
-        return f.profile(kappa[rows, None, None] / t) * weight(x, t)
-    return _piecewise_integral(_break_edges(f, kappa), fun, order)
+        out[lo:lo + step] = np.einsum("kpo,kp,o->k", f.profile(k[:, None, None] / t)
+                                      * weight(x, t), half, gw)
+    return out
 
 
-def _unfolded_sum(f: TestFunction, q: float, field: FieldData,
-                  order: int = 24) -> float:
-    nmax = int(math.floor(1.0 / math.sqrt(q * f.t0)))
-    if nmax < 1:
-        return 0.0
-    T = _totients(field, nmax)
-    n = np.arange(nmax, 0, -1)  # ascending kernel size, fixed order
-    acc = float(np.dot(T[n - 1], _unfolded_kernel(f, 1.0 / (n * n * q),
-                                                  field.place_degrees, order)))
+def _unfolded_sum(f: TestFunction, q, field: FieldData, order: int = 24) -> np.ndarray:
+    """The cusp terms of m_q for a height or a 1-D array of heights, as an
+    array: one kernel call on the rows n = nmax(q) .. 1 of every height, laid
+    end to end, and each height's rows summed in that order (ascending
+    kernel size)."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    nmax = np.floor(1.0 / np.sqrt(q * f.t0)).astype(np.int64)
+    ends = np.cumsum(nmax)
+    n = np.repeat(ends, nmax) - np.arange(int(nmax.sum()))
+    T = _totients(field, int(nmax.max(initial=0)))[n - 1]
+    K = _unfolded_kernel(f, 1.0 / (n * n * np.repeat(q, nmax)), field.place_degrees, order)
+    acc = np.array([np.dot(T[e - c:e], K[e - c:e]) for e, c in zip(ends, nmax)])
     scale = 2.0 ** field.r2 / math.sqrt(field.D)
     return scale * q * acc
 
@@ -284,9 +288,9 @@ def mellin_transform(f: TestFunction, s: complex, field: FieldData,
     # log q); resolve it with a dozen nodes per period
     panels = max(16, int(12 * math.log(f.t1 / qmin)))
     us, wu = gl_panel_nodes(math.log(qmin), math.log(f.t1), panels, 8)
-    for u, w in zip(us, wu):
-        qv = math.exp(u)
-        mq = cusp_section_average(f, qv, field)
+    # math.exp: np.exp differs from it in the last bit at some nodes
+    mqs = cusp_section_average(f, np.array([math.exp(u) for u in us]), field)
+    for u, w, mq in zip(us, wu, mqs):
         total += w * (mq - mf) * np.exp((s - 1.0) * u)
     return total
 
@@ -366,26 +370,22 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
     the fit as pre-asymptotic.  Each m_q is the unfolded route at kernel
     order 32, and its quadrature error is measured against order 20; an
     error above max(0.1 |m_q - m|, 1e-12 scale) raises."""
+    if k_max <= k_min:
+        raise DomainError("the fit needs two heights or more, got k = %d .. %d" % (k_min, k_max))
     t_start = time.perf_counter()
     ctx = ctx or make_context(field)
     mf = haar_average(f, field, ctx)
     scale = abs(mf) + abs(f.amplitude)
-    qs, ms, errs, quad_errs = [], [], [], []
-    for k in range(k_min, k_max + 1):
-        q = 2.0 ** (-k)
-        mq = cusp_section_average(f, q, field, order=32)
-        e = abs(mq - mf)
-        quad_err = abs(mq - cusp_section_average(f, q, field, order=20))
+    qs = [2.0 ** (-k) for k in range(k_min, k_max + 1)]
+    ms, coarse = (cusp_section_average(f, np.array(qs), field, order=order) for order in (32, 20))
+    errs, quad_errs = np.abs(ms - mf), np.abs(ms - coarse)
+    for k, e, quad_err in zip(range(k_min, k_max + 1), errs, quad_errs):
         if quad_err > max(0.1 * e, 1e-12 * scale):
             raise QuadratureBudgetExceeded("slice at q=2^-%d: error %.2e vs target %.2e"
                                            % (k, quad_err, 0.1 * e))
-        qs.append(q)
-        ms.append(mq)
-        errs.append(e)
-        quad_errs.append(quad_err)
     drop = 2 if len(qs) > 4 else 0
     lq = np.log(np.array(qs[drop:]))
-    le_raw = np.array(errs[drop:])
+    le_raw = errs[drop:]
     degenerate = bool(np.all(le_raw <= 1e-13 * scale))
     if degenerate:
         slope, ci = float("nan"), (float("nan"), float("nan"))
@@ -399,7 +399,8 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
         dof = max(n - 2, 1)
         se = math.sqrt(float(resid @ resid) / dof / float(((lq - lq.mean()) ** 2).sum()))
         ci = (slope - 1.96 * se, slope + 1.96 * se)
-    return ExperimentReport(qs, ms, mf, errs, [32] * len(qs), quad_errs, slope, ci,
+    return ExperimentReport(qs, ms.tolist(), mf, errs.tolist(), [32] * len(qs),
+                            quad_errs.tolist(), slope, ci,
                             time.perf_counter() - t_start, degenerate, drop, k_min)
 
 

@@ -132,3 +132,10 @@ def test_equidist_schema_guard(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"schema": 99}))
     rc, _, err = run_cli(capsys, "equidist", "--config", str(cfg_path))
     assert rc == 2
+
+
+@pytest.mark.parametrize("k_min, k_max", [("4", "4"), ("5", "3")])
+def test_equidist_needs_two_heights(capsys, k_min, k_max):
+    rc, out, err = run_cli(capsys, "equidist", "--k-min", k_min, "--k-max", k_max)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: DomainError: ")

@@ -12,7 +12,7 @@ from hilmod import equidist as Q
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
-from hilmod.errors import PoleAtOne, QuadratureBudgetExceeded
+from hilmod.errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from hilmod.quadrature import gl_panel_nodes
 from conftest import random_group_element, random_point
 
@@ -441,6 +441,78 @@ def test_decay_fit_raises_on_unconverged_slice(field_q, ctx_q, monkeypatch):
     monkeypatch.setattr(Q, "cusp_section_average", coarse_order_off)
     with pytest.raises(QuadratureBudgetExceeded):
         Q.decay_exponent_fit(f, field_q, 3, 8, ctx_q)
+
+
+# --- heights as an array -----------------------------------------------------
+# Non-monotone, with heights above 1/t0 = 0.56 (no kernel rows) and above t1.
+_ARRAY_QS = (0.3, 2.0 ** -9, 5.0, 0.07, 0.6, 2.2, 3.1, 2.0 ** -14, 0.9, 0.012, 0.3)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
+def test_array_heights_equal_scalar_calls(d):
+    field = F.make_field(d)
+    f = Q.make_test_function(field)
+    for order in (20, 24, 32):
+        got = Q.cusp_section_average(f, np.array(_ARRAY_QS), field, order=order)
+        want = [Q.cusp_section_average(f, q, field, order=order).hex() for q in _ARRAY_QS]
+        assert [float(v).hex() for v in got] == want, order
+
+
+def test_array_heights_horoball_and_scalar_type(field_q):
+    f = Q.make_test_function(field_q)
+    qs = [0.1525, 3.1, 0.0406]
+    got = Q.cusp_section_average(f, qs, field_q, nodes=4, method="horoball")
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    for q, v in zip(qs, got):
+        one = Q.cusp_section_average(f, q, field_q, nodes=4, method="horoball")
+        assert type(one) is float and one.hex() == float(v).hex()
+    assert type(Q.cusp_section_average(f, np.float64(0.07), field_q)) is float
+    assert Q.cusp_section_average(f, np.array([]), field_q).shape == (0,)
+
+
+@pytest.mark.parametrize("method", ["unfolded", "horoball"])
+def test_section_average_rejects_bad_heights(field_q, method):
+    f = Q.make_test_function(field_q)
+    for q in (0.0, -0.5, math.nan, math.inf, [0.1, math.nan]):
+        with pytest.raises(DomainError):
+            Q.cusp_section_average(f, q, field_q, nodes=4, method=method)
+
+
+def test_one_kernel_call_per_height_grid(field_q5, monkeypatch):
+    f = Q.make_test_function(field_q5, 2.0, 4.0)
+    ctx = Z.make_context(field_q5)
+    kernel, calls = Q._unfolded_kernel, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(Q, "_unfolded_kernel", counted)
+    Q.mellin_transform(f, 2.0, field_q5, ctx, method="defining")
+    assert len(calls) == 1
+    calls.clear()
+    Q.decay_exponent_fit(Q.make_test_function(field_q5), field_q5, 2, 10, ctx)
+    assert len(calls) == 2
+
+
+# Mellin sides of rankin_selberg_check, bump [2, 4], s = 2, as float.hex of
+# the real part (the imaginary part is 0), from the one-height-per-call route.
+_MELLIN_SIDE_PINS = {0: "0x1.9c61e6cc4f21dp+0", 5: "0x1.b0ecf4d1945d4p+1"}
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_rankin_selberg_mellin_side_pinned(d):
+    from hilmod.geometry import unfold_constant
+    field = F.make_field(d)
+    f = Q.make_test_function(field, 2.0, 4.0)
+    side = unfold_constant(field) * Q.mellin_transform(f, 2.0, field, Z.make_context(field),
+                                                       method="defining")
+    assert (side.real.hex(), side.imag) == (_MELLIN_SIDE_PINS[d], 0.0)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(4, 4), (5, 3)])
+def test_decay_fit_needs_two_heights(field_q, ctx_q, k_min, k_max):
+    with pytest.raises(DomainError):
+        Q.decay_exponent_fit(Q.make_test_function(field_q), field_q, k_min, k_max, ctx_q)
 
 
 def test_vertical_scan_shape_and_linearity(field_q, ctx_q):
