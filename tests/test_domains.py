@@ -6,6 +6,7 @@ import pytest
 
 from hilmod import domains as D
 from hilmod import eisenstein as E
+from hilmod import equidist
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
@@ -143,6 +144,92 @@ def test_grid_and_box_across_block_boundaries(d, monkeypatch):
     for block in (13, 97):
         monkeypatch.setattr(D, "_BOX_BLOCK", block)
         assert np.all(np.abs(values() - whole) <= 1e-14 * np.abs(whole)), block
+
+
+def _dense_bessel(field, s, table, ys):
+    """Reference for `_bessel_blocks`: the same table interpolated at every
+    (row, frequency) entry, then set to zero where the total argument passes
+    the cut."""
+    lo = float(min(f * y.min() * l.min() for f, y, l in zip(table.factors, ys, table.l_abs)))
+    hi = float(max(f * y.max() * l.max() for f, y, l in zip(table.factors, ys, table.l_abs)))
+    interp = D._BesselTable(E._bessel_order(s, field.place_degrees[0]), lo,
+                            max(min(hi, table.cut), 2 * lo))
+    K = np.ones((ys[0].size, table.taus.size), dtype=complex)
+    total_arg = np.zeros(K.shape)
+    for f, y, l in zip(table.factors, ys, table.l_abs):
+        arg = f * y[:, None] * l[None, :]
+        total_arg += arg
+        K *= interp(arg)
+    K[total_arg > table.cut] = 0.0
+    return K
+
+
+@pytest.mark.parametrize("block", [None, 13])
+@pytest.mark.parametrize("s", [1.5, 2.0, 1.5 + 5j])
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_bessel_blocks_equal_dense_reference(d, s, block, monkeypatch):
+    # interpolating only the entries at or below the cut changes no bit
+    if block is not None:
+        monkeypatch.setattr(D, "_BOX_BLOCK", block)
+    field = F.make_field(d)
+    _, _, ys = _reduced_points(field, 12, 7 + d)
+    table = E.frequency_table(field, s, [float(y.min()) for y in ys])
+    dense = _dense_bessel(field, complex(s), table, ys)
+    assert 0 < np.count_nonzero(dense) < dense.size
+    got = np.full(dense.shape, np.nan, dtype=complex)
+    for b, keep, K in D._bessel_blocks(field, complex(s), table, ys):
+        assert np.array_equal(keep, np.flatnonzero(K))
+        got[:, b] = K
+    assert np.array_equal(got, dense)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_bessel_table_sees_only_kept_entries(d, monkeypatch):
+    # work, not time: the table interpolates r values per entry whose total
+    # argument is at most the cut, on the grid and on the box; a dense
+    # kernel would interpolate every entry
+    field = F.make_field(d)
+    ctx = Z.make_context(field)
+    seen, entries = [], []
+    table_call, blocks = D._BesselTable.__call__, D._bessel_blocks
+
+    def counted(self, x):
+        seen.append(x.size)
+        return table_call(self, x)
+
+    def captured(fd, s, table, ys):
+        total_arg = sum(f * y[:, None] * l[None, :]
+                        for f, y, l in zip(table.factors, ys, table.l_abs))
+        entries.append((np.count_nonzero(total_arg <= table.cut), total_arg.size))
+        return blocks(fd, s, table, ys)
+    monkeypatch.setattr(D._BesselTable, "__call__", counted)
+    monkeypatch.setattr(D, "_bessel_blocks", captured)
+    _, xs, ys = _reduced_points(field, 12, 7 + d)
+    nodes, weights = gl_panel_nodes(-0.5, 0.5, 1, 4)
+    for call in (lambda: D.eisenstein_fourier_grid(field, 1.5, xs, ys, ctx),
+                 lambda: D.eisenstein_box_average(field, 2.0, np.array([0.7, 1.9]), nodes,
+                                                  weights, ctx)):
+        seen.clear()
+        entries.clear()
+        call()
+        assert len(entries) == 1 and 0 < entries[0][0] < entries[0][1]
+        assert sum(seen) == field.r * entries[0][0]
+
+
+# float.hex of values from the dense kernel, which interpolated every entry
+_MS_PIN = ("0x1.3167d131cfc3cp+4", "-0x1.a958bd033c4adp-70")
+_RS_Q5_PINS = (("0x1.b0ecf4d1945d4p+1", "0x0.0p+0"),
+               ("0x1.b0ed6dcf7fb39p+1", "0x1.4dbe8db7b46b5p-123"))
+
+
+def test_grid_and_box_results_pinned(field_q, ctx_q):
+    def hexes(z):
+        return (z.real.hex(), z.imag.hex())
+    assert hexes(D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, ctx=ctx_q)) == _MS_PIN
+    field = F.make_field(5)
+    f = equidist.make_test_function(field, 2.0, 4.0)
+    sides = equidist.rankin_selberg_check(field, f, 2.0, Z.make_context(field))
+    assert tuple(hexes(complex(v)) for v in sides) == _RS_Q5_PINS
 
 
 def test_modular_domain_volume():
