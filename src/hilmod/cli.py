@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from . import domains, eisenstein, equidist, fields, geometry, zeta
@@ -39,7 +40,9 @@ def cmd_field_info(args) -> int:
 
 
 def _parse_s(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    """s from text such as 2, 1.5+9.5i or inf: only a closing i is the
+    imaginary unit, so inf and nan keep theirs."""
+    return complex(re.sub(r"i(?=\)?$)", "j", text.replace(" ", "")))
 
 
 def _parse_point(field, text: str):

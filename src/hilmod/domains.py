@@ -15,7 +15,7 @@ from .eisenstein import (
     _bessel_order,
     _canonical_c,
     _embed_coords,
-    _ragged_blocks,
+    _ragged_values,
     frequency_table,
     maass_selberg_constant,
 )
@@ -392,7 +392,7 @@ def shadow_mask(field: FieldData, q: float, T: float, n: int) -> np.ndarray:
     count = np.where(np.all(lens > 0, axis=0), np.prod(lens, axis=0), 0)
     nY = n ** (field.r - 1)  # grid point (X, Y) has flat index iX * nY + iY
     ys = [y[:nY] for y in ys]
-    for rows, pos in _ragged_blocks(np.zeros(count.size, dtype=np.int64), count - 1):
+    for rows, pos in _ragged_values(np.zeros(count.size, dtype=np.int64), count - 1):
         iX = lo[0, rows] + pos if field.n == 1 else \
             (lo[0, rows] + pos // lens[1, rows]) * n + lo[1, rows] + pos % lens[1, rows]
         for k, t in _passing(field, ce, de, rows, [x[iX * nY] for x in xs], ys, q, T):
@@ -405,7 +405,7 @@ def shadow_integral(field: FieldData, q: float, floor: float, profile, nodes: in
     integral of profile(q / V) over their X sub-boxes (`_shadow_boxes`) on the
     slice at height q, for a profile that vanishes below `floor`, by the rule
     of `equidist.cusp_section_average`.  Blocks of (candidate, X point) pairs
-    (`_ragged_blocks`) take their Y rows in slices of as many values where
+    (`_ragged_values`) take their Y rows in slices of as many values where
     the cusp passes `floor` at the lowest heights (`_passing`: V grows with
     each y_i); elsewhere profile(q / V) is 0 on every row, and the term is
     exactly 0.0.  A candidate that straddles blocks is summed in parts, so
@@ -420,7 +420,7 @@ def shadow_integral(field: FieldData, q: float, floor: float, profile, nodes: in
     m = panels * nodes  # nodes per X axis; X point (iX_0, iX_1) has index iX_0 * m + iX_1
     gx, gw = gl_panel_nodes(0.0, 1.0, 1, nodes)
     totals = np.zeros(rho.size)
-    for rows, pos in _ragged_blocks(np.zeros(rho.size, dtype=np.int64),
+    for rows, pos in _ragged_values(np.zeros(rho.size, dtype=np.int64),
                                     np.where(np.all(hi > lo, axis=0), m ** field.n, 0) - 1):
         X, w = np.empty((rows.size, field.n)), np.ones(rows.size)
         for a in range(field.n - 1, -1, -1):

@@ -10,6 +10,7 @@ sums.  Their agreement is the package's main self-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,20 +52,11 @@ class EisensteinParams:
 _PAIR_BLOCK = 1 << 16  # lattice candidates examined per block of the pair sum
 
 
-def _ragged_ranges(lo: np.ndarray, hi: np.ndarray):
-    """All integers in [lo_i, hi_i] per row, flattened, with row indices."""
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    rows = np.repeat(np.arange(lo.size), counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows, lo[rows] + offs
-
-
 def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
-    """_ragged_ranges(lo, hi) in consecutive pieces of at most _PAIR_BLOCK
-    values; a row longer than a block is split between blocks."""
+    """The integer ranges [lo_j, hi_j], laid end to end, in consecutive
+    blocks of at most _PAIR_BLOCK values, as row pieces: per block the rows
+    j it touches, the first value of each piece and its length.  A row
+    longer than a block is split between blocks; empty rows are dropped."""
     counts = np.maximum(hi - lo + 1, 0)
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
@@ -73,9 +65,29 @@ def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
         r0 = int(np.searchsorted(ends, a, side="right"))
         r1 = int(np.searchsorted(ends, b, side="left")) + 1
         first = ends[r0:r1] - counts[r0:r1]
-        rows, vals = _ragged_ranges(lo[r0:r1] + np.maximum(a - first, 0),
-                                    np.minimum(hi[r0:r1], lo[r0:r1] + (b - 1 - first)))
-        yield rows + r0, vals
+        skip = np.maximum(a - first, 0)
+        n = np.minimum(counts[r0:r1], b - first) - skip
+        rows = np.flatnonzero(n > 0)
+        yield rows + r0, lo[rows + r0] + skip[rows], n[rows]
+
+
+def _piece_values(v0: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """v0_j, v0_j + 1, ..., v0_j + n_j - 1 for each piece j, concatenated."""
+    x = np.repeat(v0 - np.cumsum(n) + n, n)
+    x += np.arange(x.size)
+    return x
+
+
+def _ragged_values(lo: np.ndarray, hi: np.ndarray):
+    """The blocks of `_ragged_blocks` with their pieces expanded: per block
+    the row and the value of every entry."""
+    for j, v0, n in _ragged_blocks(lo, hi):
+        yield np.repeat(j, n), _piece_values(v0, n)
+
+
+def _piece_points(k, v, u0, n):
+    """The (k, u, v) points of the row pieces (k, v, u0, n), in order."""
+    return np.repeat(k, n), _piece_values(u0, n), np.repeat(v, n)
 
 
 def _omega_embeds(field: FieldData):
@@ -123,21 +135,23 @@ def _ball_ranges(field: FieldData, centres, radii):
 
 
 def _ball_blocks(field: FieldData, centres, radii):
-    """The points of `_ball_ranges` as a stream of (k, u, v) blocks, k the
-    ball of each point: balls in order, then v, then u; each block holds at
-    most _PAIR_BLOCK points."""
+    """The points of `_ball_ranges` as a stream of blocks of row pieces
+    (k, v, u0, n): the points u0, ..., u0 + n - 1 of the row (ball k, v), in
+    order of ball, then v, then u.  Rows are built and points streamed at
+    most _PAIR_BLOCK at a time; a row longer than that is split between
+    blocks.  `_ball_points` expands the pieces, `_pair_blocks` reads them."""
     vlo, vhi, u_range = _ball_ranges(field, centres, radii)
-    for k, v in _ragged_blocks(vlo, vhi):
+    for k, v in _ragged_values(vlo, vhi):
         lo, hi = u_range(k, v)
-        for j, u in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
-            yield k[j], u, v[j]
+        for j, u0, n in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
+            yield k[j], v[j], u0, n
 
 
 def _ball_points(field: FieldData, centres, radii):
-    """Every block of `_ball_blocks` in one (k, u, v) triple."""
-    blocks = [(np.zeros(0, dtype=np.int64),) * 3]
+    """Every point of `_ball_blocks` in one (k, u, v) triple."""
+    blocks = [(np.zeros(0, dtype=np.int64),) * 4]
     blocks += _ball_blocks(field, centres, radii)
-    return tuple(np.concatenate(a) for a in zip(*blocks))
+    return _piece_points(*(np.concatenate(a) for a in zip(*blocks)))
 
 
 def _canonical_c(field: FieldData, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -183,20 +197,41 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     Torsion is fixed on c before any d is built, the d balls of
     `_pair_geometry` are enumerated by `_ball_blocks`, and each block
     examines at most _PAIR_BLOCK candidates, so memory is bounded by the
-    block, not by BV.
+    block, not by BV.  V is built from the row pieces: along a piece only u
+    moves, so the terms that do not (v omega_i, the d-ball centre m_i, h_i,
+    and (v Im omega - Im m)^2 at a complex place) are formed once per piece.
+    V_i is added up in the order of u + v omega_i, so V keeps the bits of V
+    from each pair's embeddings, with |w|^2 = (Re w)^2 + (Im w)^2.  A block
+    whose candidates all pass is yielded without a boolean index.
     """
     cu, cv, h, centres, radii = _pair_geometry(field, z, BV)
     R = field.regulator
-    for k, du, dv in _ball_blocks(field, centres, radii):
-        Vp = [np.abs(de - m[k]) ** 2 + hi[k]
-              for de, m, hi in zip(_embed_coords(field, du, dv), centres, h)]
-        V = math.prod(v ** deg for v, deg in zip(Vp, field.place_degrees))
+    omegas = _omega_embeds(field)
+    for k, dv, u0, n in _ball_blocks(field, centres, radii):
+        du = _piece_values(u0, n)
+        Vp = []
+        for o, m, hi, deg in zip(omegas, centres, h, field.place_degrees):
+            Vi = np.repeat(dv * o.real, n)
+            Vi += du
+            Vi -= np.repeat(m.real[k], n)
+            Vi *= Vi
+            if deg == 2:
+                Vi += np.repeat((dv * o.imag - m.imag[k]) ** 2, n)
+            Vi += np.repeat(hi[k], n)
+            Vp.append(Vi)
+        # n = 2: two real places, or one complex place squared
+        V = Vp[0] * Vp[-1] if field.n == 2 else Vp[0]
         keep = V <= BV
         if field.r == 2:
-            t = np.log(Vp[0] / Vp[1])
-            keep &= (t >= -2 * R) & (t < 2 * R)
-        yield V[keep], lambda k=k, du=du, dv=dv, keep=keep: (
-            cu[k[keep]], cv[k[keep]], du[keep], dv[keep])
+            w = np.log(Vp[0] / Vp[1])
+            keep &= (w >= -2 * R) & (w < 2 * R)
+        if keep.all():
+            keep = slice(None)
+
+        def cols(k=k, dv=dv, u0=u0, n=n, keep=keep):
+            kp, du, dvp = (a[keep] for a in _piece_points(k, dv, u0, n))
+            return cu[kp], cv[kp], du, dvp
+        yield V[keep], cols
 
 
 def _pair_table(field: FieldData, z: Point, BV: float):
@@ -234,6 +269,14 @@ def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
 # Direct evaluation
 # ---------------------------------------------------------------------------
 
+def _finite_s(s) -> complex:
+    """complex(s), or DomainError for an s that is not finite."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite, got %r" % (s,))
+    return s
+
+
 def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
                       params: EisensteinParams, return_parts: bool = False):
     """Lattice-sum Eisenstein value at Re(s) > 1 with a calibrated tail.
@@ -255,16 +298,17 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     exact coprime counts.  The (0, 1) orbit, V = 1, is added apart.  The sum
     runs block by block (_pair_blocks), so memory is bounded by _PAIR_BLOCK,
     not by B.  Against the coprime sum in ascending order of V, added by
-    math.fsum, the value differs by at most 9.7e-16 relative at s = 1.5, 2
-    and 1.3+0.5i and 4.3e-15 at s = 1.5+9.5i (320 values on eight fields):
-    the terms of pairs that are not coprime cancel to the rounding of their
-    phases.  Raises DomainError for a bound that is not positive and finite,
-    or so small that no pair lies in the outer window, and for any cusp but
-    infinity, the only one it sums at.
+    math.fsum, the value differs by at most 6.2e-16 relative at s = 1.5, 2
+    and 1.3+0.5i and 1.3e-15 at s = 1.5+9.5i (320 values: ten random points
+    on each of eight fields at bound 2e4), and by at most 1.3e-15 at bound
+    2e5 (128 values): the terms of pairs that are not coprime cancel to the
+    rounding of their phases.  Raises DomainError for an s that is not finite, for a bound that
+    is not positive and finite, or so small that no pair lies in the outer
+    window, and for any cusp but infinity, the only one it sums at.
     """
     if cusp.value() is not None:
         raise DomainError("the direct route sums at the infinity cusp only")
-    s = complex(params.s)
+    s = _finite_s(params.s)
     if s.real <= 1.0:
         raise NotConvergent("direct series requires Re(s) > 1")
     B = params.norm_bound
@@ -287,7 +331,12 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     for V, _ in _pair_blocks(field, z, BV):
         r = BV / V
         j = np.sqrt(r).astype(np.intp)
-        main += np.sum(np.exp(p * (log_ny - np.log(V))) * W.take(j))
+        # (N(y) / V)^p, in place where the dtype allows: every block-sized
+        # temporary is memory the allocator may hand back and fault in again
+        e = np.log(V)
+        np.subtract(log_ny, e, out=e)
+        e = e * p if s.imag else np.multiply(e, p, out=e)
+        main += np.sum(np.multiply(np.exp(e, out=e), W.take(j), out=e))
         count += int(M.take(j).sum())
         inner += int(M.take(np.sqrt(r * 0.5).astype(np.intp)).sum())
     main = complex(main)
@@ -423,8 +472,9 @@ def eisenstein_fourier(field: FieldData, z: Point, s: complex,
                        fourier_terms: int | None = None,
                        ctx: ZetaContext | None = None) -> complex:
     """Fourier-expansion value at the infinity cusp (h = 1), valid wherever
-    the scattering quotient is regular, including 1/2 < Re(s) <= 1."""
-    s = complex(s)
+    the scattering quotient is regular, including 1/2 < Re(s) <= 1.  Raises
+    DomainError for an s that is not finite."""
+    s = _finite_s(s)
     ctx = ctx or make_context(field)
     q = z.ny(field)
     zero_mode = q ** s + phi(ctx, s) * q ** (1 - s)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hilmod.cli import main
+from hilmod.cli import _parse_s, main
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +64,33 @@ def test_eval_eisenstein_direct_bad_bound_row(capsys, bound):
                          "--s", "1.5", "--z", "0.28,1.3", "--norm-bound", bound)
     assert rc == 1
     assert json.loads(out)["error"] == "DomainError"
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("kind", ["eisenstein-direct", "eisenstein-fourier"])
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf", "1.5+nani", "nan+1i", "1.5+infi"])
+def test_eval_eisenstein_non_finite_s_row(capsys, kind, s):
+    # these printed a row of NaNs, which is not JSON, with exit 0, or died
+    # with a traceback (the i of inf was read as the imaginary unit)
+    rc, out, _ = run_cli(capsys, "eval", kind, "--field-d", "0", "--s=" + s,
+                         "--norm-bound", "2e4")
+    assert rc == 1
+    assert _strict_json(out)["error"] == "DomainError"
+
+
+def test_parse_s_maps_only_the_imaginary_unit():
+    assert _parse_s("1.5+9.5i") == 1.5 + 9.5j
+    assert _parse_s("1.3 + 0.5i") == 1.3 + 0.5j
+    assert _parse_s("2") == 2 and _parse_s("2j") == 2j
+    assert _parse_s("inf") == complex(math.inf)
+    assert _parse_s("-infinity") == complex(-math.inf)
+    assert _parse_s("1.5+infi") == complex(1.5, math.inf)
+    assert math.isnan(_parse_s("nan").real) and math.isnan(_parse_s("1+nani").imag)
 
 
 def test_check_pass_and_exit_codes(capsys):

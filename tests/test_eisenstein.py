@@ -127,15 +127,64 @@ def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
     params = E.EisensteinParams(s=1.3 + 0.5j, norm_bound=bound)
     pairs = E.enumerate_pairs(field, inf, z, bound)
     value = E.eisenstein_direct(field, inf, z, params)
-    vlo, vhi, _ = E._ball_ranges(field, *E._pair_geometry(field, z, bound * z.ny(field))[3:])
+    balls = E._pair_geometry(field, z, bound * z.ny(field))[3:]
+    vlo, vhi, _ = E._ball_ranges(field, *balls)
     for block in (13, 97):
         monkeypatch.setattr(E, "_PAIR_BLOCK", block)
         assert E.enumerate_pairs(field, inf, z, bound) == pairs
         got = E.eisenstein_direct(field, inf, z, params)
         assert abs(got - value) <= 1e-14 * abs(value)
+        # a row (ball k, v) whose points straddle two blocks comes as two
+        # pieces, the second starting where the first ends
+        blocks = list(E._ball_blocks(field, *balls))
+        assert all(n.size <= block and n.sum() <= block for _, _, _, n in blocks)
+        split = [(k0[-1], v0[-1], u0[-1] + n0[-1]) == (k1[0], v1[0], u1[0])
+                 for (k0, v0, u0, n0), (k1, v1, u1, _) in zip(blocks, blocks[1:])]
+        assert sum(split) >= 2
     # at block 13 the (c, dv) rows span several blocks; the du level does at both
     assert np.maximum(vhi - vlo + 1, 0).sum() > 2 * 13
     assert len(pairs) > 10 * 97
+
+
+def _reference_V(field, z, c1, c2, d1, d2):
+    """V and its per-place factors from each pair's embeddings."""
+    ce, de = E._embed_coords(field, c1, c2), E._embed_coords(field, d1, d2)
+    w = [c * x + dd for c, dd, (x, _) in zip(ce, de, z.coords)]
+    Vp = [wi.real ** 2 + wi.imag ** 2 + (np.abs(c) * y) ** 2 if deg == 2
+          else wi ** 2 + (np.abs(c) * y) ** 2
+          for wi, c, (_, y), deg in zip(w, ce, z.coords, field.place_degrees)]
+    return math.prod(v ** deg for v, deg in zip(Vp, field.place_degrees)), Vp
+
+
+@pytest.mark.parametrize("block", [None, 13])
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
+def test_pair_blocks_match_point_reference(d, block, monkeypatch):
+    # V from the row pieces against V from each pair's embeddings, block by
+    # block; and the pairs, in order, against the points of the d balls kept
+    # by that reference V
+    field = F.make_field(d)
+    z = random_point(field, random.Random(70 + d))
+    BV = (2e3 if block else 2e4) * z.ny(field)
+    if block:
+        monkeypatch.setattr(E, "_PAIR_BLOCK", block)
+    got = []
+    for V, cols in E._pair_blocks(field, z, BV):
+        cols = cols()
+        ref, _ = _reference_V(field, z, *cols)
+        assert V.shape == ref.shape
+        assert np.all(np.abs(V - ref) <= 4.5e-16 * ref)
+        got.append(np.stack(cols, axis=1))
+    got = np.concatenate(got)
+    cu, cv, _, centres, radii = E._pair_geometry(field, z, BV)
+    k, du, dv = E._ball_points(field, centres, radii)
+    want = np.stack([cu[k], cv[k], du, dv], axis=1)
+    V, Vp = _reference_V(field, z, *want.T)
+    keep = V <= BV
+    if field.r == 2:
+        w = np.log(Vp[0] / Vp[1])
+        keep &= (w >= -2 * field.regulator) & (w < 2 * field.regulator)
+    assert got.shape[0] > 400
+    assert np.array_equal(got, want[keep])
 
 
 @pytest.mark.parametrize("d, point, bound, count", [
@@ -151,6 +200,70 @@ def test_direct_pair_counts_pinned(d, point, bound, count):
                                 E.EisensteinParams(s=1.5, norm_bound=bound),
                                 return_parts=True)
     assert parts[3] == count
+
+
+_PINNED_POINTS = {0: [(0.31, 1.21)], 5: [(0.17, 1.08), (-0.29, 0.87)],
+                  -1: [(0.23 - 0.19j, 1.12)], 2: [(-0.41, 0.94), (0.12, 1.17)],
+                  13: [(0.36, 1.31), (-0.08, 0.79)], -3: [(-0.27 + 0.34j, 1.04)],
+                  -7: [(0.44 + 0.11j, 0.91)]}
+_PINNED_S = (1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j)
+
+
+@pytest.mark.parametrize("d, count, values", [
+    (0, 19091, [("0x1.e894bd23ac453p+1", "0x0.0p+0"),
+                ("0x1.7377c099dd40bp+1", "0x0.0p+0"),
+                ("0x1.5d20d5924bfdep+1", "-0x1.6379b6c85b708p+0"),
+                ("-0x1.27aa89c34da9cp+0", "0x1.5cf427065883bp+0")]),
+    (5, 16287, [("0x1.8948e132382cbp+1", "0x0.0p+0"),
+                ("0x1.1ad32a4f1264fp+1", "0x0.0p+0"),
+                ("0x1.152ff46956a36p+1", "-0x1.4570825f1693bp+0"),
+                ("0x1.98f780283f724p+0", "-0x1.9a20447b953c2p-1")]),
+    (-1, 16383, [("0x1.9e1695285fbd7p+1", "0x0.0p+0"),
+                 ("0x1.40e19c2172998p+1", "0x0.0p+0"),
+                 ("0x1.21d366ad1abe7p+1", "-0x1.2aa5d7a3fa72dp+0"),
+                 ("-0x1.b0bb097904b66p+0", "0x1.afe73a44388efp+0")]),
+    (2, 15163, [("0x1.708e49a06ea33p+1", "0x0.0p+0"),
+                ("0x1.1134758c73b6dp+1", "0x0.0p+0"),
+                ("0x1.013758dee0076p+1", "-0x1.221d85d3265a9p+0"),
+                ("-0x1.9a928c8c1b5b7p-3", "0x1.dca02ca144a9ap-1")]),
+    (13, 13106, [("0x1.532862ad1310ap+1", "0x0.0p+0"),
+                 ("0x1.09bb5bfba1cffp+1", "0x0.0p+0"),
+                 ("0x1.dffb1636b5c8cp+0", "-0x1.ba4229ba47c5dp-1"),
+                 ("0x1.74027477b46a0p+0", "-0x1.48fcd611ffa0fp-2")]),
+    (-3, 17084, [("0x1.9ad0a679afc9cp+1", "0x0.0p+0"),
+                 ("0x1.25c3f166be18fp+1", "0x0.0p+0"),
+                 ("0x1.231111dfe870dp+1", "-0x1.56c1bff7bc25ep+0"),
+                 ("0x1.6acff4f196064p-1", "0x1.68d6e7ee82996p+0")]),
+    (-7, 14850, [("0x1.58ef79fc68afbp+1", "0x0.0p+0"),
+                 ("0x1.daec33d4a8416p+0", "0x0.0p+0"),
+                 ("0x1.e435c25252bcdp+0", "-0x1.3233d7b0d4c36p+0"),
+                 ("-0x1.709c11483eeb0p-1", "-0x1.2194e4791ecb3p-1")]),
+])
+def test_direct_values_pinned(d, count, values):
+    # values and pair counts of the per-point enumeration that preceded the
+    # row-piece one, at bound 2e4 and s = 1.5, 2, 1.3+0.5i, 1.5+9.5i
+    field = F.make_field(d)
+    z = G.make_point(field, *_PINNED_POINTS[d])
+    for s, (re_hex, im_hex) in zip(_PINNED_S, values):
+        value, _, _, got = E.eisenstein_direct(
+            field, G.cusp_infinity(field), z, E.EisensteinParams(s=s, norm_bound=2e4),
+            return_parts=True)
+        want = complex(float.fromhex(re_hex), float.fromhex(im_hex))
+        assert got == count
+        assert abs(value - want) <= 2e-15 * abs(want)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, complex(1.5, math.nan),
+                               complex(math.nan, 1.0), complex(1.5, math.inf)])
+@pytest.mark.parametrize("bound", [None, 2e4])
+def test_direct_and_fourier_reject_non_finite_s(field_q, s, bound):
+    # they returned nan+nanj, or raised a bare ValueError or ZeroDivisionError
+    inf = G.cusp_infinity(field_q)
+    z = G.make_point(field_q, (0.28, 1.3))
+    with pytest.raises(DomainError):
+        E.eisenstein_direct(field_q, inf, z, E.EisensteinParams(s=s, norm_bound=bound))
+    with pytest.raises(DomainError):
+        E.eisenstein_fourier(field_q, z, s)
 
 
 @pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
