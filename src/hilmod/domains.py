@@ -41,7 +41,8 @@ class _BesselTable:
         self.m = math.ceil(32 * max(abs(order), 1.0) * span)
         self.du = span / self.m
         x = np.exp(self.u0 + self.du * np.arange(-2, self.m + 3))  # interval k: nodes k-2..k+3
-        vals = np.lib.stride_tricks.sliding_window_view(bessel_k_grid(order, x) * np.exp(x), 6)
+        vals = bessel_k_grid(order, x) * np.exp(x)  # real at real order: real coefficients
+        vals = np.lib.stride_tricks.sliding_window_view(vals if order.imag else vals.real, 6)
         self.coef = np.linalg.inv(np.vander(np.arange(-2.0, 4.0), increasing=True)) @ vals.T
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -74,7 +75,7 @@ def _bessel_blocks(field: FieldData, s: complex, table: FrequencyTable, ys):
     0 (38% of the entries are kept over the identity checks: 44% on the
     Maass-Selberg grids, 25% on the Q(sqrt 5) Rankin-Selberg box).  The
     places share one degree, so one order: K is one `_BesselTable` over the
-    arguments at every place, up to the cut."""
+    arguments at every place, up to the cut, real at real order."""
     lo = float(min(f * y.min() * l.min() for f, y, l in zip(table.factors, ys, table.l_abs)))
     hi = float(max(f * y.max() * l.max() for f, y, l in zip(table.factors, ys, table.l_abs)))
     hi = max(min(hi, table.cut), 2 * lo)
@@ -87,7 +88,7 @@ def _bessel_blocks(field: FieldData, s: complex, table: FrequencyTable, ys):
         k = interp(args[0].ravel()[keep])
         for arg in args[1:]:  # not *= or *: numpy's in-place complex products may round apart
             k = np.multiply(k, interp(arg.ravel()[keep]))
-        K = np.zeros(args[0].shape, dtype=complex)
+        K = np.zeros(args[0].shape, dtype=k.dtype)
         K.ravel()[keep] = k
         del args, k  # freed before the caller works on K: keeps the peak memory down
         yield b, keep, K
@@ -101,12 +102,13 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     xs, ys: lists over places of per-point coordinate arrays (complex x at
     half-space places).  All points share one frequency table computed from
     the smallest heights, and the Bessel factors come from one 6-point
-    `_BesselTable`.  Against `eisenstein_fourier` on 12 reduced points per
-    field (Q, Q(sqrt 5), Q(i), heights 0.85 to 1.7) the relative error was
-    at most 1.0e-13 at s = 1.5, 2 and 1.3+0.5i (Q(sqrt 5) at s = 2),
+    `_BesselTable`: the non-constant part is 2^(r+1) sqrt(N(y)) / xi(2s)
+    sum_{+-l} tau_l prod_i K_i cos(2 pi Tr(l x)), the cosine taken below the
+    cut only.  Against `eisenstein_fourier` on 12 reduced points per field
+    (Q, Q(sqrt 5), Q(i), heights 0.85 to 1.7) the relative error was at most
+    1.0e-13 at s = 1.5, 2 and 1.3+0.5i (Q(sqrt 5) at s = 2),
     3.6e-13 at 1.5+5i, 3.0e-12 at 1.5+10i, 3.7e-12 at 1.5+20i, 3.0e-12 at
-    1.5+35i and 1.2e-11 at 1.5+50i (Q).
-    """
+    1.5+35i and 1.2e-11 at 1.5+50i (Q)."""
     s = complex(s)
     ctx = ctx or make_context(field)
     xs, ys, q = _point_arrays(field, xs, ys)
@@ -122,10 +124,10 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
         phase = sum(deg * (table.l_val[i][b][col] * xs[i][row]).real
                     for i, deg in enumerate(field.place_degrees))
         del row, col  # as in _bessel_blocks: keeps the peak memory down
-        K.ravel()[keep] = np.multiply(K.ravel()[keep], np.exp(2j * math.pi * phase))
+        K.ravel()[keep] = np.multiply(K.ravel()[keep], np.cos(2 * math.pi * phase))
         tail += K @ table.taus[b]
     zs2 = completed_zeta(ctx, 2 * s)
-    return out + 2 ** field.r * np.sqrt(q) / zs2 * tail
+    return out + 2 ** (field.r + 1) * np.sqrt(q) / zs2 * tail
 
 
 def _y_rows(field: FieldData, q: float, nodes, weights):
@@ -146,16 +148,16 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
     summed in another order: the heights depend only on (q, Y), and since
     x = O X the phase e(Tr(l x)) splits into one 1-D sum per X axis,
     Phi_k(m) = sum_j w_j e(m X_j) with m = Tr(l alpha_k).  So each q costs
-    one Bessel row per Y node and frequency, not one per box point:
+    one Bessel row per Y node and frequency, not one per box point, and as
+    Phi_k(-m) = conj Phi_k(m) each pair +-l adds twice the real part:
 
-        zero mode * sum w + 2^r sqrt(q) / xi(2s)
-            * sum_l tau_l [sum_Y w_Y K_l(y(q, Y))] prod_k Phi_k(Tr(l alpha_k)).
+        zero mode * sum w + 2^(r+1) sqrt(q) / xi(2s)
+            * sum_{+-l} tau_l [sum_Y w_Y K_l(y(q, Y))] Re prod_k Phi_k(Tr(l alpha_k)).
 
     The frequency table and the Bessel blocks are those of the grid over the
     same points, and so is the accuracy of the Fourier values: relative
     error at most 1.0e-13 at real s, growing with |Im s| (3.0e-12 at
-    s = 1.5+10i).
-    """
+    s = 1.5+10i)."""
     s = complex(s)
     ctx = ctx or make_context(field)
     qs = np.asarray(qs, dtype=float)
@@ -174,13 +176,13 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
     phases = np.ones(table.taus.size, dtype=complex)
     for k in range(field.n):
         phases *= np.exp(2j * math.pi * table.traces[:, k, None] * nodes[None, :]) @ weights
-    coef = table.taus * phases
+    coef = table.taus * phases.real
     tail = np.zeros(qs.size, dtype=complex)
     for b, _, K in _bessel_blocks(field, s, table, ys):
         Kq = np.einsum("qyl,y->ql", K.reshape(qs.size, wy.size, -1), wy)
         tail += Kq @ coef[b]
     zs2 = completed_zeta(ctx, 2 * s)
-    return out + 2 ** field.r * np.sqrt(qs) / zs2 * tail
+    return out + 2 ** (field.r + 1) * np.sqrt(qs) / zs2 * tail
 
 
 # ---------------------------------------------------------------------------

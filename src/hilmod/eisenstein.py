@@ -10,7 +10,6 @@ sums.  Their agreement is the package's main self-check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,8 @@ from .fields import (FieldData, FieldElement, _coprime_mask, embed, ideal_diviso
                      ideal_mobius_sums)
 from .geometry import Cusp, Point, act, make_cusp
 from .specfun import bessel_k_grid
-from .zeta import (ZetaContext, completed_zeta, dedekind_zeta, make_context, phi,
-                   residue_phi)
+from .zeta import (ZetaContext, _finite_s, completed_zeta, dedekind_zeta, make_context,
+                   phi, residue_phi)
 
 _BESSEL_DECAY_CUT = 45.0   # Fourier terms kept: total Bessel argument up to this
                            # plus the |Im| of the Bessel orders (_frequency_cut)
@@ -269,14 +268,6 @@ def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
 # Direct evaluation
 # ---------------------------------------------------------------------------
 
-def _finite_s(s) -> complex:
-    """complex(s), or DomainError for an s that is not finite."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError("s must be finite, got %r" % (s,))
-    return s
-
-
 def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
                       params: EisensteinParams, return_parts: bool = False):
     """Lattice-sum Eisenstein value at Re(s) > 1 with a calibrated tail.
@@ -381,24 +372,24 @@ def _frequency_cut(field: FieldData, s: complex) -> float:
 
 def _frequency_box(field: FieldData, ys, cut: float):
     """Integer coords of nu in o - {0} with sum_i a_i |nu^(i)| <= cut, where
-    a_i = 2 pi deg_i y_i / |dg^(i)|, plus the per-frequency weights: the
-    points of one ball of radii cut / a_i."""
+    a_i = 2 pi deg_i y_i / |dg^(i)|, one nu of each pair +-nu (its first
+    nonzero coordinate positive), and their weights: one ball of radii cut / a_i."""
     a = [2 * math.pi * deg * y / abs(complex(g)) for y, g, deg
          in zip(ys, embed(field.different_gen, field), field.place_degrees)]
     _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
     weight = sum(ai * np.abs(e) for ai, e in zip(a, _embed_coords(field, u, v)))
-    keep = (weight <= cut) & ((u != 0) | (v != 0))
+    keep = (weight <= cut) & (np.where(u != 0, u, v) > 0)
     return np.stack([u[keep], v[keep]], axis=1), weight[keep]
 
 
 @dataclass
 class FrequencyTable:
     """The frequencies l = nu / dg, nu in o - {0}, that the Fourier sums
-    keep at order s: ring coordinates of nu in lexicographic order, l and
-    |l| at each place (l real at degree-1 places), the argument factors
-    2 pi deg (the Bessel argument at place i is factors[i] y_i |l_i|, and
-    terms whose total argument passes `cut` are dropped), the integer traces
-    Tr(l alpha_k) over the integral basis, and taus = tau_{1-2s}(l)."""
+    keep at order s, one per pair +-l: ring coordinates of nu in lexicographic
+    order, l and |l| at each place (l real at degree-1 places), the argument
+    factors 2 pi deg (the Bessel argument at place i is factors[i] y_i |l_i|,
+    and terms whose total argument passes `cut` are dropped), the integer
+    traces Tr(l alpha_k) over the integral basis, and taus = tau_{1-2s}(l)."""
 
     cut: float
     coords: np.ndarray
@@ -411,13 +402,13 @@ class FrequencyTable:
 
 def frequency_table(field: FieldData, s: complex, ys,
                     terms: int | None = None) -> FrequencyTable:
-    """The frequency box of `_frequency_box` at the heights ys and the cut of
-    order s, or its `terms` frequencies of smallest total argument."""
+    """The frequency box of `_frequency_box` at the heights ys and the cut of order
+    s, or its ceil(terms / 2) pairs +-l (`terms` counts each l) of least total argument."""
     s = complex(s)
     cut = _frequency_cut(field, s)
     coords, weight = _frequency_box(field, ys, cut)
-    if terms is not None and coords.shape[0] > terms:
-        coords = coords[np.argsort(weight, kind="stable")[:terms]]
+    if terms is not None:
+        coords = coords[np.argsort(weight, kind="stable")[:(terms + 1) // 2]]
     coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
     dg = [complex(v) for v in embed(field.different_gen, field)]
     l_val = []
@@ -452,10 +443,10 @@ def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
                    terms: int | None = None) -> complex:
     """The non-constant Fourier terms of E(z, s) at the infinity cusp,
 
-        2^r sqrt(N(y)) / xi_K(2s) sum_l tau_{1-2s}(l) prod_i K_i e(Tr(l x)),
+        2^(r+1) sqrt(N(y)) / xi_K(2s) sum_{+-l} tau_{1-2s}(l) prod_i K_i cos(2 pi Tr(l x)),
 
-    over the frequency table at the heights of z, with K_i the MacDonald
-    factor of place i by `bessel_k_grid`."""
+    over the frequency table (one l per pair +-l) at the heights of z, with
+    K_i the MacDonald factor of place i by `bessel_k_grid`."""
     xs, ys = zip(*z.coords)
     table = frequency_table(field, s, ys, terms)
     if table.taus.size == 0:
@@ -464,16 +455,17 @@ def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
     for i, deg in enumerate(field.place_degrees):
         K = K * bessel_k_grid(_bessel_order(s, deg), table.factors[i] * ys[i] * table.l_abs[i])
         phase = phase + deg * (table.l_val[i] * xs[i]).real
-    tail = complex(np.sum(table.taus * K * np.exp(2j * math.pi * phase)))
-    return 2 ** field.r * math.sqrt(z.ny(field)) / completed_zeta(ctx, 2 * s) * tail
+    tail = complex(np.sum(table.taus * K * np.cos(2 * math.pi * phase)))
+    return 2 ** (field.r + 1) * math.sqrt(z.ny(field)) / completed_zeta(ctx, 2 * s) * tail
 
 
 def eisenstein_fourier(field: FieldData, z: Point, s: complex,
                        fourier_terms: int | None = None,
                        ctx: ZetaContext | None = None) -> complex:
     """Fourier-expansion value at the infinity cusp (h = 1), valid wherever
-    the scattering quotient is regular, including 1/2 < Re(s) <= 1.  Raises
-    DomainError for an s that is not finite."""
+    the scattering quotient is regular, including 1/2 < Re(s) <= 1, summing
+    the ceil(fourier_terms / 2) pairs +-l (`fourier_terms` counts each l) of
+    smallest Bessel argument, or all.  DomainError for an s that is not finite."""
     s = _finite_s(s)
     ctx = ctx or make_context(field)
     q = z.ny(field)

@@ -133,9 +133,17 @@ def make_context(field: FieldData) -> ZetaContext:
     return ZetaContext(field=field)
 
 
-def dedekind_zeta(ctx: ZetaContext, s: complex) -> complex:
-    """zeta_K(s) everywhere except the pole at s = 1 (via zeta * L)."""
+def _finite_s(s) -> complex:
+    """complex(s), or DomainError for an s that is not finite."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite, got %r" % (s,))
+    return s
+
+
+def dedekind_zeta(ctx: ZetaContext, s: complex) -> complex:
+    """zeta_K(s) off the pole at s = 1 (via zeta * L); DomainError at an s not finite."""
+    s = _finite_s(s)
     if s == 1.0:
         raise PoleAtOne("dedekind zeta pole at s=1")
     z = riemann_zeta(s)
@@ -205,8 +213,8 @@ def lambda_factor(field: FieldData, s: complex) -> complex:
 
 
 def completed_zeta(ctx: ZetaContext, s: complex) -> complex:
-    """zeta*_K(s) = Lambda(s) zeta_K(s), regular off s = 0, 1."""
-    s = complex(s)
+    """zeta*_K(s) = Lambda(s) zeta_K(s), regular off s = 0, 1; DomainError at an s not finite."""
+    s = _finite_s(s)
     if s == 0.0 or s == 1.0:
         raise PoleAtZeroOrOne("completed zeta pole at s=%s" % (s,))
     return lambda_factor(ctx.field, s) * dedekind_zeta(ctx, s)
@@ -218,8 +226,8 @@ def phi(ctx: ZetaContext, s: complex) -> complex:
     Computed as a ratio of archimedean factors times a ratio of Dedekind
     values; only a genuine zero of zeta_K(2s) raises (the gamma factors
     make |zeta*| exponentially small along vertical lines without any
-    pole of phi)."""
-    s = complex(s)
+    pole of phi).  DomainError for an s that is not finite."""
+    s = _finite_s(s)
     for pole in (0.0, 1.0):
         if 2 * s - 1 == pole or 2 * s == pole:
             raise ScatteringPole("phi pole at s=%s" % (s,))

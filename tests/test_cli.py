@@ -83,6 +83,17 @@ def test_eval_eisenstein_non_finite_s_row(capsys, kind, s):
     assert _strict_json(out)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("kind", ["zeta", "completed-zeta", "phi"])
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf", "1.5+nani", "nan+1i", "1.5+infi"])
+@pytest.mark.parametrize("d", ["0", "5", "-1"])
+def test_eval_zeta_non_finite_s_row(capsys, kind, s, d):
+    # zeta at inf on Q(sqrt 5) printed a row of NaNs with exit 0, and phi at
+    # nan or inf died with a ValueError traceback
+    rc, out, _ = run_cli(capsys, "eval", kind, "--field-d", d, "--s=" + s)
+    assert rc == 1
+    assert _strict_json(out)["error"] == "DomainError"
+
+
 def test_parse_s_maps_only_the_imaginary_unit():
     assert _parse_s("1.5+9.5i") == 1.5 + 9.5j
     assert _parse_s("1.3 + 0.5i") == 1.3 + 0.5j

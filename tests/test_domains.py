@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -183,6 +184,94 @@ def test_bessel_blocks_equal_dense_reference(d, s, block, monkeypatch):
     assert np.array_equal(got, dense)
 
 
+def _both_signs(field, table, s):
+    """`table` with each frequency's negative appended: the full box."""
+    return dataclasses.replace(
+        table, coords=np.concatenate([table.coords, -table.coords]),
+        l_val=[np.concatenate([l, -l]) for l in table.l_val],
+        l_abs=[np.concatenate([l, l]) for l in table.l_abs],
+        traces=np.concatenate([table.traces, -table.traces]),
+        taus=np.concatenate([table.taus, E.tau_divisor_sums(field, -table.coords, 1 - 2 * s)]))
+
+
+def _fsum_rows(terms):
+    """Each row of a complex array added up by math.fsum."""
+    terms = np.atleast_2d(terms)
+    return np.array([complex(math.fsum(r.real), math.fsum(r.imag)) for r in terms])
+
+
+def _full_box(field, ys, cut):
+    """Every nu != 0 of the frequency ball at heights ys, from `_ball_points`."""
+    dg = [abs(complex(g)) for g in F.embed(field.different_gen, field)]
+    a = [2 * math.pi * deg * y / g for y, g, deg in zip(ys, dg, field.place_degrees)]
+    _, u, v = E._ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
+    weight = sum(ai * np.abs(e) for ai, e in zip(a, E._embed_coords(field, u, v)))
+    keep = (weight <= cut) & ((u != 0) | (v != 0))
+    return set(zip(u[keep].tolist(), v[keep].tolist()))
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
+def test_frequency_pairs_cover_the_full_box(d):
+    # the table holds one frequency of each pair +-l, and the evaluators'
+    # cosine sums agree with the terms of both signs by exp, added by fsum
+    field = F.make_field(d)
+    ctx = Z.make_context(field)
+    pts, xs, ys = _reduced_points(field, 4, 7 + d)
+    nodes, weights = gl_panel_nodes(-0.5, 0.5, 1, 4)
+    qs = np.array([0.7, 1.9])
+    for s in (1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j):
+        s = complex(s)
+        zs2 = Z.completed_zeta(ctx, 2 * s)
+        ph = Z.phi(ctx, s)
+        # scalar route, point by point
+        for p in pts:
+            pys = [y for _, y in p.coords]
+            table = E.frequency_table(field, s, pys)
+            half = set(map(tuple, table.coords.tolist()))
+            assert len(half) == table.coords.shape[0] and (0, 0) not in half
+            assert not half & {(-u, -v) for u, v in half}
+            assert half | {(-u, -v) for u, v in half} == _full_box(field, pys, table.cut)
+            full = _both_signs(field, table, s)
+            K = np.ones(full.taus.size, dtype=complex)
+            phase = 0.0
+            for i, (x, y) in enumerate(p.coords):
+                deg = field.place_degrees[i]
+                K = K * bessel_k_grid(E._bessel_order(s, deg), full.factors[i] * y * full.l_abs[i])
+                phase = phase + deg * (full.l_val[i] * x).real
+            q = p.ny(field)
+            ref = q ** s + ph * q ** (1 - s) + 2 ** field.r * math.sqrt(q) / zs2 \
+                * _fsum_rows(full.taus * K * np.exp(2j * math.pi * phase))[0]
+            got = E.eisenstein_fourier(field, p, s, ctx=ctx)
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+            assert s.imag or got.imag == 0.0
+        # grid over the same points, on the grid's own Bessel table
+        q = np.prod([y ** deg for y, deg in zip(ys, field.place_degrees)], axis=0)
+        full = _both_signs(field, E.frequency_table(field, s, [y.min() for y in ys]), s)
+        phase = sum(deg * (l[None, :] * x[:, None]).real
+                    for l, x, deg in zip(full.l_val, xs, field.place_degrees))
+        tail = _fsum_rows(_dense_bessel(field, s, full, ys) * np.exp(2j * math.pi * phase)
+                          * full.taus)
+        ref = q ** s + ph * q ** (1 - s) + 2 ** field.r * np.sqrt(q) / zs2 * tail
+        got = D.eisenstein_fourier_grid(field, s, xs, ys, ctx)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        assert s.imag or np.all(got.imag == 0.0)
+        # box averages, one phase sum per X axis
+        rows = [D._y_rows(field, float(qv), nodes, weights) for qv in qs]
+        wy = rows[0][1]
+        bys = [np.concatenate(v) for v in zip(*(r for r, _ in rows))]
+        full = _both_signs(field, E.frequency_table(field, s, [y.min() for y in bys]), s)
+        Kq = np.einsum("qyl,y->ql", _dense_bessel(field, s, full, bys).reshape(
+            qs.size, wy.size, -1), wy)
+        coef = full.taus * np.prod([np.exp(2j * math.pi * full.traces[:, k, None] * nodes)
+                                    @ weights for k in range(field.n)], axis=0)
+        box_weight = weights.sum() ** field.n * wy.sum()
+        ref = (qs ** s + ph * qs ** (1 - s)) * box_weight \
+            + 2 ** field.r * np.sqrt(qs) / zs2 * _fsum_rows(Kq * coef)
+        got = D.eisenstein_box_average(field, s, qs, nodes, weights, ctx)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        assert s.imag or np.all(got.imag == 0.0)
+
+
 @pytest.mark.parametrize("d", [0, 5, -1])
 def test_bessel_table_sees_only_kept_entries(d, monkeypatch):
     # work, not time: the table interpolates r values per entry whose total
@@ -216,10 +305,11 @@ def test_bessel_table_sees_only_kept_entries(d, monkeypatch):
         assert sum(seen) == field.r * entries[0][0]
 
 
-# float.hex of values from the dense kernel, which interpolated every entry
-_MS_PIN = ("0x1.3167d131cfc3cp+4", "-0x1.a958bd033c4adp-70")
+# float.hex of values from the dense kernel, which interpolated every entry;
+# at real s the imaginary parts are exactly 0, the +-l terms summed as cosines
+_MS_PIN = ("0x1.3167d131cfc3cp+4", "0x0.0p+0")
 _RS_Q5_PINS = (("0x1.b0ecf4d1945d4p+1", "0x0.0p+0"),
-               ("0x1.b0ed6dcf7fb39p+1", "0x1.4dbe8db7b46b5p-123"))
+               ("0x1.b0ed6dcf7fb39p+1", "0x0.0p+0"))
 
 
 def test_grid_and_box_results_pinned(field_q, ctx_q):

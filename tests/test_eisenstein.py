@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -615,3 +616,21 @@ def test_fourier_terms_cap_converges(field_q, ctx_q):
             for m in (2, 6, 12)]
     assert errs[0] > errs[2]
     assert errs[2] <= 1e-8 * abs(full)
+
+
+def test_fourier_terms_counts_both_signs(field_q, ctx_q):
+    # fourier_terms counts frequencies l, and keeps whole pairs +-l: an odd
+    # cap keeps the last pair whole, and 2 keeps exactly l = +-1
+    z = G.make_point(field_q, (0.28, 1.3))
+    x, y = z.coords[0]
+    s = 1.5
+    assert E.eisenstein_fourier(field_q, z, s, fourier_terms=3, ctx=ctx_q) == \
+        E.eisenstein_fourier(field_q, z, s, fourier_terms=4, ctx=ctx_q)
+    # tau(+-1) = 1, dg = 1 on Q, so the two terms are K_{s-1/2}(2 pi y) e(+-x)
+    K = complex(E.bessel_k_grid(s - 0.5, np.array([2 * math.pi * y]))[0])
+    explicit = y ** s + Z.phi(ctx_q, s) * y ** (1 - s) + 2 * math.sqrt(y) \
+        / Z.completed_zeta(ctx_q, 2 * s) * (K * cmath.exp(2j * math.pi * x)
+                                            + K * cmath.exp(-2j * math.pi * x))
+    two = E.eisenstein_fourier(field_q, z, s, fourier_terms=2, ctx=ctx_q)
+    assert abs(two - explicit) <= 1e-15 * abs(explicit)
+    assert two != E.eisenstein_fourier(field_q, z, s, fourier_terms=4, ctx=ctx_q)

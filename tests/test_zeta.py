@@ -144,6 +144,18 @@ def test_phi_pole_and_value(ctx_q):
     assert abs(got - 1.7445680821312562) < 1e-10
 
 
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, complex(1.5, math.nan),
+                               complex(math.nan, 1.0), complex(1.5, math.inf)])
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_zeta_and_phi_reject_non_finite_s(d, s):
+    # zeta_K(inf) was nan on Q(sqrt 5), and phi(nan), phi(inf) raised a bare
+    # ValueError from an integer conversion
+    ctx = Z.make_context(F.make_field(d))
+    for fn in (Z.dedekind_zeta, Z.completed_zeta, Z.phi):
+        with pytest.raises(DomainError):
+            fn(ctx, s)
+
+
 @pytest.mark.parametrize("d", [0, 5, -1])
 def test_phi_raises_outside_double_range(d):
     # phi(0.8 + 250i) was nan on all three fields (a Gamma reflection
