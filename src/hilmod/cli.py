@@ -124,7 +124,7 @@ def _check_rows(kind: str, field_d: int, tolerance: float | None):
             add("zeta-star(s)=zeta-star(1-s) s=%s" % s,
                 zeta.completed_zeta(ctx, s), zeta.completed_zeta(ctx, 1 - s), tol)
     elif kind == "volume":
-        tol = tolerance or 1e-3
+        tol = tolerance or 1e-7
         closed = eisenstein.orbifold_volume(fd, ctx)
         if field_d == 0:
             add("volume closed vs domain quadrature",

@@ -14,7 +14,7 @@ from .domains import eisenstein_box_average, shadow_integral
 from .eisenstein import max_cusp_height, orbifold_volume
 from .errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData, ideal_totient_sums, make_field
-from .geometry import Cusp, Point, cusp_infinity, unfold_constant
+from .geometry import _PLACE_WEIGHTS, Cusp, Point, cusp_infinity, unfold_constant
 from .quadrature import gl_panel_nodes
 from .zeta import ZetaContext, make_context, phi
 
@@ -173,33 +173,13 @@ def _break_edges(f: TestFunction, kappa: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros((kappa.size, 1)), lev], axis=1), axis=1)
 
 
-def _agm(a, b):
-    """Arithmetic-geometric mean in 6 steps: to rounding for b / a up to
-    1e3, 4.5e-13 relative at 1e4."""
-    for _ in range(6):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return a
-
-
-# Per place-degree signature, the weight w(x, t) at t = 1 + x^2 of
-# K(kappa) = int_0^inf psi(kappa / t) w dx: 2x times the density of the
-# product t of the place factors, (t - 1)^-1/2 at one real place,
-# pi / (2 sqrt t) at a complex place and pi / AGM(1, sqrt t) at two real
-# places (so the kernel is accurate to rounding up to kappa = 1e6 t0).
-_PLACE_WEIGHTS = {
-    (1,): lambda x, t: 2.0,
-    (2,): lambda x, t: math.pi * x / np.sqrt(t),
-    (1, 1): lambda x, t: 2.0 * math.pi * x / _agm(1.0, np.sqrt(t)),
-}
-
-
 def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
                      order: int) -> np.ndarray:
     """K(kappa) = int_0^inf psi(kappa / (1 + x^2)) w(x) dx for an array of
-    kappa, with the weight of the place degrees (`_PLACE_WEIGHTS`): one GL
-    rule of `order` nodes on each piece between the shoulder breaks.  Rows
-    are evaluated in blocks of about _KERNEL_BLOCK nodes, edges included,
-    so memory does not grow with the number of kappa."""
+    kappa, with the weight of the place degrees (`geometry._PLACE_WEIGHTS`):
+    one GL rule of `order` nodes on each piece between the shoulder breaks.
+    Rows are evaluated in blocks of about _KERNEL_BLOCK nodes, edges
+    included, so memory does not grow with the number of kappa."""
     kappa = np.asarray(kappa, dtype=float).ravel()
     weight = _PLACE_WEIGHTS[degrees]
     gx, gw = gl_panel_nodes(-1.0, 1.0, 1, order)

@@ -70,7 +70,7 @@ def test_criterion_2_volume():
     for d in (5, -1):
         lhs, rhs = D.remark_identity_check(_FIELDS[d], 2.0, 3.0, _CTX[d])
         rel = abs(lhs - rhs) / abs(rhs)
-        ok = ok and rel <= 1e-3
+        ok = ok and rel <= 1e-7
         detail.append("d=%d rel=%.1e" % (d, rel))
     _report("2 volume", ok, "; ".join(detail))
 
