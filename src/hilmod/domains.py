@@ -1,6 +1,9 @@
 """Fundamental-domain and cusp-slice numerics: vectorised Eisenstein grids,
 the Maass-Selberg double integral for Q, the truncated-orbifold integral
-identity for quadratic fields, and horoball scans on cusp cross sections."""
+identity for quadratic fields, and the cusps that rise above a floor on a
+cusp cross section, one per class (c, d mod c) with its |N(c)|.  The
+horoball route of `equidist.cusp_section_average` and the shadow share
+`shadow_fraction` sum closed forms over those classes."""
 
 from __future__ import annotations
 
@@ -16,13 +19,12 @@ from .eisenstein import (
     _bessel_order,
     _canonical_c,
     _embed_coords,
-    _ragged_values,
     frequency_table,
     maass_selberg_constant,
 )
 from .errors import DomainError, QuadratureBudgetExceeded
 from .fields import FieldData, _coord_conj, _coord_mul, _coord_norm, _coprime_mask
-from .geometry import _PLACE_WEIGHTS, _geom_cache, slice_embeddings, unfold_constant
+from .geometry import _PLACE_WEIGHTS, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
 from .zeta import ZetaContext, completed_zeta, make_context, phi
@@ -114,8 +116,9 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     ctx = ctx or make_context(field)
     xs, ys, q = _point_arrays(field, xs, ys)
     out = np.zeros(q.size, dtype=complex)
-    if zero_mode:
-        out += q ** s + phi(ctx, s) * q ** (1 - s)
+    if zero_mode:  # at real s the powers are float64: the imaginary parts are 0 anyway
+        e = s.real if s.imag == 0 else s
+        out += q ** e + phi(ctx, s) * q ** (1 - e)
     table = frequency_table(field, s, [float(y.min()) for y in ys])
     if table.taus.size == 0:
         return out
@@ -255,8 +258,16 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
 
 
 # ---------------------------------------------------------------------------
-# Cusp-slice horoball scans
+# Cusp classes on a cross section
 # ---------------------------------------------------------------------------
+
+# Predicted d candidates of one slice_candidates call: about 120 B each at
+# the tracemalloc peak (Q(i), qT = 1e-6), so about 250 MiB.  The callers stay
+# 10 times below: 4e4 to 8.4e4 at the smallest qT they reach (1e-5, the six
+# fields of scripts/remark_identity_accuracy.py), and at qT = 1e-4 at most
+# 1.8e5 over the 24 supported fields (Q(sqrt 19)).
+_CANDIDATE_BUDGET = 1 << 21
+
 
 def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     """Pairs (c, d), c != 0, whose cusp may rise above height `floor` on the
@@ -270,7 +281,9 @@ def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     (`_unit_balanced`), so each coprime pair is a distinct cusp, and
     |c_i| < (q floor)^(-1/(2n)) e^(R/2) (no e^(R/2) when r = 1).  The cusp
     rises above `floor` only where |x_i + d_i / c_i| < h_i (`_half_widths`),
-    so |d_i| < |c_i| (max |x_i| over the box + h_i)."""
+    so |d_i| < |c_i| (max |x_i| over the box + h_i).  The d count is
+    predicted first, as the volume of those balls over covol(o); above
+    _CANDIDATE_BUDGET, QuadratureBudgetExceeded (it grows like 1/(q floor))."""
     # e^(R/2) per unit of rank r - 1; 1 + 1e-9 guards rounding only
     radius = (q * floor) ** (-0.5 / field.n) * math.exp((field.r - 1) * field.regulator / 2) \
         * (1 + 1e-9)
@@ -285,6 +298,13 @@ def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     h = _half_widths(field, 1.0 / reach, [y.max() for y in ys])
     radii = [np.abs(c) * (np.abs(x).max() + hi)
              for c, x, hi in zip(_embed_coords(field, cu, cv), xs, h)]
+    balls = math.prod(math.pi * r * r if deg == 2 else 2 * r
+                      for r, deg in zip(radii, field.place_degrees))
+    predicted = float(balls.sum()) * 2 ** field.r2 / math.sqrt(field.D)
+    if predicted > _CANDIDATE_BUDGET:
+        raise QuadratureBudgetExceeded(
+            "about %.3g cusp candidates at q = %g, floor %g, over the budget of %d"
+            % (predicted, q, floor, _CANDIDATE_BUDGET))
     k, du, dv = _ball_points(field, [np.zeros(cu.size)] * field.r, radii)
     coords = np.stack([cu[k], cv[k], du, dv], axis=1)
     return coords[_coprime_mask(field, *coords.T)]
@@ -326,82 +346,6 @@ def _reach(field: FieldData, c1, c2, q: float, floor: float) -> np.ndarray:
     slice at height q only if this is below 1."""
     n = np.asarray(_coord_norm(field, c1, c2), dtype=float)
     return n * n * (q * floor)
-
-
-def _shadow_boxes(field: FieldData, coords: np.ndarray, q: float, floor: float, ymax):
-    """Per candidate (rows of `slice_candidates(field, q, floor)`): the
-    embeddings ce, de of c and d, rho = 1 / reach, and the edges of its X
-    sub-box O^-1 ctr -+ |O^-1| half within the box, where ctr stacks the real
-    components of -d_i / c_i and half the `_half_widths` at heights ymax."""
-    rho = 1.0 / _reach(field, coords[:, 0], coords[:, 1], q, floor)
-    ce = _embed_coords(field, coords[:, 0], coords[:, 1])
-    de = _embed_coords(field, coords[:, 2], coords[:, 3])
-    ctr, half = [], []
-    for c, d, h, deg in zip(ce, de, _half_widths(field, rho, ymax), field.place_degrees):
-        x = -d / c
-        ctr += [x.real, x.imag] if deg == 2 else [x]
-        half += [h] * deg
-    O_inv = _geom_cache(field.d)[1]
-    Xc, Xh = O_inv @ np.array(ctr), np.abs(O_inv) @ np.array(half) + 1e-9
-    return ce, de, rho, np.maximum(Xc - Xh, -0.5), np.minimum(Xc + Xh, 0.5)
-
-
-def _shadow_V(field: FieldData, ce, de, xs, ys):
-    """V(c, d; z) = prod_i (|c_i x_i + d_i|^2 + |c_i|^2 y_i^2)^deg_i, by which the
-    cusp -d/c has height q / V at z on the slice at height q (arrays broadcast)."""
-    return math.prod((np.abs(c * x + d) ** 2 + (np.abs(c) * y) ** 2) ** deg
-                     for c, d, x, y, deg in zip(ce, de, xs, ys, field.place_degrees))
-
-
-def _passing(field: FieldData, ce, de, rows, xs, ys, q: float, floor: float):
-    """Slices (k, q / V on every row of the heights ys) of at most rows.size
-    values, of the pairs (candidate rows[k], X point k of xs) with q / V >
-    floor at each place's lowest height in ys.  V grows with each y_i, in
-    floats too (each step rounds monotonically): the rest stay <= floor."""
-    top = q / _shadow_V(field, (c[rows] for c in ce), (d[rows] for d in de), xs,
-                        [y.min() for y in ys])  # the largest q / V over the rows
-    live, step = np.flatnonzero(top > floor), max(1, rows.size // ys[0].size)
-    for k in (live[j:j + step] for j in range(0, live.size, step)):
-        yield k, (top[k, None] if ys[0].size == 1 else q / _shadow_V(
-            field, [c[rows[k], None] for c in ce], [d[rows[k], None] for d in de],
-            [x[k, None] for x in xs], ys))
-
-
-def shadow_integral(field: FieldData, q: float, floor: float, profile, nodes: int) -> float:
-    """Sum over the cusps -d/c of `slice_candidates(field, q, floor)` of the
-    integral of profile(q / V) over their X sub-boxes (`_shadow_boxes`) on the
-    slice at height q, for a profile that vanishes below `floor`, by the rule
-    of `equidist.cusp_section_average`.  Blocks of (candidate, X point) pairs
-    (`_ragged_values`) take their Y rows in slices of as many values where
-    the cusp passes `floor` at the lowest heights (`_passing`: V grows with
-    each y_i); elsewhere profile(q / V) is 0 on every row, and the term is
-    exactly 0.0.  A candidate that straddles blocks is summed in parts, so
-    the candidates are taken in lexicographic order and their totals added
-    by math.fsum: the value does not depend on the enumeration order."""
-    coords = slice_candidates(field, q, floor)
-    coords = coords[np.lexsort(coords.T[::-1])]
-    ys, wy = _y_rows(field, q, *gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6)))
-    ce, de, rho, lo, hi = _shadow_boxes(field, coords, q, floor, [y.max() for y in ys])
-    panels = np.minimum(3 + 2 * rho ** (0.5 / field.n), 20).astype(np.int64)
-    width = (hi - lo) / panels
-    m = panels * nodes  # nodes per X axis; X point (iX_0, iX_1) has index iX_0 * m + iX_1
-    gx, gw = gl_panel_nodes(0.0, 1.0, 1, nodes)
-    totals = np.zeros(rho.size)
-    for rows, pos in _ragged_values(np.zeros(rho.size, dtype=np.int64),
-                                    np.where(np.all(hi > lo, axis=0), m ** field.n, 0) - 1):
-        X, w = np.empty((rows.size, field.n)), np.ones(rows.size)
-        for a in range(field.n - 1, -1, -1):
-            pos, iX = np.divmod(pos, m[rows])
-            panel, g = np.divmod(iX, nodes)
-            X[:, a] = lo[a, rows] + width[a, rows] * (panel + gx[g])
-            w *= width[a, rows] * gw[g]
-        xs = slice_embeddings(field, q, X, None)[0]
-        del X  # not needed past xs: frees its memory before the Y rows
-        part = np.zeros(rows.size)  # 0.0 where q / V <= floor on every Y row
-        for k, t in _passing(field, ce, de, rows, xs, ys, q, floor):
-            part[k] = w[k] * (profile(t) @ wy)
-        totals += np.bincount(rows, part, minlength=rho.size)
-    return math.fsum(totals)
 
 
 @lru_cache(maxsize=1)  # one entry: remark_identity_check and its shadow_fraction share it

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -547,6 +549,52 @@ def test_cusp_classes_match_box_scan(d, K):
         assert len(set(got)) == len(got) == counts.sum(), q
         assert set(got) == ref, q
         assert sorted(n for _, n in got) == sorted(np.repeat(norms, counts)), q
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, 2, 3, -3, 13, -7])
+def test_cusp_class_counts_are_ideal_totients(d):
+    # the cusps' geometry against the ideal sieve: at every norm n with
+    # n^2 q T < 1 the classes (c, d mod c) with |N(c)| = n number exactly the
+    # totient sum over the ideals of norm n (1 / sqrt(qT) is no integer here;
+    # at 0.991 / (N^2 T) the norm N = 4 or 31 is just inside the reach bound)
+    field = F.make_field(d)
+    for q, T in ((1e-3, 1.0), (0.02, 3.0), (0.0123, 1.8), (2e-4, 1.5), (0.991 / 48, 3.0),
+                 (0.991 / 961, 1.0)):
+        _, norms, counts = D._cusp_classes(field, q, T)
+        nmax = math.floor(1.0 / math.sqrt(q * T))
+        per_norm = np.zeros(nmax, dtype=np.int64)
+        per_norm[norms - 1] = counts
+        assert np.array_equal(per_norm, equidist._totients(field, nmax)), (q, T)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_cusp_enumeration_refuses_beyond_budget(d, monkeypatch):
+    # At qT = 1e-8 about 4e7 to 6e7 d candidates are predicted, some GiB to
+    # build: both class enumerations refuse before building them.  At the
+    # smallest qT any caller reaches (1e-5, scripts/remark_identity_accuracy.py)
+    # these fields stay 10 times below the budget.
+    field = F.make_field(d)
+    f = equidist.make_test_function(field)
+    for call in (lambda: D.shadow_fraction(field, 1e-8 / 3.0, 3.0),
+                 lambda: equidist.cusp_section_average(f, 1e-8 / f.t0, field,
+                                                       method="horoball")):
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            with pytest.raises(QuadratureBudgetExceeded):
+                call()
+            times.append(time.perf_counter() - t)
+        assert min(times) <= 0.01, times
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureBudgetExceeded):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+    monkeypatch.setattr(D, "_CANDIDATE_BUDGET", D._CANDIDATE_BUDGET // 10)
+    assert D.slice_candidates(field, 1e-5 / 3.0, 3.0).shape[0] > 0
 
 
 @pytest.mark.parametrize("d, n, K", [(0, 2048, 12), (5, 24, 9), (-1, 48, 8), (3, 24, 16),

@@ -15,6 +15,7 @@ from hilmod import zeta as Z
 from hilmod.errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from hilmod.quadrature import gl_panel_nodes
 from conftest import random_group_element, random_point
+import oracles
 
 
 def test_profile_plateau_and_support(field_q):
@@ -91,10 +92,10 @@ def test_unfolded_vs_horoball_routes(d):
     f = Q.make_test_function(field, 2.5, 3.5)
     for q in (0.11, 0.02):
         a = Q.cusp_section_average(f, q, field, method="unfolded")
-        b = Q.cusp_section_average(f, q, field, nodes=20, method="horoball")
-        # the horoball route carries quadrature error, 1.9e-4 at most on these
-        # six cases and 4.9e-4 over scripts/horoball_accuracy.py; unfolded is exact
-        assert abs(a - b) <= 7e-4
+        b = Q.cusp_section_average(f, q, field, method="horoball")
+        # the same kernel over the cusps' classes: 4.0e-16 relative at most
+        # over scripts/horoball_accuracy.py
+        assert abs(a - b) <= 1e-13 * abs(a)
 
 
 @pytest.mark.parametrize("d", [0, 5, -1, -3])
@@ -104,21 +105,38 @@ def test_horoball_route_accuracy(d):
     f = Q.make_test_function(field)
     for q in (0.2152, 0.1108, 0.06, 0.03):
         a = Q.cusp_section_average(f, q, field, method="unfolded")
-        b = Q.cusp_section_average(f, q, field, nodes=20, method="horoball")
-        assert abs(a - b) <= 5e-4, q
+        b = Q.cusp_section_average(f, q, field, method="horoball")
+        assert abs(a - b) <= 1e-13 * abs(a), q
+
+
+@pytest.mark.parametrize("d, bump, qs", [
+    (0, (1.8, 2.8), (0.2152, 0.06)), (5, (1.8, 2.8), (0.1108, 0.03)),
+    (-1, (2.5, 3.5), (0.11, 0.02)), (-3, (1.8, 2.8), (0.2152, 0.03)),
+    (13, (2.5, 3.5), (0.007,))])
+def test_box_quadrature_oracle(d, bump, qs):
+    # the box rule integrates psi(q / V) over each shadow in the X box and
+    # never reads geometry._PLACE_WEIGHTS: its agreement checks that the
+    # class sum's place density describes the box.  4.9e-4 is the rule's
+    # worst error over the sweep of scripts/horoball_accuracy.py (4.86e-4,
+    # Q(sqrt 13), bump [2.5, 3.5], q = 0.0070).
+    field = F.make_field(d)
+    f = Q.make_test_function(field, *bump)
+    for q in qs:
+        a = Q.cusp_section_average(f, q, field, method="horoball")
+        assert abs(oracles.box_section_average(f, q, field) - a) <= 4.9e-4, q
 
 
 @pytest.mark.parametrize("d", [0, 5, -1])
 def test_horoball_independent_of_candidate_order(d, monkeypatch):
-    # at q = 0.0256 the candidates of Q(sqrt 5) and Q(i) fill more than one
-    # block, so a candidate's total depends on where its points start
+    # the classes are keyed exactly and counted per norm, so the order in
+    # which the candidates come does not reach the value's bits
     field = F.make_field(d)
     f = Q.make_test_function(field)
     qs = (0.1525, 0.0406, 0.0256)
 
     def values():
-        return [Q.cusp_section_average(f, q, field, nodes=20, method="horoball").hex()
-                for q in qs]
+        D._cusp_classes.cache_clear()
+        return [Q.cusp_section_average(f, q, field, method="horoball").hex() for q in qs]
     want = values()
     candidates = D.slice_candidates
     rng = np.random.default_rng(7)
@@ -130,22 +148,21 @@ def test_horoball_independent_of_candidate_order(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [0, 5, -1])
 def test_horoball_across_block_boundaries(d, monkeypatch):
-    # blocks of 7 and 97 X points cut candidates apart, where the unpatched
-    # block holds all of them
+    # the box rule of the oracle: blocks of 7 and 97 X points cut candidates
+    # apart, where the unpatched block holds all of them
     field = F.make_field(d)
     f = Q.make_test_function(field)
     qs = (0.1525, 0.0406)
 
     def values():
-        return np.array([Q.cusp_section_average(f, q, field, nodes=4, method="horoball")
-                         for q in qs])
+        return np.array([oracles.box_section_average(f, q, field, nodes=4) for q in qs])
     whole = values()
     for block in (7, 97):
         monkeypatch.setattr(E, "_PAIR_BLOCK", block)
         assert np.all(np.abs(values() - whole) <= 1e-14 * np.abs(whole)), block
 
 
-# --- the horoball route's lowest-height test -------------------------------
+# --- the box rule's lowest-height test -------------------------------------
 
 _Q_REACH = (0.007, 0.0406, 0.1525)
 
@@ -156,8 +173,8 @@ _Q_REACH = (0.007, 0.0406, 0.1525)
 @settings(max_examples=150, deadline=None)
 def test_lowest_heights_bound_v_on_every_y_row(d, q, pick, X, nodes):
     # V at each place's lowest height of the Y rule is at most V on every Y
-    # row, in floats, so shadow_integral may drop the rows of an X node where
-    # q over it is at most the floor
+    # row, in floats, so the oracle's shadow_integral may drop the rows of an
+    # X node where q over it is at most the floor
     field = F.make_field(d)
     coords = D.slice_candidates(field, q, 1.8)
     c1, c2, d1, d2 = coords[pick % coords.shape[0]]
@@ -165,19 +182,18 @@ def test_lowest_heights_bound_v_on_every_y_row(d, q, pick, X, nodes):
     de = E._embed_coords(field, np.array([d1]), np.array([d2]))
     ys = D._y_rows(field, q, *gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6)))[0]
     xs = G.slice_embeddings(field, q, np.array([X]), None)[0]
-    low = D._shadow_V(field, ce, de, xs, [y.min() for y in ys])
-    rows = D._shadow_V(field, [c[:, None] for c in ce], [e[:, None] for e in de],
-                       [x[:, None] for x in xs], ys)
+    low = oracles._shadow_V(field, ce, de, xs, [y.min() for y in ys])
+    rows = oracles._shadow_V(field, [c[:, None] for c in ce], [e[:, None] for e in de],
+                             [x[:, None] for x in xs], ys)
     assert rows.shape == (1, ys[0].size)
     assert np.all(low[:, None] <= rows)
 
 
-# Recorded from the values before the lowest-height test: the test drops only
-# terms that are exactly 0.0, so these stay the same bits.
+# The class sum on x86-64 with numpy 2.4, as float.hex.
 _REAL_HOROBALL_PINS = {
-    2: ["0x1.e78485388e5c3p-4", "0x1.cd4a26d0c0428p-4", "0x1.f2bd82e054221p-4"],
-    3: ["0x1.70f62ae7aa929p-4", "0x1.eae818a3050ecp-4", "0x1.973e8177885ffp-4"],
-    13: ["0x1.594fa2cf7b7ebp-4", "0x1.e2176864dc42ap-4", "0x1.876e6cfa9646ap-4"],
+    2: ["0x1.e7338a005a547p-4", "0x1.cd59b21e68f8dp-4", "0x1.f2a88c449859ep-4"],
+    3: ["0x1.7146105c6645dp-4", "0x1.eb1f22dfcd538p-4", "0x1.9727228988723p-4"],
+    13: ["0x1.594d5d21c19f4p-4", "0x1.e2404572e26b9p-4", "0x1.872e0903c7ac9p-4"],
 }
 
 
@@ -185,8 +201,7 @@ _REAL_HOROBALL_PINS = {
 def test_horoball_pinned_real_quadratic(d):
     field = F.make_field(d)
     f = Q.make_test_function(field)
-    got = [Q.cusp_section_average(f, q, field, nodes=20, method="horoball").hex()
-           for q in _Q_REACH]
+    got = [Q.cusp_section_average(f, q, field, method="horoball").hex() for q in _Q_REACH]
     assert got == _REAL_HOROBALL_PINS[d]
 
 
@@ -207,23 +222,24 @@ def test_horoball_evaluates_few_profile_values(monkeypatch):
 
     def work():
         seen.clear()
-        value = Q.cusp_section_average(f, 0.0406, field, nodes=20, method="horoball")
+        value = oracles.box_section_average(f, 0.0406, field)
         return value, sum(seen)
     value, count = work()
-    monkeypatch.setattr(D, "_passing", _passing_every_pair)
+    monkeypatch.setattr(oracles, "_passing", _passing_every_pair)
     full_value, full_count = work()
     assert full_value.hex() == value.hex()
     assert 4 * count <= full_count
 
 
 def _passing_every_pair(field, ce, de, rows, xs, ys, q, floor):
-    """`domains._passing` without the lowest-height test: every pair, on
+    """`oracles._passing` without the lowest-height test: every pair, on
     every Y row, in the same slices of at most rows.size values."""
     step = max(1, rows.size // ys[0].size)
     for j in range(0, rows.size, step):
         k = np.arange(j, min(j + step, rows.size))
-        yield k, q / D._shadow_V(field, [c[rows[k], None] for c in ce],
-                                 [d[rows[k], None] for d in de], [x[k, None] for x in xs], ys)
+        yield k, q / oracles._shadow_V(field, [c[rows[k], None] for c in ce],
+                                       [d[rows[k], None] for d in de], [x[k, None] for x in xs],
+                                       ys)
 
 
 # --- unfolded kernels against scipy quad ----------------------------------
@@ -566,13 +582,13 @@ def test_ramp_bitwise_closed_form():
         assert got.tobytes() == _ramp_closed_form(t, s).tobytes()
 
 
-# Pinned on x86-64 with numpy 2.4: box averages of the default bump at the
-# equidist benchmark's horoball strata, and the decay fit's m_q for
-# q = 2^-2 .. 2^-k_max, as float.hex.
+# Pinned on x86-64 with numpy 2.4: the horoball route's class sums of the
+# default bump at the equidist benchmark's horoball strata, and the decay
+# fit's m_q for q = 2^-2 .. 2^-k_max, as float.hex.
 _HOROBALL_PINS = {
-    0: ["0x1.b0217f38caafap-4", "0x1.40da82aa0869bp-3"],
-    5: ["0x1.3b652548ab10ap-3", "0x1.a625204aaec41p-4"],
-    -1: ["0x1.12d34b4663938p-3", "0x1.aa599c65d821ap-4"],
+    0: ["0x1.b12950b88a7c8p-4", "0x1.40e06244c138ap-3"],
+    5: ["0x1.3b611705dfdeap-3", "0x1.a70e5ff05e35ap-4"],
+    -1: ["0x1.12e02151c5540p-3", "0x1.a97c723b7ada3p-4"],
 }
 _DECAY_PINS = {
     0: (20, ["0x1.56a3f10940daap-3", "0x1.1b6e56fd9e3bep-3", "0x1.9d3173c2bfc78p-4",
