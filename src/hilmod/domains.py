@@ -13,17 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eisenstein import (
-    FrequencyTable,
-    _ball_points,
-    _bessel_order,
-    _canonical_c,
-    _embed_coords,
-    frequency_table,
-    maass_selberg_constant,
-)
+from .eisenstein import FrequencyTable, _bessel_order, frequency_table, maass_selberg_constant
 from .errors import DomainError, QuadratureBudgetExceeded
-from .fields import FieldData, _coord_conj, _coord_mul, _coord_norm, _coprime_mask
+from .fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _coord_mul, _coord_norm,
+                     _coprime_mask, _embed_coords, _unit_balanced)
 from .geometry import _PLACE_WEIGHTS, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
@@ -318,27 +311,6 @@ def _half_widths(field: FieldData, rho: np.ndarray, ymax):
     needs a_i^2 < rho^(1/deg_i) - 1."""
     return [y * np.sqrt(rho ** (1.0 / deg) * (1 + 1e-9) - 1)
             for y, deg in zip(ymax, field.place_degrees)]
-
-
-def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
-    """Whether c = cu + cv omega has log|c_1 / c_2| in [-R, R): one c in each
-    orbit of the fundamental unit eps (eps_1 > 1 on every supported field);
-    all c when r = 1.  The window's edges are decided in integers: c with
-    |c_1 / c_2| = eps_1 is c = +-eps sigma(c), and is dropped; c with
-    |c_1 / c_2| = 1 / eps_1 is eps c = +-sigma(c), and is kept."""
-    if field.r == 1:
-        return np.ones(cu.shape, dtype=bool)
-    c1, c2 = _embed_coords(field, cu, cv)
-    t = np.log(np.abs(c1 / c2))
-    eu, ev = field.fundamental_unit.ring_coords()
-    su, sv = _coord_conj(field, cu, cv)
-
-    def assoc(a, b, u, v):  # a + b omega = +-(u + v omega)
-        return ((a == u) & (b == v)) | ((a == -u) & (b == -v))
-    upper = assoc(*_coord_mul(field, eu, ev, su, sv), cu, cv)
-    lower = assoc(*_coord_mul(field, eu, ev, cu, cv), su, sv)
-    R = field.regulator
-    return (((t >= -R) & (t < R)) & ~upper) | lower
 
 
 def _reach(field: FieldData, c1, c2, q: float, floor: float) -> np.ndarray:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameters, DomainError, NotConvergent, ZeroFrequency
-from .fields import (FieldData, FieldElement, _coprime_mask, embed, ideal_divisor_norms,
-                     ideal_mobius_sums)
+from .fields import (FieldData, FieldElement, _ball_blocks, _ball_points, _canonical_c,
+                     _coprime_mask, _embed_coords, _omega_embeds, _piece_points, _piece_values,
+                     embed, ideal_divisor_norms, ideal_mobius_sums)
 from .geometry import Cusp, Point, act, make_cusp
 from .specfun import bessel_k_grid
 from .zeta import (ZetaContext, _finite_s, completed_zeta, dedekind_zeta, make_context,
@@ -47,120 +48,6 @@ class EisensteinParams:
 # ---------------------------------------------------------------------------
 # Pair enumeration
 # ---------------------------------------------------------------------------
-
-_PAIR_BLOCK = 1 << 16  # lattice candidates examined per block of the pair sum
-
-
-def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
-    """The integer ranges [lo_j, hi_j], laid end to end, in consecutive
-    blocks of at most _PAIR_BLOCK values, as row pieces: per block the rows
-    j it touches, the first value of each piece and its length.  A row
-    longer than a block is split between blocks; empty rows are dropped."""
-    counts = np.maximum(hi - lo + 1, 0)
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    for a in range(0, total, _PAIR_BLOCK):
-        b = min(a + _PAIR_BLOCK, total)
-        r0 = int(np.searchsorted(ends, a, side="right"))
-        r1 = int(np.searchsorted(ends, b, side="left")) + 1
-        first = ends[r0:r1] - counts[r0:r1]
-        skip = np.maximum(a - first, 0)
-        n = np.minimum(counts[r0:r1], b - first) - skip
-        rows = np.flatnonzero(n > 0)
-        yield rows + r0, lo[rows + r0] + skip[rows], n[rows]
-
-
-def _piece_values(v0: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """v0_j, v0_j + 1, ..., v0_j + n_j - 1 for each piece j, concatenated."""
-    x = np.repeat(v0 - np.cumsum(n) + n, n)
-    x += np.arange(x.size)
-    return x
-
-
-def _ragged_values(lo: np.ndarray, hi: np.ndarray):
-    """The blocks of `_ragged_blocks` with their pieces expanded: per block
-    the row and the value of every entry."""
-    for j, v0, n in _ragged_blocks(lo, hi):
-        yield np.repeat(j, n), _piece_values(v0, n)
-
-
-def _piece_points(k, v, u0, n):
-    """The (k, u, v) points of the row pieces (k, v, u0, n), in order."""
-    return np.repeat(k, n), _piece_values(u0, n), np.repeat(v, n)
-
-
-def _omega_embeds(field: FieldData):
-    om = field.ring_gen
-    return [complex(v) for v in embed(om, field)]
-
-
-def _embed_coords(field: FieldData, u, v):
-    """u + v omega at each place, from integer coordinate arrays: real at
-    degree-1 places, complex at the complex place."""
-    return [u + v * (o if deg == 2 else o.real)
-            for o, deg in zip(_omega_embeds(field), field.place_degrees)]
-
-
-def _ball_ranges(field: FieldData, centres, radii):
-    """The points x = u + v omega of o with |x^(i) - centres[i]| <= radii[i]
-    at every place i, one ball per row of the centre and radius arrays, as
-    chained ranges: per ball the range [vlo, vhi] of v, and u_range(k, v),
-    the range [ulo, uhi] of u for the rows (ball k, v).
-
-    v is 0 on Q; at two real places x^(1) - x^(2) = v (omega^(1) - omega^(2))
-    bounds it, at a complex place Im x = v Im omega does.  This is the only
-    lattice code that knows the place structure."""
-    if field.r2:
-        (m,), (w,), (o,) = centres, radii, _omega_embeds(field)
-        vlo, vhi = np.ceil((m.imag - w) / o.imag), np.floor((m.imag + w) / o.imag)
-
-        def u_range(k, v):
-            h = np.sqrt(np.maximum(w[k] ** 2 - (v * o.imag - m.imag[k]) ** 2, 0.0))
-            return np.ceil(m.real[k] - h - v * o.real), np.floor(m.real[k] + h - v * o.real)
-    else:
-        o = [oi.real for oi in _omega_embeds(field)]
-        lo = [m - w for m, w in zip(centres, radii)]
-        hi = [m + w for m, w in zip(centres, radii)]
-        if field.n == 1:
-            vlo = vhi = np.zeros(lo[0].shape)
-        else:
-            delta = o[0] - o[1]  # sqrt(D) > 0
-            vlo, vhi = np.ceil((lo[0] - hi[1]) / delta), np.floor((hi[0] - lo[1]) / delta)
-
-        def u_range(k, v):
-            return (np.maximum.reduce([np.ceil(a[k] - v * oi) for a, oi in zip(lo, o)]),
-                    np.minimum.reduce([np.floor(b[k] - v * oi) for b, oi in zip(hi, o)]))
-    return vlo.astype(np.int64), vhi.astype(np.int64), u_range
-
-
-def _ball_blocks(field: FieldData, centres, radii):
-    """The points of `_ball_ranges` as a stream of blocks of row pieces
-    (k, v, u0, n): the points u0, ..., u0 + n - 1 of the row (ball k, v), in
-    order of ball, then v, then u.  Rows are built and points streamed at
-    most _PAIR_BLOCK at a time; a row longer than that is split between
-    blocks.  `_ball_points` expands the pieces, `_pair_blocks` reads them."""
-    vlo, vhi, u_range = _ball_ranges(field, centres, radii)
-    for k, v in _ragged_values(vlo, vhi):
-        lo, hi = u_range(k, v)
-        for j, u0, n in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
-            yield k[j], v[j], u0, n
-
-
-def _ball_points(field: FieldData, centres, radii):
-    """Every point of `_ball_blocks` in one (k, u, v) triple."""
-    blocks = [(np.zeros(0, dtype=np.int64),) * 4]
-    blocks += _ball_blocks(field, centres, radii)
-    return _piece_points(*(np.concatenate(a) for a in zip(*blocks)))
-
-
-def _canonical_c(field: FieldData, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """c != 0 in torsion-canonical form: its first nonzero coordinate is
-    positive, or, when omega > 2, arg c lies in [0, 2 pi / omega)."""
-    if field.omega == 2:
-        return np.where(cu != 0, cu, cv) > 0
-    theta = np.mod(np.angle(cu + cv * _omega_embeds(field)[0]), 2 * math.pi)
-    return ((cu != 0) | (cv != 0)) & (theta < 2 * math.pi / field.omega - 1e-14)
-
 
 def _pair_geometry(field: FieldData, z: Point, BV: float):
     """The c and d balls of the pair enumeration at z.
@@ -195,7 +82,7 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
 
     Torsion is fixed on c before any d is built, the d balls of
     `_pair_geometry` are enumerated by `_ball_blocks`, and each block
-    examines at most _PAIR_BLOCK candidates, so memory is bounded by the
+    examines at most `fields._PAIR_BLOCK` candidates, so memory is bounded by the
     block, not by BV.  V is built from the row pieces: along a piece only u
     moves, so the terms that do not (v omega_i, the d-ball centre m_i, h_i,
     and (v Im omega - Im m)^2 at a complex place) are formed once per piece.
@@ -287,7 +174,7 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     pair and outer-window counts take the integer weights M(m) =
     sum_{n <= m} mu_K(n) at sqrt(BV / V) and sqrt(BV / 2V), so they are the
     exact coprime counts.  The (0, 1) orbit, V = 1, is added apart.  The sum
-    runs block by block (_pair_blocks), so memory is bounded by _PAIR_BLOCK,
+    runs block by block (_pair_blocks), so memory is bounded by `fields._PAIR_BLOCK`,
     not by B.  Against the coprime sum in ascending order of V, added by
     math.fsum, the value differs by at most 6.2e-16 relative at s = 1.5, 2
     and 1.3+0.5i and 1.3e-15 at s = 1.5+9.5i (320 values: ten random points

@@ -8,9 +8,11 @@ step.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,16 +216,19 @@ _L1_ESTIMATES = {0: 1.0}
 _L1_DEFAULT_QUAD = 1.25
 
 
+@lru_cache(maxsize=None)  # immutable, at most 24 fields: one table per field and process
 def make_field(d: int) -> FieldData:
-    """Build the invariant table for Q (d = 0) or an allow-listed quadratic field."""
+    """Build the invariant table for Q (d = 0) or an allow-listed quadratic
+    field; omega counts its `roots_of_unity`."""
     if d == 0:
         one = fe_one(0)
-        return FieldData(
-            d=0, r1=1, r2=0, n=1, D=1, disc_signed=1, h=1, omega=2,
+        fd = FieldData(
+            d=0, r1=1, r2=0, n=1, D=1, disc_signed=1, h=1, omega=0,
             fundamental_unit=None, regulator=1.0,
             integral_basis=(one,), different_gen=one,
             l1_estimate=_L1_ESTIMATES[0],
         )
+        return dataclasses.replace(fd, omega=len(roots_of_unity(fd)))
     if not _is_squarefree(d) or d == 1:
         raise UnsupportedField("d=%d is not a squarefree discriminant radicand" % d)
     if d > 0 and d not in REAL_H1:
@@ -240,6 +245,7 @@ def make_field(d: int) -> FieldData:
         basis = (fe_one(d), fe_sqrt_d(d))
         different = FieldElement.make(0, 2, d)
 
+    unit, reg = None, 1.0
     if d > 0:
         unit = _fundamental_unit_cf(d)
         e1 = float(unit.a) + float(unit.b) * math.sqrt(d)
@@ -250,38 +256,26 @@ def make_field(d: int) -> FieldData:
             unit = -unit
             e1 = -e1
         reg = math.log(e1)
-        return FieldData(
-            d=d, r1=2, r2=0, n=2, D=abs(D_signed), disc_signed=D_signed, h=1, omega=2,
-            fundamental_unit=unit, regulator=reg, integral_basis=basis,
-            different_gen=different,
-            l1_estimate=_L1_ESTIMATES.get(d, _L1_DEFAULT_QUAD),
-        )
-
-    omega_count = {-1: 4, -3: 6}.get(d, 2)
-    return FieldData(
-        d=d, r1=0, r2=1, n=2, D=abs(D_signed), disc_signed=D_signed, h=1,
-        omega=omega_count, fundamental_unit=None, regulator=1.0,
-        integral_basis=basis, different_gen=different,
+    fd = FieldData(
+        d=d, r1=2 * (d > 0), r2=int(d < 0), n=2, D=abs(D_signed), disc_signed=D_signed, h=1,
+        omega=0, fundamental_unit=unit, regulator=reg, integral_basis=basis,
+        different_gen=different,
         l1_estimate=_L1_ESTIMATES.get(d, _L1_DEFAULT_QUAD),
     )
+    return dataclasses.replace(fd, omega=len(roots_of_unity(fd)))
 
 
 def roots_of_unity(field: FieldData) -> tuple[FieldElement, ...]:
-    """All roots of unity in the field, starting with 1."""
-    d = field.d
-    one = fe_one(d)
-    if field.omega == 2:
-        return (one, -one)
-    if d == -1:
-        i = fe_sqrt_d(-1)
-        return (one, i, -one, -i)
-    # d = -3: powers of (1 + sqrt(-3))/2, a primitive 6th root.
-    z = FieldElement.make(Fraction(1, 2), Fraction(1, 2), -3)
-    out = [one]
-    cur = z
-    for _ in range(5):
-        out.append(cur)
-        cur = cur * z
+    """All roots of unity in the field: the points of o of norm +-1 in the
+    unit ball, as the powers 1, z, z^2, ... of the one of least positive
+    argument z."""
+    _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, 1 + 1e-9)] * field.r)
+    arg = np.mod(np.angle(_embed_coords(field, u, v)[0]), 2 * math.pi)
+    j = np.flatnonzero((np.abs(_coord_norm(field, u, v)) == 1) & (arg > 0))
+    z = field.from_ring_coords(*(int(c[j[np.argmin(arg[j])]]) for c in (u, v)))
+    out = [field.element(1)]
+    while out[-1] * z != out[0]:
+        out.append(out[-1] * z)
     return tuple(out)
 
 
@@ -533,80 +527,6 @@ def pair_ideal_norm(x: FieldElement, y: FieldElement, field: FieldData) -> int:
     return math.prod(H[i][i] for i in range(field.n))
 
 
-def is_coprime_pair(x: FieldElement, y: FieldElement, field: FieldData) -> bool:
-    return pair_ideal_norm(x, y, field) == 1
-
-
-def elements_of_norm(field: FieldData, n: int) -> list[FieldElement]:
-    """Integral elements with |N| = n, up to none of the unit action (raw list).
-
-    Searches a balanced box in embedding space; complete because any element
-    of norm n has a unit multiple with both embeddings below sqrt(n)*unit
-    (real case) or lies in the obvious disc (imaginary case).
-    """
-    if n == 0:
-        return [fe_zero(field.d)]
-    d = field.d
-    out = []
-    if d == 0:
-        return [field.element(n), field.element(-n)]
-    if d < 0:
-        s = math.sqrt(-d)
-        # |u + v*omega|^2 = n
-        om = field.ring_gen
-        om1 = complex(float(om.a), float(om.b) * s)
-        vmax = int(math.sqrt(n) / abs(om1.imag)) + 1
-        for v in range(-vmax, vmax + 1):
-            ur = math.sqrt(max(n - (v * om1.imag) ** 2, 0.0))
-            lo = int(math.floor(-ur - v * om1.real - 1))
-            hi = int(math.ceil(ur - v * om1.real + 1))
-            for u in range(lo, hi + 1):
-                el = field.from_ring_coords(u, v)
-                if abs(el.norm()) == n:
-                    out.append(el)
-        return out
-    # real quadratic: balanced box |x^(i)| <= sqrt(n)*eps1
-    eps1 = math.exp(field.regulator)
-    bound = math.sqrt(n) * eps1 + 1e-9
-    om = field.ring_gen
-    o1, o2 = embed(om, field)
-    vmax = int((2 * bound) / abs(o1 - o2)) + 2
-    for v in range(-vmax, vmax + 1):
-        lo = int(math.floor(max(-bound - v * o1, -bound - v * o2) - 1))
-        hi = int(math.ceil(min(bound - v * o1, bound - v * o2) + 1))
-        for u in range(lo, hi + 1):
-            el = field.from_ring_coords(u, v)
-            if abs(el.norm()) == n:
-                e1, e2 = embed(el, field)
-                if abs(e1) <= bound and abs(e2) <= bound:
-                    out.append(el)
-    return out
-
-
-def exact_divide(x: FieldElement, g: FieldElement, field: FieldData) -> FieldElement | None:
-    """x / g when the quotient is integral, else None."""
-    if g.is_zero():
-        return None
-    q = x / g
-    return q if q.is_integral() else None
-
-
-def ideal_gcd_generator(x: FieldElement, y: FieldElement, field: FieldData) -> FieldElement:
-    """Generator of <x, y> for a class-number-one field.
-
-    x and y are scaled by the lcm of the denominators of their ring
-    coordinates; the generator is an element of norm N(<x, y>) that divides
-    both."""
-    if x.is_zero() and y.is_zero():
-        raise ValueError("gcd of zero pair")
-    scale = field.element(math.lcm(*(c.denominator for el in (x, y) for c in el.coords())))
-    sx, sy = x * scale, y * scale
-    for g in elements_of_norm(field, pair_ideal_norm(sx, sy, field)):
-        if exact_divide(sx, g, field) is not None and exact_divide(sy, g, field) is not None:
-            return g / scale
-    raise ValueError("no principal generator found (h=1 violated?)")
-
-
 def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tuple[FieldElement, FieldElement]:
     """xi, eta integral with rho*eta - sigma*xi = 1; requires <rho, sigma> = o.
 
@@ -623,6 +543,218 @@ def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tu
         k = field.from_ring_coords(*(math.floor(c + Fraction(1, 2)) for c in (eta / sigma).coords()))
         xi, eta = xi - k * rho, eta - k * sigma
     return xi, eta
+
+
+# ---------------------------------------------------------------------------
+# Lattice points of o and of its ideals in balls.  One enumerator serves the
+# pairs of the direct route, the Fourier frequencies, the cusp candidates,
+# the roots of unity and the ideal generators.
+# ---------------------------------------------------------------------------
+
+_PAIR_BLOCK = 1 << 16  # lattice points per block of the ball enumerator (and of the pair sum)
+
+
+def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
+    """The integer ranges [lo_j, hi_j], laid end to end, in consecutive
+    blocks of at most _PAIR_BLOCK values, as row pieces: per block the rows
+    j it touches, the first value of each piece and its length.  A row
+    longer than a block is split between blocks; empty rows are dropped."""
+    counts = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    for a in range(0, total, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, total)
+        r0 = int(np.searchsorted(ends, a, side="right"))
+        r1 = int(np.searchsorted(ends, b, side="left")) + 1
+        first = ends[r0:r1] - counts[r0:r1]
+        skip = np.maximum(a - first, 0)
+        n = np.minimum(counts[r0:r1], b - first) - skip
+        rows = np.flatnonzero(n > 0)
+        yield rows + r0, lo[rows + r0] + skip[rows], n[rows]
+
+
+def _piece_values(v0: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """v0_j, v0_j + 1, ..., v0_j + n_j - 1 for each piece j, concatenated."""
+    x = np.repeat(v0 - np.cumsum(n) + n, n)
+    x += np.arange(x.size)
+    return x
+
+
+def _ragged_values(lo: np.ndarray, hi: np.ndarray):
+    """The blocks of `_ragged_blocks` with their pieces expanded: per block
+    the row and the value of every entry."""
+    for j, v0, n in _ragged_blocks(lo, hi):
+        yield np.repeat(j, n), _piece_values(v0, n)
+
+
+def _piece_points(k, v, u0, n):
+    """The (k, u, v) points of the row pieces (k, v, u0, n), in order."""
+    return np.repeat(k, n), _piece_values(u0, n), np.repeat(v, n)
+
+
+def _omega_embeds(field: FieldData):
+    om = field.ring_gen
+    return [complex(v) for v in embed(om, field)]
+
+
+def _embed_coords(field: FieldData, u, v):
+    """u + v omega at each place, from integer coordinate arrays: real at
+    degree-1 places, complex at the complex place."""
+    return [u + v * (o if deg == 2 else o.real)
+            for o, deg in zip(_omega_embeds(field), field.place_degrees)]
+
+
+def _ball_ranges(field: FieldData, centres, radii, omega=None):
+    """The points x = u + v omega of the lattice Z + Z omega with
+    |x^(i) - centres[i]| <= radii[i] at every place i, one ball per row of
+    the centre and radius arrays, as chained ranges: per ball the range
+    [vlo, vhi] of v, and u_range(k, v), the range [ulo, uhi] of u for the
+    rows (ball k, v).
+
+    omega is given by its embeddings, one per place; by default it is the
+    ring generator, and the lattice is o.  A sublattice Z b1 + Z b2 is the
+    change of variables x / b1 = u + v (b2 / b1): centres divided by b1,
+    radii by |b1|, omega = b2 / b1.  v is 0 on Q; at two real places
+    x^(1) - x^(2) = v (omega^(1) - omega^(2)) bounds it, at a complex place
+    Im x = v Im omega does, so omega^(1) - omega^(2) > 0, or Im omega > 0.
+    This is the only lattice code that knows the place structure."""
+    omega = _omega_embeds(field) if omega is None else omega
+    if field.r2:
+        (m,), (w,), (o,) = centres, radii, omega
+        vlo, vhi = np.ceil((m.imag - w) / o.imag), np.floor((m.imag + w) / o.imag)
+
+        def u_range(k, v):
+            h = np.sqrt(np.maximum(w[k] ** 2 - (v * o.imag - m.imag[k]) ** 2, 0.0))
+            return np.ceil(m.real[k] - h - v * o.real), np.floor(m.real[k] + h - v * o.real)
+    else:
+        o = [oi.real for oi in omega]
+        lo = [m - w for m, w in zip(centres, radii)]
+        hi = [m + w for m, w in zip(centres, radii)]
+        if field.n == 1:
+            vlo = vhi = np.zeros(lo[0].shape)
+        else:
+            delta = o[0] - o[1]  # sqrt(D) > 0 for the ring generator
+            vlo, vhi = np.ceil((lo[0] - hi[1]) / delta), np.floor((hi[0] - lo[1]) / delta)
+
+        def u_range(k, v):
+            return (np.maximum.reduce([np.ceil(a[k] - v * oi) for a, oi in zip(lo, o)]),
+                    np.minimum.reduce([np.floor(b[k] - v * oi) for b, oi in zip(hi, o)]))
+    return vlo.astype(np.int64), vhi.astype(np.int64), u_range
+
+
+def _ball_blocks(field: FieldData, centres, radii, omega=None):
+    """The points of `_ball_ranges` as a stream of blocks of row pieces
+    (k, v, u0, n): the points u0, ..., u0 + n - 1 of the row (ball k, v), in
+    order of ball, then v, then u.  Rows are built and points streamed at
+    most _PAIR_BLOCK at a time; a row longer than that is split between
+    blocks.  `_ball_points` expands the pieces, `eisenstein._pair_blocks`
+    reads them."""
+    vlo, vhi, u_range = _ball_ranges(field, centres, radii, omega)
+    for k, v in _ragged_values(vlo, vhi):
+        lo, hi = u_range(k, v)
+        for j, u0, n in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
+            yield k[j], v[j], u0, n
+
+
+def _ball_points(field: FieldData, centres, radii, omega=None):
+    """Every point of `_ball_blocks` in one (k, u, v) triple."""
+    blocks = [(np.zeros(0, dtype=np.int64),) * 4]
+    blocks += _ball_blocks(field, centres, radii, omega)
+    return _piece_points(*(np.concatenate(a) for a in zip(*blocks)))
+
+
+def _canonical_c(field: FieldData, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """c = cu + cv omega != 0 in torsion-canonical form: its first nonzero
+    coordinate is positive, or, when omega > 2, cu > 0 and cv >= 0.  Then
+    omega is the root of unity of argument 2 pi / omega (i on Q(i), a sixth
+    root on Q(sqrt -3)), so that is arg c in [0, 2 pi / omega), exactly."""
+    if field.omega == 2:
+        return np.where(cu != 0, cu, cv) > 0
+    return (cu > 0) & (cv >= 0)
+
+
+def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
+    """Whether c = cu + cv omega has log|c_1 / c_2| in [-R, R): one c in each
+    orbit of the fundamental unit eps (eps_1 > 1 on every supported field);
+    all c when r = 1.  The window's edges are decided in integers: c with
+    |c_1 / c_2| = eps_1 is c = +-eps sigma(c), and is dropped; c with
+    |c_1 / c_2| = 1 / eps_1 is eps c = +-sigma(c), and is kept.  Integer or
+    object (Python int) coordinate arrays."""
+    if field.r == 1:
+        return np.ones(cu.shape, dtype=bool)
+    c1, c2 = _embed_coords(field, cu, cv)
+    t = np.log(np.abs(np.asarray(c1 / c2, dtype=float)))
+    eu, ev = field.fundamental_unit.ring_coords()
+    su, sv = _coord_conj(field, cu, cv)
+
+    def assoc(a, b, u, v):  # a + b omega = +-(u + v omega)
+        return ((a == u) & (b == v)) | ((a == -u) & (b == -v))
+    upper = assoc(*_coord_mul(field, eu, ev, su, sv), cu, cv)
+    lower = assoc(*_coord_mul(field, eu, ev, cu, cv), su, sv)
+    R = field.regulator
+    return (((t >= -R) & (t < R)) & ~upper) | lower
+
+
+def _minkowski_form(field: FieldData, a, b) -> int:
+    """sum_i deg_i Re(a_i conj(b_i)) = Tr(a conj(b)) for a, b in o given by
+    ring coordinates, in integers: conj is sigma at a complex place and the
+    identity at real places."""
+    if field.r2:
+        b = _coord_conj(field, *b)
+    u, v = _coord_mul(field, *a, *b)
+    return u + _coord_conj(field, u, v)[0]
+
+
+def _reduced_basis(field: FieldData, H):
+    """A Z-basis (b1, b2) of the ideal whose Hermite rows are H, as ring
+    coordinates: on a quadratic field H Lagrange-Gauss reduced in the
+    Minkowski form; on Q (N, 0) and an unused b2."""
+    if field.n == 1:
+        return (H[0][0], 0), (0, 1)
+    b1, b2 = tuple(H[0]), tuple(H[1])
+    while True:
+        if _minkowski_form(field, b2, b2) < _minkowski_form(field, b1, b1):
+            b1, b2 = b2, b1
+        mu = round(Fraction(_minkowski_form(field, b1, b2), _minkowski_form(field, b1, b1)))
+        if mu == 0:
+            return b1, b2
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+
+
+def ideal_gcd_generator(x: FieldElement, y: FieldElement, field: FieldData) -> FieldElement:
+    """The generator of <x, y> (h = 1) that is torsion-canonical and
+    unit-balanced (`_canonical_c`, `_unit_balanced`): one per ideal, the
+    rule `domains.slice_candidates` applies to c.
+
+    x and y are scaled by the lcm s of the denominators of their ring
+    coordinates.  A generator g of the integral ideal <s x, s y> of norm N
+    in that form has |g_i| <= N^(1/n) e^((r-1) R / 2) at every place, so it
+    is a point of norm +-N in one ball of the ideal's lattice, enumerated by
+    `_ball_points` in the basis of `_reduced_basis`.  The reduction keeps
+    that ball to a few hundred points whatever N is; the Hermite basis
+    (N, 0), (b, 1) of a principal (k) with k primitive spans about N^(3/2)
+    rows.  The norm is tested in Python ints, so g is exact for every
+    input."""
+    if x.is_zero() and y.is_zero():
+        raise ValueError("gcd of zero pair")
+    s = math.lcm(*(c.denominator for el in (x, y) for c in el.coords()))
+    H, _ = _hnf(_ideal_rows(field, x * field.element(s), y * field.element(s)))
+    N = math.prod(H[i][i] for i in range(field.n))
+    b1, b2 = _reduced_basis(field, H)
+    e1 = _embed_coords(field, *b1)
+    omega = [complex(b / a) for a, b in zip(e1, _embed_coords(field, *b2))]
+    if (omega[0].imag if field.r2 else omega[0].real - omega[-1].real) < 0:
+        b2, omega = (-b2[0], -b2[1]), [-o for o in omega]  # the orientation of `_ball_ranges`
+    radius = N ** (1 / field.n) * math.exp((field.r - 1) * field.regulator / 2) * (1 + 1e-9)
+    _, m, k = _ball_points(field, [np.zeros(1)] * field.r,
+                           [np.full(1, radius / abs(a)) for a in e1], omega)
+    pts = [(p * b1[0] + q * b2[0], p * b1[1] + q * b2[1]) for p, q in zip(m.tolist(), k.tolist())]
+    pts = [g for g in pts if abs(_coord_norm(field, *g)) == N]
+    cu, cv = (np.array([g[i] for g in pts], dtype=object) for i in (0, 1))
+    hits = np.flatnonzero(_canonical_c(field, cu, cv) & _unit_balanced(field, cu, cv))
+    if hits.size != 1:
+        raise ValueError("%d canonical generators of norm %d found" % (hits.size, N))
+    return field.from_ring_coords(Fraction(int(cu[hits[0]]), s), Fraction(int(cv[hits[0]]), s))
 
 
 # ---------------------------------------------------------------------------

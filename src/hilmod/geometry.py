@@ -156,54 +156,26 @@ def cusp_infinity(field: FieldData) -> Cusp:
 
 
 def make_cusp(field: FieldData, rho, sigma) -> Cusp:
-    """Normalize (rho, sigma) to a canonical coprime representative and
-    attach an associated matrix A with first column (rho, sigma)."""
+    """Normalize (rho, sigma) to its canonical coprime representative and
+    attach an associated matrix A with first column (rho, sigma).  The pair
+    is divided by the generator of <rho, sigma>, then multiplied by the unit
+    w eps^k that makes sigma the generator of (sigma) of
+    `fields.ideal_gcd_generator`: torsion-canonical and unit-balanced, the
+    rule `domains.slice_candidates` applies to c.  So every pair of one cusp
+    gives the same (rho, sigma), exactly."""
     conv = lambda v: v if isinstance(v, FieldElement) else field.element(v)
     rho, sigma = conv(rho), conv(sigma)
     if rho.is_zero() and sigma.is_zero():
         raise ValueError("(0, 0) does not define a cusp")
-    g = ideal_gcd_generator(rho, sigma, field)
-    rho, sigma = rho / g, sigma / g
-    rho, sigma = _canonical_unit_rep(field, rho, sigma)
+    g = ideal_gcd_generator(rho, sigma, field).inverse()
+    rho, sigma = rho * g, sigma * g
     if sigma.is_zero():
         return cusp_infinity(field)
+    c = ideal_gcd_generator(sigma, field.element(0), field)
+    rho, sigma = rho * c / sigma, c
     xi, eta = solve_bezout(rho, sigma, field)
     A = GroupElement(rho, xi, sigma, eta)
     return Cusp(rho, sigma, A)
-
-
-def _canonical_unit_rep(field: FieldData, rho: FieldElement, sigma: FieldElement):
-    """Deterministic unit normalization of a coprime pair."""
-    if field.d > 0:
-        # balance by the fundamental-unit power t-window, then fix sign
-        n1 = _pair_place_size(field, rho, sigma, 0)
-        n2 = _pair_place_size(field, rho, sigma, 1)
-        k = round(math.log(n2 / n1) / (4 * field.regulator))
-        if k:
-            u = unit_power(field, k)
-            rho, sigma = rho * u, sigma * u
-        return _sign_normalize(field, rho, sigma)
-    if field.omega > 2:
-        cands = []
-        for w in roots_of_unity(field):
-            r2, s2 = rho * w, sigma * w
-            cands.append(((r2.a, r2.b, s2.a, s2.b), (r2, s2)))
-        cands.sort(key=lambda kv: kv[0])
-        return cands[0][1]
-    return _sign_normalize(field, rho, sigma)
-
-
-def _pair_place_size(field, rho, sigma, i) -> float:
-    re = embed(rho, field)[i]
-    se = embed(sigma, field)[i]
-    return abs(complex(re)) ** 2 + abs(complex(se)) ** 2
-
-
-def _sign_normalize(field, rho, sigma):
-    lead = rho if not rho.is_zero() else sigma
-    if (lead.a, lead.b) < (0, 0):
-        return -rho, -sigma
-    return rho, sigma
 
 
 def height(cusp: Cusp, z: Point, field: FieldData) -> float:

@@ -1,5 +1,10 @@
 """Test-side reference routes.
 
+The hand-written search for the integral elements of a given norm
+(`elements_of_norm`) and exact division (`exact_divide`): the library finds
+ideal generators in the ball enumerator (`fields.ideal_gcd_generator`), and
+these serve as the oracle for it and for the totient and valuation tests.
+
 The box quadrature of the horoball route: psi(q / V) integrated over each
 other cusp's shadow in the X box of the cross section, by a composite
 Gauss-Legendre rule.  The library sums the same shadows in closed form over
@@ -15,8 +20,7 @@ import math
 import numpy as np
 
 from hilmod.domains import _half_widths, _reach, _y_rows, slice_candidates
-from hilmod.eisenstein import _embed_coords, _ragged_values
-from hilmod.fields import FieldData
+from hilmod.fields import FieldData, FieldElement, _embed_coords, _ragged_values, embed, fe_zero
 from hilmod.geometry import _geom_cache, slice_embeddings
 from hilmod.quadrature import gl_panel_nodes
 
@@ -103,3 +107,57 @@ def box_section_average(f, q: float, field: FieldData, nodes: int = 20) -> float
     """m_q(f) by the box quadrature: psi(q) plus `shadow_integral` at floor
     0.999 t0, as the horoball route computed it before the class sum."""
     return float(f.profile(q)) + shadow_integral(field, q, f.t0 * 0.999, f.profile, nodes)
+
+
+def elements_of_norm(field: FieldData, n: int) -> list[FieldElement]:
+    """Integral elements with |N| = n, up to none of the unit action (raw list).
+
+    Searches a balanced box in embedding space; complete because any element
+    of norm n has a unit multiple with both embeddings below sqrt(n)*unit
+    (real case) or lies in the obvious disc (imaginary case).
+    """
+    if n == 0:
+        return [fe_zero(field.d)]
+    d = field.d
+    out = []
+    if d == 0:
+        return [field.element(n), field.element(-n)]
+    if d < 0:
+        s = math.sqrt(-d)
+        # |u + v*omega|^2 = n
+        om = field.ring_gen
+        om1 = complex(float(om.a), float(om.b) * s)
+        vmax = int(math.sqrt(n) / abs(om1.imag)) + 1
+        for v in range(-vmax, vmax + 1):
+            ur = math.sqrt(max(n - (v * om1.imag) ** 2, 0.0))
+            lo = int(math.floor(-ur - v * om1.real - 1))
+            hi = int(math.ceil(ur - v * om1.real + 1))
+            for u in range(lo, hi + 1):
+                el = field.from_ring_coords(u, v)
+                if abs(el.norm()) == n:
+                    out.append(el)
+        return out
+    # real quadratic: balanced box |x^(i)| <= sqrt(n)*eps1
+    eps1 = math.exp(field.regulator)
+    bound = math.sqrt(n) * eps1 + 1e-9
+    om = field.ring_gen
+    o1, o2 = embed(om, field)
+    vmax = int((2 * bound) / abs(o1 - o2)) + 2
+    for v in range(-vmax, vmax + 1):
+        lo = int(math.floor(max(-bound - v * o1, -bound - v * o2) - 1))
+        hi = int(math.ceil(min(bound - v * o1, bound - v * o2) + 1))
+        for u in range(lo, hi + 1):
+            el = field.from_ring_coords(u, v)
+            if abs(el.norm()) == n:
+                e1, e2 = embed(el, field)
+                if abs(e1) <= bound and abs(e2) <= bound:
+                    out.append(el)
+    return out
+
+
+def exact_divide(x: FieldElement, g: FieldElement, field: FieldData) -> FieldElement | None:
+    """x / g when the quotient is integral, else None."""
+    if g.is_zero():
+        return None
+    q = x / g
+    return q if q.is_integral() else None

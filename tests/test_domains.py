@@ -207,8 +207,8 @@ def _full_box(field, ys, cut):
     """Every nu != 0 of the frequency ball at heights ys, from `_ball_points`."""
     dg = [abs(complex(g)) for g in F.embed(field.different_gen, field)]
     a = [2 * math.pi * deg * y / g for y, g, deg in zip(ys, dg, field.place_degrees)]
-    _, u, v = E._ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
-    weight = sum(ai * np.abs(e) for ai, e in zip(a, E._embed_coords(field, u, v)))
+    _, u, v = F._ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
+    weight = sum(ai * np.abs(e) for ai, e in zip(a, F._embed_coords(field, u, v)))
     keep = (weight <= cut) & ((u != 0) | (v != 0))
     return set(zip(u[keep].tolist(), v[keep].tolist()))
 
@@ -498,7 +498,7 @@ def _box_shadowed(field, q, T, X, Y, K):
         hit = q / V > T
         c = field.from_ring_coords(int(u[k]), int(v[k]))
         for j in np.flatnonzero(hit.any(axis=1)):
-            if F.is_coprime_pair(c, field.from_ring_coords(int(u[j]), int(v[j])), field):
+            if F.pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1:
                 mask |= hit[j]
                 on_edge |= K in np.abs([u[k], v[k], u[j], v[j]])
     return mask, on_edge
@@ -542,7 +542,7 @@ def test_cusp_classes_match_box_scan(d, K):
             assert len(pts) == norm[k], q  # the d box holds every class mod c
             c = field.from_ring_coords(int(u[k]), int(v[k]))
             ref |= {(tuple(p), norm[k]) for p, j in zip(pts.tolist(), first)
-                    if F.is_coprime_pair(c, field.from_ring_coords(int(u[j]), int(v[j])), field)}
+                    if F.pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1}
         rows, norms, counts = D._cusp_classes(field, float(q), T)
         got = [(tuple(p), abs(field.from_ring_coords(int(c1), int(c2)).norm()))
                for p, (c1, c2) in zip(_cusp_points(field, *rows.T).tolist(), rows[:, :2])]

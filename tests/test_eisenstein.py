@@ -82,7 +82,7 @@ def test_enumerate_pairs_complete_against_box_brute(d):
     for j in np.flatnonzero((V <= BV) & ((c1 != 0) | (c2 != 0) | (d1 != 0) | (d2 != 0))):
         c = field.from_ring_coords(int(c1[j]), int(c2[j]))
         dd = field.from_ring_coords(int(d1[j]), int(d2[j]))
-        if F.is_coprime_pair(c, dd, field):
+        if F.pair_ideal_norm(c, dd, field) == 1:
             seen.add(_cusp_key(c, dd))
     got = [_cusp_key(p.c, p.d) for p in pairs]
     assert len(got) == len(set(got))
@@ -110,13 +110,13 @@ def test_ball_points_match_box_brute(d, monkeypatch):
         assert not np.any(np.abs(gap) < 1e-9)  # nothing on a boundary
         want |= {(k, int(a), int(b)) for a, b in zip(u[(gap < 0).all(axis=0)],
                                                       v[(gap < 0).all(axis=0)])}
-    k, bu, bv = E._ball_points(field, centres, radii)
+    k, bu, bv = F._ball_points(field, centres, radii)
     got = list(zip(k.tolist(), bu.tolist(), bv.tolist()))
     assert len(want) > 20
     assert set(got) == want and len(got) == len(want)
     assert got == sorted(got, key=lambda p: (p[0], p[2], p[1]))
-    monkeypatch.setattr(E, "_PAIR_BLOCK", 7)
-    assert [tuple(a) for a in zip(*E._ball_points(field, centres, radii))] == got
+    monkeypatch.setattr(F, "_PAIR_BLOCK", 7)
+    assert [tuple(a) for a in zip(*F._ball_points(field, centres, radii))] == got
 
 
 @pytest.mark.parametrize("d", [0, 5, -1])
@@ -129,15 +129,15 @@ def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
     pairs = E.enumerate_pairs(field, inf, z, bound)
     value = E.eisenstein_direct(field, inf, z, params)
     balls = E._pair_geometry(field, z, bound * z.ny(field))[3:]
-    vlo, vhi, _ = E._ball_ranges(field, *balls)
+    vlo, vhi, _ = F._ball_ranges(field, *balls)
     for block in (13, 97):
-        monkeypatch.setattr(E, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(F, "_PAIR_BLOCK", block)
         assert E.enumerate_pairs(field, inf, z, bound) == pairs
         got = E.eisenstein_direct(field, inf, z, params)
         assert abs(got - value) <= 1e-14 * abs(value)
         # a row (ball k, v) whose points straddle two blocks comes as two
         # pieces, the second starting where the first ends
-        blocks = list(E._ball_blocks(field, *balls))
+        blocks = list(F._ball_blocks(field, *balls))
         assert all(n.size <= block and n.sum() <= block for _, _, _, n in blocks)
         split = [(k0[-1], v0[-1], u0[-1] + n0[-1]) == (k1[0], v1[0], u1[0])
                  for (k0, v0, u0, n0), (k1, v1, u1, _) in zip(blocks, blocks[1:])]
@@ -149,7 +149,7 @@ def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
 
 def _reference_V(field, z, c1, c2, d1, d2):
     """V and its per-place factors from each pair's embeddings."""
-    ce, de = E._embed_coords(field, c1, c2), E._embed_coords(field, d1, d2)
+    ce, de = F._embed_coords(field, c1, c2), F._embed_coords(field, d1, d2)
     w = [c * x + dd for c, dd, (x, _) in zip(ce, de, z.coords)]
     Vp = [wi.real ** 2 + wi.imag ** 2 + (np.abs(c) * y) ** 2 if deg == 2
           else wi ** 2 + (np.abs(c) * y) ** 2
@@ -167,7 +167,7 @@ def test_pair_blocks_match_point_reference(d, block, monkeypatch):
     z = random_point(field, random.Random(70 + d))
     BV = (2e3 if block else 2e4) * z.ny(field)
     if block:
-        monkeypatch.setattr(E, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(F, "_PAIR_BLOCK", block)
     got = []
     for V, cols in E._pair_blocks(field, z, BV):
         cols = cols()
@@ -177,7 +177,7 @@ def test_pair_blocks_match_point_reference(d, block, monkeypatch):
         got.append(np.stack(cols, axis=1))
     got = np.concatenate(got)
     cu, cv, _, centres, radii = E._pair_geometry(field, z, BV)
-    k, du, dv = E._ball_points(field, centres, radii)
+    k, du, dv = F._ball_points(field, centres, radii)
     want = np.stack([cu[k], cv[k], du, dv], axis=1)
     V, Vp = _reference_V(field, z, *want.T)
     keep = V <= BV

@@ -158,7 +158,7 @@ def test_horoball_across_block_boundaries(d, monkeypatch):
         return np.array([oracles.box_section_average(f, q, field, nodes=4) for q in qs])
     whole = values()
     for block in (7, 97):
-        monkeypatch.setattr(E, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(F, "_PAIR_BLOCK", block)
         assert np.all(np.abs(values() - whole) <= 1e-14 * np.abs(whole)), block
 
 
@@ -178,8 +178,8 @@ def test_lowest_heights_bound_v_on_every_y_row(d, q, pick, X, nodes):
     field = F.make_field(d)
     coords = D.slice_candidates(field, q, 1.8)
     c1, c2, d1, d2 = coords[pick % coords.shape[0]]
-    ce = E._embed_coords(field, np.array([c1]), np.array([c2]))
-    de = E._embed_coords(field, np.array([d1]), np.array([d2]))
+    ce = F._embed_coords(field, np.array([c1]), np.array([c2]))
+    de = F._embed_coords(field, np.array([d1]), np.array([d2]))
     ys = D._y_rows(field, q, *gl_panel_nodes(-0.5, 0.5, 2, max(nodes // 2, 6)))[0]
     xs = G.slice_embeddings(field, q, np.array([X]), None)[0]
     low = oracles._shadow_V(field, ce, de, xs, [y.min() for y in ys])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hilmod import fields as F
 from hilmod.errors import NoUnits, UnsupportedField
+from oracles import elements_of_norm, exact_divide
 
 
 def brute_fundamental_unit(d):
@@ -65,7 +67,7 @@ def test_make_field_gaussian():
     assert (fd.r1, fd.r2, fd.D, fd.omega) == (0, 1, 4, 4)
     assert fd.regulator == 1.0
     # exactly four units of norm 1
-    units = [u for u in F.elements_of_norm(fd, 1)]
+    units = [u for u in elements_of_norm(fd, 1)]
     assert len(units) == 4
 
 
@@ -73,6 +75,33 @@ def test_make_field_eisenstein_omega6():
     fd = F.make_field(-3)
     assert fd.omega == 6 and fd.D == 3
     assert len(F.roots_of_unity(fd)) == 6
+
+
+_ALL_FIELDS = (0,) + F.REAL_H1 + F.IMAG_H1
+
+
+def _hand_roots_of_unity(fd):
+    """The roots of unity as they were written out by hand: 1, i, -1, -i on
+    Q(i), the powers of (1 + sqrt -3) / 2 on Q(sqrt -3), else 1 and -1."""
+    one = F.fe_one(fd.d)
+    if fd.d == -1:
+        i = F.fe_sqrt_d(-1)
+        return (one, i, -one, -i)
+    if fd.d == -3:
+        z = F.FieldElement.make(Fraction(1, 2), Fraction(1, 2), -3)
+        out, cur = [one], z
+        for _ in range(5):
+            out.append(cur)
+            cur = cur * z
+        return tuple(out)
+    return (one, -one)
+
+
+@pytest.mark.parametrize("d", _ALL_FIELDS)
+def test_roots_of_unity_match_hand_tuples(d):
+    fd = F.make_field(d)
+    assert F.roots_of_unity(fd) == _hand_roots_of_unity(fd)
+    assert fd.omega == {-1: 4, -3: 6}.get(d, 2)
 
 
 @pytest.mark.parametrize("d", [10, 15, -5, -6, 12, 1])
@@ -212,7 +241,7 @@ def test_pair_ideal_norm_and_gcd(field_q, field_qi, field_q5):
     g = F.ideal_gcd_generator(opi, two, field_qi)
     assert abs(g.norm()) == 2
     # coprime pair
-    assert F.is_coprime_pair(field_q5.element(2), field_q5.ring_gen, field_q5)
+    assert F.pair_ideal_norm(field_q5.element(2), field_q5.ring_gen, field_q5) == 1
 
 
 @pytest.mark.parametrize("d,rho,sigma", [
@@ -222,7 +251,7 @@ def test_bezout(d, rho, sigma):
     fd = F.make_field(d)
     conv = lambda v: fd.from_ring_coords(*v) if isinstance(v, tuple) else fd.element(v)
     r, s = conv(rho), conv(sigma)
-    assert F.is_coprime_pair(r, s, fd)
+    assert F.pair_ideal_norm(r, s, fd) == 1
     xi, eta = F.solve_bezout(r, s, fd)
     assert (r * eta - s * xi) == F.fe_one(d)
     assert xi.is_integral() and eta.is_integral()
@@ -239,7 +268,7 @@ def test_bezout_exact_and_reduced(d, c):
     fd = _BEZOUT_FIELDS[d]
     u1, v1, u2, v2 = c if fd.n == 2 else (c[0], 0, c[2], 0)
     rho, sigma = fd.from_ring_coords(u1, v1), fd.from_ring_coords(u2, v2)
-    assume(not sigma.is_zero() and F.is_coprime_pair(rho, sigma, fd))
+    assume(not sigma.is_zero() and F.pair_ideal_norm(rho, sigma, fd) == 1)
     xi, eta = F.solve_bezout(rho, sigma, fd)
     assert rho * eta - sigma * xi == F.fe_one(d)
     assert xi.is_integral() and eta.is_integral()
@@ -287,7 +316,69 @@ def test_gcd_generator_generates_the_pair_ideal(d):
         g = F.ideal_gcd_generator(x, y, fd)
         s = fd.element(math.lcm(*(w.denominator for el in (x, y) for w in el.coords())))
         assert hnf(g * s) == hnf(x * s, y * s)
-        assert F.exact_divide(x, g, fd) is not None and F.exact_divide(y, g, fd) is not None
+        assert exact_divide(x, g, fd) is not None and exact_divide(y, g, fd) is not None
+        # the box search's common divisors of norm N: g s is the one in canonical form
+        divs = [e for e in elements_of_norm(fd, F.pair_ideal_norm(x * s, y * s, fd))
+                if exact_divide(x * s, e, fd) is not None and exact_divide(y * s, e, fd) is not None]
+        cu, cv = (np.array([e.ring_coords()[i] for e in divs]) for i in (0, 1))
+        canonical = F._canonical_c(fd, cu, cv) & F._unit_balanced(fd, cu, cv)
+        assert [e for e, c in zip(divs, canonical) if c] == [g * s]
+
+
+@pytest.mark.parametrize("d", [0, 5, -1, -3, -7, 13])
+def test_canonical_c_one_per_torsion_orbit(d):
+    # of the w c, w over the roots of unity, exactly one is torsion-canonical
+    # for every c != 0 of the box [-40, 40]^2
+    fd = F.make_field(d)
+    r = np.arange(-40, 41)
+    u, v = (a.ravel() for a in np.meshgrid(r, r if fd.n == 2 else [0]))
+    u, v = u[(u != 0) | (v != 0)], v[(u != 0) | (v != 0)]
+    hits = sum(F._canonical_c(fd, *F._coord_mul(fd, *w.ring_coords(), u, v)).astype(int)
+               for w in F.roots_of_unity(fd))
+    assert np.all(hits == 1)
+
+
+_GCD_FIELDS = {d: F.make_field(d) for d in (0, 5, -1, -3, 13, 19, 41, -163)}
+_ENTRY = st.integers(-10 ** 3, 10 ** 3)
+_ball_points = F._ball_points
+
+
+@given(d=st.sampled_from(sorted(_GCD_FIELDS)), c=st.tuples(*[_ENTRY] * 6))
+@settings(max_examples=200, deadline=None)
+def test_gcd_generator_exact_and_canonical(d, c):
+    # x = k a and y = k b, entries up to about 10^6, k not a unit: g generates
+    # <x, y> (one HNF), is in canonical form, does not move when x is
+    # multiplied by a unit, and its ball holds a few hundred points at most
+    fd = _GCD_FIELDS[d]
+    k, a, b = (fd.from_ring_coords(c[i], c[i + 1] if fd.n == 2 else 0) for i in (0, 2, 4))
+    assume(abs(k.norm()) > 1 and not (a.is_zero() and b.is_zero()))
+    x, y = k * a, k * b
+    sizes = []
+
+    def counted(*args):
+        out = _ball_points(*args)
+        sizes.append(out[0].size)
+        return out
+    with mock.patch.object(F, "_ball_points", counted):
+        g = F.ideal_gcd_generator(x, y, fd)
+    hnf = lambda *els: F._hnf(F._ideal_rows(fd, *els))[0][:fd.n]
+    assert hnf(g) == hnf(x, y)
+    gu, gv = (np.array([v]) for v in g.ring_coords())
+    assert F._canonical_c(fd, gu, gv)[0] and F._unit_balanced(fd, gu, gv)[0]
+    unit = F.roots_of_unity(fd)[1] * (fd.fundamental_unit if fd.r == 2 else F.fe_one(d))
+    assert F.ideal_gcd_generator(unit * x, y, fd) == g
+    assert sizes == [sizes[0]] and sizes[0] <= 300
+
+
+@pytest.mark.parametrize("d", [0, 5, -3, 19])
+def test_gcd_generator_beyond_int64(d):
+    # coordinates past 2^63: the norm test and the masks run on Python ints
+    fd = _GCD_FIELDS[d]
+    k, a, b = (fd.from_ring_coords(u, v if fd.n == 2 else 0)
+               for u, v in ((10 ** 12 + 39, 7 * 10 ** 11), (3 * 10 ** 9, 5), (11, 10 ** 10)))
+    g = F.ideal_gcd_generator(k * a, k * b, fd)
+    assert max(abs(c) for c in (k * a).ring_coords()) > 2 ** 63
+    assert F._hnf(F._ideal_rows(fd, g))[0][:fd.n] == F._hnf(F._ideal_rows(fd, k * a, k * b))[0][:fd.n]
 
 
 def test_divisor_norms(field_q, field_qi):
@@ -309,7 +400,7 @@ def test_totient_sums_gaussian_brute(field_qi):
     for n in range(1, 26):
         total = 0
         seen = set()
-        for el in F.elements_of_norm(field_qi, n):
+        for el in elements_of_norm(field_qi, n):
             orbit = min((el * w).ring_coords() for w in F.roots_of_unity(field_qi))
             if orbit in seen:
                 continue
@@ -342,11 +433,11 @@ def _valuation_search_divisor_norms(fd, x, gens):
             fact.append((p, e) if ty == "rational" else (p * p, e // 2))
             continue
         if p not in gens:
-            gens[p] = F.elements_of_norm(fd, p)[0]
+            gens[p] = elements_of_norm(fd, p)[0]
         for pi in [gens[p]] if ty == "ramified" else [gens[p], gens[p].conjugate()]:
-            v, cur = 0, F.exact_divide(x, pi, fd)
+            v, cur = 0, exact_divide(x, pi, fd)
             while cur is not None:
-                v, cur = v + 1, F.exact_divide(cur, pi, fd)
+                v, cur = v + 1, exact_divide(cur, pi, fd)
             fact.append((p, v))
     norms = [1]
     for q, k in fact:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -283,3 +284,51 @@ def test_cusp_normalization_makes_equality_decidable(field_q5):
     assert a.assoc_matrix.a == a.rho and a.assoc_matrix.c == a.sigma
     det = a.assoc_matrix.a * a.assoc_matrix.d - a.assoc_matrix.b * a.assoc_matrix.c
     assert det == F.fe_one(5)
+
+
+def _canonical_sigma(fd, lam):
+    u, v = (np.array([c]) for c in lam.sigma.ring_coords())
+    return bool(F._canonical_c(fd, u, v)[0] and F._unit_balanced(fd, u, v)[0])
+
+
+@pytest.mark.parametrize("d", (0,) + F.REAL_H1 + F.IMAG_H1)
+def test_make_cusp_unit_invariant(d):
+    # each nonzero pair of the box [-1, 1]^4, coprime or not, times one of
+    # the units w eps^k (k = +-1, +-2 when r = 2) in turn gives the cusp of
+    # the pair: the same (rho, sigma), sigma canonical, rho / sigma kept
+    fd = F.make_field(d)
+    ks = (-2, -1, 1, 2) if fd.r == 2 else (0,)
+    units = [w * F.unit_power(fd, k) if k else w for w in F.roots_of_unity(fd) for k in ks]
+    box, vbox = range(-1, 2), range(-1, 2) if fd.n == 2 else [0]
+    pairs = [c for c in itertools.product(box, vbox, box, vbox) if any(c)]
+    for j, c in enumerate(pairs):
+        rho, sigma = fd.from_ring_coords(*c[:2]), fd.from_ring_coords(*c[2:])
+        lam = G.make_cusp(fd, rho, sigma)
+        u = units[j % len(units)]
+        assert G.make_cusp(fd, u * rho, u * sigma) == lam, c
+        if sigma.is_zero():
+            assert lam == G.cusp_infinity(fd)
+        else:
+            assert lam.value() == rho / sigma and _canonical_sigma(fd, lam)
+
+
+@pytest.mark.parametrize("d, edges", [(3, 96), (6, 48), (7, 16)])
+def test_make_cusp_unit_invariant_on_window_edges(d, edges):
+    # The coprime pairs of the box [-6, 6]^4 whose sizes n = rho^2 + sigma^2
+    # at the two places differ by exactly eps_1^(+-2), sigma(n) = eps^(+-2) n,
+    # sit on the edge of a unit window on the pair's size.  A float window
+    # there gave make_cusp(eps rho, eps sigma) != make_cusp(rho, sigma) for
+    # 64, 16 and 8 of them; the canonical sigma does not look at the size.
+    fd = F.make_field(d)
+    c = np.array(list(itertools.product(range(-6, 7), repeat=4)))
+    c = c[F._coprime_mask(fd, *c.T)]
+    n = np.add(F._coord_mul(fd, *c[:, :2].T, *c[:, :2].T), F._coord_mul(fd, *c[:, 2:].T, *c[:, 2:].T))
+    conj = np.array(F._coord_conj(fd, *n))
+    e2 = F.unit_power(fd, 2).ring_coords()
+    edge = ((np.array(F._coord_mul(fd, *e2, *n)) == conj).all(axis=0)
+            | (np.array(F._coord_mul(fd, *e2, *conj)) == n).all(axis=0))
+    assert edge.sum() == edges
+    eps = fd.fundamental_unit
+    for a, b, e, f in c[edge].tolist():
+        rho, sigma = fd.from_ring_coords(a, b), fd.from_ring_coords(e, f)
+        assert G.make_cusp(fd, eps * rho, eps * sigma) == G.make_cusp(fd, rho, sigma)
