@@ -551,7 +551,7 @@ def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tu
 # the roots of unity and the ideal generators.
 # ---------------------------------------------------------------------------
 
-_PAIR_BLOCK = 1 << 16  # lattice points per block of the ball enumerator (and of the pair sum)
+_PAIR_BLOCK = 1 << 14  # lattice points per block of the ball enumerator (and of the pair sum)
 
 
 def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
@@ -651,8 +651,7 @@ def _ball_blocks(field: FieldData, centres, radii, omega=None):
     reads them."""
     vlo, vhi, u_range = _ball_ranges(field, centres, radii, omega)
     for k, v in _ragged_values(vlo, vhi):
-        lo, hi = u_range(k, v)
-        for j, u0, n in _ragged_blocks(lo.astype(np.int64), hi.astype(np.int64)):
+        for j, u0, n in _ragged_blocks(*(a.astype(np.int64) for a in u_range(k, v))):
             yield k[j], v[j], u0, n
 
 

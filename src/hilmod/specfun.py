@@ -63,6 +63,18 @@ _BESSEL_SHIFT_GAP = 3.0       # theta <= pi/2 - gap / |Im s|
 _BESSEL_BLOCK = 1 << 18       # integrand values evaluated per block
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
+# exp(i theta) = exp(2 pi i k / 2^12) exp(i r): the step 2 pi / 2^12 split
+# Cody-Waite style into _PHASE_HI, 27 significant bits, so k _PHASE_HI is
+# exact for |k| < 2^26, that is |theta| < 1.029e5, and _PHASE_LO, the rest.
+_PHASE_SIZE = 1 << 12
+_PHASE_MAX = 1e5
+_PHASE_HI = math.ldexp(round(math.ldexp(math.pi / 2048, 36)), -36)
+_PHASE_LO = ((math.pi - 2048 * _PHASE_HI) + 1.2246467991473532e-16) / 2048  # pi - fl(pi)
+_a, _d = np.arange(_PHASE_SIZE) * _PHASE_HI, np.arange(_PHASE_SIZE) * _PHASE_LO  # d < 5e-8
+_PHASE_COS = np.cos(_a) - (_d * np.sin(_a) + 0.5 * _d * _d * np.cos(_a))  # to order d^2
+_PHASE_SIN = np.sin(_a) + (_d * np.cos(_a) - 0.5 * _d * _d * np.sin(_a))
+del _a, _d
+
 
 def gamma(s: complex) -> complex:
     """Gamma(s) by the Lanczos approximation with reflection; ``DomainError`` where the
@@ -93,6 +105,52 @@ def _sinpi(s: complex) -> complex:
     return complex(np.sin(np.pi * np.complex128(s)))
 
 
+def exp_real_times(p: complex, L: np.ndarray, out=None, work=None, index=None) -> np.ndarray:
+    """exp(p L) for a complex p and real L into `out` (complex): the real
+    exp(Re(p) L) times exp(i theta), theta = Im(p) L rounded as in
+    np.exp(p * L), from a table of 2^12 phases and the Taylor terms of
+    exp(i r), |r| <= pi / 2^12, to degree 4 (cos) and 5 (sin).  The
+    reduction theta = k 2 pi / 2^12 + r is exact to the rounding of r for
+    |theta| <= 1e5; ``DomainError`` beyond.  L is overwritten; `work` (4 rows)
+    and `index` (intp) are scratch of L's size, so that a loop over blocks
+    allocates nothing per block, and are allocated when not given."""
+    n = L.size
+    out = np.empty(n, dtype=complex) if out is None else out
+    theta, k, cm, sn = np.empty((4, n)) if work is None else work[:4, :n]
+    index = np.empty(n, dtype=np.intp) if index is None else index
+    np.multiply(L, p.imag, out=theta)
+    if n and not max(-theta.min(), theta.max()) <= _PHASE_MAX:
+        raise DomainError("phase |Im(p) L| past %g, where its reduction is inexact" % _PHASE_MAX)
+    amp = np.exp(np.multiply(L, p.real, out=L), out=L)
+    np.multiply(theta, _PHASE_SIZE / (2 * math.pi), out=k)
+    np.rint(k, out=k)
+    np.copyto(index, k, casting="unsafe")
+    np.bitwise_and(index, _PHASE_SIZE - 1, out=index)
+    r, r2 = theta, k                      # theta becomes r, k becomes r^2
+    np.subtract(theta, np.multiply(k, _PHASE_HI, out=cm), out=r)
+    np.subtract(r, np.multiply(k, _PHASE_LO, out=cm), out=r)
+    np.multiply(r, r, out=r2)
+    np.multiply(r2, 1 / 24, out=cm)       # cos r - 1
+    cm -= 0.5
+    cm *= r2
+    np.multiply(r2, 1 / 120, out=sn)      # sin r
+    sn -= 1 / 6
+    sn *= r2
+    sn *= r
+    sn += r
+    tc = np.take(_PHASE_COS, index, out=r2, mode="clip")
+    ts = np.take(_PHASE_SIN, index, out=r, mode="clip")
+    re, im = out.real, out.imag
+    np.multiply(tc, cm, out=re)           # (tc + i ts)(1 + cm + i sn)
+    re -= np.multiply(ts, sn, out=im)
+    re += tc
+    re *= amp
+    cm *= ts
+    sn *= tc
+    np.add(cm, sn, out=im)
+    im += ts
+    im *= amp
+    return out
 
 
 def bessel_k(s: complex, y: float) -> complex:

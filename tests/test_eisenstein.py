@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -210,7 +211,7 @@ _PINNED_POINTS = {0: [(0.31, 1.21)], 5: [(0.17, 1.08), (-0.29, 0.87)],
 _PINNED_S = (1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j)
 
 
-@pytest.mark.parametrize("d, count, values", [
+_PINNED_VALUES = [
     (0, 19091, [("0x1.e894bd23ac453p+1", "0x0.0p+0"),
                 ("0x1.7377c099dd40bp+1", "0x0.0p+0"),
                 ("0x1.5d20d5924bfdep+1", "-0x1.6379b6c85b708p+0"),
@@ -239,10 +240,17 @@ _PINNED_S = (1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j)
                  ("0x1.daec33d4a8416p+0", "0x0.0p+0"),
                  ("0x1.e435c25252bcdp+0", "-0x1.3233d7b0d4c36p+0"),
                  ("-0x1.709c11483eeb0p-1", "-0x1.2194e4791ecb3p-1")]),
-])
+]
+
+
+@pytest.mark.parametrize("d, count, values", _PINNED_VALUES)
 def test_direct_values_pinned(d, count, values):
     # values and pair counts of the per-point enumeration that preceded the
     # row-piece one, at bound 2e4 and s = 1.5, 2, 1.3+0.5i, 1.5+9.5i
+    _check_direct_pins(d, count, values)
+
+
+def _check_direct_pins(d, count, values):
     field = F.make_field(d)
     z = G.make_point(field, *_PINNED_POINTS[d])
     for s, (re_hex, im_hex) in zip(_PINNED_S, values):
@@ -252,6 +260,57 @@ def test_direct_values_pinned(d, count, values):
         want = complex(float.fromhex(re_hex), float.fromhex(im_hex))
         assert got == count
         assert abs(value - want) <= 2e-15 * abs(want)
+
+
+@pytest.mark.parametrize("block", [1 << 8, 1 << 14, 1 << 16])
+def test_direct_route_block_size_invariant(block, monkeypatch):
+    # _pair_blocks yields views of a workspace that the next block
+    # overwrites: at every block size the pinned counts and values hold, and
+    # the d balls and the pair table equal those of one block of 2^20
+    for d, count, values in _PINNED_VALUES:
+        if d not in (0, 5, -1, -3, 13):
+            continue
+        field = F.make_field(d)
+        z = G.make_point(field, *_PINNED_POINTS[d])
+        BV = 2e4 * z.ny(field)
+        balls = E._pair_geometry(field, z, BV)[3:]
+        monkeypatch.setattr(F, "_PAIR_BLOCK", 1 << 20)
+        points, (coords, V) = F._ball_points(field, *balls), E._pair_table(field, z, BV)
+        monkeypatch.setattr(F, "_PAIR_BLOCK", block)
+        _check_direct_pins(d, count, values)
+        assert all(np.array_equal(a, b) for a, b in zip(F._ball_points(field, *balls), points))
+        got_coords, got_V = E._pair_table(field, z, BV)
+        assert np.array_equal(got_coords, coords) and np.array_equal(got_V, V)
+        assert V.size > 4 * (1 << 8)
+
+
+@pytest.mark.parametrize("s", [1.5, 1.3 + 0.5j])
+def test_direct_route_memory_bounded_by_block(s):
+    # the tracemalloc peak is the workspace of the block loop: 10x the bound
+    # on Q adds only the enumerator's row arrays, of size sqrt(B)
+    field = F.make_field(0)
+    inf = G.cusp_infinity(field)
+    z = G.make_point(field, (0.28, 1.3))
+    E.eisenstein_direct(field, inf, z, E.EisensteinParams(s=s, norm_bound=2e6))  # caches
+    peaks = []
+    for bound in (2e5, 2e6):
+        tracemalloc.start()
+        try:
+            E.eisenstein_direct(field, inf, z, E.EisensteinParams(s=s, norm_bound=bound))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+    assert max(peaks) < 3 * 2 ** 20
+
+
+def test_direct_rejects_phase_beyond_exact_reduction(field_q):
+    # |Im s| log(BV / N(y)) past 1e5: the phase table's reduction would no
+    # longer be exact
+    z = G.make_point(field_q, (0.28, 1.3))
+    with pytest.raises(DomainError):
+        E.eisenstein_direct(field_q, G.cusp_infinity(field_q), z,
+                            E.EisensteinParams(s=1.5 + 2e4j, norm_bound=2e4))
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, complex(1.5, math.nan),

@@ -68,6 +68,41 @@ def test_gamma_large_imaginary_part_against_mpmath(s):
     assert abs(S.gamma(s) - exact) <= 1e-12 * abs(exact)
 
 
+def _exp_errors(p, L):
+    """Largest relative errors of exp_real_times and of np.exp(p * L)
+    against mpmath, at the same doubles p and L."""
+    got = S.exp_real_times(p, L.copy())
+    ref = np.exp(p * L)
+    with mp.workprec(120):
+        exact = [mp.exp(mp.mpc(p.real, p.imag) * mp.mpf(x)) for x in L]
+        return [max(float(abs(mp.mpc(v) - e) / abs(e)) for v, e in zip(vals, exact))
+                for vals in (got, ref)]
+
+
+@pytest.mark.parametrize("t", [0.5, 9.8, 50.0, 1000.0])
+def test_exp_real_times_against_mpmath(t):
+    # the phase table and its Taylor terms add nothing to the rounding of
+    # t L and of exp(Re(p) L) that np.exp(p L) already has
+    L = np.random.default_rng(23).uniform(-15.0, 0.0, 400)
+    err, err_np = _exp_errors(complex(1.3, t), L)
+    assert err <= 2 * err_np
+
+
+def test_exp_real_times_reduction_edge():
+    # the reduction is exact up to |t L| = 1e5 (k 2 pi / 2^12 with |k| < 2^26)
+    # and refused beyond; the scratch buffers give the same bits
+    L = np.array([-10.0, -7.3, -1e-3, 0.0, 3.1, 10.0])
+    p = complex(1.3, 1e4)
+    err, err_np = _exp_errors(p, L)
+    assert err <= 2 * err_np
+    out = np.empty(L.size, dtype=complex)
+    scratch = S.exp_real_times(p, L.copy(), out, np.empty((4, 9)), np.empty(9, dtype=np.intp)[:6])
+    assert scratch is out and np.array_equal(out, S.exp_real_times(p, L.copy()))
+    for edge in (np.nextafter(-10.0, -11.0), np.nextafter(10.0, 11.0)):
+        with pytest.raises(DomainError):
+            S.exp_real_times(p, np.array([-1.0, edge]))
+
+
 def test_bessel_half_order_closed_form():
     # K_{1/2}(y) = sqrt(pi/(2y)) e^{-y}
     for y in (0.3, 1.0, 4.0):
