@@ -3,11 +3,11 @@ fields: Eisenstein series by two routes, the classical integral identities,
 and cusp-section equidistribution experiments."""
 
 from .fields import FieldData, FieldElement, make_field
-from .geometry import Cusp, GroupElement, LocalCoords, Point
+from .geometry import Cusp, GroupElement, Point
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FieldData", "FieldElement", "make_field",
-    "Cusp", "GroupElement", "LocalCoords", "Point",
+    "Cusp", "GroupElement", "Point",
 ]

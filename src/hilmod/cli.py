@@ -12,7 +12,7 @@ import re
 import sys
 
 from . import domains, eisenstein, equidist, fields, geometry, zeta
-from .errors import HilmodError
+from .errors import DomainError, HilmodError
 
 SCHEMA_VERSION = 1
 
@@ -41,18 +41,28 @@ def cmd_field_info(args) -> int:
 
 def _parse_s(text: str) -> complex:
     """s from text such as 2, 1.5+9.5i or inf: only a closing i is the
-    imaginary unit, so inf and nan keep theirs."""
-    return complex(re.sub(r"i(?=\)?$)", "j", text.replace(" ", "")))
+    imaginary unit, so inf and nan keep theirs.  DomainError for text that
+    is not a number."""
+    try:
+        return complex(re.sub(r"i(?=\)?$)", "j", text.replace(" ", "")))
+    except ValueError:
+        raise DomainError("s must be a number such as 2 or 1.5+9.5i, got %r" % (text,)) from None
 
 
 def _parse_point(field, text: str):
+    """z from one 'x,y' pair per place, joined by ';' (x complex, such as
+    0.2+0.1i, at a complex place); DomainError for any other text."""
+    chunks = text.split(";")
+    if len(chunks) != field.r:
+        raise DomainError("expected %d 'x,y' pairs joined by ';', got %r" % (field.r, text))
     pairs = []
-    for chunk in text.split(";"):
-        x_str, y_str = chunk.rsplit(",", 1)
-        x = complex(x_str.replace("i", "j"))
-        if field.place_degrees[len(pairs)] == 1:
-            x = x.real
-        pairs.append((x, float(y_str)))
+    try:
+        for chunk, deg in zip(chunks, field.place_degrees):
+            x_str, y_str = chunk.rsplit(",", 1)
+            x = complex(x_str.replace("i", "j"))
+            pairs.append((x if deg == 2 else x.real, float(y_str)))
+    except ValueError:
+        raise DomainError("point must be 'x,y' pairs of numbers, got %r" % (text,)) from None
     return geometry.make_point(field, *pairs)
 
 
@@ -67,10 +77,10 @@ def _default_point(field):
 def cmd_eval(args) -> int:
     fd = fields.make_field(args.field_d)
     ctx = zeta.make_context(fd)
-    s = _parse_s(args.s)
-    row = {"schema": SCHEMA_VERSION, "kind": args.kind, "field_d": args.field_d,
-           "s": str(s)}
+    row = {"schema": SCHEMA_VERSION, "kind": args.kind, "field_d": args.field_d, "s": args.s}
     try:
+        s = _parse_s(args.s)
+        row["s"] = str(s)
         if args.kind == "zeta":
             val = zeta.dedekind_zeta(ctx, s)
             row.update(method="euler-maclaurin factorization", est_error=1e-12)
@@ -107,11 +117,19 @@ def cmd_eval(args) -> int:
 
 
 def _check_rows(kind: str, field_d: int, tolerance: float | None):
+    defaults = {"functional-equation": 1e-6, "volume": 1e-7, "residue": 1e-3,
+                "maass-selberg": 1e-3, "rankin-selberg": 1e-4 if field_d == 0 else 1e-3,
+                "bessel": 1e-10}
+    if kind not in defaults:
+        raise HilmodError("unknown check kind %r" % (kind,))
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise DomainError("tolerance must be finite and >= 0, got %r" % (tolerance,))
+    tol = defaults[kind] if tolerance is None else tolerance
     fd = fields.make_field(field_d)
     ctx = zeta.make_context(fd)
     rows = []
 
-    def add(name, lhs, rhs, tol):
+    def add(name, lhs, rhs):
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append({"check": name, "field_d": field_d, "lhs": _fmt(lhs),
                      "rhs": _fmt(rhs), "residual": "%.3e" % resid,
@@ -119,53 +137,45 @@ def _check_rows(kind: str, field_d: int, tolerance: float | None):
                      "status": "pass" if resid <= tol else "fail"})
 
     if kind == "functional-equation":
-        tol = tolerance or 1e-6
         for s in (complex(0.3, 2.0), complex(0.6, 5.0), complex(0.25, 11.0)):
             add("zeta-star(s)=zeta-star(1-s) s=%s" % s,
-                zeta.completed_zeta(ctx, s), zeta.completed_zeta(ctx, 1 - s), tol)
+                zeta.completed_zeta(ctx, s), zeta.completed_zeta(ctx, 1 - s))
     elif kind == "volume":
-        tol = tolerance or 1e-7
         closed = eisenstein.orbifold_volume(fd, ctx)
         if field_d == 0:
             add("volume closed vs domain quadrature",
-                closed, domains.modular_domain_volume_numeric(), tol)
+                closed, domains.modular_domain_volume_numeric())
         else:
             lhs, rhs = domains.remark_identity_check(fd, 2.0, 3.0, ctx)
-            add("truncated-orbifold integral identity s'=2", lhs, rhs, tol)
+            add("truncated-orbifold integral identity s'=2", lhs, rhs)
     elif kind == "residue":
-        tol = tolerance or 1e-3
         closed = eisenstein.residue_at_one(fd, ctx)
         z = _default_point(fd)
         eps = 1e-4
         probe = (eps * eisenstein.eisenstein_fourier(fd, z, 1 + eps, ctx=ctx)).real
-        add("residue closed vs (s-1)E probe", closed, probe, tol)
+        add("residue closed vs (s-1)E probe", closed, probe)
     elif kind == "maass-selberg":
-        tol = tolerance or 1e-3
         if field_d != 0:
             raise HilmodError("numeric Maass-Selberg check runs on d=0 only")
         num = domains.maass_selberg_numeric(fd, 1.5, 1.25, 3.0, ctx=ctx)
         closed = eisenstein.maass_selberg_closed_form(fd, 1.5, 1.25, 3.0, ctx)
-        add("maass-selberg (1.5, 1.25, T=3)", num, closed, tol)
+        add("maass-selberg (1.5, 1.25, T=3)", num, closed)
     elif kind == "rankin-selberg":
-        tol = tolerance or (1e-4 if field_d == 0 else 1e-3)
         f = equidist.make_test_function(fd, 2.0, 4.0)
         lhs, rhs = equidist.rankin_selberg_check(fd, f, 2.0, ctx)
-        add("rankin-selberg bump [2,4] s=2", lhs, rhs, tol)
+        add("rankin-selberg bump [2,4] s=2", lhs, rhs)
     elif kind == "bessel":
         from .specfun import bessel_k
-        tol = tolerance or 1e-10
         for s, y in ((0.7 + 0.3j, 2.0), (0.3, 1.0), (1.2 - 2.0j, 5.0)):
             add("K_s(y)=K_{-s}(y) s=%s y=%g" % (s, y),
-                bessel_k(s, y), bessel_k(-s, y), tol)
+                bessel_k(s, y), bessel_k(-s, y))
         # at real order the symmetry rows compare two mirror-image sums,
         # so they cannot catch a wrong K; these closed forms can
         for y in (0.5, 2.0, 7.0):
             k_half = math.sqrt(math.pi / (2 * y)) * math.exp(-y)
-            add("K_1/2(y) closed form y=%g" % y, bessel_k(0.5, y), k_half, tol)
+            add("K_1/2(y) closed form y=%g" % y, bessel_k(0.5, y), k_half)
             add("K_3/2(y) closed form y=%g" % y, bessel_k(1.5, y),
-                k_half * (1 + 1 / y), tol)
-    else:
-        raise HilmodError("unknown check kind %r" % (kind,))
+                k_half * (1 + 1 / y))
     return rows
 
 
@@ -184,13 +194,34 @@ def cmd_check(args) -> int:
     return 0 if all(r["status"] == "pass" for r in rows) else 1
 
 
+# the keys of an equidist config and the types of their values
+_CONFIG_TYPES = {"schema": (int,), "field_d": (int,), "k_min": (int,), "k_max": (int,),
+                 "t0": (int, float), "t1": (int, float), "amplitude": (int, float),
+                 "out": (str, type(None)), "svg": (str, type(None))}
+
+
 def _load_config(args) -> dict:
+    """The equidist settings: defaults, then the --config JSON object, then
+    the options.  DomainError for a file that is not such an object, an
+    unknown key, or a value of another type or not finite."""
     cfg = {"schema": SCHEMA_VERSION, "field_d": 0, "k_min": 3, "k_max": 12,
            "t0": equidist.DEFAULT_BUMP[0], "t1": equidist.DEFAULT_BUMP[1],
            "amplitude": 1.0, "out": None, "svg": None}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError("cannot read config %s: %s" % (args.config, exc)) from None
+        if not isinstance(loaded, dict):
+            raise DomainError("config must be a JSON object, got %s" % type(loaded).__name__)
+        for key, value in loaded.items():
+            if key not in _CONFIG_TYPES:
+                raise DomainError("unknown config key %r" % (key,))
+            if (isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key])
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise DomainError("config %s = %r is not allowed: expected a finite %s"
+                                  % (key, value, " or ".join(t.__name__ for t in _CONFIG_TYPES[key])))
         if loaded.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise HilmodError("unsupported config schema %r" % loaded.get("schema"))
         cfg.update(loaded)

@@ -223,7 +223,7 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
     QuadratureBudgetExceeded if they do not by 96 panels per axis.
     """
     if field.d != 0:
-        raise ValueError("numeric Maass-Selberg integral implemented for Q only")
+        raise DomainError("numeric Maass-Selberg integral implemented for Q only")
     ctx = ctx or make_context(field)
     # strip above T: truncated tails only, the same at every panel count
     xs2, wx2 = gl_panel_nodes(-0.5, 0.5, 8, 8)

@@ -1,5 +1,5 @@
-"""Eisenstein series by lattice sum and by Fourier expansion, truncation,
-and the Maass-Selberg / Rankin-Selberg / volume / residue identities.
+"""Eisenstein series by lattice sum and by Fourier expansion, and the
+closed forms of the Maass-Selberg, volume and residue identities.
 
 The two evaluation routes share nothing past the field invariants: the
 direct route sums every lattice pair once with the Moebius weights of
@@ -17,33 +17,23 @@ import numpy as np
 
 from . import fields
 from .errors import DegenerateParameters, DomainError, NotConvergent, ZeroFrequency
-from .fields import (FieldData, FieldElement, _ball_blocks, _ball_points, _canonical_c,
-                     _coprime_mask, _embed_coords, _omega_embeds, _piece_points, _piece_values,
-                     embed, ideal_divisor_norms, ideal_mobius_sums)
-from .geometry import Cusp, Point, act, make_cusp
+from .fields import (FieldData, _ball_blocks, _ball_points, _canonical_c, _embed_coords,
+                     _omega_embeds, _piece_points, _piece_values, embed, ideal_divisor_norms,
+                     ideal_mobius_sums)
+from .geometry import Cusp, Point
 from .specfun import bessel_k_grid, exp_real_times
 from .zeta import (ZetaContext, _finite_s, completed_zeta, dedekind_zeta, make_context,
                    phi, residue_phi)
 
 _BESSEL_DECAY_CUT = 45.0   # Fourier terms kept: total Bessel argument up to this
                            # plus the |Im| of the Bessel orders (_frequency_cut)
-
-
-@dataclass(frozen=True)
-class LatticePair:
-    """Unit-orbit representative of a coprime pair (c, d) with <c, d> = o."""
-
-    c: FieldElement
-    d: FieldElement
+_TARGET_TOL = 1e-8         # tail error the default norm bound of the direct route aims at
 
 
 @dataclass
 class EisensteinParams:
     s: complex
     norm_bound: float | None = None
-    fourier_terms: int | None = None
-    truncation_T: float = 3.0
-    target_tol: float = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +123,6 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
         yield V, cols
 
 
-def _pair_table(field: FieldData, z: Point, BV: float):
-    """The coprime pairs of _pair_blocks, and (0, 1) for the c = 0 orbit, in
-    one (coords, V) table."""
-    blocks = [(np.zeros((0, 4), dtype=np.int64), np.zeros(0))]
-    if BV >= 1.0:
-        blocks.append((np.array([[0, 0, 1, 0]]), np.ones(1)))
-    for V, cols in _pair_blocks(field, z, BV):
-        cols = cols()
-        ok = _coprime_mask(field, *cols)
-        blocks.append((np.stack(cols, axis=1)[ok], V[ok]))
-    coords, V = zip(*blocks)
-    return np.concatenate(coords), np.concatenate(V)
-
-
-def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
-    """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y), at infinity only."""
-    if cusp.value() is not None:
-        raise DomainError("pairs are enumerated at the infinity cusp only")
-    if not 0 < bound < math.inf:
-        raise DomainError("bound must be positive and finite, got %r" % (bound,))
-    BV = bound * z.ny(field)
-    coords, V = _pair_table(field, z, BV)
-    order = np.lexsort((coords[:, 3], coords[:, 2], coords[:, 1], coords[:, 0], V))
-    out = []
-    for i in order:
-        c1, c2, d1, d2 = (int(v) for v in coords[i])
-        out.append(LatticePair(field.from_ring_coords(c1, c2),
-                               field.from_ring_coords(d1, d2)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Direct evaluation
 # ---------------------------------------------------------------------------
@@ -208,7 +167,7 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
         raise NotConvergent("direct series requires Re(s) > 1")
     B = params.norm_bound
     if B is None:
-        B = default_norm_bound(field, s, params.target_tol)
+        B = default_norm_bound(field, s)
     elif not 0 < B < math.inf:
         raise DomainError("norm_bound must be positive and finite, got %r" % (B,))
     ny = z.ny(field)
@@ -255,11 +214,11 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     return main + tail
 
 
-def default_norm_bound(field: FieldData, s: complex, tol: float) -> float:
-    """Cutoff from the documented tail estimate c * B^{1/3 - sigma} <= tol."""
+def default_norm_bound(field: FieldData, s: complex) -> float:
+    """Cutoff from the documented tail estimate c * B^{1/3 - sigma} <= _TARGET_TOL."""
     sigma = complex(s).real
     c_fluct = 2.0
-    B = (c_fluct / tol) ** (1.0 / (sigma - 1.0 / 3.0))
+    B = (c_fluct / _TARGET_TOL) ** (1.0 / (sigma - 1.0 / 3.0))
     lo = 2e5 if field.d == 0 else 5e4
     hi = 2e7 if field.d == 0 else 2e6
     return float(min(max(B, lo), hi))
@@ -287,13 +246,13 @@ def _frequency_cut(field: FieldData, s: complex) -> float:
 def _frequency_box(field: FieldData, ys, cut: float):
     """Integer coords of nu in o - {0} with sum_i a_i |nu^(i)| <= cut, where
     a_i = 2 pi deg_i y_i / |dg^(i)|, one nu of each pair +-nu (its first
-    nonzero coordinate positive), and their weights: one ball of radii cut / a_i."""
+    nonzero coordinate positive): one ball of radii cut / a_i."""
     a = [2 * math.pi * deg * y / abs(complex(g)) for y, g, deg
          in zip(ys, embed(field.different_gen, field), field.place_degrees)]
     _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
     weight = sum(ai * np.abs(e) for ai, e in zip(a, _embed_coords(field, u, v)))
     keep = (weight <= cut) & (np.where(u != 0, u, v) > 0)
-    return np.stack([u[keep], v[keep]], axis=1), weight[keep]
+    return np.stack([u[keep], v[keep]], axis=1)
 
 
 @dataclass
@@ -314,15 +273,11 @@ class FrequencyTable:
     taus: np.ndarray
 
 
-def frequency_table(field: FieldData, s: complex, ys,
-                    terms: int | None = None) -> FrequencyTable:
-    """The frequency box of `_frequency_box` at the heights ys and the cut of order
-    s, or its ceil(terms / 2) pairs +-l (`terms` counts each l) of least total argument."""
+def frequency_table(field: FieldData, s: complex, ys) -> FrequencyTable:
+    """The frequency box of `_frequency_box` at the heights ys and the cut of order s."""
     s = complex(s)
     cut = _frequency_cut(field, s)
-    coords, weight = _frequency_box(field, ys, cut)
-    if terms is not None:
-        coords = coords[np.argsort(weight, kind="stable")[:(terms + 1) // 2]]
+    coords = _frequency_box(field, ys, cut)
     coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
     dg = [complex(v) for v in embed(field.different_gen, field)]
     l_val = []
@@ -353,8 +308,7 @@ def tau_divisor_sums(field: FieldData, coords: np.ndarray, w: complex) -> np.nda
     return flat[ends - 1] ** (-w / 2) * sums
 
 
-def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
-                   terms: int | None = None) -> complex:
+def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex) -> complex:
     """The non-constant Fourier terms of E(z, s) at the infinity cusp,
 
         2^(r+1) sqrt(N(y)) / xi_K(2s) sum_{+-l} tau_{1-2s}(l) prod_i K_i cos(2 pi Tr(l x)),
@@ -362,7 +316,7 @@ def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
     over the frequency table (one l per pair +-l) at the heights of z, with
     K_i the MacDonald factor of place i by `bessel_k_grid`."""
     xs, ys = zip(*z.coords)
-    table = frequency_table(field, s, ys, terms)
+    table = frequency_table(field, s, ys)
     if table.taus.size == 0:
         return 0j
     K, phase = np.ones(table.taus.size, dtype=complex), 0.0
@@ -374,51 +328,16 @@ def _fourier_terms(field: FieldData, ctx: ZetaContext, z: Point, s: complex,
 
 
 def eisenstein_fourier(field: FieldData, z: Point, s: complex,
-                       fourier_terms: int | None = None,
                        ctx: ZetaContext | None = None) -> complex:
     """Fourier-expansion value at the infinity cusp (h = 1), valid wherever
     the scattering quotient is regular, including 1/2 < Re(s) <= 1, summing
-    the ceil(fourier_terms / 2) pairs +-l (`fourier_terms` counts each l) of
-    smallest Bessel argument, or all.  DomainError for an s that is not finite."""
+    every pair +-l of the frequency table.  DomainError for an s that is not
+    finite."""
     s = _finite_s(s)
     ctx = ctx or make_context(field)
     q = z.ny(field)
     zero_mode = q ** s + phi(ctx, s) * q ** (1 - s)
-    return zero_mode + _fourier_terms(field, ctx, z, s, fourier_terms)
-
-
-def max_cusp_height(field: FieldData, z: Point, floor: float = 0.2):
-    """Largest cusp height at z and the minimising pair (c, d) arrays."""
-    ny = z.ny(field)
-    BV = ny / floor
-    coords, V = _pair_table(field, z, BV)
-    if V.size == 0:
-        return ny, (0, 0, 1, 0)  # only infinity reachable
-    j = int(np.argmin(V))
-    best = ny / V[j]
-    if best < ny:  # infinity dominates
-        return ny, (0, 0, 1, 0)
-    return best, tuple(int(v) for v in coords[j])
-
-
-def eisenstein_truncated(field: FieldData, z: Point, params: EisensteinParams,
-                         ctx: ZetaContext | None = None) -> complex:
-    """E^T: subtracts the zero modes of the dominating cusp when its height
-    exceeds T; computed as the bare frequency tail there (no cancellation)."""
-    ctx = ctx or make_context(field)
-    s = complex(params.s)
-    T = params.truncation_T
-    mu, pair = max_cusp_height(field, z, floor=min(0.2, 1.0 / (2 * T)))
-    if mu <= T:
-        return eisenstein_fourier(field, z, s, params.fourier_terms, ctx)
-    c1, c2, d1, d2 = pair
-    if (c1, c2) != (0, 0):
-        # move the dominating cusp to infinity and evaluate there
-        c = field.from_ring_coords(c1, c2)
-        d = field.from_ring_coords(d1, d2)
-        lam = make_cusp(field, d, -c)  # cusp -d/c as (rho : sigma) = (d : -c)
-        z = act(lam.assoc_matrix.inverse(), z, field)
-    return _fourier_terms(field, ctx, z, s)
+    return zero_mode + _fourier_terms(field, ctx, z, s)
 
 
 # ---------------------------------------------------------------------------

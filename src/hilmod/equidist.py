@@ -1,5 +1,5 @@
-"""Cusp-section measures, the Mellin transform, and the equidistribution
-experiments (decay-exponent fit and vertical-line growth scan)."""
+"""Cusp-section measures, the Mellin transform, the Rankin-Selberg
+unfolding identity, and the decay-exponent experiment."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from functools import lru_cache
 import numpy as np
 
 from .domains import _cusp_classes, eisenstein_box_average
-from .eisenstein import max_cusp_height, orbifold_volume
+from .eisenstein import orbifold_volume
 from .errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData, ideal_totient_sums, make_field
-from .geometry import _PLACE_WEIGHTS, Cusp, Point, cusp_infinity, unfold_constant
+from .geometry import _PLACE_WEIGHTS, Cusp, cusp_infinity, unfold_constant
 from .quadrature import gl_panel_nodes
 from .zeta import ZetaContext, make_context, phi
 
@@ -71,27 +71,18 @@ class TestFunction:
 # the asymptotic rate for all three acceptance fields.
 DEFAULT_BUMP = (1.8, 2.8)
 
-# Wide bump for the vertical-line scan: the growth lemma is asymptotic, and
-# a broad smooth profile brings the Mellin decay inside the scanned window.
-SCAN_BUMP = (2.0, 30.0, 13.0)
-
 
 def make_test_function(field: FieldData, t0: float = DEFAULT_BUMP[0],
                        t1: float = DEFAULT_BUMP[1],
                        shoulder: float | None = None,
                        amplitude: float = 1.0) -> TestFunction:
     if not t0 > field.l1_estimate:
-        raise ValueError("support floor %g must exceed l1 ~ %g"
-                         % (t0, field.l1_estimate))
+        raise DomainError("support floor %g must exceed l1 ~ %g" % (t0, field.l1_estimate))
+    if not t0 < t1 < math.inf:
+        raise DomainError("support [%g, %g] is not a finite interval" % (t0, t1))
     if shoulder is None:
         shoulder = (t1 - t0) / 4.0  # plateau covers at least half the support
     return TestFunction(cusp_infinity(field), t0, t1, shoulder, amplitude)
-
-
-def eval_test_function(f: TestFunction, z: Point, field: FieldData) -> float:
-    """f(z) = psi of the dominating cusp height (single-term sum)."""
-    mu, _ = max_cusp_height(field, z, floor=min(0.5, f.t0 / 4))
-    return float(f.profile(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -400,40 +391,3 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
     return ExperimentReport(qs, ms.tolist(), mf, errs.tolist(), [32] * len(qs),
                             quad_errs.tolist(), slope, ci,
                             time.perf_counter() - t_start, degenerate, drop, k_min)
-
-
-def vertical_line_scan(f: TestFunction, sigma: float, t_max: float,
-                       field: FieldData, ctx: ZetaContext | None = None,
-                       n_samples: int = 96, fit_from: float = 5.0):
-    """Samples of |M_f(sigma + it)| on t in [1, t_max] plus the envelope
-    exponent of (r1 + 4 r2)|s(s-1) M_f(s)| fitted on [fit_from, t_max]."""
-    if not 0.5 < sigma < 1.0:
-        raise ValueError("sigma must lie in (1/2, 1)")
-    ctx = ctx or make_context(field)
-    ts = np.geomspace(1.0, t_max, n_samples)
-    samples = []
-    for t in ts:
-        s = complex(sigma, t)
-        m = mellin_transform(f, s, field, ctx)
-        samples.append((float(t), abs(m)))
-    pref = field.r1 + 4 * field.r2
-    g = np.array([pref * abs(complex(sigma, t) * complex(sigma - 1, t)) * m
-                  for t, m in samples])
-    ts_arr = np.array([t for t, _ in samples])
-    mask = ts_arr >= fit_from
-    # envelope via binned maxima on the fitted window
-    n_bins = 8
-    edges = np.geomspace(fit_from, t_max, n_bins + 1)
-    bt, bg = [], []
-    for i in range(n_bins):
-        sel = (ts_arr >= edges[i]) & (ts_arr <= edges[i + 1])
-        if np.any(sel):
-            bt.append(math.sqrt(edges[i] * edges[i + 1]))
-            bg.append(float(g[sel].max()))
-    lt = np.log(np.array(bt))
-    lg = np.log(np.maximum(np.array(bg), 1e-300))
-    A = np.stack([lt, np.ones(lt.size)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, lg, rcond=None)
-    exponent = float(coef[0])
-    return {"samples": samples, "envelope_exponent": exponent,
-            "passes": exponent <= 0.1}

@@ -9,10 +9,6 @@ class UnsupportedField(HilmodError):
     """Requested field is not in the class-number-one allow list."""
 
 
-class NoUnits(HilmodError):
-    """Unit-rank-zero field has no fundamental unit."""
-
-
 class PoleAtNonPositiveInteger(HilmodError):
     """Gamma evaluated at a pole."""
 

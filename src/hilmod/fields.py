@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoUnits, UnsupportedField
+from .errors import UnsupportedField
 
 # Real quadratic d with h(Q(sqrt d)) = 1 kept small enough that the
 # fundamental unit is tiny; imaginary list is the full Heegner set.
@@ -290,17 +290,6 @@ def embed(x: FieldElement, field: FieldData):
     return (complex(float(x.a), float(x.b) * s),)
 
 
-def unit_power(field: FieldData, k: int) -> FieldElement:
-    """Exact k-th power of the fundamental unit."""
-    if field.fundamental_unit is None:
-        raise NoUnits("field with r = 1 has no fundamental unit")
-    base = field.fundamental_unit if k >= 0 else field.fundamental_unit.inverse()
-    out = fe_one(field.d)
-    for _ in range(abs(k)):
-        out = out * base
-    return out
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n)."""
     if n == 0:
@@ -332,11 +321,6 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-def ideal_count_coeffs(field: FieldData, N: int) -> list[int]:
-    """Number of integral ideals of each norm 1..N."""
-    return _ideal_sieve(field, N, lambda q, a: 1)
 
 
 def ideal_totient_sums(field: FieldData, N: int) -> list[int]:
@@ -516,15 +500,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def pair_ideal_norm(x: FieldElement, y: FieldElement, field: FieldData) -> int:
-    """Norm of the integral ideal <x, y> (x, y integral, not both zero): the
-    product of the Hermite diagonal."""
-    if x.is_zero() and y.is_zero():
-        raise ValueError("<0, 0> is not an ideal")
-    H, _ = _hnf(_ideal_rows(field, x, y))
-    return math.prod(H[i][i] for i in range(field.n))
 
 
 def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tuple[FieldElement, FieldElement]:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, PoleAtZeroOrOne, ScatteringPole
-from .fields import FieldData, ideal_count_coeffs, kronecker
+from .fields import FieldData, kronecker
 from .specfun import _TINY, gamma
 
 
@@ -116,17 +116,9 @@ def dirichlet_l(s: complex, disc_signed: int) -> complex:
 
 @dataclass
 class ZetaContext:
-    """Cached coefficient data for one field's zeta functions."""
+    """The field whose zeta functions are evaluated."""
 
     field: FieldData
-    coeff_cap: int = 0
-    coeffs: list[int] = dc_field(default_factory=list)
-
-    def ideal_coeffs(self, N: int) -> list[int]:
-        if N > self.coeff_cap:
-            self.coeffs = ideal_count_coeffs(self.field, N)
-            self.coeff_cap = N
-        return self.coeffs[:N]
 
 
 def make_context(field: FieldData) -> ZetaContext:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hilmod import fields, geometry, zeta
+from oracles import group_element
 
 
 @pytest.fixture(scope="session")
@@ -37,16 +38,16 @@ def ctx_qi(field_qi):
 
 def random_group_element(field, rng, length=6):
     """Random word in translations, units, and the inversion."""
-    S = geometry.group_element(field, 0, -1, 1, 0)
+    S = group_element(field, 0, -1, 1, 0)
     gens = [S]
     for b in (field.integral_basis[0], field.ring_gen):
-        gens.append(geometry.group_element(field, 1, b, 0, 1))
+        gens.append(group_element(field, 1, b, 0, 1))
     if field.d > 0:
         u = field.fundamental_unit
-        gens.append(geometry.group_element(field, u, 0, 0, u.inverse()))
+        gens.append(group_element(field, u, 0, 0, u.inverse()))
     if field.omega > 2:
         w = fields.roots_of_unity(field)[1]
-        gens.append(geometry.group_element(field, w, 0, 0, w.inverse()))
+        gens.append(group_element(field, w, 0, 0, w.inverse()))
     g = geometry.identity_element(field)
     for _ in range(length):
         h = rng.choice(gens)

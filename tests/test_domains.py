@@ -18,6 +18,7 @@ from hilmod.errors import DomainError, QuadratureBudgetExceeded
 from hilmod.quadrature import gl_panel_nodes
 from hilmod.specfun import bessel_k_grid
 from conftest import random_point
+from oracles import pair_ideal_norm, reduce_mod_stabilizer
 
 
 def test_grid_matches_scalar(field_q, ctx_q):
@@ -56,7 +57,7 @@ def test_grid_matches_scalar_high_t(field_q, ctx_q):
 def _reduced_points(field, count, seed):
     inf = G.cusp_infinity(field)
     rng = random.Random(seed)
-    pts = [G.reduce_mod_stabilizer(inf, random_point(field, rng, 0.85, 1.7), field)[0]
+    pts = [reduce_mod_stabilizer(inf, random_point(field, rng, 0.85, 1.7), field)[0]
            for _ in range(count)]
     xs = [np.array([p.coords[i][0] for p in pts]) for i in range(field.r)]
     ys = [np.array([p.coords[i][1] for p in pts]) for i in range(field.r)]
@@ -474,6 +475,11 @@ def test_maass_selberg_numeric_raises_at_panel_cap(field_q, ctx_q, monkeypatch):
         D.maass_selberg_numeric(field_q, 1.5 + 30j, 1.25, 3.0, rtol=1e-13, ctx=ctx_q)
 
 
+def test_maass_selberg_numeric_is_for_q_only(field_q5, ctx_q5):
+    with pytest.raises(DomainError):
+        D.maass_selberg_numeric(field_q5, 1.5, 1.25, 3.0, ctx=ctx_q5)
+
+
 def _box_shadowed(field, q, T, X, Y, K):
     """Reference scan: whether q / V > T at each grid point for some coprime
     pair (c, d) of ring coordinates in [-K, K]^4 (c2 = d2 = 0 on Q), c != 0.
@@ -498,7 +504,7 @@ def _box_shadowed(field, q, T, X, Y, K):
         hit = q / V > T
         c = field.from_ring_coords(int(u[k]), int(v[k]))
         for j in np.flatnonzero(hit.any(axis=1)):
-            if F.pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1:
+            if pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1:
                 mask |= hit[j]
                 on_edge |= K in np.abs([u[k], v[k], u[j], v[j]])
     return mask, on_edge
@@ -542,7 +548,7 @@ def test_cusp_classes_match_box_scan(d, K):
             assert len(pts) == norm[k], q  # the d box holds every class mod c
             c = field.from_ring_coords(int(u[k]), int(v[k]))
             ref |= {(tuple(p), norm[k]) for p, j in zip(pts.tolist(), first)
-                    if F.pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1}
+                    if pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1}
         rows, norms, counts = D._cusp_classes(field, float(q), T)
         got = [(tuple(p), abs(field.from_ring_coords(int(c1), int(c2)).norm()))
                for p, (c1, c2) in zip(_cusp_points(field, *rows.T).tolist(), rows[:, :2])]
