@@ -51,7 +51,8 @@ def _parse_s(text: str) -> complex:
 
 def _parse_point(field, text: str):
     """z from one 'x,y' pair per place, joined by ';' (x complex, such as
-    0.2+0.1i, at a complex place); DomainError for any other text."""
+    0.2+0.1i, at a complex place, real at a real one); DomainError for any
+    other text."""
     chunks = text.split(";")
     if len(chunks) != field.r:
         raise DomainError("expected %d 'x,y' pairs joined by ';', got %r" % (field.r, text))
@@ -60,6 +61,8 @@ def _parse_point(field, text: str):
         for chunk, deg in zip(chunks, field.place_degrees):
             x_str, y_str = chunk.rsplit(",", 1)
             x = complex(x_str.replace("i", "j"))
+            if deg == 1 and x.imag != 0:
+                raise DomainError("x must be real at a real place, got %r" % (x_str,))
             pairs.append((x if deg == 2 else x.real, float(y_str)))
     except ValueError:
         raise DomainError("point must be 'x,y' pairs of numbers, got %r" % (text,)) from None
@@ -75,10 +78,10 @@ def _default_point(field):
 
 
 def cmd_eval(args) -> int:
-    fd = fields.make_field(args.field_d)
-    ctx = zeta.make_context(fd)
     row = {"schema": SCHEMA_VERSION, "kind": args.kind, "field_d": args.field_d, "s": args.s}
     try:
+        fd = fields.make_field(args.field_d)
+        ctx = zeta.make_context(fd)
         s = _parse_s(args.s)
         row["s"] = str(s)
         if args.kind == "zeta":

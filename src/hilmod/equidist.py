@@ -60,10 +60,6 @@ class TestFunction:
         down = _ramp((self.t1 - q) / self.shoulder, self.sharpness)
         return self.amplitude * up * down
 
-    def scaled(self, factor: float) -> "TestFunction":
-        return TestFunction(self.cusp, self.t0, self.t1, self.shoulder,
-                            self.amplitude * factor, self.sharpness)
-
 
 # Standard bump for the equidistribution experiments.  Fitted slopes over a
 # finite dyadic window are phase-sensitive (the error term oscillates with
@@ -174,8 +170,9 @@ def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
                      order: int) -> np.ndarray:
     """K(kappa) = int_0^inf psi(kappa / (1 + x^2)) w(x) dx for an array of
     kappa, with the weight of the place degrees (`geometry._PLACE_WEIGHTS`):
-    one GL rule of `order` nodes on each piece between the shoulder breaks.
-    Rows are evaluated in blocks of about _KERNEL_BLOCK nodes, edges
+    one GL rule of `order` nodes on each piece between the shoulder breaks,
+    psi taken as exactly 0 on the first, [0, x(t1)], where kappa / (1 + x^2)
+    >= t1.  Rows are evaluated in blocks of about _KERNEL_BLOCK nodes, edges
     included, so memory does not grow with the number of kappa."""
     kappa = np.asarray(kappa, dtype=float).ravel()
     weight = _PLACE_WEIGHTS[degrees]
@@ -188,22 +185,25 @@ def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
         x = 0.5 * (edges[:, 1:, None] + edges[:, :-1, None]) + half[:, :, None] * gx
         t = x * x + 1.0
-        out[lo:lo + step] = np.einsum("kpo,kp,o->k", f.profile(k[:, None, None] / t)
-                                      * weight(x, t), half, gw)
+        psi = np.zeros_like(t)  # piece 0, [0, x(t1)], lies above the support
+        psi[:, 1:] = f.profile(k[:, None, None] / t[:, 1:])
+        out[lo:lo + step] = np.einsum("kpo,kp,o->k", psi * weight(x, t), half, gw)
     return out
 
 
 def _unfolded_sum(f: TestFunction, q, field: FieldData, order: int = 24) -> np.ndarray:
     """The cusp terms of m_q for a height or a 1-D array of heights, as an
-    array: one kernel call on the rows n = nmax(q) .. 1 of every height, laid
-    end to end, and each height's rows summed in that order (ascending
-    kernel size)."""
+    array: the rows n = nmax(q) .. 1 of every height, laid end to end, take
+    one kernel call on their distinct kappa (kappa(2n, q/4) = kappa(n, q)
+    exactly on the dyadic grid), and each height's rows are summed in that
+    order (ascending kernel size)."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     nmax = np.floor(1.0 / np.sqrt(q * f.t0)).astype(np.int64)
     ends = np.cumsum(nmax)
     n = np.repeat(ends, nmax) - np.arange(int(nmax.sum()))
     T = _totients(field, int(nmax.max(initial=0)))[n - 1]
-    K = _unfolded_kernel(f, 1.0 / (n * n * np.repeat(q, nmax)), field.place_degrees, order)
+    kappa, row = np.unique(1.0 / (n * n * np.repeat(q, nmax)), return_inverse=True)
+    K = _unfolded_kernel(f, kappa, field.place_degrees, order)[row]
     acc = np.array([np.dot(T[e - c:e], K[e - c:e]) for e, c in zip(ends, nmax)])
     scale = 2.0 ** field.r2 / math.sqrt(field.D)
     return scale * q * acc

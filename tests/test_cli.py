@@ -109,6 +109,34 @@ def test_eval_bad_input_row(capsys, argv):
     assert _strict_json(out)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--z", "0.28+5i,1.3"),
+    ("--z", "0.28+nani,1.3"),
+    ("--field-d", "5", "--z", "0.1,1;0.2+0.3i,1"),
+])
+def test_eval_complex_x_at_real_place_row(capsys, argv):
+    # the imaginary part was dropped: the value at x = 0.28, with exit 0
+    rc, out, err = run_cli(capsys, "eval", "eisenstein-fourier", *argv)
+    assert rc == 1 and err == ""
+    assert _strict_json(out)["error"] == "DomainError"
+
+
+def test_eval_complex_x_at_complex_place(capsys):
+    rc, out, _ = run_cli(capsys, "eval", "eisenstein-fourier", "--field-d", "-1",
+                         "--z", "0.21+0.13i,0.95")
+    assert rc == 0 and "error" not in json.loads(out)
+
+
+@pytest.mark.parametrize("kind", ["zeta", "eisenstein-fourier"])
+def test_eval_unsupported_field_row(capsys, kind):
+    # the field was built outside the error handler: "error: ..." on
+    # stderr and exit 2
+    rc, out, err = run_cli(capsys, "eval", kind, "--field-d", "10")
+    assert rc == 1 and err == ""
+    row = _strict_json(out)
+    assert (row["error"], row["field_d"]) == ("UnsupportedField", 10)
+
+
 def test_parse_s_maps_only_the_imaginary_unit():
     assert _parse_s("1.5+9.5i") == 1.5 + 9.5j
     assert _parse_s("1.3 + 0.5i") == 1.3 + 0.5j

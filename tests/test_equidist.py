@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -19,6 +20,11 @@ import oracles
 from oracles import SCAN_BUMP, act, eval_test_function, vertical_line_scan
 
 
+def scaled(f, factor):
+    """f with its amplitude times factor."""
+    return dataclasses.replace(f, amplitude=f.amplitude * factor)
+
+
 def test_profile_plateau_and_support(field_q):
     f = Q.make_test_function(field_q, 2.5, 3.5)
     assert f.profile(3.0) == 1.0
@@ -30,7 +36,7 @@ def test_profile_plateau_and_support(field_q):
 
 def test_profile_scaling_exact(field_q):
     f = Q.make_test_function(field_q, 2.5, 3.5)
-    g = f.scaled(2.0)
+    g = scaled(f, 2.0)
     for q in (2.6, 3.0, 3.4):
         assert g.profile(q) == 2 * f.profile(q)
 
@@ -370,7 +376,7 @@ def test_haar_average_closed_form(field_q, ctx_q):
 
 def test_haar_average_linear_and_rescaled(field_q, ctx_q):
     f = Q.make_test_function(field_q, 2.5, 3.5)
-    assert Q.haar_average(f.scaled(2.0), field_q, ctx_q) == \
+    assert Q.haar_average(scaled(f, 2.0), field_q, ctx_q) == \
         2 * Q.haar_average(f, field_q, ctx_q)
     # support doubled with psi(q/2): m(f) halves (q^{-2} dq change of variables)
     g = Q.TestFunction(f.cusp, 2 * f.t0, 2 * f.t1, 2 * f.shoulder, f.amplitude)
@@ -408,7 +414,7 @@ def test_mellin_residue_probe(field_q, ctx_q):
 
 
 def test_mellin_zero_function(field_q, ctx_q):
-    f = Q.make_test_function(field_q).scaled(0.0)
+    f = scaled(Q.make_test_function(field_q), 0.0)
     for s in (1.5, 0.8 + 3j):
         assert abs(Q.mellin_transform(f, s, field_q, ctx_q)) == 0.0
 
@@ -420,18 +426,18 @@ def test_mellin_pole(field_q, ctx_q):
 
 
 def test_rankin_selberg_zero_and_linearity(field_q, ctx_q):
-    f0 = Q.make_test_function(field_q, 2.0, 4.0).scaled(0.0)
+    f0 = scaled(Q.make_test_function(field_q, 2.0, 4.0), 0.0)
     lhs, rhs = Q.rankin_selberg_check(field_q, f0, 2.0, ctx_q)
     assert lhs == 0 and abs(rhs) < 1e-14
     f = Q.make_test_function(field_q, 2.0, 4.0)
     l1, r1 = Q.rankin_selberg_check(field_q, f, 2.0, ctx_q)
-    l2, r2 = Q.rankin_selberg_check(field_q, f.scaled(2.0), 2.0, ctx_q)
+    l2, r2 = Q.rankin_selberg_check(field_q, scaled(f, 2.0), 2.0, ctx_q)
     assert abs(l2 - 2 * l1) <= 1e-12 * abs(l2)
     assert abs(r2 - 2 * r1) <= 1e-12 * abs(r2)
 
 
 def test_decay_fit_degenerate(field_q, ctx_q):
-    f = Q.make_test_function(field_q).scaled(0.0)
+    f = scaled(Q.make_test_function(field_q), 0.0)
     rep = Q.decay_exponent_fit(f, field_q, 3, 7, ctx_q)
     assert rep.degenerate
     assert math.isnan(rep.fitted_slope)
@@ -511,6 +517,42 @@ def test_one_kernel_call_per_height_grid(field_q5, monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_kernel_row_per_distinct_kappa(field_q, ctx_q, monkeypatch):
+    # work, not time: kappa = 1/(n^2 q) at q = 2^-k, and kappa(2n, k + 2)
+    # equals kappa(n, k) in floating point, so the rows of the k = 2 .. 20
+    # fit hold each kappa about twice
+    f = Q.make_test_function(field_q)
+    rows = sum(int(1.0 / math.sqrt(2.0 ** -k * f.t0)) for k in range(2, 21))
+    kernel, sizes = Q._unfolded_kernel, []
+
+    def counted(f, kappa, degrees, order):
+        assert np.unique(kappa).size == np.size(kappa)
+        sizes.append((order, np.size(kappa)))
+        return kernel(f, kappa, degrees, order)
+    monkeypatch.setattr(Q, "_unfolded_kernel", counted)
+    Q.decay_exponent_fit(f, field_q, 2, 20, ctx_q)
+    assert rows == 2590 and sizes == [(32, 1302), (20, 1302)]
+
+
+@pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1)])
+@pytest.mark.parametrize("shoulder", [None, 0.7])  # 0.7: the shoulders overlap
+def test_kernel_evaluates_no_bump_above_t1(field_q, monkeypatch, degrees, shoulder):
+    f = Q.make_test_function(field_q, 2.0, 3.0, shoulder=shoulder)
+    edges = [b * (1 + e) for b in (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
+             for e in (-1e-15, 0.0, 1e-15)]
+    kappas = np.concatenate([np.geomspace(0.5, 1e6, 200), edges])
+    profile, seen = Q.TestFunction.profile, []
+
+    def recorded(self, t):
+        seen.append(np.asarray(t, dtype=float).ravel())
+        return profile(self, t)
+    monkeypatch.setattr(Q.TestFunction, "profile", recorded)
+    Q._unfolded_kernel(f, kappas, degrees, 24)
+    heights = np.concatenate(seen)
+    assert heights.size == kappas.size * 3 * 24  # pieces 1-3 of each row
+    assert heights.max() <= f.t1
+
+
 # Mellin sides of rankin_selberg_check, bump [2, 4], s = 2, as float.hex of
 # the real part (the imaginary part is 0), from the one-height-per-call route.
 _MELLIN_SIDE_PINS = {0: "0x1.9c61e6cc4f21dp+0", 5: "0x1.b0ecf4d1945d4p+1"}
@@ -536,7 +578,7 @@ def test_vertical_scan_shape_and_linearity(field_q, ctx_q):
     f = Q.make_test_function(field_q, *SCAN_BUMP[:2], shoulder=SCAN_BUMP[2])
     scan = vertical_line_scan(f, 0.8, 8.0, field_q, ctx_q, n_samples=24)
     assert scan["samples"][0][0] == 1.0  # scan starts at t = 1
-    scan2 = vertical_line_scan(f.scaled(2.0), 0.8, 8.0, field_q, ctx_q, n_samples=24)
+    scan2 = vertical_line_scan(scaled(f, 2.0), 0.8, 8.0, field_q, ctx_q, n_samples=24)
     for (t1, m1), (t2, m2) in zip(scan["samples"], scan2["samples"]):
         assert t1 == t2 and abs(m2 - 2 * m1) <= 1e-12 * (1 + m2)
 
