@@ -2,12 +2,12 @@
 fields: Eisenstein series by two routes, the classical integral identities,
 and cusp-section equidistribution experiments."""
 
-from .fields import FieldData, FieldElement, make_field
-from .geometry import Cusp, GroupElement, Point
+from .fields import FieldData, make_field
+from .geometry import Cusp, Point
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldData", "FieldElement", "make_field",
-    "Cusp", "GroupElement", "Point",
+    "FieldData", "make_field",
+    "Cusp", "Point",
 ]

@@ -17,17 +17,23 @@ from .errors import DomainError, HilmodError
 SCHEMA_VERSION = 1
 
 
+def _half(m: int) -> str:
+    """m / 2 as a reduced fraction, such as 3 or -1/2."""
+    return str(m // 2) if m % 2 == 0 else "%d/2" % m
+
+
 def _field_info_dict(fd: fields.FieldData) -> dict:
     unit = None
-    if fd.fundamental_unit is not None:
-        unit = {"a": str(fd.fundamental_unit.a), "b": str(fd.fundamental_unit.b)}
+    if fd.fundamental_unit is not None:  # a + b sqrt d
+        a, b = fields._sqrt_d_coords(fd.d, *fd.fundamental_unit)
+        unit = {"a": _half(a), "b": _half(b)}
     return {
         "schema": SCHEMA_VERSION,
         "d": fd.d, "r1": fd.r1, "r2": fd.r2, "n": fd.n,
         "D": fd.D, "disc_signed": fd.disc_signed, "h": fd.h,
         "omega": fd.omega, "regulator": fd.regulator,
         "fundamental_unit": unit,
-        "different_norm": abs(int(fd.different_gen.norm())),
+        "different_norm": abs(fields._coord_norm(fd, *fd.different_gen)),
         "l1_estimate": fd.l1_estimate,
     }
 
@@ -80,10 +86,10 @@ def _default_point(field):
 def cmd_eval(args) -> int:
     row = {"schema": SCHEMA_VERSION, "kind": args.kind, "field_d": args.field_d, "s": args.s}
     try:
+        s = _parse_s(args.s)
+        row["s"] = str(s)  # one spelling of s in every row past the parse
         fd = fields.make_field(args.field_d)
         ctx = zeta.make_context(fd)
-        s = _parse_s(args.s)
-        row["s"] = str(s)
         if args.kind == "zeta":
             val = zeta.dedekind_zeta(ctx, s)
             row.update(method="euler-maclaurin factorization", est_error=1e-12)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .eisenstein import FrequencyTable, _bessel_order, frequency_table, maass_selberg_constant
 from .errors import DomainError, QuadratureBudgetExceeded
-from .fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _coord_mul, _coord_norm,
-                     _coprime_mask, _embed_coords, _unit_balanced)
+from .fields import (_CANDIDATE_BUDGET, FieldData, _ball_points, _canonical_c, _coord_conj,
+                     _coord_mul, _coord_norm, _coprime_mask, _embed_coords, _unit_balanced)
 from .geometry import _PLACE_WEIGHTS, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
 from .specfun import bessel_k_grid
@@ -253,14 +253,6 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
 # ---------------------------------------------------------------------------
 # Cusp classes on a cross section
 # ---------------------------------------------------------------------------
-
-# Predicted d candidates of one slice_candidates call: about 120 B each at
-# the tracemalloc peak (Q(i), qT = 1e-6), so about 250 MiB.  The callers stay
-# 10 times below: 4e4 to 8.4e4 at the smallest qT they reach (1e-5, the six
-# fields of scripts/remark_identity_accuracy.py), and at qT = 1e-4 at most
-# 1.8e5 over the 24 supported fields (Q(sqrt 19)).
-_CANDIDATE_BUDGET = 1 << 21
-
 
 def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     """Pairs (c, d), c != 0, whose cusp may rise above height `floor` on the

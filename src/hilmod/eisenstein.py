@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .errors import DegenerateParameters, DomainError, NotConvergent, ZeroFrequency
+from .errors import (DegenerateParameters, DomainError, NotConvergent,
+                     QuadratureBudgetExceeded, ZeroFrequency)
 from .fields import (FieldData, _ball_blocks, _ball_points, _canonical_c, _embed_coords,
-                     _omega_embeds, _piece_points, _piece_values, embed, ideal_divisor_norms,
-                     ideal_mobius_sums)
+                     _piece_points, _piece_values, ideal_divisor_norms, ideal_mobius_sums)
 from .geometry import Cusp, Point
 from .specfun import bessel_k_grid, exp_real_times
 from .zeta import (ZetaContext, _finite_s, completed_zeta, dedekind_zeta, make_context,
@@ -87,7 +87,7 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     """
     cu, cv, h, centres, radii = _pair_geometry(field, z, BV)
     R = field.regulator
-    omegas = _omega_embeds(field)
+    omegas = field.omega_places
     tmp, Vk = np.empty((2, fields._PAIR_BLOCK))
     keep, edge = np.empty((2, fields._PAIR_BLOCK), dtype=bool)
     for k, dv, u0, n in _ball_blocks(field, centres, radii):
@@ -158,9 +158,12 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     phases.  Raises DomainError for an s that is not finite, for a bound that
     is not positive and finite, or so small that no pair lies in the outer
     window, for |Im s log(N(y) / V)| past 1e5 (see exp_real_times), and for
-    any cusp but infinity, the only one it sums at.
+    any cusp but infinity, the only one it sums at.  Raises
+    QuadratureBudgetExceeded, before it builds anything, when its Moebius
+    table would pass `fields._CANDIDATE_BUDGET` entries (N(y) below about
+    B / 2^42).
     """
-    if cusp.value() is not None:
+    if cusp.sigma != (0, 0):
         raise DomainError("the direct route sums at the infinity cusp only")
     s = _finite_s(params.s)
     if s.real <= 1.0:
@@ -175,6 +178,10 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     # V >= N(c)^2 N(y)^2 >= N(y)^2 for c != 0, so the floors stay below
     # sqrt(B / N(y)) + 1; one more entry absorbs the rounding of V
     m = int(math.sqrt(B / ny)) + 2
+    if m > fields._CANDIDATE_BUDGET:
+        raise QuadratureBudgetExceeded(
+            "a Moebius table of %.3g entries at bound %g and N(y) %g passes the budget of %d"
+            % (m, B, ny, fields._CANDIDATE_BUDGET))
     mu = np.array([0] + ideal_mobius_sums(field, m - 1))
     M = np.cumsum(mu)
     p = s if s.imag else s.real  # real arithmetic at real s
@@ -247,8 +254,8 @@ def _frequency_box(field: FieldData, ys, cut: float):
     """Integer coords of nu in o - {0} with sum_i a_i |nu^(i)| <= cut, where
     a_i = 2 pi deg_i y_i / |dg^(i)|, one nu of each pair +-nu (its first
     nonzero coordinate positive): one ball of radii cut / a_i."""
-    a = [2 * math.pi * deg * y / abs(complex(g)) for y, g, deg
-         in zip(ys, embed(field.different_gen, field), field.place_degrees)]
+    a = [2 * math.pi * deg * y / abs(g) for y, g, deg
+         in zip(ys, field.different_places, field.place_degrees)]
     _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
     weight = sum(ai * np.abs(e) for ai, e in zip(a, _embed_coords(field, u, v)))
     keep = (weight <= cut) & (np.where(u != 0, u, v) > 0)
@@ -279,14 +286,13 @@ def frequency_table(field: FieldData, s: complex, ys) -> FrequencyTable:
     cut = _frequency_cut(field, s)
     coords = _frequency_box(field, ys, cut)
     coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
-    dg = [complex(v) for v in embed(field.different_gen, field)]
     l_val = []
-    for o, g, deg in zip(_omega_embeds(field), dg, field.place_degrees):
+    for o, g, deg in zip(field.omega_places, field.different_places, field.place_degrees):
         l = (coords[:, 0] + coords[:, 1] * o) / g
         l_val.append(l if deg == 2 else l.real)
-    traces = np.rint([sum(deg * (l * complex(a)).real for l, a, deg
-                          in zip(l_val, embed(alpha, field), field.place_degrees))
-                      for alpha in field.integral_basis]).T
+    basis = [(1 + 0j,) * field.r, field.omega_places][:field.n]  # 1 and omega at each place
+    traces = np.rint([sum(deg * (l * a).real for l, a, deg
+                          in zip(l_val, alpha, field.place_degrees)) for alpha in basis]).T
     return FrequencyTable(cut, coords, l_val, [np.abs(l) for l in l_val],
                           [2 * math.pi * deg for deg in field.place_degrees], traces,
                           tau_divisor_sums(field, coords, 1 - 2 * s))
@@ -299,8 +305,7 @@ def tau_divisor_sums(field: FieldData, coords: np.ndarray, w: complex) -> np.nda
     coords = np.asarray(coords, dtype=np.int64)
     if not coords.any(axis=1).all():
         raise ZeroFrequency("tau of zero frequency")
-    norms = [sorted(ideal_divisor_norms(field, field.from_ring_coords(int(u), int(v))))
-             for u, v in coords]
+    norms = [sorted(ideal_divisor_norms(field, u, v)) for u, v in coords.tolist()]
     sizes = np.array([len(m) for m in norms], dtype=np.int64)
     flat = np.array([m for row in norms for m in row], dtype=float)
     ends = np.cumsum(sizes)

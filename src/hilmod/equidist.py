@@ -14,7 +14,7 @@ from .domains import _cusp_classes, eisenstein_box_average
 from .eisenstein import orbifold_volume
 from .errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData, ideal_totient_sums, make_field
-from .geometry import _PLACE_WEIGHTS, Cusp, cusp_infinity, unfold_constant
+from .geometry import _PLACE_WEIGHTS, unfold_constant
 from .quadrature import gl_panel_nodes
 from .zeta import ZetaContext, make_context, phi
 
@@ -41,13 +41,12 @@ def _ramp(t: np.ndarray, sharpness: float) -> np.ndarray:
 @dataclass(frozen=True)
 class TestFunction:
     """Gamma-invariant compactly supported function built from a plateau
-    bump psi on [t0, t1] applied to the cusp height.
+    bump psi on [t0, t1] applied to the height of the cusp at infinity.
 
     The support floor t0 must exceed the field's horoball-separation
     constant so at most one group translate contributes at any point.
     """
 
-    cusp: Cusp
     t0: float
     t1: float
     shoulder: float
@@ -78,7 +77,7 @@ def make_test_function(field: FieldData, t0: float = DEFAULT_BUMP[0],
         raise DomainError("support [%g, %g] is not a finite interval" % (t0, t1))
     if shoulder is None:
         shoulder = (t1 - t0) / 4.0  # plateau covers at least half the support
-    return TestFunction(cusp_infinity(field), t0, t1, shoulder, amplitude)
+    return TestFunction(t0, t1, shoulder, amplitude)
 
 
 # ---------------------------------------------------------------------------

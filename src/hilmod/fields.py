@@ -1,9 +1,11 @@
-"""Exact arithmetic and invariants for class-number-one fields.
+"""Integer ring arithmetic and the invariants of class-number-one fields.
 
 Supported fields are the rationals (d = 0) and a fixed allow list of
-quadratic fields Q(sqrt(d)) with class number one.  Elements are kept as
-exact rationals a + b*sqrt(d); embeddings into R or C are the only lossy
-step.
+quadratic fields Q(sqrt(d)) with class number one.  An element of o is the
+pair of integer coordinates (u, v) of u + v*omega in the integral basis
+{1, omega}, omega = (1 + sqrt d)/2 when d = 1 mod 4, else sqrt d (v = 0 on
+Q), and all arithmetic on it is exact in Python or numpy integers.  The
+values at the infinite places are the only lossy step.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,107 +28,11 @@ _UNIT_CF_CAP = 10_000
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """Element a + b*sqrt(d) with exact rational a, b."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    @staticmethod
-    def make(a, b=0, d: int = 0) -> "FieldElement":
-        return FieldElement(Fraction(a), Fraction(b), d)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.d != other.d:
-            raise ValueError("mixed-field arithmetic: d=%s vs d=%s" % (self.d, other.d))
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.a - other.a, self.b - other.b, self.d)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.a, -self.b, self.d)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    def conjugate(self) -> "FieldElement":
-        return FieldElement(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        if self.d == 0:
-            return self.a
-        return self.a * self.a - self.d * self.b * self.b
-
-    def trace(self) -> Fraction:
-        if self.d == 0:
-            return self.a
-        return 2 * self.a
-
-    def inverse(self) -> "FieldElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero element")
-        if self.d == 0:
-            return FieldElement(1 / self.a, Fraction(0), 0)
-        return FieldElement(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def coords(self) -> tuple[Fraction, Fraction]:
-        """Rational coordinates (u, v) of self = u + v*omega in the integral
-        basis {1, omega}, omega = (1 + sqrt d)/2 when d = 1 mod 4, else
-        sqrt d (v = 0 on Q)."""
-        if self.d % 4 == 1:
-            return self.a - self.b, 2 * self.b
-        return self.a, self.b
-
-    def is_integral(self) -> bool:
-        """Whether the element lies in the ring of integers."""
-        return all(c.denominator == 1 for c in self.coords())
-
-    def ring_coords(self) -> tuple[int, int]:
-        """Coordinates w.r.t. the integral basis {1, omega}; element must be integral."""
-        if not self.is_integral():
-            raise ValueError("element is not integral: %r" % (self,))
-        u, v = self.coords()
-        return int(u), int(v)
-
-    def __repr__(self) -> str:
-        if self.d == 0 or self.b == 0:
-            return "Fe(%s)" % self.a
-        return "Fe(%s + %s*sqrt(%d))" % (self.a, self.b, self.d)
-
-
-def fe_one(d: int) -> FieldElement:
-    return FieldElement.make(1, 0, d)
-
-
-def fe_zero(d: int) -> FieldElement:
-    return FieldElement.make(0, 0, d)
-
-
-def fe_sqrt_d(d: int) -> FieldElement:
-    return FieldElement.make(0, 1, d)
-
-
-@dataclass(frozen=True)
 class FieldData:
-    """Arithmetic invariants of a supported field."""
+    """Arithmetic invariants of a supported field.  The fundamental unit
+    eps (None when r = 1) and the generator dg of the different are ring
+    coordinates (u, v); omega (1 on Q), dg and eps are also kept as their
+    values at the r places, from `_places`."""
 
     d: int
     r1: int
@@ -137,10 +42,12 @@ class FieldData:
     disc_signed: int       # signed fundamental discriminant (1 for Q)
     h: int
     omega: int             # number of roots of unity
-    fundamental_unit: FieldElement | None
+    fundamental_unit: tuple[int, int] | None
     regulator: float
-    integral_basis: tuple[FieldElement, ...]
-    different_gen: FieldElement
+    different_gen: tuple[int, int]
+    omega_places: tuple[complex, ...]
+    different_places: tuple[complex, ...]
+    unit_places: tuple[complex, ...]  # empty when r = 1
     l1_estimate: float     # conservative horoball-separation constant
 
     @property
@@ -148,21 +55,8 @@ class FieldData:
         return self.r1 + self.r2
 
     @property
-    def ring_gen(self) -> FieldElement:
-        """Second integral basis element (1 for Q)."""
-        return self.integral_basis[-1]
-
-    @property
     def place_degrees(self) -> tuple[int, ...]:
         return (1,) * self.r1 + (2,) * self.r2
-
-    def element(self, a, b=0) -> FieldElement:
-        return FieldElement.make(a, b, self.d)
-
-    def from_ring_coords(self, u: int, v: int = 0) -> FieldElement:
-        """Element u*1 + v*omega from integral-basis coordinates."""
-        g = self.ring_gen
-        return FieldElement(Fraction(u) + v * g.a, v * g.b, self.d)
 
 
 def _is_squarefree(m: int) -> bool:
@@ -175,29 +69,44 @@ def _is_squarefree(m: int) -> bool:
     return True
 
 
-def _fundamental_unit_cf(d: int) -> FieldElement:
+def _sqrt_d_coords(d: int, u: int, v: int) -> tuple[int, int]:
+    """Twice the rational coordinates (a, b) of u + v omega = a + b sqrt d."""
+    return (2 * u + v, v) if d % 4 == 1 else (2 * u, 2 * v)
+
+
+def _places(field: FieldData, u: int, v: int) -> tuple[complex, ...]:
+    """u + v omega at each place as a +- b sqrt|d| (the real places) or
+    a + i b sqrt|d| (the complex place), with a and b its rational
+    coordinates rounded to floats: the values of the field's constants.
+    Lattice arrays take `_embed_coords`, u + v omega_i, which can differ
+    from this in the last bit (on Q(sqrt 13), -1 + 2 omega_1 is not
+    sqrt 13)."""
+    A, B = _sqrt_d_coords(field.d, u, v)
+    a, b, s = A / 2, B / 2, math.sqrt(abs(field.d))
+    if field.r2:
+        return (complex(a, b * s),)
+    return (complex(a + b * s), complex(a - b * s))[:field.r1]
+
+
+def _fundamental_unit_cf(field: FieldData) -> tuple[int, int]:
     """Fundamental unit of Q(sqrt d), d > 0, by the continued fraction of omega.
 
     Runs the exact surd recursion for omega = sqrt(d) (or (1+sqrt d)/2 when
     d = 1 mod 4) and returns the first convergent quotient p - q*conj(omega)
-    of unit norm.  Classical theory guarantees the first hit is fundamental.
+    of unit norm, (p - s q, q) in ring coordinates as conj(omega) = s - omega.
+    Classical theory guarantees the first hit is fundamental, and it is > 1
+    at the first place: p, q >= 1 and conj(omega) < 0.
     """
-    if d % 4 == 1:
-        P0, Q0 = 1, 2
-        omega = FieldElement.make(Fraction(1, 2), Fraction(1, 2), d)
-    else:
-        P0, Q0 = 0, 1
-        omega = fe_sqrt_d(d)
-    omega_conj = omega.conjugate()
+    d = field.d
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    s = _omega_square_coords(field)[1]
     sqrt_d_floor = math.isqrt(d)
-
-    P, Q = P0, Q0
     a = (P + sqrt_d_floor) // Q
     p_prev, p_cur = 1, a
     q_prev, q_cur = 0, 1
     for _ in range(_UNIT_CF_CAP):
-        u = FieldElement.make(p_cur, 0, d) - omega_conj * FieldElement.make(q_cur, 0, d)
-        if abs(u.norm()) == 1:
+        u = (p_cur - s * q_cur, q_cur)
+        if abs(_coord_norm(field, *u)) == 1:
             return u
         P = a * Q - P
         Q = (d - P * P) // Q
@@ -220,74 +129,46 @@ _L1_DEFAULT_QUAD = 1.25
 def make_field(d: int) -> FieldData:
     """Build the invariant table for Q (d = 0) or an allow-listed quadratic
     field; omega counts its `roots_of_unity`."""
-    if d == 0:
-        one = fe_one(0)
-        fd = FieldData(
-            d=0, r1=1, r2=0, n=1, D=1, disc_signed=1, h=1, omega=0,
-            fundamental_unit=None, regulator=1.0,
-            integral_basis=(one,), different_gen=one,
-            l1_estimate=_L1_ESTIMATES[0],
-        )
-        return dataclasses.replace(fd, omega=len(roots_of_unity(fd)))
-    if not _is_squarefree(d) or d == 1:
-        raise UnsupportedField("d=%d is not a squarefree discriminant radicand" % d)
-    if d > 0 and d not in REAL_H1:
-        raise UnsupportedField("real quadratic d=%d not in the h=1 allow list" % d)
-    if d < 0 and d not in IMAG_H1:
-        raise UnsupportedField("imaginary quadratic d=%d not in the h=1 allow list" % d)
-
-    if d % 4 == 1:  # includes negative d = 1 mod 4
-        D_signed = d
-        basis = (fe_one(d), FieldElement.make(Fraction(1, 2), Fraction(1, 2), d))
-        different = fe_sqrt_d(d)
-    else:
-        D_signed = 4 * d
-        basis = (fe_one(d), fe_sqrt_d(d))
-        different = FieldElement.make(0, 2, d)
-
-    unit, reg = None, 1.0
-    if d > 0:
-        unit = _fundamental_unit_cf(d)
-        e1 = float(unit.a) + float(unit.b) * math.sqrt(d)
-        if abs(e1) < 1.0:
-            unit = unit.inverse()
-            e1 = float(unit.a) + float(unit.b) * math.sqrt(d)
-        if e1 < 0:
-            unit = -unit
-            e1 = -e1
-        reg = math.log(e1)
+    if d != 0:
+        if not _is_squarefree(d) or d == 1:
+            raise UnsupportedField("d=%d is not a squarefree discriminant radicand" % d)
+        if d > 0 and d not in REAL_H1:
+            raise UnsupportedField("real quadratic d=%d not in the h=1 allow list" % d)
+        if d < 0 and d not in IMAG_H1:
+            raise UnsupportedField("imaginary quadratic d=%d not in the h=1 allow list" % d)
+    # D_signed (d when d = 1 mod 4, negative d included, else 4d; 1 on Q),
+    # and sqrt(D_signed) generates the different: 1, sqrt d = 2 omega - 1, 2 sqrt d
+    D_signed, different = ((1, (1, 0)) if d == 0 else (d, (-1, 2)) if d % 4 == 1
+                           else (4 * d, (0, 2)))
     fd = FieldData(
-        d=d, r1=2 * (d > 0), r2=int(d < 0), n=2, D=abs(D_signed), disc_signed=D_signed, h=1,
-        omega=0, fundamental_unit=unit, regulator=reg, integral_basis=basis,
-        different_gen=different,
-        l1_estimate=_L1_ESTIMATES.get(d, _L1_DEFAULT_QUAD),
+        d=d, r1=1 if d == 0 else 2 * (d > 0), r2=int(d < 0), n=1 if d == 0 else 2,
+        D=abs(D_signed), disc_signed=D_signed, h=1, omega=0, fundamental_unit=None,
+        regulator=1.0, different_gen=different, omega_places=(), different_places=(),
+        unit_places=(), l1_estimate=_L1_ESTIMATES.get(d, _L1_DEFAULT_QUAD),
     )
+    omega = (1, 0) if d == 0 else (0, 1)  # 1 on Q, where every v is 0
+    fd = dataclasses.replace(fd, omega_places=_places(fd, *omega),
+                             different_places=_places(fd, *different))
+    if d > 0:
+        unit = _fundamental_unit_cf(fd)
+        places = _places(fd, *unit)
+        fd = dataclasses.replace(fd, fundamental_unit=unit, unit_places=places,
+                                 regulator=math.log(places[0].real))
     return dataclasses.replace(fd, omega=len(roots_of_unity(fd)))
 
 
-def roots_of_unity(field: FieldData) -> tuple[FieldElement, ...]:
-    """All roots of unity in the field: the points of o of norm +-1 in the
-    unit ball, as the powers 1, z, z^2, ... of the one of least positive
-    argument z."""
+def roots_of_unity(field: FieldData) -> tuple[tuple[int, int], ...]:
+    """All roots of unity in the field, in ring coordinates: the points of o
+    of norm +-1 in the unit ball, as the powers 1, z, z^2, ... of the one of
+    least positive argument z."""
     _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, 1 + 1e-9)] * field.r)
     arg = np.mod(np.angle(_embed_coords(field, u, v)[0]), 2 * math.pi)
     j = np.flatnonzero((np.abs(_coord_norm(field, u, v)) == 1) & (arg > 0))
-    z = field.from_ring_coords(*(int(c[j[np.argmin(arg[j])]]) for c in (u, v)))
-    out = [field.element(1)]
-    while out[-1] * z != out[0]:
-        out.append(out[-1] * z)
+    z = tuple(int(c[j[np.argmin(arg[j])]]) for c in (u, v))
+    out = [(1, 0)]
+    while _coord_mul(field, *out[-1], *z) != out[0]:
+        out.append(_coord_mul(field, *out[-1], *z))
     return tuple(out)
-
-
-def embed(x: FieldElement, field: FieldData):
-    """Embeddings of x at the r infinite places (floats, then complexes)."""
-    if field.d == 0:
-        return (float(x.a),)
-    if field.d > 0:
-        s = math.sqrt(field.d)
-        return (float(x.a) + float(x.b) * s, float(x.a) - float(x.b) * s)
-    s = math.sqrt(-field.d)
-    return (complex(float(x.a), float(x.b) * s),)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -409,8 +290,8 @@ def factor_int(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Ring arithmetic in integral-basis coordinates (h = 1: every ideal is
-# principal).  Only this section knows omega^2 = t + s*omega.
+# Ring arithmetic in integral-basis coordinates.  Only this section knows
+# omega^2 = t + s*omega (`_sqrt_d_coords` knows omega in terms of sqrt d).
 # ---------------------------------------------------------------------------
 
 def _omega_square_coords(field: FieldData) -> tuple[int, int]:
@@ -455,71 +336,6 @@ def _coprime_mask(field: FieldData, c1, c2, d1, d2):
     return g == 1
 
 
-def _ideal_rows(field: FieldData, *elements: FieldElement) -> list[tuple[int, ...]]:
-    """Ring coordinates of x * b for each x and each integral basis element
-    b: the rows of a Z-basis (with repeats) of the ideal <x, ...>."""
-    basis = ((1, 0), (0, 1))[:field.n]
-    return [_coord_mul(field, *x.ring_coords(), *b)[:field.n] for x in elements for b in basis]
-
-
-def _hnf(rows: list[tuple[int, ...]]):
-    """Row Hermite normal form of an integer matrix of full column rank n,
-    with its unimodular transform: returns (H, U) with U @ rows = H, H's
-    first n rows upper triangular with a positive diagonal and the entries
-    above each pivot in [0, pivot), and the other rows zero.  Exact in
-    Python ints (Cohen, GTM 138, §2.4)."""
-    H = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(len(H))] for i in range(len(H))]
-    for c in range(len(H[0])):
-        for i in range(c + 1, len(H)):
-            a, b = H[c][c], H[i][c]
-            if b == 0:
-                continue
-            g, x, y = _ext_gcd(a, b)  # x a + y b = g: [[x, y], [-b/g, a/g]] has det 1
-            for M in (H, U):
-                M[c], M[i] = ([x * p + y * q for p, q in zip(M[c], M[i])],
-                              [a // g * q - b // g * p for p, q in zip(M[c], M[i])])
-        if H[c][c] == 0:
-            raise ValueError("rows do not have full column rank")
-        if H[c][c] < 0:
-            H[c], U[c] = [-v for v in H[c]], [-v for v in U[c]]
-        for i in range(c):
-            k = H[i][c] // H[c][c]
-            H[i] = [p - k * q for p, q in zip(H[i], H[c])]
-            U[i] = [p - k * q for p, q in zip(U[i], U[c])]
-    return H, U
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tuple[FieldElement, FieldElement]:
-    """xi, eta integral with rho*eta - sigma*xi = 1; requires <rho, sigma> = o.
-
-    The transform row of the Hermite reduction that gives 1 is (eta, -xi) in
-    ring coordinates.  Every other solution is (xi + k rho, eta + k sigma)
-    with k in o; the one returned has the ring coordinates of eta / sigma in
-    [-1/2, 1/2), so it is canonical and small.  Exact for every input."""
-    H, U = _hnf(_ideal_rows(field, rho, sigma))
-    n = field.n
-    if math.prod(H[i][i] for i in range(n)) != 1:
-        raise ValueError("pair not coprime")
-    eta, xi = field.from_ring_coords(*U[0][:n]), -field.from_ring_coords(*U[0][n:])
-    if not sigma.is_zero():
-        k = field.from_ring_coords(*(math.floor(c + Fraction(1, 2)) for c in (eta / sigma).coords()))
-        xi, eta = xi - k * rho, eta - k * sigma
-    return xi, eta
-
-
 # ---------------------------------------------------------------------------
 # Lattice points of o and of its ideals in balls.  One enumerator serves the
 # pairs of the direct route, the Fourier frequencies, the cusp candidates,
@@ -527,6 +343,16 @@ def solve_bezout(rho: FieldElement, sigma: FieldElement, field: FieldData) -> tu
 # ---------------------------------------------------------------------------
 
 _PAIR_BLOCK = 1 << 14  # lattice points per block of the ball enumerator (and of the pair sum)
+
+# Entries of the largest table one call builds: the predicted d candidates
+# of `domains.slice_candidates` (about 120 B each at the tracemalloc peak on
+# Q(i), qT = 1e-6, so about 250 MiB) and the Moebius table of
+# `eisenstein.eisenstein_direct`.  The callers stay 10 times below: 4e4 to
+# 8.4e4 candidates at the smallest qT they reach (1e-5, the six fields of
+# scripts/remark_identity_accuracy.py), at qT = 1e-4 at most 1.8e5 over the
+# 24 supported fields (Q(sqrt 19)), and Moebius tables of at most about 1.5e3
+# entries at the lowest heights of the benchmark.
+_CANDIDATE_BUDGET = 1 << 21
 
 
 def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
@@ -567,16 +393,11 @@ def _piece_points(k, v, u0, n):
     return np.repeat(k, n), _piece_values(u0, n), np.repeat(v, n)
 
 
-def _omega_embeds(field: FieldData):
-    om = field.ring_gen
-    return [complex(v) for v in embed(om, field)]
-
-
 def _embed_coords(field: FieldData, u, v):
     """u + v omega at each place, from integer coordinate arrays: real at
     degree-1 places, complex at the complex place."""
     return [u + v * (o if deg == 2 else o.real)
-            for o, deg in zip(_omega_embeds(field), field.place_degrees)]
+            for o, deg in zip(field.omega_places, field.place_degrees)]
 
 
 def _ball_ranges(field: FieldData, centres, radii, omega=None):
@@ -593,7 +414,7 @@ def _ball_ranges(field: FieldData, centres, radii, omega=None):
     x^(1) - x^(2) = v (omega^(1) - omega^(2)) bounds it, at a complex place
     Im x = v Im omega does, so omega^(1) - omega^(2) > 0, or Im omega > 0.
     This is the only lattice code that knows the place structure."""
-    omega = _omega_embeds(field) if omega is None else omega
+    omega = field.omega_places if omega is None else omega
     if field.r2:
         (m,), (w,), (o,) = centres, radii, omega
         vlo, vhi = np.ceil((m.imag - w) / o.imag), np.floor((m.imag + w) / o.imag)
@@ -658,7 +479,7 @@ def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
         return np.ones(cu.shape, dtype=bool)
     c1, c2 = _embed_coords(field, cu, cv)
     t = np.log(np.abs(np.asarray(c1 / c2, dtype=float)))
-    eu, ev = field.fundamental_unit.ring_coords()
+    eu, ev = field.fundamental_unit
     su, sv = _coord_conj(field, cu, cv)
 
     def assoc(a, b, u, v):  # a + b omega = +-(u + v omega)
@@ -667,68 +488,6 @@ def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
     lower = assoc(*_coord_mul(field, eu, ev, cu, cv), su, sv)
     R = field.regulator
     return (((t >= -R) & (t < R)) & ~upper) | lower
-
-
-def _minkowski_form(field: FieldData, a, b) -> int:
-    """sum_i deg_i Re(a_i conj(b_i)) = Tr(a conj(b)) for a, b in o given by
-    ring coordinates, in integers: conj is sigma at a complex place and the
-    identity at real places."""
-    if field.r2:
-        b = _coord_conj(field, *b)
-    u, v = _coord_mul(field, *a, *b)
-    return u + _coord_conj(field, u, v)[0]
-
-
-def _reduced_basis(field: FieldData, H):
-    """A Z-basis (b1, b2) of the ideal whose Hermite rows are H, as ring
-    coordinates: on a quadratic field H Lagrange-Gauss reduced in the
-    Minkowski form; on Q (N, 0) and an unused b2."""
-    if field.n == 1:
-        return (H[0][0], 0), (0, 1)
-    b1, b2 = tuple(H[0]), tuple(H[1])
-    while True:
-        if _minkowski_form(field, b2, b2) < _minkowski_form(field, b1, b1):
-            b1, b2 = b2, b1
-        mu = round(Fraction(_minkowski_form(field, b1, b2), _minkowski_form(field, b1, b1)))
-        if mu == 0:
-            return b1, b2
-        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
-
-
-def ideal_gcd_generator(x: FieldElement, y: FieldElement, field: FieldData) -> FieldElement:
-    """The generator of <x, y> (h = 1) that is torsion-canonical and
-    unit-balanced (`_canonical_c`, `_unit_balanced`): one per ideal, the
-    rule `domains.slice_candidates` applies to c.
-
-    x and y are scaled by the lcm s of the denominators of their ring
-    coordinates.  A generator g of the integral ideal <s x, s y> of norm N
-    in that form has |g_i| <= N^(1/n) e^((r-1) R / 2) at every place, so it
-    is a point of norm +-N in one ball of the ideal's lattice, enumerated by
-    `_ball_points` in the basis of `_reduced_basis`.  The reduction keeps
-    that ball to a few hundred points whatever N is; the Hermite basis
-    (N, 0), (b, 1) of a principal (k) with k primitive spans about N^(3/2)
-    rows.  The norm is tested in Python ints, so g is exact for every
-    input."""
-    if x.is_zero() and y.is_zero():
-        raise ValueError("gcd of zero pair")
-    s = math.lcm(*(c.denominator for el in (x, y) for c in el.coords()))
-    H, _ = _hnf(_ideal_rows(field, x * field.element(s), y * field.element(s)))
-    N = math.prod(H[i][i] for i in range(field.n))
-    b1, b2 = _reduced_basis(field, H)
-    e1 = _embed_coords(field, *b1)
-    omega = [complex(b / a) for a, b in zip(e1, _embed_coords(field, *b2))]
-    if (omega[0].imag if field.r2 else omega[0].real - omega[-1].real) < 0:
-        b2, omega = (-b2[0], -b2[1]), [-o for o in omega]  # the orientation of `_ball_ranges`
-    radius = N ** (1 / field.n) * math.exp((field.r - 1) * field.regulator / 2) * (1 + 1e-9)
-    _, m, k = _ball_points(field, [np.zeros(1)] * field.r,
-                           [np.full(1, radius / abs(a)) for a in e1], omega)
-    pts = [(p * b1[0] + q * b2[0], p * b1[1] + q * b2[1]) for p, q in zip(m.tolist(), k.tolist())]
-    pts = [g for g in pts if abs(_coord_norm(field, *g)) == N]
-    cu, cv = (np.array([g[i] for g in pts], dtype=object) for i in (0, 1))
-    hits = np.flatnonzero(_canonical_c(field, cu, cv) & _unit_balanced(field, cu, cv))
-    if hits.size != 1:
-        raise ValueError("%d canonical generators of norm %d found" % (hits.size, N))
-    return field.from_ring_coords(Fraction(int(cu[hits[0]]), s), Fraction(int(cv[hits[0]]), s))
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +503,9 @@ def split_type(field: FieldData, p: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[chi]
 
 
-def ideal_factorization(field: FieldData, x: FieldElement) -> list[tuple[int, int]]:
-    """Factor the principal ideal (x) as [(prime-ideal norm, exponent), ...].
+def ideal_factorization(field: FieldData, u: int, v: int) -> list[tuple[int, int]]:
+    """Factor the principal ideal (x), x = u + v omega, as
+    [(prime-ideal norm, exponent), ...].
 
     The exponents come from integers alone: N = |N(x)| and the content
     g = gcd(u, v) of x = u + v omega.  An inert p has exponent v_p(N) / 2
@@ -753,9 +513,8 @@ def ideal_factorization(field: FieldData, x: FieldElement) -> list[tuple[int, in
     divides x and what is left lies in at most one of P and P', so the
     exponents are v_p(g) and v_p(N) - v_p(g).
     """
-    if x.is_zero():
+    if u == 0 and v == 0:
         raise ValueError("cannot factor the zero ideal")
-    u, v = x.ring_coords()
     g = math.gcd(u, v)
     out = []
     for p, e in factor_int(_coord_norm(field, u, v)):
@@ -772,9 +531,9 @@ def ideal_factorization(field: FieldData, x: FieldElement) -> list[tuple[int, in
     return [(q, e) for (q, e) in out if e > 0]
 
 
-def ideal_divisor_norms(field: FieldData, x: FieldElement) -> list[int]:
-    """Norms of all integral ideal divisors of (x), with multiplicity."""
-    fact = ideal_factorization(field, x)
+def ideal_divisor_norms(field: FieldData, u: int, v: int) -> list[int]:
+    """Norms of all integral ideal divisors of (u + v omega), with multiplicity."""
+    fact = ideal_factorization(field, u, v)
     norms = [1]
     for q, e in fact:
         norms = [m * q ** j for m in norms for j in range(e + 1)]

@@ -1,6 +1,6 @@
-"""The product space H = (H_2)^{r1} x (H_3)^{r2}, cusps with their
-associated matrices, the cusp-unfolding measure constant and place
-densities, and the embeddings of a cusp cross section's box coordinates."""
+"""The product space H = (H_2)^{r1} x (H_3)^{r2}, the cusp at infinity, the
+cusp-unfolding measure constant and place densities, and the embeddings of
+a cusp cross section's box coordinates."""
 
 from __future__ import annotations
 
@@ -12,16 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SingularBasisMatrix
-from .fields import (
-    FieldData,
-    FieldElement,
-    embed,
-    fe_one,
-    fe_zero,
-    ideal_gcd_generator,
-    make_field,
-    solve_bezout,
-)
+from .fields import FieldData, make_field
 
 
 @dataclass(frozen=True)
@@ -60,90 +51,21 @@ def make_point(field: FieldData, *pairs) -> Point:
     return Point(tuple(coords))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Unimodular matrix over the field, identified with its negation."""
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det.a != 1 or det.b != 0:
-            raise ValueError("determinant must be exactly 1, got %r" % (det,))
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
-
-
-def identity_element(field: FieldData) -> GroupElement:
-    one, zero = fe_one(field.d), fe_zero(field.d)
-    return GroupElement(one, zero, zero, one)
-
-
 # ---------------------------------------------------------------------------
 # Cusps
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Cusp:
-    """Point of P(K) as a coprime-normalized pair (rho, sigma)."""
+    """Point rho / sigma of P(K) as a coprime pair of ring coordinates
+    (u, v); infinity is ((1, 0), (0, 0))."""
 
-    rho: FieldElement
-    sigma: FieldElement
-    assoc_matrix: GroupElement
-
-    def value(self):
-        """rho/sigma as a field element, or None for infinity."""
-        if self.sigma.is_zero():
-            return None
-        return self.rho / self.sigma
-
-    def __eq__(self, other):
-        if not isinstance(other, Cusp):
-            return NotImplemented
-        return self.rho == other.rho and self.sigma == other.sigma
-
-    def __hash__(self):
-        return hash((self.rho.a, self.rho.b, self.sigma.a, self.sigma.b))
+    rho: tuple[int, int]
+    sigma: tuple[int, int]
 
 
 def cusp_infinity(field: FieldData) -> Cusp:
-    one, zero = fe_one(field.d), fe_zero(field.d)
-    return Cusp(one, zero, identity_element(field))
-
-
-def make_cusp(field: FieldData, rho, sigma) -> Cusp:
-    """Normalize (rho, sigma) to its canonical coprime representative and
-    attach an associated matrix A with first column (rho, sigma).  The pair
-    is divided by the generator of <rho, sigma>, then multiplied by the unit
-    w eps^k that makes sigma the generator of (sigma) of
-    `fields.ideal_gcd_generator`: torsion-canonical and unit-balanced, the
-    rule `domains.slice_candidates` applies to c.  So every pair of one cusp
-    gives the same (rho, sigma), exactly."""
-    conv = lambda v: v if isinstance(v, FieldElement) else field.element(v)
-    rho, sigma = conv(rho), conv(sigma)
-    if rho.is_zero() and sigma.is_zero():
-        raise ValueError("(0, 0) does not define a cusp")
-    g = ideal_gcd_generator(rho, sigma, field).inverse()
-    rho, sigma = rho * g, sigma * g
-    if sigma.is_zero():
-        return cusp_infinity(field)
-    c = ideal_gcd_generator(sigma, field.element(0), field)
-    rho, sigma = rho * c / sigma, c
-    xi, eta = solve_bezout(rho, sigma, field)
-    A = GroupElement(rho, xi, sigma, eta)
-    return Cusp(rho, sigma, A)
+    return Cusp((1, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +104,18 @@ _PLACE_WEIGHTS = {
 @lru_cache(maxsize=32)
 def _geom_cache(d: int):
     """The matrix O that maps the box coordinates X to the real components
-    of x (rows: the places' components, columns: the integral basis), and
-    log |eps^(i)| of the fundamental unit at each place (empty when r = 1)."""
+    of x (rows: the places' components, columns: the integral basis 1,
+    omega), and log |eps^(i)| of the fundamental unit at each place (empty
+    when r = 1)."""
     field = make_field(d)
     rows = []
-    for i, deg in enumerate(field.place_degrees):
-        if deg == 1:
-            rows.append([float(embed(al, field)[i]) for al in field.integral_basis])
-        else:
-            rows.append([complex(embed(al, field)[i]).real for al in field.integral_basis])
-            rows.append([complex(embed(al, field)[i]).imag for al in field.integral_basis])
+    for o, deg in zip(field.omega_places, field.place_degrees):
+        basis = [1.0, o][:field.n]
+        rows += [[b.real for b in basis]] + ([[0.0, o.imag]] if deg == 2 else [])
     O = np.array(rows, dtype=float)
     if abs(np.linalg.det(O)) < 1e-12:
         raise SingularBasisMatrix("integral basis embedding matrix is singular")
-    ulogs = np.zeros(0)
-    if field.r >= 2:
-        ulogs = np.array([math.log(abs(complex(e))) for e in embed(field.fundamental_unit, field)])
-    return O, ulogs
+    return O, np.array([math.log(abs(e)) for e in field.unit_places])
 
 
 def slice_embeddings(field: FieldData, q: float, X: np.ndarray, Y: np.ndarray | None):

@@ -35,6 +35,7 @@ def _em_coefficients(count: int) -> tuple[float, ...]:
 _EM_COEFFS = _em_coefficients(30)
 _EPS = np.finfo(float).eps
 _HURWITZ_RTOL = 1e-10
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -48,12 +49,16 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     the last correction.
     ``DomainError`` is raised when that estimate exceeds 1e-10 of the
     value, which happens from about Re s < -7 on and near zeros of
-    zeta(s, a) with Re s < 0.
+    zeta(s, a) with Re s < 0, and, for Re s >= 0, when N times the first
+    and largest term a^(-Re s) passes the largest double, so that every
+    value returned is finite.
     """
     s = complex(s)
     if s == 1.0:
         raise PoleAtOne("hurwitz zeta pole at s=1")
     n_max = max(18, int(1.3 * abs(s.imag)) + 8)
+    if s.real >= 0 and math.log(n_max) - s.real * math.log(a) >= _LOG_MAX:
+        raise DomainError("hurwitz_zeta(%r, %r) is outside the double range" % (s, a))
     ks = np.arange(n_max) + a
     powers = ks ** (-s)
     if s.real >= 0:
@@ -101,14 +106,21 @@ def riemann_zeta(s: complex) -> complex:
 
 
 def dirichlet_l(s: complex, disc_signed: int) -> complex:
-    """L(s, chi_D) for the quadratic character of fundamental discriminant D."""
+    """L(s, chi_D) for the quadratic character of fundamental discriminant D.
+
+    Through the Hurwitz zeta at a / D for a = 1..D, except at Re s >= 60,
+    where the terms n >= 2 of sum chi(n) n^-s are below 2^-60 of the first
+    and the Hurwitz values (D / a)^s pass the double range: there the series
+    over n = 1..D is summed directly."""
     q = abs(disc_signed)
     if q == 1:
         return riemann_zeta(s)
     s = complex(s)
+    chis = [(a, kronecker(disc_signed, a)) for a in range(1, q + 1)]
+    if s.real >= 60:
+        return complex(sum(chi * a ** -s for a, chi in chis if chi))
     acc = 0.0 + 0.0j
-    for a in range(1, q + 1):
-        chi = kronecker(disc_signed, a)
+    for a, chi in chis:
         if chi:
             acc += chi * hurwitz_zeta(s, a / q)
     return q ** (-s) * acc
@@ -146,14 +158,19 @@ def dedekind_zeta(ctx: ZetaContext, s: complex) -> complex:
 
 def lambda_factor(field: FieldData, s: complex) -> complex:
     """Archimedean factor 2^{-r2 s} D^{s/2} pi^{-ns/2} Gamma(s/2)^{r1} Gamma(s)^{r2};
-    ``DomainError`` where it leaves the normal double range (so in `phi`)."""
+    ``DomainError`` where it or a factor leaves the normal double range (so
+    in `phi`), with no warning."""
     s = complex(s)
-    out = 2.0 ** (-field.r2 * s) * field.D ** (s / 2.0)
-    out *= cmath.exp(-(field.n * s / 2.0) * math.log(math.pi))
-    if field.r1:
-        out *= gamma(s / 2.0) ** field.r1
-    if field.r2:
-        out *= gamma(s) ** field.r2
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = 2.0 ** (-field.r2 * s) * field.D ** (s / 2.0)
+            out *= cmath.exp(-(field.n * s / 2.0) * math.log(math.pi))
+            if field.r1:
+                out *= gamma(s / 2.0) ** field.r1
+            if field.r2:
+                out *= gamma(s) ** field.r2
+    except OverflowError:  # a Python power or exponential past the double range
+        out = math.inf
     if not _TINY <= abs(out) < math.inf:
         raise DomainError("Lambda factor at s=%r is outside the double range" % (s,))
     return out

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hilmod import fields, geometry, zeta
-from oracles import group_element
+from oracles import group_element, identity_element, unit_inverse
 
 
 @pytest.fixture(scope="session")
@@ -40,15 +40,15 @@ def random_group_element(field, rng, length=6):
     """Random word in translations, units, and the inversion."""
     S = group_element(field, 0, -1, 1, 0)
     gens = [S]
-    for b in (field.integral_basis[0], field.ring_gen):
+    for b in ((1, 0), (0, 1) if field.n == 2 else (1, 0)):  # 1 and omega (1 on Q)
         gens.append(group_element(field, 1, b, 0, 1))
     if field.d > 0:
         u = field.fundamental_unit
-        gens.append(group_element(field, u, 0, 0, u.inverse()))
+        gens.append(group_element(field, u, 0, 0, unit_inverse(field, u)))
     if field.omega > 2:
         w = fields.roots_of_unity(field)[1]
-        gens.append(group_element(field, w, 0, 0, w.inverse()))
-    g = geometry.identity_element(field)
+        gens.append(group_element(field, w, 0, 0, unit_inverse(field, w)))
+    g = identity_element(field)
     for _ in range(length):
         h = rng.choice(gens)
         if rng.random() < 0.5:

@@ -1,14 +1,20 @@
 """Test-side reference routes: code that checks the library and that the
 library itself never runs.
 
-The hand-written search for the integral elements of a given norm
-(`elements_of_norm`) and exact division (`exact_divide`): the library finds
-ideal generators in the ball enumerator (`fields.ideal_gcd_generator`), and
-these serve as the oracle for it and for the totient and valuation tests.
-With them, the Hermite-diagonal norm of a pair ideal (`pair_ideal_norm`),
-which checks the coprimality mask and the Bezout solver, and exact powers of
-the fundamental unit (`unit_power`), which build unit multiples for the
-cusp normal form and the generator tests.
+The exact cusp chain, in the integer ring coordinates (u, v) of
+u + v omega that the library computes in: the Hermite reduction of an
+ideal (`_hnf`, `ideal_hnf`, and the norm of a pair ideal,
+`pair_ideal_norm`, which checks the coprimality mask), the Bezout solver
+(`solve_bezout`), the canonical generator of an ideal from the ball
+enumerator on its reduced basis (`ideal_gcd_generator`, which checks
+`_canonical_c` and `_unit_balanced` as one rule per ideal), the canonical
+pair of a cusp (`make_cusp`) and its associated matrix (`assoc_matrix`).
+With them, the hand-written search for the elements of a given norm
+(`elements_of_norm`), exact division (`exact_divide`), products (`mul`),
+unit powers and inverses (`unit_power`, `unit_inverse`), and the values of
+an element at the places by the formula of the field's constants
+(`embed`).  The library sums at the cusp at infinity only, so nothing in it
+needs the chain.
 
 The box quadrature of the horoball route: psi(q / V) integrated over each
 other cusp's shadow in the X box of the cross section, by a composite
@@ -25,9 +31,9 @@ the library continues zeta_K as zeta times L(chi_D) through the Hurwitz
 zeta (`zeta.dedekind_zeta`), and this series is its independent check on
 Re(s) > 1.
 
-The PSL(2, o) action on H (`group_element`, `act`, `eq_mod_sign`), cusp
-heights (`height`), the local coordinates (q, Y, X) of a cusp
-(`local_coords`, `from_local_coords`), the stabilizer of a cusp
+The PSL(2, o) action on H (`GroupElement`, `group_element`, `act`,
+`eq_mod_sign`), cusp heights (`height`), the local coordinates (q, Y, X) of
+a cusp (`local_coords`, `from_local_coords`), the stabilizer of a cusp
 (`stabilizer_element`, with the X and unit matrices `x_basis_matrix` and
 `unit_block_matrix` of Lemma 2) and the reduction of a point into the box of
 the infinity cusp (`reduce_mod_stabilizer`), the product-metric distance
@@ -60,11 +66,10 @@ from hilmod.domains import _half_widths, _reach, _y_rows, slice_candidates
 from hilmod.eisenstein import _pair_blocks
 from hilmod.equidist import TestFunction, mellin_transform
 from hilmod.errors import DomainError, PoleAtOne
-from hilmod.fields import (FieldData, FieldElement, _coprime_mask, _embed_coords, _hnf,
-                           _ideal_rows, _ideal_sieve, _ragged_values, embed, fe_one, fe_zero,
-                           roots_of_unity)
-from hilmod.geometry import (Cusp, GroupElement, Point, _geom_cache, identity_element,
-                             slice_embeddings)
+from hilmod.fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _coord_mul,
+                           _coord_norm, _coprime_mask, _embed_coords, _ideal_sieve, _places,
+                           _ragged_values, _unit_balanced, roots_of_unity)
+from hilmod.geometry import Cusp, Point, _geom_cache, cusp_infinity, slice_embeddings
 from hilmod.quadrature import gl_panel_nodes
 from hilmod.zeta import ZetaContext, dirichlet_l, make_context, riemann_zeta
 
@@ -153,60 +158,6 @@ def box_section_average(f, q: float, field: FieldData, nodes: int = 20) -> float
     return float(f.profile(q)) + shadow_integral(field, q, f.t0 * 0.999, f.profile, nodes)
 
 
-def elements_of_norm(field: FieldData, n: int) -> list[FieldElement]:
-    """Integral elements with |N| = n, up to none of the unit action (raw list).
-
-    Searches a balanced box in embedding space; complete because any element
-    of norm n has a unit multiple with both embeddings below sqrt(n)*unit
-    (real case) or lies in the obvious disc (imaginary case).
-    """
-    if n == 0:
-        return [fe_zero(field.d)]
-    d = field.d
-    out = []
-    if d == 0:
-        return [field.element(n), field.element(-n)]
-    if d < 0:
-        s = math.sqrt(-d)
-        # |u + v*omega|^2 = n
-        om = field.ring_gen
-        om1 = complex(float(om.a), float(om.b) * s)
-        vmax = int(math.sqrt(n) / abs(om1.imag)) + 1
-        for v in range(-vmax, vmax + 1):
-            ur = math.sqrt(max(n - (v * om1.imag) ** 2, 0.0))
-            lo = int(math.floor(-ur - v * om1.real - 1))
-            hi = int(math.ceil(ur - v * om1.real + 1))
-            for u in range(lo, hi + 1):
-                el = field.from_ring_coords(u, v)
-                if abs(el.norm()) == n:
-                    out.append(el)
-        return out
-    # real quadratic: balanced box |x^(i)| <= sqrt(n)*eps1
-    eps1 = math.exp(field.regulator)
-    bound = math.sqrt(n) * eps1 + 1e-9
-    om = field.ring_gen
-    o1, o2 = embed(om, field)
-    vmax = int((2 * bound) / abs(o1 - o2)) + 2
-    for v in range(-vmax, vmax + 1):
-        lo = int(math.floor(max(-bound - v * o1, -bound - v * o2) - 1))
-        hi = int(math.ceil(min(bound - v * o1, bound - v * o2) + 1))
-        for u in range(lo, hi + 1):
-            el = field.from_ring_coords(u, v)
-            if abs(el.norm()) == n:
-                e1, e2 = embed(el, field)
-                if abs(e1) <= bound and abs(e2) <= bound:
-                    out.append(el)
-    return out
-
-
-def exact_divide(x: FieldElement, g: FieldElement, field: FieldData) -> FieldElement | None:
-    """x / g when the quotient is integral, else None."""
-    if g.is_zero():
-        return None
-    q = x / g
-    return q if q.is_integral() else None
-
-
 def dedekind_zeta_series(ctx: ZetaContext, s: complex, N: int = 200_000,
                          corrected: bool = True) -> complex:
     """Ideal Dirichlet series sum a_n n^{-s} for Re(s) > 1.
@@ -266,37 +217,311 @@ def _ideal_counts(field: FieldData, N: int) -> np.ndarray:
     return a
 
 
-def unit_power(field: FieldData, k: int) -> FieldElement:
+# ---------------------------------------------------------------------------
+# Exact arithmetic in ring coordinates, and the cusp chain
+# ---------------------------------------------------------------------------
+
+def mul(field: FieldData, x, *ys) -> tuple[int, int]:
+    """The product x y1 y2 ... of elements of o given by ring coordinates."""
+    for y in ys:
+        x = _coord_mul(field, *x, *y)
+    return x
+
+
+def embed(field: FieldData, x) -> tuple:
+    """x = (u, v) at the r infinite places (floats, then complexes), by the
+    formula of the field's constants (`fields._places`)."""
+    return tuple(w if deg == 2 else w.real
+                 for w, deg in zip(_places(field, *x), field.place_degrees))
+
+
+def _adjugate(field: FieldData, g) -> tuple[int, int]:
+    """g' with g g' = N(g): sigma(g), and 1 on Q."""
+    return _coord_conj(field, *g) if field.n == 2 else (1, 0)
+
+
+def unit_inverse(field: FieldData, e) -> tuple[int, int]:
+    """e^-1 = N(e) e' for a unit e (N(e) = +-1, e e' = N(e))."""
+    n = _coord_norm(field, *e)
+    return tuple(n * c for c in _adjugate(field, e))
+
+
+def unit_power(field: FieldData, k: int) -> tuple[int, int]:
     """Exact k-th power of the fundamental unit."""
-    base = field.fundamental_unit if k >= 0 else field.fundamental_unit.inverse()
-    out = fe_one(field.d)
-    for _ in range(abs(k)):
-        out = out * base
+    eps = field.fundamental_unit
+    return mul(field, (1, 0), *[eps if k >= 0 else unit_inverse(field, eps)] * abs(k))
+
+
+def quotient(x, y, field: FieldData) -> tuple[int, int, int]:
+    """x / y (y != 0) as (k1, k2, m) with m > 0 and gcd(k1, k2, m) = 1: its
+    ring coordinates are k1 / m and k2 / m, so the triple names the element
+    of K.  x / y = x y' / N(y), exact in integers."""
+    n = _coord_norm(field, *y)
+    k = mul(field, x, _adjugate(field, y))
+    g = math.gcd(*k, n) * (1 if n > 0 else -1)
+    return k[0] // g, k[1] // g, n // g
+
+
+def exact_divide(x, g, field: FieldData):
+    """x / g when g divides x in o, else None (and None for g = 0)."""
+    if g == (0, 0):
+        return None
+    k1, k2, m = quotient(x, g, field)
+    return (k1, k2) if m == 1 else None
+
+
+def elements_of_norm(field: FieldData, n: int) -> list[tuple[int, int]]:
+    """Elements of o with |N| = n, up to none of the unit action (raw list).
+
+    Searches a balanced box in embedding space; complete because any element
+    of norm n has a unit multiple with both embeddings below sqrt(n)*unit
+    (real case) or lies in the obvious disc (imaginary case).
+    """
+    if n == 0:
+        return [(0, 0)]
+    if field.d == 0:
+        return [(n, 0), (-n, 0)]
+    out = []
+    if field.d < 0:  # |u + v*omega|^2 = n
+        (om,) = embed(field, (0, 1))
+        vmax = int(math.sqrt(n) / abs(om.imag)) + 1
+        for v in range(-vmax, vmax + 1):
+            ur = math.sqrt(max(n - (v * om.imag) ** 2, 0.0))
+            for u in range(math.floor(-ur - v * om.real - 1), math.ceil(ur - v * om.real + 1) + 1):
+                if abs(_coord_norm(field, u, v)) == n:
+                    out.append((u, v))
+        return out
+    # real quadratic: balanced box |x^(i)| <= sqrt(n)*eps1
+    bound = math.sqrt(n) * math.exp(field.regulator) + 1e-9
+    o1, o2 = embed(field, (0, 1))
+    vmax = int((2 * bound) / abs(o1 - o2)) + 2
+    for v in range(-vmax, vmax + 1):
+        lo = math.floor(max(-bound - v * o1, -bound - v * o2) - 1)
+        hi = math.ceil(min(bound - v * o1, bound - v * o2) + 1)
+        for u in range(lo, hi + 1):
+            if abs(_coord_norm(field, u, v)) == n and all(
+                    abs(e) <= bound for e in embed(field, (u, v))):
+                out.append((u, v))
     return out
 
 
-def pair_ideal_norm(x: FieldElement, y: FieldElement, field: FieldData) -> int:
-    """Norm of the integral ideal <x, y> (x, y integral, not both zero): the
-    product of the Hermite diagonal."""
-    if x.is_zero() and y.is_zero():
+def _ideal_rows(field: FieldData, *elements) -> list[tuple[int, ...]]:
+    """Ring coordinates of x * b for each x and each integral basis element
+    b: the rows of a Z-basis (with repeats) of the ideal <x, ...>."""
+    basis = ((1, 0), (0, 1))[:field.n]
+    return [_coord_mul(field, *x, *b)[:field.n] for x in elements for b in basis]
+
+
+def _hnf(rows: list[tuple[int, ...]]):
+    """Row Hermite normal form of an integer matrix of full column rank n,
+    with its unimodular transform: returns (H, U) with U @ rows = H, H's
+    first n rows upper triangular with a positive diagonal and the entries
+    above each pivot in [0, pivot), and the other rows zero.  Exact in
+    Python ints (Cohen, GTM 138, §2.4)."""
+    H = [list(r) for r in rows]
+    U = [[int(i == j) for j in range(len(H))] for i in range(len(H))]
+    for c in range(len(H[0])):
+        for i in range(c + 1, len(H)):
+            a, b = H[c][c], H[i][c]
+            if b == 0:
+                continue
+            g, x, y = _ext_gcd(a, b)  # x a + y b = g: [[x, y], [-b/g, a/g]] has det 1
+            for M in (H, U):
+                M[c], M[i] = ([x * p + y * q for p, q in zip(M[c], M[i])],
+                              [a // g * q - b // g * p for p, q in zip(M[c], M[i])])
+        if H[c][c] == 0:
+            raise ValueError("rows do not have full column rank")
+        if H[c][c] < 0:
+            H[c], U[c] = [-v for v in H[c]], [-v for v in U[c]]
+        for i in range(c):
+            k = H[i][c] // H[c][c]
+            H[i] = [p - k * q for p, q in zip(H[i], H[c])]
+            U[i] = [p - k * q for p, q in zip(U[i], U[c])]
+    return H, U
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def ideal_hnf(field: FieldData, *elements) -> list[list[int]]:
+    """The Hermite basis of the ideal <x, ...>: one per ideal."""
+    return _hnf(_ideal_rows(field, *elements))[0][:field.n]
+
+
+def pair_ideal_norm(x, y, field: FieldData) -> int:
+    """Norm of the integral ideal <x, y> (not both zero): the product of the
+    Hermite diagonal."""
+    if x == y == (0, 0):
         raise ValueError("<0, 0> is not an ideal")
-    H, _ = _hnf(_ideal_rows(field, x, y))
+    H = ideal_hnf(field, x, y)
     return math.prod(H[i][i] for i in range(field.n))
+
+
+def solve_bezout(rho, sigma, field: FieldData):
+    """xi, eta in o with rho*eta - sigma*xi = 1; requires <rho, sigma> = o.
+
+    The transform row of the Hermite reduction that gives 1 is (eta, -xi) in
+    ring coordinates.  Every other solution is (xi + k rho, eta + k sigma)
+    with k in o; the one returned has the coordinates of eta / sigma in
+    [-1/2, 1/2), so it is canonical and small."""
+    H, U = _hnf(_ideal_rows(field, rho, sigma))
+    n = field.n
+    if math.prod(H[i][i] for i in range(n)) != 1:
+        raise ValueError("pair not coprime")
+    eta, xi = (tuple(U[0][:n]) + (0,) * (2 - n), tuple(-c for c in U[0][n:]) + (0,) * (2 - n))
+    if sigma != (0, 0):
+        *k, m = quotient(eta, sigma, field)
+        k = tuple((2 * c + m) // (2 * m) for c in k)  # floor(c / m + 1/2)
+        xi, eta = (tuple(a - b for a, b in zip(xi, mul(field, k, rho))),
+                   tuple(a - b for a, b in zip(eta, mul(field, k, sigma))))
+    return xi, eta
+
+
+def _minkowski_form(field: FieldData, a, b) -> int:
+    """sum_i deg_i Re(a_i conj(b_i)) = Tr(a conj(b)) for a, b in o given by
+    ring coordinates, in integers: conj is sigma at a complex place and the
+    identity at real places."""
+    if field.r2:
+        b = _coord_conj(field, *b)
+    u, v = _coord_mul(field, *a, *b)
+    return u + _coord_conj(field, u, v)[0]
+
+
+def _reduced_basis(field: FieldData, H):
+    """A Z-basis (b1, b2) of the ideal whose Hermite rows are H, as ring
+    coordinates: on a quadratic field H Lagrange-Gauss reduced in the
+    Minkowski form; on Q (N, 0) and an unused b2."""
+    if field.n == 1:
+        return (H[0][0], 0), (0, 1)
+    b1, b2 = tuple(H[0]), tuple(H[1])
+    while True:
+        if _minkowski_form(field, b2, b2) < _minkowski_form(field, b1, b1):
+            b1, b2 = b2, b1
+        num, den = _minkowski_form(field, b1, b2), _minkowski_form(field, b1, b1)
+        mu = (2 * num + den) // (2 * den)  # num / den rounded half up
+        if mu == 0:
+            return b1, b2
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+
+
+def ideal_gcd_generator(x, y, field: FieldData) -> tuple[int, int]:
+    """The generator of <x, y> (h = 1) that is torsion-canonical and
+    unit-balanced (`_canonical_c`, `_unit_balanced`): one per ideal, the
+    rule `domains.slice_candidates` applies to c.
+
+    A generator g of <x, y> of norm N in that form has
+    |g_i| <= N^(1/n) e^((r-1) R / 2) at every place, so it is a point of
+    norm +-N in one ball of the ideal's lattice, enumerated by `_ball_points`
+    in the basis of `_reduced_basis`.  The reduction keeps that ball to a
+    few hundred points whatever N is; the Hermite basis (N, 0), (b, 1) of a
+    principal (k) with k primitive spans about N^(3/2) rows.  The norm is
+    tested in Python ints, so g is exact for every input."""
+    if x == y == (0, 0):
+        raise ValueError("gcd of zero pair")
+    H, _ = _hnf(_ideal_rows(field, x, y))
+    N = math.prod(H[i][i] for i in range(field.n))
+    b1, b2 = _reduced_basis(field, H)
+    e1 = _embed_coords(field, *b1)
+    omega = [complex(b / a) for a, b in zip(e1, _embed_coords(field, *b2))]
+    if (omega[0].imag if field.r2 else omega[0].real - omega[-1].real) < 0:
+        b2, omega = (-b2[0], -b2[1]), [-o for o in omega]  # the orientation of `_ball_ranges`
+    radius = N ** (1 / field.n) * math.exp((field.r - 1) * field.regulator / 2) * (1 + 1e-9)
+    _, m, k = _ball_points(field, [np.zeros(1)] * field.r,
+                           [np.full(1, radius / abs(a)) for a in e1], omega)
+    pts = [(p * b1[0] + q * b2[0], p * b1[1] + q * b2[1]) for p, q in zip(m.tolist(), k.tolist())]
+    pts = [g for g in pts if abs(_coord_norm(field, *g)) == N]
+    cu, cv = (np.array([g[i] for g in pts], dtype=object) for i in (0, 1))
+    hits = np.flatnonzero(_canonical_c(field, cu, cv) & _unit_balanced(field, cu, cv))
+    if hits.size != 1:
+        raise ValueError("%d canonical generators of norm %d found" % (hits.size, N))
+    return int(cu[hits[0]]), int(cv[hits[0]])
+
+
+def make_cusp(field: FieldData, rho, sigma) -> Cusp:
+    """The cusp rho / sigma (rho, sigma in o, an int n standing for (n, 0))
+    as its canonical coprime pair.  The pair is divided by the generator of
+    <rho, sigma>, then multiplied by the unit w eps^k that makes sigma the
+    generator of (sigma) of `ideal_gcd_generator`: torsion-canonical and
+    unit-balanced, the rule `domains.slice_candidates` applies to c.  So
+    every pair of one cusp gives the same (rho, sigma), exactly."""
+    rho, sigma = ((x, 0) if isinstance(x, int) else tuple(x) for x in (rho, sigma))
+    if rho == sigma == (0, 0):
+        raise ValueError("(0, 0) does not define a cusp")
+    g = ideal_gcd_generator(rho, sigma, field)
+    rho, sigma = exact_divide(rho, g, field), exact_divide(sigma, g, field)
+    if sigma == (0, 0):
+        return cusp_infinity(field)
+    c = ideal_gcd_generator(sigma, (0, 0), field)
+    return Cusp(mul(field, rho, exact_divide(c, sigma, field)), c)
+
+
+def assoc_matrix(cusp: Cusp, field: FieldData) -> "GroupElement":
+    """The associated matrix A = [[rho, xi], [sigma, eta]] of the cusp, A
+    infinity = rho / sigma, with (xi, eta) of `solve_bezout`; the identity
+    at infinity."""
+    if cusp.sigma == (0, 0):
+        return identity_element(field)
+    xi, eta = solve_bezout(cusp.rho, cusp.sigma, field)
+    return GroupElement(field, cusp.rho, xi, cusp.sigma, eta)
 
 
 # ---------------------------------------------------------------------------
 # PSL(2, o) action, heights, local coordinates and stabilizers
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class GroupElement:
+    """Matrix [[a, b], [c, d]] over o of determinant exactly 1, entries in
+    ring coordinates, identified with its negation."""
+
+    field: FieldData
+    a: tuple[int, int]
+    b: tuple[int, int]
+    c: tuple[int, int]
+    d: tuple[int, int]
+
+    def __post_init__(self):
+        det = tuple(p - q for p, q in zip(mul(self.field, self.a, self.d),
+                                          mul(self.field, self.b, self.c)))
+        if det != (1, 0):
+            raise ValueError("determinant must be exactly 1, got %r" % (det,))
+
+    def __mul__(self, other: "GroupElement") -> "GroupElement":
+        def dot(x, y, z, w):  # x y + z w
+            return tuple(p + q for p, q in zip(mul(self.field, x, y), mul(self.field, z, w)))
+        return GroupElement(self.field, dot(self.a, other.a, self.b, other.c),
+                            dot(self.a, other.b, self.b, other.d),
+                            dot(self.c, other.a, self.d, other.c),
+                            dot(self.c, other.b, self.d, other.d))
+
+    def inverse(self) -> "GroupElement":
+        def neg(x):
+            return tuple(-p for p in x)
+        return GroupElement(self.field, self.d, neg(self.b), neg(self.c), self.a)
+
+
+def identity_element(field: FieldData) -> GroupElement:
+    return GroupElement(field, (1, 0), (0, 0), (0, 0), (1, 0))
+
+
 def group_element(field: FieldData, a, b, c, d) -> GroupElement:
-    conv = lambda v: v if isinstance(v, FieldElement) else field.element(v)
-    return GroupElement(conv(a), conv(b), conv(c), conv(d))
+    """The matrix [[a, b], [c, d]], an int n standing for (n, 0)."""
+    return GroupElement(field, *((x, 0) if isinstance(x, int) else tuple(x) for x in (a, b, c, d)))
 
 
 def eq_mod_sign(g: GroupElement, h: GroupElement) -> bool:
     """g = +-h, entry by entry."""
     same = all(getattr(g, k) == getattr(h, k) for k in "abcd")
-    neg = all(getattr(g, k) == -getattr(h, k) for k in "abcd")
+    neg = all(getattr(g, k) == tuple(-p for p in getattr(h, k)) for k in "abcd")
     return same or neg
 
 
@@ -320,15 +545,15 @@ def act(g: GroupElement, z: Point, field: FieldData) -> Point:
 
 
 def _embedded_matrix(g: GroupElement, field: FieldData):
-    cols = [embed(getattr(g, k), field) for k in "abcd"]
+    cols = [embed(field, getattr(g, k)) for k in "abcd"]
     return [tuple(cols[j][i] for j in range(4)) for i in range(field.r)]
 
 
 def height(cusp: Cusp, z: Point, field: FieldData) -> float:
     """mu(lambda, z) = N(y) / |N(-sigma z + rho)|^2 (the normalised pair has
     <rho, sigma> = o, so N(a) = 1)."""
-    re = embed(cusp.rho, field)
-    se = embed(cusp.sigma, field)
+    re = embed(field, cusp.rho)
+    se = embed(field, cusp.sigma)
     denom = 1.0
     for i, deg in enumerate(field.place_degrees):
         x, y = z.coords[i]
@@ -356,11 +581,11 @@ def x_basis_matrix(field: FieldData) -> np.ndarray:
     return _geom_cache(field.d)[0].copy()
 
 
-def unit_block_matrix(field: FieldData, eps: FieldElement) -> np.ndarray:
+def unit_block_matrix(field: FieldData, eps) -> np.ndarray:
     """Block matrix E acting on the real components of x under x -> eps*x."""
     blocks = []
     for i, deg in enumerate(field.place_degrees):
-        e = embed(eps, field)[i]
+        e = embed(field, eps)[i]
         if deg == 1:
             blocks.append(np.array([[float(e)]]))
         else:
@@ -389,7 +614,7 @@ def _x_components(z: Point, field: FieldData) -> np.ndarray:
 
 def local_coords(cusp: Cusp, z: Point, field: FieldData) -> LocalCoords:
     O, ulogs = _geom_cache(field.d)
-    zs = act(cusp.assoc_matrix.inverse(), z, field)
+    zs = act(assoc_matrix(cusp, field).inverse(), z, field)
     ny = zs.ny(field)
     r = field.r
     if r >= 2:
@@ -429,24 +654,22 @@ def from_local_coords(cusp: Cusp, lc: LocalCoords, field: FieldData) -> Point:
             coords.append((complex(xs[pos], xs[pos + 1]), ys[i]))
             pos += 2
     zs = Point(tuple(coords))
-    return act(cusp.assoc_matrix, zs, field)
+    return act(assoc_matrix(cusp, field), zs, field)
 
 
 def stabilizer_element(cusp: Cusp, unit_exps, root_of_unity_index: int,
                        translation, field: FieldData) -> GroupElement:
     """A [[eps, zeta/eps], [0, 1/eps]] A^{-1} for eps a unit and zeta in the
-    translation module (o for a normalized cusp), both given by integer data."""
-    d = field.d
+    translation module (o for a normalized cusp), both given by integer data:
+    zeta = m_1 + m_2 omega."""
     ws = roots_of_unity(field)
     eps = ws[root_of_unity_index % len(ws)]
     for k in (unit_exps or ())[: field.r - 1]:
-        eps = eps * unit_power(field, k)
-    zeta = fe_zero(d)
-    basis = field.integral_basis
-    for m, al in zip(translation or (), basis):
-        zeta = zeta + field.element(m) * al
-    U = GroupElement(eps, zeta * eps.inverse(), fe_zero(d), eps.inverse())
-    A = cusp.assoc_matrix
+        eps = mul(field, eps, unit_power(field, k))
+    zeta = (tuple(translation or ()) + (0, 0))[:field.n] + (0,) * (2 - field.n)
+    inv = unit_inverse(field, eps)
+    U = GroupElement(field, eps, mul(field, zeta, inv), (0, 0), inv)
+    A = assoc_matrix(cusp, field)
     return A * U * A.inverse()
 
 
@@ -517,10 +740,11 @@ def laplacian_fd(fun, z: Point, field: FieldData, h: float = 1e-3) -> complex:
 
 @dataclass(frozen=True)
 class LatticePair:
-    """Unit-orbit representative of a coprime pair (c, d) with <c, d> = o."""
+    """Unit-orbit representative of a coprime pair (c, d) with <c, d> = o,
+    in ring coordinates."""
 
-    c: FieldElement
-    d: FieldElement
+    c: tuple[int, int]
+    d: tuple[int, int]
 
 
 def _pair_table(field: FieldData, z: Point, BV: float):
@@ -539,7 +763,7 @@ def _pair_table(field: FieldData, z: Point, BV: float):
 
 def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
     """Orbit representatives (c, d) with |N(c z + d)|^2 <= bound N(y), at infinity only."""
-    if cusp.value() is not None:
+    if cusp.sigma != (0, 0):
         raise DomainError("pairs are enumerated at the infinity cusp only")
     if not 0 < bound < math.inf:
         raise DomainError("bound must be positive and finite, got %r" % (bound,))
@@ -549,8 +773,7 @@ def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
     out = []
     for i in order:
         c1, c2, d1, d2 = (int(v) for v in coords[i])
-        out.append(LatticePair(field.from_ring_coords(c1, c2),
-                               field.from_ring_coords(d1, d2)))
+        out.append(LatticePair((c1, c2), (d1, d2)))
     return out
 
 

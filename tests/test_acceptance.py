@@ -20,8 +20,8 @@ from hilmod import zeta as Z
 from hilmod.specfun import bessel_k, gamma
 from conftest import random_group_element, random_point
 from oracles import (SCAN_BUMP, act, dedekind_zeta_series, from_local_coords, height,
-                     local_coords, reduce_mod_stabilizer, stabilizer_element, unit_block_matrix,
-                     vertical_line_scan, x_basis_matrix)
+                     local_coords, make_cusp, mul, reduce_mod_stabilizer, stabilizer_element,
+                     unit_block_matrix, vertical_line_scan, x_basis_matrix)
 
 pytestmark = pytest.mark.acceptance
 
@@ -209,15 +209,15 @@ def test_criterion_8_geometry():
     inv_err = 0.0
     for d, fd in _FIELDS.items():
         rng = random.Random(d + 21)
-        cusps = [G.cusp_infinity(fd), G.make_cusp(fd, 0, 1), G.make_cusp(fd, 1, 1)]
+        cusps = [G.cusp_infinity(fd), make_cusp(fd, 0, 1), make_cusp(fd, 1, 1)]
         for trial in range(50):
             g = random_group_element(fd, rng)
             lam = cusps[trial % 3]
             z = random_point(fd, rng)
             mu1 = height(lam, z, fd)
-            rho = g.a * lam.rho + g.b * lam.sigma
-            sig = g.c * lam.rho + g.d * lam.sigma
-            mu2 = height(G.make_cusp(fd, rho, sig), act(g, z, fd), fd)
+            rho = tuple(p + q for p, q in zip(mul(fd, g.a, lam.rho), mul(fd, g.b, lam.sigma)))
+            sig = tuple(p + q for p, q in zip(mul(fd, g.c, lam.rho), mul(fd, g.d, lam.sigma)))
+            mu2 = height(make_cusp(fd, rho, sig), act(g, z, fd), fd)
             inv_err = max(inv_err, abs(mu1 - mu2) / mu1)
     rt_err = 0.0
     for d, fd in _FIELDS.items():

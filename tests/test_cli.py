@@ -137,6 +137,18 @@ def test_eval_unsupported_field_row(capsys, kind):
     assert (row["error"], row["field_d"]) == ("UnsupportedField", 10)
 
 
+def test_eval_s_spelled_once(capsys):
+    # an unsupported field printed the raw "2", a bad point and a value the
+    # parsed "(2+0j)"; only text that does not parse keeps its spelling
+    rows = [_strict_json(run_cli(capsys, "eval", *argv)[1]) for argv in (
+        ("zeta", "--field-d", "10", "--s", "2"),
+        ("eisenstein-fourier", "--z", "0.28+5i,1.3", "--s", "2"),
+        ("zeta", "--field-d", "5", "--s", "2"))]
+    assert [row["s"] for row in rows] == ["(2+0j)"] * 3
+    assert ["error" in row for row in rows] == [True, True, False]
+    assert _strict_json(run_cli(capsys, "eval", "phi", "--s", "abc")[1])["s"] == "abc"
+
+
 def test_parse_s_maps_only_the_imaginary_unit():
     assert _parse_s("1.5+9.5i") == 1.5 + 9.5j
     assert _parse_s("1.3 + 0.5i") == 1.3 + 0.5j

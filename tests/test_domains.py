@@ -18,7 +18,7 @@ from hilmod.errors import DomainError, QuadratureBudgetExceeded
 from hilmod.quadrature import gl_panel_nodes
 from hilmod.specfun import bessel_k_grid
 from conftest import random_point
-from oracles import pair_ideal_norm, reduce_mod_stabilizer
+from oracles import embed, pair_ideal_norm, quotient, reduce_mod_stabilizer
 
 
 def test_grid_matches_scalar(field_q, ctx_q):
@@ -206,7 +206,7 @@ def _fsum_rows(terms):
 
 def _full_box(field, ys, cut):
     """Every nu != 0 of the frequency ball at heights ys, from `_ball_points`."""
-    dg = [abs(complex(g)) for g in F.embed(field.different_gen, field)]
+    dg = [abs(g) for g in field.different_places]
     a = [2 * math.pi * deg * y / g for y, g, deg in zip(ys, dg, field.place_degrees)]
     _, u, v = F._ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
     weight = sum(ai * np.abs(e) for ai, e in zip(a, F._embed_coords(field, u, v)))
@@ -438,14 +438,12 @@ def test_slice_candidates_dedupe_unique_cusps(d):
     field = F.make_field(d)
     coords = D.slice_candidates(field, 0.05, 2.0)
     vals, norm2 = set(), set()
-    for c1, c2, d1, d2 in coords:
-        c = field.from_ring_coords(int(c1), int(c2))
-        dd = field.from_ring_coords(int(d1), int(d2))
-        v = (-dd) / c
-        assert (v.a, v.b) not in vals
-        vals.add((v.a, v.b))
-        if abs(c.norm()) == 2:
-            norm2.add((int(c1), int(c2)))
+    for c1, c2, d1, d2 in coords.tolist():
+        v = quotient((-d1, -d2), (c1, c2), field)  # -d / c
+        assert v not in vals
+        vals.add(v)
+        if abs(F._coord_norm(field, c1, c2)) == 2:
+            norm2.add((c1, c2))
     if d == 3:
         assert norm2 == {(1, -1)}
 
@@ -487,8 +485,7 @@ def _box_shadowed(field, q, T, X, Y, K):
     the embeddings; the exact coprimality test runs on the pairs that shadow
     a point.  Also returns whether such a pair has a coordinate at +-K."""
     xs, ys = G.slice_embeddings(field, q, X, Y)
-    e = [[complex(v) for v in F.embed(field.from_ring_coords(*b), field)]
-         for b in ((1, 0), (0, 1))]
+    e = [[complex(v) for v in embed(field, b)] for b in ((1, 0), (0, 1))]
     r = np.arange(-K, K + 1)
     r2 = r if field.d else np.zeros(1, dtype=int)
     u, v = (a.ravel() for a in np.meshgrid(r, r2, indexing="ij"))
@@ -502,9 +499,9 @@ def _box_shadowed(field, q, T, X, Y, K):
             V *= (np.abs(emb[i][k] * xs[i][None, :] + emb[i][:, None]) ** 2
                   + (abs(emb[i][k]) * ys[i][None, :]) ** 2) ** deg
         hit = q / V > T
-        c = field.from_ring_coords(int(u[k]), int(v[k]))
+        c = (int(u[k]), int(v[k]))
         for j in np.flatnonzero(hit.any(axis=1)):
-            if pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1:
+            if pair_ideal_norm(c, (int(u[j]), int(v[j])), field) == 1:
                 mask |= hit[j]
                 on_edge |= K in np.abs([u[k], v[k], u[j], v[j]])
     return mask, on_edge
@@ -539,19 +536,19 @@ def test_cusp_classes_match_box_scan(d, K):
     r = np.arange(-K, K + 1)
     u, v = (a.ravel() for a in np.meshgrid(r, r if field.d else np.zeros(1, dtype=int),
                                            indexing="ij"))
-    norm = np.array([abs(field.from_ring_coords(int(a), int(b)).norm()) for a, b in zip(u, v)])
+    norm = np.abs(F._coord_norm(field, u, v))
     for q in _slice_nodes(T):
         ref = set()
         for k in np.flatnonzero((norm > 0) & (norm.astype(float) ** 2 * q * T < 1)):
             pts = _cusp_points(field, np.full(u.size, u[k]), np.full(u.size, v[k]), u, v)
             pts, first = np.unique(pts, axis=0, return_index=True)
             assert len(pts) == norm[k], q  # the d box holds every class mod c
-            c = field.from_ring_coords(int(u[k]), int(v[k]))
+            c = (int(u[k]), int(v[k]))
             ref |= {(tuple(p), norm[k]) for p, j in zip(pts.tolist(), first)
-                    if pair_ideal_norm(c, field.from_ring_coords(int(u[j]), int(v[j])), field) == 1}
+                    if pair_ideal_norm(c, (int(u[j]), int(v[j])), field) == 1}
         rows, norms, counts = D._cusp_classes(field, float(q), T)
-        got = [(tuple(p), abs(field.from_ring_coords(int(c1), int(c2)).norm()))
-               for p, (c1, c2) in zip(_cusp_points(field, *rows.T).tolist(), rows[:, :2])]
+        got = [(tuple(p), abs(F._coord_norm(field, c1, c2)))
+               for p, (c1, c2) in zip(_cusp_points(field, *rows.T).tolist(), rows[:, :2].tolist())]
         assert len(set(got)) == len(got) == counts.sum(), q
         assert set(got) == ref, q
         assert sorted(n for _, n in got) == sorted(np.repeat(norms, counts)), q

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -12,9 +13,11 @@ from hilmod import eisenstein as E
 from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod import zeta as Z
-from hilmod.errors import DegenerateParameters, DomainError, NotConvergent
+from hilmod.errors import (DegenerateParameters, DomainError, NotConvergent,
+                           QuadratureBudgetExceeded)
 from conftest import random_group_element, random_point
-from oracles import _pair_table, act, enumerate_pairs, laplacian_fd, pair_ideal_norm
+from oracles import (_pair_table, act, embed, enumerate_pairs, laplacian_fd, make_cusp,
+                     pair_ideal_norm, quotient)
 
 
 def classical_eisenstein_oracle(z, s, terms=40):
@@ -36,7 +39,7 @@ def test_enumerate_pairs_example(field_q):
     inf = G.cusp_infinity(field_q)
     z = G.make_point(field_q, (0.0, 1.0))
     pairs = enumerate_pairs(field_q, inf, z, 4.0)
-    got = {(int(p.c.a), int(p.d.a)) for p in pairs}
+    got = {(p.c[0], p.d[0]) for p in pairs}
     assert got == {(0, 1), (1, 0), (1, 1), (1, -1)}
 
 
@@ -45,15 +48,14 @@ def test_enumerate_pairs_small_bound(field_q):
     z = G.make_point(field_q, (0.3, 1.7))
     # bound below every contribution except the unit orbit (0, 1)
     pairs = enumerate_pairs(field_q, inf, z, 0.7)
-    assert [(int(p.c.a), int(p.d.a)) for p in pairs] == [(0, 1)]
+    assert [(p.c[0], p.d[0]) for p in pairs] == [(0, 1)]
 
 
-def _cusp_key(c, d):
+def _cusp_key(field, c, d):
     """The cusp -d/c, which names the unit orbit of a coprime pair."""
-    if c.is_zero():
+    if c == (0, 0):
         return "inf"
-    val = (-d) / c
-    return val.a, val.b
+    return quotient((-d[0], -d[1]), c, field)
 
 
 @pytest.mark.parametrize("d", [0, 5, -1, 2, -3])
@@ -71,8 +73,7 @@ def test_enumerate_pairs_complete_against_box_brute(d):
     r = np.arange(-12, 13)
     r2 = r if field.d else np.zeros(1, dtype=int)
     c1, c2, d1, d2 = (a.ravel() for a in np.meshgrid(r, r2, r, r2, indexing="ij"))
-    e = [[complex(v) for v in F.embed(field.from_ring_coords(*b), field)]
-         for b in ((1, 0), (0, 1))]
+    e = [[complex(v) for v in embed(field, b)] for b in ((1, 0), (0, 1))]
     V = np.ones(c1.shape)
     for i, deg in enumerate(field.place_degrees):
         x, y = z.coords[i]
@@ -81,11 +82,10 @@ def test_enumerate_pairs_complete_against_box_brute(d):
     assert not np.any(np.abs(V / BV - 1) < 1e-9)  # nothing on the boundary
     seen = set()
     for j in np.flatnonzero((V <= BV) & ((c1 != 0) | (c2 != 0) | (d1 != 0) | (d2 != 0))):
-        c = field.from_ring_coords(int(c1[j]), int(c2[j]))
-        dd = field.from_ring_coords(int(d1[j]), int(d2[j]))
+        c, dd = (int(c1[j]), int(c2[j])), (int(d1[j]), int(d2[j]))
         if pair_ideal_norm(c, dd, field) == 1:
-            seen.add(_cusp_key(c, dd))
-    got = [_cusp_key(p.c, p.d) for p in pairs]
+            seen.add(_cusp_key(field, c, dd))
+    got = [_cusp_key(field, p.c, p.d) for p in pairs]
     assert len(got) == len(set(got))
     assert set(got) == seen
 
@@ -102,8 +102,7 @@ def test_ball_points_match_box_brute(d, monkeypatch):
     radii = [rng.uniform(0.05, 5, nb) for _ in field.place_degrees]
     r = np.arange(-40, 41)
     u, v = (a.ravel() for a in np.meshgrid(r, r if field.d else np.zeros(1, dtype=int)))
-    e = [[complex(x) for x in F.embed(field.from_ring_coords(*b), field)]
-         for b in ((1, 0), (0, 1))]
+    e = [[complex(x) for x in embed(field, b)] for b in ((1, 0), (0, 1))]
     want = set()
     for k in range(nb):
         gap = np.stack([np.abs(u * e[0][i] + v * e[1][i] - centres[i][k]) - radii[i][k]
@@ -409,15 +408,15 @@ def test_direct_route_rejects_finite_cusps(d):
                               -1: [(0.1 + 0.2j, 1.2)]}[d])
     params = E.EisensteinParams(s=1.5, norm_bound=60.0)
     for rho, sigma in ((0, 1), (1, 1), (1, 2)):
-        cusp = G.make_cusp(field, rho, sigma)
-        assert cusp.value() is not None
+        cusp = make_cusp(field, rho, sigma)
+        assert cusp.sigma != (0, 0)
         with pytest.raises(DomainError):
             E.eisenstein_direct(field, cusp, z, params)
         with pytest.raises(DomainError):
             enumerate_pairs(field, cusp, z, 4.0)
     inf = G.cusp_infinity(field)
     assert E.eisenstein_direct(field, inf, z, params) == E.eisenstein_direct(
-        field, G.make_cusp(field, 1, 0), z, params)
+        field, make_cusp(field, 1, 0), z, params)
 
 
 def mpmath_eisenstein_oracle(z, s, terms=40):
@@ -630,3 +629,15 @@ def test_direct_tail_estimate_improves(field_q, ctx_q):
         errs.append(abs(val - truth))
     assert errs[2] < errs[0]
     assert errs[2] <= 1e-6 * abs(truth)
+
+
+@pytest.mark.parametrize("y", [1e-300, 1e-10])
+def test_direct_route_refuses_before_it_allocates(field_q, y):
+    # at y = 1e-300 the Moebius table would have sqrt(B / N(y)) + 2 entries:
+    # a bare OverflowError (cannot fit 'int' into an index-sized integer);
+    # at y = 1e-10, 4.5e7 entries past the 2^21 budget of slice_candidates
+    z = G.make_point(field_q, (0.1, y))
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureBudgetExceeded):
+        E.eisenstein_direct(field_q, G.cusp_infinity(field_q), z, E.EisensteinParams(s=2))
+    assert time.perf_counter() - t0 < 0.01

@@ -379,7 +379,7 @@ def test_haar_average_linear_and_rescaled(field_q, ctx_q):
     assert Q.haar_average(scaled(f, 2.0), field_q, ctx_q) == \
         2 * Q.haar_average(f, field_q, ctx_q)
     # support doubled with psi(q/2): m(f) halves (q^{-2} dq change of variables)
-    g = Q.TestFunction(f.cusp, 2 * f.t0, 2 * f.t1, 2 * f.shoulder, f.amplitude)
+    g = Q.TestFunction(2 * f.t0, 2 * f.t1, 2 * f.shoulder, f.amplitude)
     a = Q.haar_average(f, field_q, ctx_q)
     b = Q.haar_average(g, field_q, ctx_q)
     assert abs(b - a / 2) <= 1e-10

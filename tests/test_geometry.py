@@ -9,16 +9,17 @@ from hilmod import fields as F
 from hilmod import geometry as G
 from hilmod.errors import DomainError
 from conftest import random_group_element, random_point
-from oracles import (LocalCoords, act, eq_mod_sign, from_local_coords, group_element, height,
-                     hyperbolic_distance, laplacian_fd, local_coords, reduce_mod_stabilizer,
-                     stabilizer_element, unit_block_matrix, unit_power, x_basis_matrix)
+from oracles import (LocalCoords, act, assoc_matrix, eq_mod_sign, from_local_coords,
+                     group_element, height, hyperbolic_distance, identity_element, laplacian_fd,
+                     local_coords, make_cusp, mul, reduce_mod_stabilizer, stabilizer_element,
+                     unit_block_matrix, unit_power, x_basis_matrix)
 
 FIELDS = [0, 5, -1]
 
 
 def test_act_identity(field_q5):
     z = G.make_point(field_q5, (0.2, 1.1), (-0.3, 0.7))
-    g = G.identity_element(field_q5)
+    g = identity_element(field_q5)
     assert act(g, z, field_q5).coords == z.coords
 
 
@@ -30,7 +31,7 @@ def test_act_inversion(field_q):
 
 
 def test_act_translation_h3(field_qi):
-    i = field_qi.element(0, 1)
+    i = (0, 1)  # omega = i
     T = group_element(field_qi, 1, i, 0, 1)
     z = G.make_point(field_qi, (0.2 + 0.4j, 0.9))
     w = act(T, z, field_qi)
@@ -59,7 +60,7 @@ def test_height_at_infinity(field_q):
 
 
 def test_height_at_zero_cusp(field_q):
-    lam = G.make_cusp(field_q, 0, 1)
+    lam = make_cusp(field_q, 0, 1)
     for t in (0.5, 2.0, 4.0):
         z = G.make_point(field_q, (0.0, t))
         assert abs(height(lam, z, field_q) - 1.0 / t) < 1e-14
@@ -72,17 +73,19 @@ def test_height_at_zero_cusp(field_q):
 
 
 def apply_to_cusp(g, cusp, field):
-    rho = g.a * cusp.rho + g.b * cusp.sigma
-    sigma = g.c * cusp.rho + g.d * cusp.sigma
-    return G.make_cusp(field, rho, sigma)
+    def dot(x, y, z, w):  # x y + z w
+        return tuple(p + q for p, q in zip(mul(field, x, y), mul(field, z, w)))
+    rho = dot(g.a, cusp.rho, g.b, cusp.sigma)
+    sigma = dot(g.c, cusp.rho, g.d, cusp.sigma)
+    return make_cusp(field, rho, sigma)
 
 
 @pytest.mark.parametrize("d", FIELDS)
 def test_height_invariance_random(d):
     field = F.make_field(d)
     rng = random.Random(11 + d)
-    base_cusps = [G.cusp_infinity(field), G.make_cusp(field, 0, 1),
-                  G.make_cusp(field, 1, 1)]
+    base_cusps = [G.cusp_infinity(field), make_cusp(field, 0, 1),
+                  make_cusp(field, 1, 1)]
     for trial in range(50):
         g = random_group_element(field, rng)
         lam = base_cusps[trial % len(base_cusps)]
@@ -116,7 +119,7 @@ def test_local_coords_round_trip_fuzz(d):
 
 
 def test_round_trip_nontrivial_cusp(field_q):
-    lam = G.make_cusp(field_q, 1, 2)
+    lam = make_cusp(field_q, 1, 2)
     rng = random.Random(3)
     for _ in range(40):
         z = random_point(field_q, rng, 0.4, 2.5)
@@ -173,7 +176,7 @@ def test_lemma2_root_of_unity_qi(field_qi):
 def test_stabilizer_zero_inputs_identity(field_q5):
     inf = G.cusp_infinity(field_q5)
     g = stabilizer_element(inf, (0,), 0, [0, 0], field_q5)
-    assert eq_mod_sign(g, G.identity_element(field_q5))
+    assert eq_mod_sign(g, identity_element(field_q5))
 
 
 def test_reduce_simple_translation(field_q):
@@ -188,7 +191,7 @@ def test_reduce_already_reduced(field_q5):
     inf = G.cusp_infinity(field_q5)
     z = from_local_coords(inf, LocalCoords(1.3, (0.1,), (0.2, -0.3)), field_q5)
     w, g = reduce_mod_stabilizer(inf, z, field_q5)
-    assert eq_mod_sign(g, G.identity_element(field_q5))
+    assert eq_mod_sign(g, identity_element(field_q5))
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -237,28 +240,31 @@ def test_laplacian_eigenrelation_ny(d, s):
     assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
 
+def _det(fd, A):
+    return tuple(p - q for p, q in zip(mul(fd, A.a, A.d), mul(fd, A.b, A.c)))
+
+
 def test_make_cusp_bezout_beyond_small_entries(field_q5):
     # <101 + 33 omega, 250 + 71 omega> = o, but no Bezout solution has all
     # four coordinates in [-20, 20]
-    rho, sigma = field_q5.from_ring_coords(101, 33), field_q5.from_ring_coords(250, 71)
-    lam = G.make_cusp(field_q5, rho, sigma)
-    A = lam.assoc_matrix
+    lam = make_cusp(field_q5, (101, 33), (250, 71))
+    A = assoc_matrix(lam, field_q5)
     assert A.a == lam.rho and A.c == lam.sigma
-    assert A.a * A.d - A.b * A.c == F.fe_one(5)
+    assert _det(field_q5, A) == (1, 0)
 
 
 def test_cusp_normalization_makes_equality_decidable(field_q5):
     u = field_q5.fundamental_unit
-    a = G.make_cusp(field_q5, field_q5.element(1), field_q5.element(2))
-    b = G.make_cusp(field_q5, u, field_q5.element(2) * u)
+    a = make_cusp(field_q5, 1, 2)
+    b = make_cusp(field_q5, u, mul(field_q5, (2, 0), u))
     assert a == b
-    assert a.assoc_matrix.a == a.rho and a.assoc_matrix.c == a.sigma
-    det = a.assoc_matrix.a * a.assoc_matrix.d - a.assoc_matrix.b * a.assoc_matrix.c
-    assert det == F.fe_one(5)
+    A = assoc_matrix(a, field_q5)
+    assert A.a == a.rho and A.c == a.sigma
+    assert _det(field_q5, A) == (1, 0)
 
 
 def _canonical_sigma(fd, lam):
-    u, v = (np.array([c]) for c in lam.sigma.ring_coords())
+    u, v = (np.array([c]) for c in lam.sigma)
     return bool(F._canonical_c(fd, u, v)[0] and F._unit_balanced(fd, u, v)[0])
 
 
@@ -269,18 +275,18 @@ def test_make_cusp_unit_invariant(d):
     # the pair: the same (rho, sigma), sigma canonical, rho / sigma kept
     fd = F.make_field(d)
     ks = (-2, -1, 1, 2) if fd.r == 2 else (0,)
-    units = [w * unit_power(fd, k) if k else w for w in F.roots_of_unity(fd) for k in ks]
+    units = [mul(fd, w, unit_power(fd, k)) if k else w for w in F.roots_of_unity(fd) for k in ks]
     box, vbox = range(-1, 2), range(-1, 2) if fd.n == 2 else [0]
     pairs = [c for c in itertools.product(box, vbox, box, vbox) if any(c)]
     for j, c in enumerate(pairs):
-        rho, sigma = fd.from_ring_coords(*c[:2]), fd.from_ring_coords(*c[2:])
-        lam = G.make_cusp(fd, rho, sigma)
+        rho, sigma = c[:2], c[2:]
+        lam = make_cusp(fd, rho, sigma)
         u = units[j % len(units)]
-        assert G.make_cusp(fd, u * rho, u * sigma) == lam, c
-        if sigma.is_zero():
+        assert make_cusp(fd, mul(fd, u, rho), mul(fd, u, sigma)) == lam, c
+        if sigma == (0, 0):
             assert lam == G.cusp_infinity(fd)
-        else:
-            assert lam.value() == rho / sigma and _canonical_sigma(fd, lam)
+        else:  # lam.rho / lam.sigma = rho / sigma
+            assert mul(fd, lam.rho, sigma) == mul(fd, rho, lam.sigma) and _canonical_sigma(fd, lam)
 
 
 @pytest.mark.parametrize("d, edges", [(3, 96), (6, 48), (7, 16)])
@@ -295,11 +301,11 @@ def test_make_cusp_unit_invariant_on_window_edges(d, edges):
     c = c[F._coprime_mask(fd, *c.T)]
     n = np.add(F._coord_mul(fd, *c[:, :2].T, *c[:, :2].T), F._coord_mul(fd, *c[:, 2:].T, *c[:, 2:].T))
     conj = np.array(F._coord_conj(fd, *n))
-    e2 = unit_power(fd, 2).ring_coords()
+    e2 = unit_power(fd, 2)
     edge = ((np.array(F._coord_mul(fd, *e2, *n)) == conj).all(axis=0)
             | (np.array(F._coord_mul(fd, *e2, *conj)) == n).all(axis=0))
     assert edge.sum() == edges
     eps = fd.fundamental_unit
     for a, b, e, f in c[edge].tolist():
-        rho, sigma = fd.from_ring_coords(a, b), fd.from_ring_coords(e, f)
-        assert G.make_cusp(fd, eps * rho, eps * sigma) == G.make_cusp(fd, rho, sigma)
+        rho, sigma = (a, b), (e, f)
+        assert make_cusp(fd, mul(fd, eps, rho), mul(fd, eps, sigma)) == make_cusp(fd, rho, sigma)

@@ -139,6 +139,21 @@ def test_every_package_definition_is_reached_outside_the_tests():
     assert not culprits, "reached from the tests only: " + ", ".join(culprits)
 
 
+def test_the_package_has_no_fraction_maths():
+    # one exact arithmetic: the integer ring coordinates of `fields`
+    culprits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            culprits += [path.name for name in names if name.split(".")[0] == "fractions"]
+    assert not culprits, "imports fractions: " + ", ".join(culprits)
+
+
 def test_the_scan_names_what_only_tests_reach(tmp_path):
     # a scan that resolved nothing, or everything, would pass the rule above
     # vacuously: on a small package it keeps exactly what the roots reach

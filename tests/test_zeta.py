@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -199,21 +200,21 @@ def brute_tau(ctx, l_int, s):
 
 
 def tau(ctx, nu, s):
-    """tau_s(l) for the frequency l = nu / dg, nu an integral element."""
-    return E.tau_divisor_sums(ctx.field, [nu.ring_coords()], s)[0]
+    """tau_s(l) for the frequency l = nu / dg, nu in o in ring coordinates."""
+    return E.tau_divisor_sums(ctx.field, [nu], s)[0]
 
 
 def test_tau_examples(ctx_q):
-    one = ctx_q.field.element(1)
+    one = (1, 0)
     assert tau(ctx_q, one, 0.37) == 1
-    six = ctx_q.field.element(6)
+    six = (6, 0)
     got = tau(ctx_q, six, -1.0)
     assert abs(got - 2 * math.sqrt(6)) < 1e-12
     assert abs(got - brute_tau(ctx_q, 6, -1.0)) < 1e-12
 
 
 def test_tau_symmetry(ctx_q):
-    twelve = ctx_q.field.element(12)
+    twelve = (12, 0)
     a = tau(ctx_q, twelve, 0.8)
     b = tau(ctx_q, twelve, -0.8)
     assert abs(a - b) <= 1e-12 * abs(a)
@@ -222,8 +223,7 @@ def test_tau_symmetry(ctx_q):
 
 def test_tau_quadratic_frequency(ctx_qi):
     # l = nu / dg with nu = 2+i: ideal (nu) has norm 5, divisors 1, p, (nu)
-    fd = ctx_qi.field
-    nu = fd.element(2, 1)
+    nu = (2, 1)  # omega = i
     got = tau(ctx_qi, nu, 1.0)
     expect = 5 ** -0.5 * (1 + 5)  # divisors of a prime ideal: 1 and itself
     assert abs(got - expect) < 1e-12
@@ -231,7 +231,7 @@ def test_tau_quadratic_frequency(ctx_qi):
 
 def test_tau_zero_frequency(ctx_q):
     with pytest.raises(ZeroFrequency):
-        tau(ctx_q, ctx_q.field.element(0), 1.0)
+        tau(ctx_q, (0, 0), 1.0)
 
 
 @pytest.mark.parametrize("d", [0, 5, -1])
@@ -254,3 +254,46 @@ def test_residue_phi_class_number_consistency(ctx_q, ctx_qi, ctx_q5):
 def test_series_route_requires_convergence(ctx_q5):
     with pytest.raises(PoleAtOne):
         dedekind_zeta_series(ctx_q5, 0.9)
+
+
+@pytest.mark.parametrize("d, s", [(5, 1000), (-1, 1000), (5, 300), (13, 300)])
+def test_lambda_factor_past_double_range_is_domain_error(d, s):
+    # D^(s/2) raised OverflowError (complex exponentiation) at s = 1000, and
+    # Gamma(s/2)^2 warned of an overflow at s = 300, before the DomainError
+    ctx = Z.make_context(F.make_field(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: Z.lambda_factor(ctx.field, s), lambda: Z.completed_zeta(ctx, s),
+                     lambda: Z.phi(ctx, s)):
+            with pytest.raises(DomainError):
+                call()
+
+
+def _mp_dedekind_zeta(d, s):
+    """zeta_K(s) = zeta(s) L(s, chi_D) at 40 digits, L as a periodic Dirichlet series."""
+    fd = F.make_field(d)
+    with mp.workdps(40):
+        if d == 0:
+            return mp.zeta(s)
+        chi = [F.kronecker(fd.disc_signed, n) for n in range(fd.D)]
+        return mp.zeta(s) * mp.dirichlet(s, chi)
+
+
+@pytest.mark.parametrize("d, s", [(5, 1000), (-1, 1000), (13, 300), (-163, 60), (2, 75 + 3j)])
+def test_dedekind_zeta_finite_at_large_re_s(d, s):
+    # each Hurwitz term of L(s, chi_D) overflowed, and inf - inf gave NaN
+    ctx = Z.make_context(F.make_field(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Z.dedekind_zeta(ctx, s)
+    want = complex(_mp_dedekind_zeta(d, s))
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("s", [300, 1000, 2 + 1e4j])
+def test_hurwitz_zeta_not_finite_is_domain_error(s):
+    # it returned inf at s = 300 and 1000, and -inf+inf*i at 2 + 1e4 i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            Z.hurwitz_zeta(s, 1e-300)
