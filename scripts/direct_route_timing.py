@@ -11,8 +11,8 @@ the eisenstein-high-t workload (its heights, s = 1.5 + it with t drawn in
 
 - per field, over the low-t calls: the coprime pairs the route sums and
   its pairs per second; then the lattice pairs `_pair_blocks` yields
-  (coprime or not) and their pairs per second in a loop that only
-  enumerates;
+  (coprime or not, none in 2(o x o)), their pairs per second in a loop that
+  only enumerates, and the lattice pairs summed per coprime pair;
 - per call: its s, its pairs, its time in seconds, and the minor page
   faults it takes (`resource.getrusage(RUSAGE_SELF).ru_minflt` before and
   after the call).
@@ -23,34 +23,46 @@ with time.perf_counter.  Takes no options:
     python scripts/direct_route_timing.py
 
 Measured on a 2-core x86-64 host with numpy 2.4 (a shared VM whose speed
-swings), two runs per side, before and after the block loop ran in one
-workspace per call, with 2^14 candidates per block (2^16 before) and the
-phase of V^-s at complex s from `specfun.exp_real_times`; the pair counts
-are the same.  Pairs per second, median of 5, runs 1 and 2:
+swings), four runs per side, alternating, before and after the route
+skipped the pairs in 2(o x o) and took its weights from
+1 / (zeta_K(2s) (1 - N(2)^-2s)); the coprime counts are the same.  Each
+entry is the median over the four runs of each run's median of 5, with
+the range of those four medians.  Pairs per second:
 
-    field      pairs  route before     after           lattice  enumeration before  after
-    Q        5729592  2.20e7 2.32e7    2.47e7 2.71e7   9419990  1.99e8 2.07e8       1.63e8 1.66e8
-    Q(s5)     490426  7.80e6 1.10e7    1.05e7 1.10e7    569006  1.84e7 1.96e7       2.07e7 1.95e7
-    Q(i)      491311  1.63e7 1.71e7    2.13e7 2.00e7    738963  9.13e7 8.98e7       9.10e7 8.63e7
+    field      pairs  route before        after               lattice before  after  per pair before  after
+    Q        5729592  1.96e7 (1.61-2.26)  2.12e7 (2.11-2.30)       9419990  7066201             1.64   1.23
+    Q(s5)     490426  8.24e6 (6.43-9.45)  6.98e6 (6.55-10.7)        569006   533511             1.16   1.09
+    Q(i)      491311  1.68e7 (1.18-1.79)  1.86e7 (1.67-1.96)        738963   692996             1.50   1.41
 
-Per call, seconds (median of 5, runs 1 and 2) and minor faults (median of
-5, the same in both runs; the parent's Q calls ranged 747-864 and
-6133-7937):
+    field    enumeration before    after
+    Q        1.56e8 (1.05-1.78)    1.09e8 (1.06-1.58)
+    Q(s5)    1.58e7 (1.48-1.78)    1.30e7 (1.13-1.45)
+    Q(i)     8.65e7 (5.77-9.27)    7.66e7 (5.54-8.13)
 
-    field   s          seconds before   after           faults before  after
-    Q       1.5        0.0542 0.0519    0.0529 0.0526      864          259
-    Q       2          0.0502 0.0491    0.0530 0.0545      864          259
-    Q       1.3+0.5i   0.2017 0.1354    0.1104 0.1050     6730          418
-    Q(s5)   1.5        0.0148 0.0151    0.0136 0.0132     2285          613
-    Q(s5)   2          0.0136 0.0129    0.0129 0.0148     1634          553
-    Q(s5)   1.3+0.5i   0.0203 0.0173    0.0170 0.0181     1194          634
-    Q(s5)   1.5+9.6i   0.0198 0.0210    0.0166 0.0186     1540          623
-    Q(s5)   1.5+9.3i   0.0219 0.0200    0.0162 0.0171     1213          623
-    Q(i)    1.5        0.0080 0.0073    0.0063 0.0066     1069          336
-    Q(i)    2          0.0068 0.0068    0.0061 0.0064      797          327
-    Q(i)    1.3+0.5i   0.0146 0.0150    0.0103 0.0113     1568          479
-    Q(i)    1.5+9.6i   0.0162 0.0158    0.0109 0.0114     1589          487
-    Q(i)    1.5+9.3i   0.0163 0.0166    0.0107 0.0129     1590          487
+Per call, seconds and minor faults (the same in every run):
+
+    field   s          seconds before          after                   faults before  after
+    Q       1.5        0.0609 (0.0606-0.0737)  0.0673 (0.0454-0.0753)       290          322
+    Q       2          0.0612 (0.0587-0.0731)  0.0697 (0.0516-0.0754)       290          322
+    Q       1.3+0.5i   0.125 (0.110-0.135)     0.135 (0.0935-0.152)         449          481
+    Q(s5)   1.5        0.0164 (0.0150-0.0255)  0.0140 (0.0136-0.0224)       678          383
+    Q(s5)   2          0.0201 (0.0155-0.0233)  0.0136 (0.0133-0.0216)       648          387
+    Q(s5)   1.3+0.5i   0.0297 (0.0277-0.0345)  0.0179 (0.0177-0.0224)       715          611
+    Q(s5)   1.5+9.6i   0.0254 (0.0188-0.0305)  0.0180 (0.0178-0.0220)       589          619
+    Q(s5)   1.5+9.3i   0.0270 (0.0200-0.0296)  0.0227 (0.0180-0.0240)       589          619
+    Q(i)    1.5        0.0077 (0.0074-0.0129)  0.0077 (0.0068-0.0093)       367          251
+    Q(i)    2          0.0074 (0.0072-0.0149)  0.0072 (0.0066-0.0095)       358          244
+    Q(i)    1.3+0.5i   0.0133 (0.0119-0.0184)  0.0127 (0.0115-0.0149)       495          559
+    Q(i)    1.5+9.6i   0.0146 (0.0133-0.0188)  0.0118 (0.0116-0.0124)       518          565
+    Q(i)    1.5+9.3i   0.0155 (0.0138-0.0192)  0.0137 (0.0118-0.0150)       518          565
+
+In these runs the host's pace swung by up to 1.7x within one side (the
+parent's Q enumeration read 1.05e8 to 1.78e8 pairs per second), so the
+seconds above do not resolve the change.  Alternating the two versions
+call by call in one process, the Q calls took 25% less time and the
+enumeration alone on Q 24% less; the paced benchmark pairs are in
+BENCH_20.json.  The 32 more faults per call are the du ramp of the block
+loop, 2 x 2^14 integers allocated once per call.
 """
 
 import pathlib
@@ -108,9 +120,9 @@ def _s_text(s):
 
 def run():
     rows = []
-    print("%-6s  %8s  %10s  %10s  %10s  %9s  %10s  %10s  %10s"
+    print("%-6s  %8s  %10s  %10s  %10s  %9s  %10s  %10s  %10s  %8s"
           % ("field", "pairs", "median/s", "min/s", "max/s",
-             "lattice", "median/s", "min/s", "max/s"))
+             "lattice", "median/s", "min/s", "max/s", "per pair"))
     for d, name in NAMES.items():
         field = fields.make_field(d)
         inf = geometry.cusp_infinity(field)
@@ -134,8 +146,9 @@ def run():
                        for V, _ in eisenstein._pair_blocks(field, z,
                                                            params.norm_bound * z.ny(field)))
         route()  # warm-up: field caches and Moebius sums
-        print("%-6s  %8d  %10.3g  %10.3g  %10.3g  %9d  %10.3g  %10.3g  %10.3g"
-              % ((name,) + _rates(route) + _rates(enumeration)))
+        route_rates, enum_rates = _rates(route), _rates(enumeration)
+        print("%-6s  %8d  %10.3g  %10.3g  %10.3g  %9d  %10.3g  %10.3g  %10.3g  %8.2f"
+              % ((name,) + route_rates + enum_rates + (enum_rates[0] / route_rates[0],)))
         for z, params in calls + high:
             count = pairs(z, params)  # warm-up of this call
             rows.append((name, _s_text(params.s), count)

@@ -2,10 +2,10 @@
 closed forms of the Maass-Selberg, volume and residue identities.
 
 The two evaluation routes share nothing past the field invariants: the
-direct route sums every lattice pair once with the Moebius weights of
-1 / zeta_K(2s), which leaves the coprime pairs (with a calibrated continuum
-tail), the Fourier route sums MacDonald-Bessel terms against ideal divisor
-sums.  Their agreement is the package's main self-check.
+direct route sums every lattice pair outside 2(o x o) once with the Moebius
+weights of 1 / (zeta_K(2s) (1 - N(2)^-2s)), which leaves the coprime pairs
+(with a calibrated continuum tail), the Fourier route sums MacDonald-Bessel
+terms against ideal divisor sums.  Their agreement is the package's main self-check.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import numpy as np
 from . import fields
 from .errors import (DegenerateParameters, DomainError, NotConvergent,
                      QuadratureBudgetExceeded, ZeroFrequency)
-from .fields import (FieldData, _ball_blocks, _ball_points, _canonical_c, _embed_coords,
-                     _piece_points, _piece_values, ideal_divisor_norms, ideal_mobius_sums)
+from .fields import (FieldData, _ball_points, _ball_ranges, _canonical_c, _embed_coords,
+                     _ragged_blocks, _ragged_values, ideal_divisor_norms, sieved_mobius_sums)
 from .geometry import Cusp, Point
 from .specfun import bessel_k_grid, exp_real_times
-from .zeta import (ZetaContext, _finite_s, completed_zeta, dedekind_zeta, make_context,
-                   phi, residue_phi)
+from .zeta import (_LOG_MAX, ZetaContext, _finite_s, completed_zeta, dedekind_zeta,
+                   make_context, phi, residue_phi)
 
 _BESSEL_DECAY_CUT = 45.0   # Fourier terms kept: total Bessel argument up to this
                            # plus the |Im| of the Bessel orders (_frequency_cut)
@@ -65,20 +65,63 @@ def _pair_geometry(field: FieldData, z: Point, BV: float):
             [-c[keep] * x for c, x in zip(ce, xs)], [np.sqrt(B - hi[keep]) for hi in h])
 
 
-def _pair_blocks(field: FieldData, z: Point, BV: float):
-    """Unit-orbit representatives (c, d) with c != 0 and V <= BV, coprime or
-    not, where V = prod_i (|c^(i) x_i + d^(i)|^2 + |c^(i)|^2 y_i^2)^{N_i}, as
-    a stream of (V, cols) blocks: the pairs' V, and cols(), which builds
-    their ring coordinates (c1, c2, d1, d2) as four columns on demand.
+def _pair_rows(field: FieldData, cu, cv, centres, radii):
+    """The rows of the d balls of `_pair_geometry` that `_pair_blocks`
+    enumerates, with no d in 2o for a c in 2o, in blocks of row pieces
+    (k, dv, first du, count, q): the points of the row (c_k, dv) from the
+    first du on, by a step of 1 in the first q pieces and of 2 in the rest.
 
-    Torsion is fixed on c before any d is built, the d balls of
-    `_pair_geometry` are enumerated by `_ball_blocks`, and each block
-    examines at most `fields._PAIR_BLOCK` candidates, so memory is bounded by
-    the block, not by BV.  V is built from the row pieces: along a piece
-    only u moves, so the terms that do not (v omega_i, the d-ball centre m_i,
-    h_i, and (v Im omega - Im m)^2 at a complex place) are formed once per
-    piece.  V_i is added up in the order of u + v omega_i, so V keeps the
-    bits of V from each pair's embeddings, with |w|^2 = (Re w)^2 + (Im w)^2.
+    The rows come in three runs, each in order of c, then dv: every row of
+    each c outside 2o; the odd-dv rows of each c in 2o; the even-dv rows of
+    each c in 2o, on which du is odd (d = 1 + 2 d', the coset 1 + 2o).  One
+    ragged stream lays them end to end, as `fields._ball_blocks` does the
+    rows of its balls, and each block holds at most `fields._PAIR_BLOCK`
+    points."""
+    vlo, vhi, u_range = _ball_ranges(field, centres, radii)
+    even = (cu | cv) & 1 == 0
+    ev = np.flatnonzero(even)
+    k = np.concatenate([np.flatnonzero(~even), ev, ev])
+    # dv = t on the first run, 2t + 1 on the second and 2t on the third
+    ia, ib = k.size - 2 * ev.size, k.size - ev.size
+    lo, hi = vlo[k], vhi[k]
+    del vlo, vhi, even, ev  # the rows' arrays are of size sqrt(BV): keep few
+    lo[ia:ib], hi[ia:ib] = lo[ia:ib] >> 1, (hi[ia:ib] - 1) >> 1
+    lo[ib:], hi[ib:] = (lo[ib:] + 1) >> 1, hi[ib:] >> 1
+    for g, dv in _ragged_values(lo, hi):
+        ra, rb = np.searchsorted(g, (ia, ib))
+        dv[ra:] <<= 1
+        dv[ra:rb] += 1
+        kg = k[g]
+        del g
+        ulo, uhi = (a.astype(np.int64) for a in u_range(kg, dv))
+        # du = 1 + 2u' on the third run
+        ulo[rb:] >>= 1
+        uhi[rb:] -= 1
+        uhi[rb:] >>= 1
+        for j, u0, n in _ragged_blocks(ulo, uhi):
+            q = j.size if j[-1] < rb else int(np.searchsorted(j, rb))
+            if q < j.size:
+                u0[q:] <<= 1
+                u0[q:] += 1
+            yield kg[j], dv[j], u0, n, q
+
+
+def _pair_blocks(field: FieldData, z: Point, BV: float):
+    """Unit-orbit representatives (c, d) with c != 0 and V <= BV that do not
+    lie in 2(o x o), coprime or not, where
+    V = prod_i (|c^(i) x_i + d^(i)|^2 + |c^(i)|^2 y_i^2)^{N_i}, as a stream
+    of (V, cols) blocks: the pairs' V, and cols(), which builds their ring
+    coordinates (c1, c2, d1, d2) as four columns on demand.
+
+    Torsion is fixed on c before any d is built, and the d balls of
+    `_pair_geometry` are enumerated by `_pair_rows`, which builds no d in 2o
+    for a c in 2o, in the order it states; each block examines at most
+    `fields._PAIR_BLOCK` candidates, so memory is bounded by the block, not
+    by BV.  V is built from the row pieces: along a piece only du moves, so
+    the terms that do not (dv omega_i, the d-ball centre m_i, h_i, and
+    (dv Im omega - Im m)^2 at a complex place) are formed once per piece.
+    V_i is added up in the order of du + dv omega_i, so V keeps the bits of
+    V from each pair's embeddings, with |w|^2 = (Re w)^2 + (Im w)^2.
 
     V and the pass mask are views of a workspace allocated once per call,
     valid until the next block is drawn: a caller that keeps V copies it,
@@ -90,8 +133,20 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     omegas = field.omega_places
     tmp, Vk = np.empty((2, fields._PAIR_BLOCK))
     keep, edge = np.empty((2, fields._PAIR_BLOCK), dtype=bool)
-    for k, dv, u0, n in _ball_blocks(field, centres, radii):
-        du = _piece_values(u0, n)
+    ramps = np.arange(fields._PAIR_BLOCK) * np.array([[1], [2]])
+
+    def du_values(du0, n, q):
+        """du on the pieces, by a step of 1 in the first q, then of 2."""
+        starts = np.cumsum(n) - n
+        p = int(starts[q]) if q < n.size else int(n.sum())
+        starts[q:] <<= 1
+        du = np.repeat(du0 - starts, n)
+        du[:p] += ramps[0, :p]
+        du[p:] += ramps[1, p:du.size]
+        return du
+
+    for k, dv, du0, n, q in _pair_rows(field, cu, cv, centres, radii):
+        du = du_values(du0, n, q)
         N = du.size
         Vp = []
         for o, m, hi, deg in zip(omegas, centres, h, field.place_degrees):
@@ -117,9 +172,9 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
         if kept < N:
             V = np.compress(kp, V, out=Vk[:kept])
 
-        def cols(k=k, dv=dv, u0=u0, n=n, keep=kp):
-            kq, du, dvp = (a[keep] for a in _piece_points(k, dv, u0, n))
-            return cu[kq], cv[kq], du, dvp
+        def cols(k=k, dv=dv, du0=du0, n=n, q=q, keep=kp):
+            kq, dvp = np.repeat(k, n)[keep], np.repeat(dv, n)[keep]
+            return cu[kq], cv[kq], du_values(du0, n, q)[keep], dvp
         yield V, cols
 
 
@@ -139,22 +194,28 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     defaults.
 
     No pair is tested for coprimality.  Each orbit with c != 0 is g (c', d')
-    for one ideal (g) and one coprime orbit (c', d'), with V = N(g)^2 V', so
-    Moebius inversion over (g) gives the coprime sum as the sum over every
-    pair, once, of V^-s W_s(floor(sqrt(BV / V))), where W_s(m) =
-    sum_{n <= m} mu_K(n) n^-2s sums the coefficients of 1 / zeta_K(2s).  The
-    pair and outer-window counts take the integer weights M(m) =
-    sum_{n <= m} mu_K(n) at sqrt(BV / V) and sqrt(BV / 2V), so they are the
-    exact coprime counts.  The (0, 1) orbit, V = 1, is added apart.  The sum
-    runs block by block (_pair_blocks), each block's V a view of the
-    enumerator's workspace, its ratios, floors, gathers and terms written
-    into one of this call's, so memory is bounded by `fields._PAIR_BLOCK`,
-    not by B.  At complex s, (N(y) / V)^s is `specfun.exp_real_times`.
+    for one ideal (g) and one coprime orbit (c', d'), with V = N(g)^2 V',
+    and it lies in 2(o x o) exactly when (2) divides (g).  `_pair_blocks`
+    skips those orbits (a quarter of the pairs on Q, 1/16 on a quadratic
+    field), and Moebius inversion over the ideals (g) that (2) does not
+    divide, whose Dirichlet series is zeta_K(w) (1 - N(2)^-w), gives the
+    coprime sum as the sum over every other pair, once, of
+    V^-s W_s(floor(sqrt(BV / V))), where W_s(m) = sum_{n <= m} mu_S(n) n^-2s
+    sums the coefficients of 1 / (zeta_K(2s) (1 - N(2)^-2s))
+    (`fields.sieved_mobius_sums`).  The pair and outer-window counts take
+    the integer weights M(m) = sum_{n <= m} mu_S(n) at sqrt(BV / V) and
+    sqrt(BV / 2V), so they are the exact coprime counts.  The (0, 1) orbit,
+    V = 1, is added apart.  The sum runs block by block (_pair_blocks), each
+    block's V a view of the enumerator's workspace, its ratios, floors,
+    gathers and terms written into one of this call's, so memory is bounded
+    by `fields._PAIR_BLOCK`, not by B; the block sums are added by
+    math.fsum.  At complex s, (N(y) / V)^s is `specfun.exp_real_times`.
     Against the coprime sum in ascending order of V, added by math.fsum, the
-    value differs by at most 4.6e-16 relative at s = 1.5, 2 and 1.3+0.5i and
-    2.4e-15 at s = 1.5+9.5i (320 values: ten random points on each of eight
-    fields at bound 2e4), and by at most 1.3e-15 at bound 2e5 (128 values):
-    the terms of pairs that are not coprime cancel to the rounding of their
+    value differs by at most 4.8e-16 relative at s = 1.5, 2 and 1.3+0.5i and
+    2.1e-15 at s = 1.5+9.5i (320 values: ten random points on each of
+    Q, Q(sqrt d) for d = 5, -1, 2, 13, -3, -7 and 17 at bound 2e4), and by
+    at most 1.2e-15 at bound 2e5 (128 values, four points per field): the
+    terms of pairs that are not coprime cancel to the rounding of their
     phases.  Raises DomainError for an s that is not finite, for a bound that
     is not positive and finite, or so small that no pair lies in the outer
     window, for |Im s log(N(y) / V)| past 1e5 (see exp_real_times), and for
@@ -182,13 +243,15 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
         raise QuadratureBudgetExceeded(
             "a Moebius table of %.3g entries at bound %g and N(y) %g passes the budget of %d"
             % (m, B, ny, fields._CANDIDATE_BUDGET))
-    mu = np.array([0] + ideal_mobius_sums(field, m - 1))
+    mu = sieved_mobius_sums(field, m - 1)
     M = np.cumsum(mu)
     p = s if s.imag else s.real  # real arithmetic at real s
     W = np.cumsum(mu * np.exp(-2 * p * np.log(np.maximum(np.arange(m), 1))))
     log_ny = math.log(ny)
     unit = BV >= 1.0  # the (0, 1) orbit, V = 1
-    main, count, inner = unit * np.exp(p * log_ny), int(unit), int(BV >= 2.0)
+    # block sums, added by math.fsum so that the value does not depend on the
+    # block size beyond each block's own rounding
+    parts, count, inner = [unit * np.exp(p * log_ny)], int(unit), int(BV >= 2.0)
     # one workspace for every block; each j is in range, so clipped gathers
     work = np.empty((5, fields._PAIR_BLOCK))
     j, Mj = np.empty((2, fields._PAIR_BLOCK), dtype=np.intp)
@@ -209,8 +272,9 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
             exp_real_times(p, eb, tb, work, jb)
         else:
             np.exp(np.multiply(eb, p, out=eb), out=tb)
-        main += np.sum(np.multiply(tb, Wb, out=tb))
-    main = complex(main)
+        parts.append(np.sum(np.multiply(tb, Wb, out=tb)))
+    parts = np.array(parts, dtype=complex)
+    main = complex(math.fsum(parts.real), math.fsum(parts.imag))
     if count == inner:
         raise DomainError("no pair in the outer window [B/2, B] to fit the tail; "
                           "norm_bound %g is too small" % B)
@@ -253,10 +317,26 @@ def _frequency_cut(field: FieldData, s: complex) -> float:
 def _frequency_box(field: FieldData, ys, cut: float):
     """Integer coords of nu in o - {0} with sum_i a_i |nu^(i)| <= cut, where
     a_i = 2 pi deg_i y_i / |dg^(i)|, one nu of each pair +-nu (its first
-    nonzero coordinate positive): one ball of radii cut / a_i."""
+    nonzero coordinate positive): one ball of radii cut / a_i.
+
+    Raises QuadratureBudgetExceeded, before it builds anything, when the
+    ball's predicted candidates (its volume over covol(o) = sqrt(D) / 2^r2)
+    or, at two real places, its rows of v pass `fields._CANDIDATE_BUDGET`:
+    at y below about 6.8e-6 on Q at real s.  The largest box that the
+    tests, scripts/run_checks.py and the four benchmark workloads build is
+    predicted at 1.7e4 candidates."""
     a = [2 * math.pi * deg * y / abs(g) for y, g, deg
          in zip(ys, field.different_places, field.place_degrees)]
-    _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, cut / ai) for ai in a])
+    radii = [cut / ai if ai else math.inf for ai in a]  # a_i underflows to 0 at subnormal y
+    size = math.prod(2 * R if deg == 1 else math.pi * R * R
+                     for R, deg in zip(radii, field.place_degrees)) * 2 ** field.r2 / math.sqrt(field.D)
+    if field.r == 2:
+        size = max(size, 2 * sum(radii) / math.sqrt(field.D))
+    if not size <= fields._CANDIDATE_BUDGET:
+        raise QuadratureBudgetExceeded(
+            "a frequency box of %.3g candidates at heights %s passes the budget of %d"
+            % (size, ", ".join("%g" % y for y in ys), fields._CANDIDATE_BUDGET))
+    _, u, v = _ball_points(field, [np.zeros(1)] * field.r, [np.full(1, R) for R in radii])
     weight = sum(ai * np.abs(e) for ai, e in zip(a, _embed_coords(field, u, v)))
     keep = (weight <= cut) & (np.where(u != 0, u, v) > 0)
     return np.stack([u[keep], v[keep]], axis=1)
@@ -337,10 +417,15 @@ def eisenstein_fourier(field: FieldData, z: Point, s: complex,
     """Fourier-expansion value at the infinity cusp (h = 1), valid wherever
     the scattering quotient is regular, including 1/2 < Re(s) <= 1, summing
     every pair +-l of the frequency table.  DomainError for an s that is not
-    finite."""
+    finite, or where q^s or q^(1-s), q = N(y), leaves the double range;
+    QuadratureBudgetExceeded where the frequency box would (`_frequency_box`)."""
     s = _finite_s(s)
     ctx = ctx or make_context(field)
     q = z.ny(field)
+    log_q = math.log(q)
+    if max(s.real * log_q, (1 - s.real) * log_q) >= _LOG_MAX:
+        raise DomainError("q^s or q^(1-s) at q = N(y) = %g and s = %r is outside the double range"
+                          % (q, s))
     zero_mode = q ** s + phi(ctx, s) * q ** (1 - s)
     return zero_mode + _fourier_terms(field, ctx, z, s)
 

@@ -210,10 +210,44 @@ def ideal_totient_sums(field: FieldData, N: int) -> list[int]:
     return _ideal_sieve(field, N, lambda q, a: q ** a - q ** (a - 1) if a else 1)
 
 
-def ideal_mobius_sums(field: FieldData, N: int) -> list[int]:
-    """mu_K(n) = sum of the Moebius function over the integral ideals of norm
-    n, for n = 1..N: the coefficients of 1 / zeta_K(s)."""
-    return _ideal_sieve(field, N, lambda q, a: (1, -1, 0)[min(a, 2)])
+def sieved_mobius_sums(field: FieldData, N: int) -> np.ndarray:
+    """mu_S(n) = sum_{k >= 0, N(2)^k | n} mu_K(n / N(2)^k) for n = 0..N
+    (mu_S(0) = 0), where mu_K(n) sums the Moebius function over the integral
+    ideals of norm n and N(2) = 2^[K:Q]: the coefficients of
+    1 / (zeta_K(s) (1 - N(2)^-s)), which inverts the Dirichlet series of the
+    ideals that (2) does not divide.
+
+    An Euler product in integer arrays.  At p, 1 / zeta_K has the local
+    polynomial prod_{P | p} (1 - x^f_P) in x = p^-s (f_P the residue degree
+    of P); at 2 it is divided by 1 - x^[K:Q].  The primes p <= sqrt(N), and
+    2, are applied as such; what is left of n is 1 or a prime r > sqrt(N),
+    whose coefficient is -1 on Q and -1 - chi(r) on a quadratic field (-2
+    split, 0 inert, -1 ramified), chi(r) = (D | r) from r mod |D|."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    mu = np.ones(N + 1, dtype=np.int64)
+    mu[0] = 0
+    smooth = np.ones(N + 1, dtype=np.int64)  # the part of n over the primes applied
+    spf = _smallest_prime_factors(max(math.isqrt(N), 2))
+    for p in [p for p in range(2, len(spf)) if spf[p] == p]:
+        powers = [p]
+        while powers[-1] * p <= N:
+            powers.append(powers[-1] * p)
+        local = [1] + [0] * len(powers)
+        for f in {"split": (1, 1), "inert": (2,), "ramified": (1,)}[split_type(field, p)]:
+            local = [c - (local[k - f] if k >= f else 0) for k, c in enumerate(local)]
+        if p == 2:  # times 1 / (1 - x^n)
+            for k in range(field.n, len(local)):
+                local[k] += local[k - field.n]
+        e = np.zeros(N + 1, dtype=np.intp)
+        for q in powers:
+            e[q::q] += 1
+            smooth[q::q] *= p
+        mu *= np.array(local)[e]
+    rest = np.arange(N + 1) // smooth
+    chi = 0 if field.n == 1 else np.array(
+        [kronecker(field.disc_signed, a) for a in range(field.D)])[rest % field.D]
+    return np.where(rest > 1, -mu * (1 + chi), mu)
 
 
 def _ideal_sieve(field: FieldData, N: int, weight) -> list[int]:
@@ -443,8 +477,8 @@ def _ball_blocks(field: FieldData, centres, radii, omega=None):
     (k, v, u0, n): the points u0, ..., u0 + n - 1 of the row (ball k, v), in
     order of ball, then v, then u.  Rows are built and points streamed at
     most _PAIR_BLOCK at a time; a row longer than that is split between
-    blocks.  `_ball_points` expands the pieces, `eisenstein._pair_blocks`
-    reads them."""
+    blocks.  `_ball_points` expands the pieces; `eisenstein._pair_rows`
+    lays out the rows of the direct route in the same way."""
     vlo, vhi, u_range = _ball_ranges(field, centres, radii, omega)
     for k, v in _ragged_values(vlo, vhi):
         for j, u0, n in _ragged_blocks(*(a.astype(np.int64) for a in u_range(k, v))):

@@ -33,9 +33,16 @@ class Point:
         return len(self.coords)
 
     def ny(self, field: FieldData) -> float:
+        """N(y) = prod_i y_i^deg_i; DomainError where it leaves the double
+        range (y = 1e-300 or 1e300 at a complex place)."""
         out = 1.0
         for (x, y), deg in zip(self.coords, field.place_degrees):
-            out *= y ** deg
+            try:
+                out *= y ** deg
+            except OverflowError:
+                out = math.inf
+        if not 0 < out < math.inf:
+            raise DomainError("N(y) of %r is outside the double range" % (self.coords,))
         return out
 
 

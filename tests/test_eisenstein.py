@@ -2,10 +2,12 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import kv
 from sympy import divisors
 
@@ -162,7 +164,10 @@ def _reference_V(field, z, c1, c2, d1, d2):
 def test_pair_blocks_match_point_reference(d, block, monkeypatch):
     # V from the row pieces against V from each pair's embeddings, block by
     # block; and the pairs, in order, against the points of the d balls kept
-    # by that reference V
+    # by that reference V and the unit window, less those with c and d both
+    # in 2o.  The stated stream order: three runs, each in order of c, then
+    # dv, then du: the c outside 2o; the c in 2o with dv odd; the c in 2o
+    # with dv even
     field = F.make_field(d)
     z = random_point(field, random.Random(70 + d))
     BV = (2e3 if block else 2e4) * z.ny(field)
@@ -184,7 +189,13 @@ def test_pair_blocks_match_point_reference(d, block, monkeypatch):
     if field.r == 2:
         w = np.log(Vp[0] / Vp[1])
         keep &= (w >= -2 * field.regulator) & (w < 2 * field.regulator)
+    c_even = (want[:, 0] % 2 == 0) & (want[:, 1] % 2 == 0)
+    keep &= ~(c_even & (want[:, 2] % 2 == 0) & (want[:, 3] % 2 == 0))
+    run = np.where(c_even, 2 - want[:, 3] % 2, 0)
+    order = np.lexsort((want[:, 2], want[:, 3], k, run))
+    want, keep, run = want[order], keep[order], run[order]
     assert got.shape[0] > 400
+    assert np.count_nonzero(keep & (run == 2)) > 40
     assert np.array_equal(got, want[keep])
 
 
@@ -364,6 +375,36 @@ def test_direct_sum_matches_coprime_fsum(d):
             ref = complex(math.fsum(terms.real), math.fsum(terms.imag)) + tail
             assert count == V.size
             assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+@given(d=st.sampled_from((0,) + F.REAL_H1 + F.IMAG_H1), seed=st.integers(0, 10 ** 6),
+       bound=st.floats(20.0, 400.0))
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_skips_the_pairs_in_two_o(d, seed, bound):
+    # no yielded pair lies in 2(o x o); the count is the coprime count, and
+    # the value is the coprime sum added by math.fsum, with the same tail
+    field = F.make_field(d)
+    inf = G.cusp_infinity(field)
+    z = random_point(field, random.Random(seed))
+    ny = z.ny(field)
+    BV = bound * ny
+    for _, cols in E._pair_blocks(field, z, BV):
+        c1, c2, d1, d2 = cols()
+        assert not np.any((c1 % 2 == 0) & (c2 % 2 == 0) & (d1 % 2 == 0) & (d2 % 2 == 0))
+    _, V = _pair_table(field, z, BV)
+    V = np.sort(V)
+    A = np.count_nonzero(V > BV / 2) / (BV / 2)
+    s = 1.3 + 0.5j
+    if not A:  # no pair in the outer window to fit the tail
+        with pytest.raises(DomainError):
+            E.eisenstein_direct(field, inf, z, E.EisensteinParams(s=s, norm_bound=bound))
+        return
+    value, _, _, count = E.eisenstein_direct(field, inf, z, E.EisensteinParams(s=s, norm_bound=bound),
+                                             return_parts=True)
+    terms = np.exp(s * (math.log(ny) - np.log(V)))
+    ref = complex(math.fsum(terms.real), math.fsum(terms.imag)) + A * ny ** s * BV ** (1 - s) / (s - 1)
+    assert count == V.size == len(enumerate_pairs(field, inf, z, bound))
+    assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 def test_direct_route_tests_no_coprimality(field_q5, monkeypatch):
@@ -641,3 +682,43 @@ def test_direct_route_refuses_before_it_allocates(field_q, y):
     with pytest.raises(QuadratureBudgetExceeded):
         E.eisenstein_direct(field_q, G.cusp_infinity(field_q), z, E.EisensteinParams(s=2))
     assert time.perf_counter() - t0 < 0.01
+
+
+@pytest.mark.parametrize("d, point", [
+    (0, [(0.3, 1e-300)]), (0, [(0.3, 1e-200)]), (0, [(0.3, 6e-6)]),
+    (5, [(0.1, 1e-150), (0.2, 1e-150)]), (5, [(0.1, 1e-9), (0.2, 1e9)]),
+    (-1, [(0.1 + 0.1j, 1e-100)])])
+def test_fourier_refuses_a_frequency_box_past_the_budget(d, point):
+    # at y = 1e-300 or 1e-200 on Q the radius 45 / (2 pi y) was inf or past
+    # 2^63: astype(int64) warned, the table came out empty and the zero mode
+    # alone was returned; the skewed Q(sqrt 5) point would build 1e10 rows
+    field = F.make_field(d)
+    z = G.make_point(field, *point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (2.0, 1.5 + 9j):
+            t0 = time.perf_counter()
+            with pytest.raises(QuadratureBudgetExceeded):
+                E.eisenstein_fourier(field, z, s)
+            assert time.perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("d, point, ss", [
+    (0, [(0.3, 1e300)], (2.0, 3.0, 1.5 + 9j, 40.0)),
+    (5, [(0.1, 1e150), (0.2, 1e150)], (2.0, 3.0, 1.5 + 9j, 40.0)),
+    (0, [(0.3, 1e-300)], (3.0, 40.0)),
+    (-1, [(0.1 + 0.1j, 1e300)], (2.0, 1.5 + 9j)),
+    (-1, [(0.1 + 0.1j, 1e-300)], (2.0, 1.5 + 9j))])
+def test_fourier_zero_mode_outside_the_double_range(d, point, ss):
+    # a bare OverflowError at s = 2, 3 and 1.5+9i and NaN at s = 40 for
+    # y = 1e300 on Q and 1e150 at both places of Q(sqrt 5); a bare
+    # ZeroDivisionError at y = 1e-300 on Q, s = 3 and 40; at the complex
+    # place of Q(i), N(y) = y^2 itself leaves the double range
+    field = F.make_field(d)
+    z = G.make_point(field, *point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in ss:
+            with pytest.raises(DomainError):
+                E.eisenstein_fourier(field, z, s)
+

@@ -213,6 +213,22 @@ def test_ideal_counts_q5_examples(field_q5):
     assert a == brute
 
 
+@pytest.mark.parametrize("d", _ALL_FIELDS)
+def test_sieved_mobius_inverts_the_ideals_off_two(d):
+    # mu_S convolved with the count of ideals of norm n that (2) does not
+    # divide, a(n) - a(n / N(2)), is delta(n = 1), exactly, for n <= 2000
+    fd = F.make_field(d)
+    N, q = 2000, 2 ** fd.n
+    a = np.array([0] + ideal_count_coeffs(fd, N), dtype=np.int64)
+    a[q::q] -= a[1:N // q + 1].copy()
+    mu = F.sieved_mobius_sums(fd, N)
+    assert mu.shape == (N + 1,) and mu[0] == 0
+    conv = np.zeros(N + 1, dtype=np.int64)
+    for m in np.flatnonzero(mu):
+        conv[m::m] += mu[m] * a[1:N // m + 1]
+    assert conv[1] == 1 and not conv[2:].any()
+
+
 @given(m=st.integers(2, 40), n=st.integers(2, 40))
 @settings(max_examples=60, deadline=None)
 def test_ideal_counts_multiplicative(m, n):

@@ -297,3 +297,41 @@ def test_hurwitz_zeta_not_finite_is_domain_error(s):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             Z.hurwitz_zeta(s, 1e-300)
+
+
+def _mp_l_at_one(D):
+    """L(1, chi_D) from the finite sums: -pi |D|^(-3/2) sum_a a chi(a) for
+    D < 0, -D^(-1/2) sum_a chi(a) log sin(pi a / D) for D > 0."""
+    chi = [(a, F.kronecker(D, a)) for a in range(1, abs(D))]
+    if D < 0:
+        return -mp.pi * mp.mpf(-D) ** -1.5 * sum(a * c for a, c in chi)
+    return -sum(c * mp.log(mp.sin(mp.pi * a / D)) for a, c in chi) / mp.sqrt(D)
+
+
+@pytest.mark.parametrize("d", F.REAL_H1 + F.IMAG_H1)
+def test_dirichlet_l_at_and_near_one(d):
+    # dirichlet_l(1, D) raised PoleAtOne, and near s = 1 the two Hurwitz
+    # poles cancelled to 2e-7 at s = 1 + 1e-10
+    D = F.make_field(d).disc_signed
+    chi = [F.kronecker(D, a) for a in range(abs(D))]
+    with mp.workdps(20):
+        points = [(1.0, _mp_l_at_one(D))] + [
+            (s, mp.dirichlet(s, chi)) for s in (1 + 1e-2, 1 + 1e-4, 1 + 1e-6, 1 + 1e-8, 1 + 1e-10,
+                                              1 - 1e-3, 1 + 0.05j)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, want in points:
+            want = complex(want)
+            assert abs(Z.dirichlet_l(s, D) - want) <= 1e-14 * abs(want)
+
+
+def test_dirichlet_l_keeps_the_hurwitz_route_away_from_one():
+    # outside |s - 1| < _L_NEAR_ONE the value is the Hurwitz sum, bit for bit
+    for D in (5, -4, 13, -163):
+        for s in (1.101, 0.899, 1.5, 2 + 0.3j, 1 + 0.101j):
+            q = abs(D)
+            acc = 0j
+            for a in range(1, q + 1):
+                if F.kronecker(D, a):
+                    acc += F.kronecker(D, a) * Z.hurwitz_zeta(s, a / q)
+            assert Z.dirichlet_l(s, D) == q ** (-complex(s)) * acc
