@@ -15,7 +15,7 @@ import numpy as np
 
 from .eisenstein import FrequencyTable, _bessel_order, frequency_table, maass_selberg_constant
 from .errors import DomainError, QuadratureBudgetExceeded
-from .fields import (_CANDIDATE_BUDGET, FieldData, _ball_points, _canonical_c, _coord_conj,
+from .fields import (FieldData, _ball_points, _ball_size, _canonical_c, _coord_conj,
                      _coord_mul, _coord_norm, _coprime_mask, _embed_coords, _unit_balanced)
 from .geometry import _PLACE_WEIGHTS, slice_embeddings, unfold_constant
 from .quadrature import gl_panel_nodes
@@ -267,8 +267,8 @@ def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     |c_i| < (q floor)^(-1/(2n)) e^(R/2) (no e^(R/2) when r = 1).  The cusp
     rises above `floor` only where |x_i + d_i / c_i| < h_i (`_half_widths`),
     so |d_i| < |c_i| (max |x_i| over the box + h_i).  The d count is
-    predicted first, as the volume of those balls over covol(o); above
-    _CANDIDATE_BUDGET, QuadratureBudgetExceeded (it grows like 1/(q floor))."""
+    predicted first (`fields._ball_size`, which refuses above its budget:
+    the count grows like 1/(q floor))."""
     # e^(R/2) per unit of rank r - 1; 1 + 1e-9 guards rounding only
     radius = (q * floor) ** (-0.5 / field.n) * math.exp((field.r - 1) * field.regulator / 2) \
         * (1 + 1e-9)
@@ -283,13 +283,7 @@ def slice_candidates(field: FieldData, q: float, floor: float) -> np.ndarray:
     h = _half_widths(field, 1.0 / reach, [y.max() for y in ys])
     radii = [np.abs(c) * (np.abs(x).max() + hi)
              for c, x, hi in zip(_embed_coords(field, cu, cv), xs, h)]
-    balls = math.prod(math.pi * r * r if deg == 2 else 2 * r
-                      for r, deg in zip(radii, field.place_degrees))
-    predicted = float(balls.sum()) * 2 ** field.r2 / math.sqrt(field.D)
-    if predicted > _CANDIDATE_BUDGET:
-        raise QuadratureBudgetExceeded(
-            "about %.3g cusp candidates at q = %g, floor %g, over the budget of %d"
-            % (predicted, q, floor, _CANDIDATE_BUDGET))
+    _ball_size(field, radii, "the d balls of the cusps at q = %g, floor %g" % (q, floor))
     k, du, dv = _ball_points(field, [np.zeros(cu.size)] * field.r, radii)
     coords = np.stack([cu[k], cv[k], du, dv], axis=1)
     return coords[_coprime_mask(field, *coords.T)]

@@ -247,10 +247,10 @@ def haar_average(f: TestFunction, field: FieldData,
 
 
 def mellin_transform(f: TestFunction, s: complex, field: FieldData,
-                     ctx: ZetaContext | None = None, method: str = "auto"):
+                     ctx: ZetaContext | None = None, method: str = "zero-mode"):
     """Mellin transform of the cusp-section averages.
 
-    method "zero-mode" (default for "auto") uses the unfolded
+    method "zero-mode" (the default) uses the unfolded
     representation M(f, s) = Psi1(s) + phi(s) Psi2(s), valid wherever phi
     is regular; "defining" integrates m_q(f) q^{s-2} dq numerically
     (Re(s) > 1) on [1e-3, t1], with the q < 1e-3 part replaced by the m(f)
@@ -260,7 +260,7 @@ def mellin_transform(f: TestFunction, s: complex, field: FieldData,
     if s == 1.0:
         raise PoleAtOne("Mellin transform pole at s=1")
     ctx = ctx or make_context(field)
-    if method in ("auto", "zero-mode"):
+    if method == "zero-mode":
         psi1 = profile_integral(f, s - 2.0)
         psi2 = profile_integral(f, -1.0 - s)
         return psi1 + phi(ctx, s) * psi2

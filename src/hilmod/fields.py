@@ -5,7 +5,10 @@ quadratic fields Q(sqrt(d)) with class number one.  An element of o is the
 pair of integer coordinates (u, v) of u + v*omega in the integral basis
 {1, omega}, omega = (1 + sqrt d)/2 when d = 1 mod 4, else sqrt d (v = 0 on
 Q), and all arithmetic on it is exact in Python or numpy integers.  The
-values at the infinite places are the only lossy step.
+values at the infinite places are the only lossy step.  Sums over the
+ideals of each norm (the totient and Moebius tables) come from one Euler
+product over prime ideals (`_euler_product`), read off the norms of the
+primes above each p (`_prime_norms`), as does `ideal_factorization`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedField
+from .errors import QuadratureBudgetExceeded, UnsupportedField
 
 # Real quadratic d with h(Q(sqrt d)) = 1 kept small enough that the
 # fundamental unit is tiny; imaginary list is the full Heegner set.
@@ -57,16 +60,6 @@ class FieldData:
     @property
     def place_degrees(self) -> tuple[int, ...]:
         return (1,) * self.r1 + (2,) * self.r2
-
-
-def _is_squarefree(m: int) -> bool:
-    m = abs(m)
-    k = 2
-    while k * k <= m:
-        if m % (k * k) == 0:
-            return False
-        k += 1
-    return True
 
 
 def _sqrt_d_coords(d: int, u: int, v: int) -> tuple[int, int]:
@@ -129,13 +122,9 @@ _L1_DEFAULT_QUAD = 1.25
 def make_field(d: int) -> FieldData:
     """Build the invariant table for Q (d = 0) or an allow-listed quadratic
     field; omega counts its `roots_of_unity`."""
-    if d != 0:
-        if not _is_squarefree(d) or d == 1:
-            raise UnsupportedField("d=%d is not a squarefree discriminant radicand" % d)
-        if d > 0 and d not in REAL_H1:
-            raise UnsupportedField("real quadratic d=%d not in the h=1 allow list" % d)
-        if d < 0 and d not in IMAG_H1:
-            raise UnsupportedField("imaginary quadratic d=%d not in the h=1 allow list" % d)
+    if d > 0 and d not in REAL_H1 or d < 0 and d not in IMAG_H1:
+        raise UnsupportedField("%s quadratic d=%d is not in the h=1 allow list"
+                               % ("real" if d > 0 else "imaginary", d))
     # D_signed (d when d = 1 mod 4, negative d included, else 4d; 1 on Q),
     # and sqrt(D_signed) generates the different: 1, sqrt d = 2 omega - 1, 2 sqrt d
     D_signed, different = ((1, (1, 0)) if d == 0 else (d, (-1, 2)) if d % 4 == 1
@@ -206,8 +195,9 @@ def kronecker(a: int, n: int) -> int:
 
 def ideal_totient_sums(field: FieldData, N: int) -> list[int]:
     """T(n) = sum over integral ideals of norm n of the ideal totient
-    Phi(a) = N(a) prod_{p | a} (1 - 1/N(p)); equals Euler phi for Q."""
-    return _ideal_sieve(field, N, lambda q, a: q ** a - q ** (a - 1) if a else 1)
+    Phi(a) = N(a) prod_{p | a} (1 - 1/N(p)), for n = 1..N: the coefficients
+    of zeta_K(s - 1) / zeta_K(s); Euler phi on Q."""
+    return _euler_product(field, N, lambda q, a: q ** a - q ** (a - 1) if a else 1)[1:].tolist()
 
 
 def sieved_mobius_sums(field: FieldData, N: int) -> np.ndarray:
@@ -215,92 +205,53 @@ def sieved_mobius_sums(field: FieldData, N: int) -> np.ndarray:
     (mu_S(0) = 0), where mu_K(n) sums the Moebius function over the integral
     ideals of norm n and N(2) = 2^[K:Q]: the coefficients of
     1 / (zeta_K(s) (1 - N(2)^-s)), which inverts the Dirichlet series of the
-    ideals that (2) does not divide.
+    ideals that (2) does not divide.  mu_K convolved with the powers of
+    N(2), one slice addition per power."""
+    mu = _euler_product(field, N, lambda q, a: (a == 0) - (a == 1))
+    out, q = mu.copy(), 2 ** field.n
+    while q <= N:
+        out[q::q] += mu[1:N // q + 1]
+        q *= 2 ** field.n
+    return out
 
-    An Euler product in integer arrays.  At p, 1 / zeta_K has the local
-    polynomial prod_{P | p} (1 - x^f_P) in x = p^-s (f_P the residue degree
-    of P); at 2 it is divided by 1 - x^[K:Q].  The primes p <= sqrt(N), and
-    2, are applied as such; what is left of n is 1 or a prime r > sqrt(N),
-    whose coefficient is -1 on Q and -1 - chi(r) on a quadratic field (-2
-    split, 0 inert, -1 ramified), chi(r) = (D | r) from r mod |D|."""
+
+def _euler_product(field: FieldData, N: int, weight) -> np.ndarray:
+    """Sum over the integral ideals of norm n, for n = 0..N (0 at n = 0), of
+    a weight that is multiplicative over prime ideals: weight(N(P), a) at
+    P^a, with weight(q, 0) = 1, as an int64 array.
+
+    An Euler product in integer arrays.  At each prime p <= sqrt(N) the
+    local series in x = p^-s is the product over the primes P above p
+    (`_prime_norms`) of sum_a weight(N(P), a) x^(a f_P), f_P the residue
+    degree; the multiples of p take its coefficient at their exponent of p.
+    What is left of n is 1 or a prime r > sqrt(N), which only the primes of
+    degree 1 above it reach: 1 + chi(r) of them on a quadratic field
+    (chi(r) = (D | r) from r mod |D|), one on Q, each weighted
+    weight(r, 1); weight must take r as an integer array there."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    mu = np.ones(N + 1, dtype=np.int64)
-    mu[0] = 0
-    smooth = np.ones(N + 1, dtype=np.int64)  # the part of n over the primes applied
-    spf = _smallest_prime_factors(max(math.isqrt(N), 2))
-    for p in [p for p in range(2, len(spf)) if spf[p] == p]:
-        powers = [p]
+    out = np.ones(N + 1, dtype=np.int64)
+    out[0] = 0
+    rest = np.arange(N + 1)  # n less its primes <= sqrt(N) so far
+    for p in range(2, math.isqrt(N) + 1):
+        if rest[p] != p:  # p has a smaller prime factor
+            continue
+        powers = [1]
         while powers[-1] * p <= N:
             powers.append(powers[-1] * p)
-        local = [1] + [0] * len(powers)
-        for f in {"split": (1, 1), "inert": (2,), "ramified": (1,)}[split_type(field, p)]:
-            local = [c - (local[k - f] if k >= f else 0) for k, c in enumerate(local)]
-        if p == 2:  # times 1 / (1 - x^n)
-            for k in range(field.n, len(local)):
-                local[k] += local[k - field.n]
-        e = np.zeros(N + 1, dtype=np.intp)
-        for q in powers:
-            e[q::q] += 1
-            smooth[q::q] *= p
-        mu *= np.array(local)[e]
-    rest = np.arange(N + 1) // smooth
+        local = [1] + [0] * (len(powers) - 1)
+        for q in _prime_norms(field, p):
+            f = 1 if q == p else 2
+            local = [sum(local[k - a * f] * weight(q, a) for a in range(k // f + 1))
+                     for k in range(len(local))]
+        e = np.ones(N // p, dtype=np.intp)  # the exponent of p in the multiples of p
+        for pk in powers[2:]:
+            e[pk // p - 1::pk // p] += 1
+        out[p::p] *= np.array(local)[e]
+        rest[p::p] //= np.array(powers)[e]
     chi = 0 if field.n == 1 else np.array(
         [kronecker(field.disc_signed, a) for a in range(field.D)])[rest % field.D]
-    return np.where(rest > 1, -mu * (1 + chi), mu)
-
-
-def _ideal_sieve(field: FieldData, N: int, weight) -> list[int]:
-    """Sum over the integral ideals of norm n, for n = 1..N, of a weight
-    that is multiplicative over prime ideals: weight(N(P), a) at P^a.
-
-    Multiplicative sieve over the rational prime powers p^k; the local sum
-    at p^k runs over the ideals of norm p^k made of the primes above p
-    (`split_type`)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    out = [0] * (N + 1)
-    out[1] = 1
-    spf = _smallest_prime_factors(N)
-    local = {}
-    for m in range(2, N + 1):
-        p = spf[m]
-        pk, rest = p, m // p
-        while rest % p == 0:
-            rest //= p
-            pk *= p
-        if pk not in local:
-            norms = {"split": (p, p), "inert": (p * p,), "ramified": (p,)}[split_type(field, p)]
-            local[pk] = _local_sum(norms, pk, weight)
-        out[m] = out[rest] * local[pk]
-    return out[1:]
-
-
-def _local_sum(norms: tuple[int, ...], pk: int, weight) -> int:
-    """Sum of prod_P weight(N(P), a_P) over the ideals prod_P P^a_P of norm
-    pk, for the primes P above p with the given norms."""
-    sums = {1: 1}  # norm -> weight sum over the products of the primes so far
-    for q in norms:
-        nxt = {}
-        for n, w in sums.items():
-            a = 0
-            while pk % n == 0:
-                nxt[n] = nxt.get(n, 0) + w * weight(q, a)
-                n, a = n * q, a + 1
-        sums = nxt
-    return sums.get(pk, 0)
-
-
-def _smallest_prime_factors(N: int) -> list[int]:
-    spf = list(range(N + 1))
-    i = 2
-    while i * i <= N:
-        if spf[i] == i:
-            for j in range(i * i, N + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    return spf
+    return np.where(rest > 1, out * (1 + chi) * weight(rest, 1), out)
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:
@@ -378,10 +329,11 @@ def _coprime_mask(field: FieldData, c1, c2, d1, d2):
 
 _PAIR_BLOCK = 1 << 14  # lattice points per block of the ball enumerator (and of the pair sum)
 
-# Entries of the largest table one call builds: the predicted d candidates
-# of `domains.slice_candidates` (about 120 B each at the tracemalloc peak on
-# Q(i), qT = 1e-6, so about 250 MiB) and the Moebius table of
-# `eisenstein.eisenstein_direct`.  The callers stay 10 times below: 4e4 to
+# Entries of the largest table one call builds: the predicted size of a
+# ball (`_ball_size`: the d candidates of `domains.slice_candidates`, about
+# 120 B each at the tracemalloc peak on Q(i), qT = 1e-6, so about 250 MiB;
+# the Fourier frequency box; the c ball of the direct route) and the Moebius
+# table of `eisenstein.eisenstein_direct`.  The callers stay 10 times below: 4e4 to
 # 8.4e4 candidates at the smallest qT they reach (1e-5, the six fields of
 # scripts/remark_identity_accuracy.py), at qT = 1e-4 at most 1.8e5 over the
 # 24 supported fields (Q(sqrt 19)), and Moebius tables of at most about 1.5e3
@@ -492,6 +444,25 @@ def _ball_points(field: FieldData, centres, radii, omega=None):
     return _piece_points(*(np.concatenate(a) for a in zip(*blocks)))
 
 
+def _ball_size(field: FieldData, radii, what: str) -> float:
+    """The predicted size of the balls of the given radii (one scalar or
+    array per place) in `_ball_ranges`: their volume over covol(o) =
+    sqrt(D) / 2^r2, or, at two real places, their rows of v,
+    2 (R_1 + R_2) / sqrt(D), where these are more.  Raises
+    QuadratureBudgetExceeded, naming `what`, above _CANDIDATE_BUDGET, so a
+    caller refuses before it builds anything."""
+    sqrt_d = math.sqrt(field.D)
+    size = float(np.sum(math.prod(2 * R if deg == 1 else math.pi * R * R
+                                  for R, deg in zip(radii, field.place_degrees)))) \
+        * 2 ** field.r2 / sqrt_d
+    if field.r == 2:
+        size = max(size, 2 * float(np.sum(sum(radii))) / sqrt_d)
+    if not size <= _CANDIDATE_BUDGET:
+        raise QuadratureBudgetExceeded("about %.3g candidates in %s pass the budget of %d"
+                                       % (size, what, _CANDIDATE_BUDGET))
+    return size
+
+
 def _canonical_c(field: FieldData, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """c = cu + cv omega != 0 in torsion-canonical form: its first nonzero
     coordinate is positive, or, when omega > 2, cu > 0 and cv >= 0.  Then
@@ -528,13 +499,13 @@ def _unit_balanced(field: FieldData, cu, cv) -> np.ndarray:
 # Prime splitting and divisor enumeration
 # ---------------------------------------------------------------------------
 
-def split_type(field: FieldData, p: int) -> str:
-    """How p factors in o: "split" into two primes of norm p, "inert" (one
-    prime of norm p^2) or "ramified" (one prime of norm p).  Q has no
-    quadratic character (zeta_Q has no L-factor), so its primes take the
-    ramified rule: one prime of norm p."""
+def _prime_norms(field: FieldData, p: int) -> tuple[int, ...]:
+    """The norms of the prime ideals above p: (p, p) when p splits, (p^2,)
+    when it is inert, (p,) when it ramifies.  Q has no quadratic character
+    (zeta_Q has no L-factor), so its primes take the ramified rule: one
+    prime of norm p."""
     chi = kronecker(field.disc_signed, p) if field.n == 2 else 0
-    return {1: "split", -1: "inert", 0: "ramified"}[chi]
+    return ((p,), (p, p), (p * p,))[chi]
 
 
 def ideal_factorization(field: FieldData, u: int, v: int) -> list[tuple[int, int]]:
@@ -552,16 +523,14 @@ def ideal_factorization(field: FieldData, u: int, v: int) -> list[tuple[int, int
     g = math.gcd(u, v)
     out = []
     for p, e in factor_int(_coord_norm(field, u, v)):
-        ty = split_type(field, p)
-        if ty == "inert":
-            out.append((p * p, e // 2))
-        elif ty == "split":
+        norms = _prime_norms(field, p)
+        if len(norms) == 2:
             a = 0
             while g % p == 0:
                 g, a = g // p, a + 1
             out += [(p, a), (p, e - a)]
-        else:  # ramified, or a prime of Q
-            out.append((p, e))
+        else:  # inert, ramified, or a prime of Q
+            out.append((norms[0], e if norms[0] == p else e // 2))
     return [(q, e) for (q, e) in out if e > 0]
 
 

@@ -67,8 +67,8 @@ from hilmod.eisenstein import _pair_blocks
 from hilmod.equidist import TestFunction, mellin_transform
 from hilmod.errors import DomainError, PoleAtOne
 from hilmod.fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _coord_mul,
-                           _coord_norm, _coprime_mask, _embed_coords, _ideal_sieve, _places,
-                           _ragged_values, _unit_balanced, roots_of_unity)
+                           _coord_norm, _coprime_mask, _embed_coords, _places, _ragged_values,
+                           _unit_balanced, kronecker, roots_of_unity)
 from hilmod.geometry import Cusp, Point, _geom_cache, cusp_infinity, slice_embeddings
 from hilmod.quadrature import gl_panel_nodes
 from hilmod.zeta import ZetaContext, dirichlet_l, make_context, riemann_zeta
@@ -204,8 +204,17 @@ def dedekind_zeta_series(ctx: ZetaContext, s: complex, N: int = 200_000,
 
 
 def ideal_count_coeffs(field: FieldData, N: int) -> list[int]:
-    """Number of integral ideals of each norm 1..N."""
-    return _ideal_sieve(field, N, lambda q, a: 1)
+    """Number of integral ideals of each norm 1..N: 1 on Q, and
+    a(n) = sum_{m | n} chi_D(m) on a quadratic field, as
+    zeta_K = zeta L(chi_D).  No sieve: chi_D by `kronecker` mod |D|."""
+    if field.n == 1:
+        return [1] * N
+    chi = np.array([kronecker(field.disc_signed, m) for m in range(field.D)])[
+        np.arange(N + 1) % field.D]
+    a = np.zeros(N + 1, dtype=np.int64)
+    for m in np.flatnonzero(chi[1:]) + 1:
+        a[m::m] += chi[m]
+    return a[1:].tolist()
 
 
 @lru_cache(maxsize=8)

@@ -109,6 +109,14 @@ def test_eval_bad_input_row(capsys, argv):
     assert _strict_json(out)["error"] == "DomainError"
 
 
+def test_eval_fourier_where_its_terms_cancel_row(capsys):
+    # printed value_re -2322304.0 with est_error 1e-10; the direct route
+    # reads 1.908297113059037 at this point
+    rc, out, err = run_cli(capsys, "eval", "eisenstein-fourier", "--z", "0.1,0.01", "--s", "10")
+    assert rc == 1 and err == ""
+    assert _strict_json(out)["error"] == "DomainError"
+
+
 @pytest.mark.parametrize("argv", [
     ("--z", "0.28+5i,1.3"),
     ("--z", "0.28+nani,1.3"),

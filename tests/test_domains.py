@@ -596,7 +596,7 @@ def test_cusp_enumeration_refuses_beyond_budget(d, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, peak
-    monkeypatch.setattr(D, "_CANDIDATE_BUDGET", D._CANDIDATE_BUDGET // 10)
+    monkeypatch.setattr(F, "_CANDIDATE_BUDGET", F._CANDIDATE_BUDGET // 10)
     assert D.slice_candidates(field, 1e-5 / 3.0, 3.0).shape[0] > 0
 
 

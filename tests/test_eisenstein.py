@@ -703,6 +703,45 @@ def test_fourier_refuses_a_frequency_box_past_the_budget(d, point):
             assert time.perf_counter() - t0 < 0.05
 
 
+@pytest.mark.parametrize("y", [0.01, 0.001, 0.03])
+def test_fourier_refuses_where_its_terms_cancel(field_q, y):
+    # at s = 10 the zero mode phi q^(1-s) is 5.8e17 at y = 0.01 and the
+    # Bessel tolerance then costs more than the value: the route returned
+    # -2322304.0 where the direct route reads 1.908297113059037, 2.8e15
+    # against 1e10 at y = 0.001, and was 6e-3 relative off at y = 0.03
+    z = G.make_point(field_q, (0.1, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="cancel"):
+            E.eisenstein_fourier(field_q, z, 10.0)
+
+
+def test_fourier_refuses_divisor_sums_past_the_double_range(field_q):
+    # N(a)^(1-2s) at s = 40 formed N(a)^79 and overflowed: a RuntimeWarning
+    # from tau_divisor_sums, then a value from the inf
+    z = G.make_point(field_q, (0.3, 1e-5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="double range"):
+            E.eisenstein_fourier(field_q, z, 40.0)
+        with pytest.raises(DomainError):
+            E.tau_divisor_sums(field_q, [[10 ** 4, 0]], -79.0)
+        assert np.isfinite(E.tau_divisor_sums(field_q, [[7000, 0]], -79.0)).all()
+
+
+def test_direct_route_refuses_a_skewed_c_ball(field_q5):
+    # N(y) = 1, so the Moebius table is small, but the c ball has radii
+    # sqrt(B) / y_i: about 2e10 rows of v at (1e-9, 1e9), which the direct
+    # route began to build
+    z = G.make_point(field_q5, (0.1, 1e-9), (0.2, 1e9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.perf_counter()
+        with pytest.raises(QuadratureBudgetExceeded, match="c ball"):
+            E.eisenstein_direct(field_q5, G.cusp_infinity(field_q5), z, E.EisensteinParams(s=2))
+        assert time.perf_counter() - t0 < 0.01
+
+
 @pytest.mark.parametrize("d, point, ss", [
     (0, [(0.3, 1e300)], (2.0, 3.0, 1.5 + 9j, 40.0)),
     (5, [(0.1, 1e150), (0.2, 1e150)], (2.0, 3.0, 1.5 + 9j, 40.0)),

@@ -391,6 +391,8 @@ def test_mellin_routes_agree(field_q, ctx_q):
         a = Q.mellin_transform(f, s, field_q, ctx_q)
         b = Q.mellin_transform(f, s, field_q, ctx_q, method="defining")
         assert abs(a - b) <= 1e-4 * abs(a)
+    with pytest.raises(ValueError):  # one spelling per route
+        Q.mellin_transform(f, 2.0, field_q, ctx_q, method="auto")
 
 
 def test_mellin_zero_mode_equals_unfolded_integral(field_q, ctx_q):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from functools import lru_cache
 from unittest import mock
 
@@ -108,6 +109,19 @@ def test_roots_of_unity_match_hand_tuples(d):
 def test_unsupported_fields_rejected(d):
     with pytest.raises(UnsupportedField):
         F.make_field(d)
+
+
+def test_make_field_refuses_a_large_d_at_once():
+    # a squarefree test by trial division ran before the allow lists were
+    # read: 0.16 s at this d, growing like sqrt(d)
+    d = sympy.nextprime(10 ** 12)
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedField):
+            F.make_field(d)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 1e-3, times
 
 
 def test_embed_golden_ratio(field_q5):
@@ -227,6 +241,20 @@ def test_sieved_mobius_inverts_the_ideals_off_two(d):
     for m in np.flatnonzero(mu):
         conv[m::m] += mu[m] * a[1:N // m + 1]
     assert conv[1] == 1 and not conv[2:].any()
+
+
+@pytest.mark.parametrize("d", _ALL_FIELDS)
+def test_totient_sums_convolve_to_n_times_the_ideal_counts(d):
+    # sum T(n) n^-s = zeta_K(s - 1) / zeta_K(s), so T * a = n a(n) exactly,
+    # with a(n) the ideal counts of the oracle, which uses no sieve
+    fd = F.make_field(d)
+    N = 2000
+    T = np.array([0] + F.ideal_totient_sums(fd, N), dtype=np.int64)
+    a = np.array([0] + ideal_count_coeffs(fd, N), dtype=np.int64)
+    conv = np.zeros(N + 1, dtype=np.int64)
+    for m in range(1, N + 1):
+        conv[m::m] += T[m] * a[1:N // m + 1]
+    assert np.array_equal(conv, np.arange(N + 1) * a)
 
 
 @given(m=st.integers(2, 40), n=st.integers(2, 40))
@@ -438,17 +466,17 @@ def test_kronecker_against_quadratic_residues():
 def _valuation_search_divisor_norms(fd, x, gens):
     """Reference for ideal_divisor_norms: the exponent of each prime ideal
     above a split or ramified p | N(x) found by repeated exact division by
-    a generator of norm p (gens caches one per p); inert and rational p
-    read the exponent off N(x)."""
+    a generator of norm p (gens caches one per p), and at a split p by its
+    conjugate too; an inert p reads the exponent off N(x)."""
     fact = []
     for p, e in F.factor_int(F._coord_norm(fd, *x)):
-        ty = F.split_type(fd, p)
-        if ty in ("rational", "inert"):
-            fact.append((p, e) if ty == "rational" else (p * p, e // 2))
+        norms = F._prime_norms(fd, p)
+        if norms == (p * p,):
+            fact.append((p * p, e // 2))
             continue
         if p not in gens:
             gens[p] = elements_of_norm(fd, p)[0]
-        for pi in [gens[p]] if ty == "ramified" else [gens[p], F._coord_conj(fd, *gens[p])]:
+        for pi in [gens[p], F._coord_conj(fd, *gens[p])][:len(norms)]:
             v, cur = 0, exact_divide(x, pi, fd)
             while cur is not None:
                 v, cur = v + 1, exact_divide(cur, pi, fd)
@@ -457,6 +485,13 @@ def _valuation_search_divisor_norms(fd, x, gens):
     for q, k in fact:
         norms = [m * q ** j for m in norms for j in range(k + 1)]
     return sorted(norms)
+
+
+@pytest.mark.parametrize("d", [5, -1, 2, -3, 13, -7, 41, -163])
+def test_prime_norms_match_sympy(d):
+    for p in sympy.primerange(2, 60):
+        assert F._prime_norms(F.make_field(d), p) == tuple(
+            sorted(int(P.p) ** P.f for P in _sympy_primes(d, p))), p
 
 
 @pytest.mark.parametrize("d", [0, 5, -1, 2, -3, 13, -7])
