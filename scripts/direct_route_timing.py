@@ -7,12 +7,17 @@ On Q, Q(sqrt 5) and Q(i), takes the three direct-route evaluations of the
 eisenstein-low-t benchmark workload (its norm bounds, its heights and its s
 values, with x drawn from seed 11), and on Q(sqrt 5) and Q(i) the two of
 the eisenstein-high-t workload (its heights, s = 1.5 + it with t drawn in
-[9, 10] from the same generator).  After one warm-up it prints two tables:
+[9, 10] from the same generator).  After one warm-up it prints three tables:
 
 - per field, over the low-t calls: the coprime pairs the route sums and
   its pairs per second; then the lattice pairs `_pair_blocks` yields
   (coprime or not, none in 2(o x o)), their pairs per second in a loop that
   only enumerates, and the lattice pairs summed per coprime pair;
+- per field, over the same calls, counts that repeat exactly: the lattice
+  pairs, the pairs `eisenstein._lattice_pairs` predicts from the bounds
+  alone, and the pairs at or below the route's cut BV / m0^2, which take
+  their Moebius weights from the tables, with their share of the lattice
+  pairs (the rest have weight 1);
 - per call: its s, its pairs, its time in seconds, and the minor page
   faults it takes (`resource.getrusage(RUSAGE_SELF).ru_minflt` before and
   after the call).
@@ -24,45 +29,48 @@ with time.perf_counter.  Takes no options:
 
 Measured on a 2-core x86-64 host with numpy 2.4 (a shared VM whose speed
 swings), four runs per side, alternating, before and after the route
-skipped the pairs in 2(o x o) and took its weights from
-1 / (zeta_K(2s) (1 - N(2)^-2s)); the coprime counts are the same.  Each
-entry is the median over the four runs of each run's median of 5, with
-the range of those four medians.  Pairs per second:
+looked the weights up only for the pairs at or below the cut; the pair
+counts are the same.  Each entry is the median over the four runs of each
+run's median of 5, with the range of those four medians.  Pairs per
+second:
 
-    field      pairs  route before        after               lattice before  after  per pair before  after
-    Q        5729592  1.96e7 (1.61-2.26)  2.12e7 (2.11-2.30)       9419990  7066201             1.64   1.23
-    Q(s5)     490426  8.24e6 (6.43-9.45)  6.98e6 (6.55-10.7)        569006   533511             1.16   1.09
-    Q(i)      491311  1.68e7 (1.18-1.79)  1.86e7 (1.67-1.96)        738963   692996             1.50   1.41
+    field      pairs  route before        after               enumeration before    after
+    Q        5729592  2.94e7 (1.95-3.24)  4.10e7 (4.04-4.25)  1.59e8 (1.55-1.74)    1.78e8 (1.62-1.83)
+    Q(s5)     490426  1.03e7 (0.98-1.09)  1.15e7 (1.10-1.18)  1.80e7 (1.69-1.87)    1.77e7 (1.61-1.88)
+    Q(i)      491311  1.98e7 (1.95-2.01)  1.91e7 (1.56-2.10)  8.62e7 (7.34-9.03)    8.12e7 (7.70-8.82)
 
-    field    enumeration before    after
-    Q        1.56e8 (1.05-1.78)    1.09e8 (1.06-1.58)
-    Q(s5)    1.58e7 (1.48-1.78)    1.30e7 (1.13-1.45)
-    Q(i)     8.65e7 (5.77-9.27)    7.66e7 (5.54-8.13)
+The enumeration did not change; its spread is the host's.  The lattice
+pairs per coprime pair are 1.23, 1.09 and 1.41.  The counts (the same in
+every run):
+
+    field     lattice   predicted    weighed   share
+    Q         7066201     7068583     784583  0.1110
+    Q(s5)      533511      534304      21230  0.0398
+    Q(i)       692996      693957     173002  0.2496
 
 Per call, seconds and minor faults (the same in every run):
 
     field   s          seconds before          after                   faults before  after
-    Q       1.5        0.0609 (0.0606-0.0737)  0.0673 (0.0454-0.0753)       290          322
-    Q       2          0.0612 (0.0587-0.0731)  0.0697 (0.0516-0.0754)       290          322
-    Q       1.3+0.5i   0.125 (0.110-0.135)     0.135 (0.0935-0.152)         449          481
-    Q(s5)   1.5        0.0164 (0.0150-0.0255)  0.0140 (0.0136-0.0224)       678          383
-    Q(s5)   2          0.0201 (0.0155-0.0233)  0.0136 (0.0133-0.0216)       648          387
-    Q(s5)   1.3+0.5i   0.0297 (0.0277-0.0345)  0.0179 (0.0177-0.0224)       715          611
-    Q(s5)   1.5+9.6i   0.0254 (0.0188-0.0305)  0.0180 (0.0178-0.0220)       589          619
-    Q(s5)   1.5+9.3i   0.0270 (0.0200-0.0296)  0.0227 (0.0180-0.0240)       589          619
-    Q(i)    1.5        0.0077 (0.0074-0.0129)  0.0077 (0.0068-0.0093)       367          251
-    Q(i)    2          0.0074 (0.0072-0.0149)  0.0072 (0.0066-0.0095)       358          244
-    Q(i)    1.3+0.5i   0.0133 (0.0119-0.0184)  0.0127 (0.0115-0.0149)       495          559
-    Q(i)    1.5+9.6i   0.0146 (0.0133-0.0188)  0.0118 (0.0116-0.0124)       518          565
-    Q(i)    1.5+9.3i   0.0155 (0.0138-0.0192)  0.0137 (0.0118-0.0150)       518          565
+    Q       1.5        0.0447 (0.0442-0.0468)  0.0313 (0.0305-0.0328)       322          316
+    Q       2          0.0483 (0.0460-0.0688)  0.0309 (0.0305-0.0333)       322          316
+    Q       1.3+0.5i   0.0882 (0.0866-0.0901)  0.0748 (0.0718-0.0853)       481          477
+    Q(s5)   1.5        0.0136 (0.0132-0.0144)  0.0133 (0.0125-0.0208)       383          415
+    Q(s5)   2          0.0139 (0.0130-0.0139)  0.0124 (0.0121-0.0128)       385          419
+    Q(s5)   1.3+0.5i   0.0183 (0.0174-0.0261)  0.0169 (0.0167-0.0289)       609          597
+    Q(s5)   1.5+9.6i   0.0183 (0.0180-0.0197)  0.0175 (0.0169-0.0179)       611          605
+    Q(s5)   1.5+9.3i   0.0181 (0.0173-0.0186)  0.0180 (0.0170-0.0283)       611          600
+    Q(i)    1.5        0.0066 (0.0064-0.0067)  0.0063 (0.0060-0.0080)       270          264
+    Q(i)    2          0.0066 (0.0065-0.0068)  0.0060 (0.0059-0.0078)       244          259
+    Q(i)    1.3+0.5i   0.0118 (0.0113-0.0125)  0.0112 (0.0107-0.0137)       559          519
+    Q(i)    1.5+9.6i   0.0124 (0.0117-0.0166)  0.0135 (0.0110-0.0168)       582          549
+    Q(i)    1.5+9.3i   0.0119 (0.0115-0.0131)  0.0132 (0.0112-0.0172)       582          549
 
-In these runs the host's pace swung by up to 1.7x within one side (the
-parent's Q enumeration read 1.05e8 to 1.78e8 pairs per second), so the
-seconds above do not resolve the change.  Alternating the two versions
-call by call in one process, the Q calls took 25% less time and the
-enumeration alone on Q 24% less; the paced benchmark pairs are in
-BENCH_20.json.  The 32 more faults per call are the du ramp of the block
-loop, 2 x 2^14 integers allocated once per call.
+The three Q calls took 0.181-0.202 s a run before and 0.135-0.149 s
+after (25% less in the medians).  On Q(sqrt 5) and Q(i) the changes are
+within the host's swings: a quarter of the Q(i) pairs and a twenty-fifth
+of the Q(sqrt 5) pairs still take the tables, and at complex s the
+phases, not the weights, cost the most; the paced benchmark pairs are in
+BENCH_22.json.
 """
 
 import pathlib
@@ -71,6 +79,8 @@ import resource
 import statistics
 import sys
 import time
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -119,7 +129,7 @@ def _s_text(s):
 
 
 def run():
-    rows = []
+    rows, counts = [], []
     print("%-6s  %8s  %10s  %10s  %10s  %9s  %10s  %10s  %10s  %8s"
           % ("field", "pairs", "median/s", "min/s", "max/s",
              "lattice", "median/s", "min/s", "max/s", "per pair"))
@@ -145,6 +155,17 @@ def run():
             return sum(V.size for z, params in calls
                        for V, _ in eisenstein._pair_blocks(field, z,
                                                            params.norm_bound * z.ny(field)))
+
+        def weighed(z, params):
+            """The lattice pairs of one call at or below the route's cut."""
+            ny = z.ny(field)
+            cut = eisenstein._weight_tables(field, params.norm_bound, ny, params.s)[2]
+            return sum(int(np.count_nonzero(V <= cut))
+                       for V, _ in eisenstein._pair_blocks(field, z, params.norm_bound * ny))
+        lattice = enumeration()
+        table = sum(weighed(z, params) for z, params in calls)
+        predicted = sum(eisenstein._lattice_pairs(field, params.norm_bound) for _, params in calls)
+        counts.append((name, lattice, predicted, table, table / lattice))
         route()  # warm-up: field caches and Moebius sums
         route_rates, enum_rates = _rates(route), _rates(enumeration)
         print("%-6s  %8d  %10.3g  %10.3g  %10.3g  %9d  %10.3g  %10.3g  %10.3g  %8.2f"
@@ -153,6 +174,10 @@ def run():
             count = pairs(z, params)  # warm-up of this call
             rows.append((name, _s_text(params.s), count)
                         + tuple(_call_cost(lambda: pairs(z, params))))
+    print()
+    print("%-6s  %9s  %10s  %9s  %6s" % ("field", "lattice", "predicted", "weighed", "share"))
+    for row in counts:
+        print("%-6s  %9d  %10.0f  %9d  %6.4f" % row)
     print()
     print("%-6s  %-9s  %8s  %9s  %9s  %9s  %7s  %7s  %7s"
           % ("field", "s", "pairs", "median s", "min s", "max s",

@@ -108,9 +108,8 @@ def cmd_eval(args) -> int:
                 row.update(method="lattice sum + continuum tail",
                            pairs=npairs, est_error=abs(tail) * 0.05)
             else:
-                val = eisenstein.eisenstein_fourier(fd, z, s, ctx=ctx)
-                row.update(method="bessel-divisor fourier expansion",
-                           est_error=1e-10)
+                val, err = eisenstein._fourier_value(fd, z, s, ctx)
+                row.update(method="bessel-divisor fourier expansion", est_error=err)
         else:
             raise HilmodError("unknown eval kind %r" % (args.kind,))
     except HilmodError as exc:

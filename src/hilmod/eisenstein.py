@@ -4,8 +4,10 @@ closed forms of the Maass-Selberg, volume and residue identities.
 The two evaluation routes share nothing past the field invariants: the
 direct route sums every lattice pair outside 2(o x o) once with the Moebius
 weights of 1 / (zeta_K(2s) (1 - N(2)^-2s)), which leaves the coprime pairs
-(with a calibrated continuum tail), the Fourier route sums MacDonald-Bessel
-terms against ideal divisor sums.  Their agreement is the package's main self-check.
+(with a calibrated continuum tail), and looks the weights up only for the
+pairs with V <= BV / m0^2, the rest having weight 1; the Fourier route sums
+MacDonald-Bessel terms against ideal divisor sums.  Their agreement is the
+package's main self-check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .zeta import (_LOG_MAX, ZetaContext, _finite_s, completed_zeta, dedekind_ze
 _BESSEL_DECAY_CUT = 45.0   # Fourier terms kept: total Bessel argument up to this
                            # plus the |Im| of the Bessel orders (_frequency_cut)
 _TARGET_TOL = 1e-8         # tail error the default norm bound of the direct route aims at
+# lattice pairs one direct-route call may sum (`_lattice_pairs`): 11 times
+# the 2.4e7 of Q at its largest default bound, 2e7
+_PAIR_BUDGET = 1 << 28
 
 
 @dataclass
@@ -183,9 +188,47 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
         yield V, cols
 
 
+def _lattice_pairs(field: FieldData, B: float) -> float:
+    """The lattice pairs that `_pair_blocks` yields at norm bound B, predicted:
+    the volume 2^(n-1) R pi^n B / (omega D) of V <= B N(y) over the units,
+    in units of covol(o x o), less its share 4^-n in 2(o x o).  Within
+    0.21% of the pairs of every eisenstein benchmark operation, seeds 11-20
+    (0.04% on Q at B = 2e6)."""
+    return (2 ** (field.n - 1) * field.regulator * math.pi ** field.n
+            * (1 - 4.0 ** -field.n) * B / (field.omega * field.D))
+
+
 # ---------------------------------------------------------------------------
 # Direct evaluation
 # ---------------------------------------------------------------------------
+
+def _weight_tables(field: FieldData, B: float, ny: float, p: complex):
+    """The direct route's Moebius weights less 1, M(j) - 1 and W_p(j) - 1
+    for j = 0..m-1, m = floor(sqrt(B / N(y))) + 2, and the cut above which
+    a pair's weights are all 1: BV / m0^2 (`_weight_one_end`) a little
+    raised, BV = B N(y).  QuadratureBudgetExceeded, before it builds them,
+    for tables of more than `fields._CANDIDATE_BUDGET` entries."""
+    # V >= N(c)^2 N(y)^2 >= N(y)^2 for c != 0, so the floors stay below
+    # sqrt(B / N(y)) + 1; one more entry absorbs the rounding of V
+    m = int(math.sqrt(B / ny)) + 2
+    if m > fields._CANDIDATE_BUDGET:
+        raise QuadratureBudgetExceeded(
+            "a Moebius table of %.3g entries at bound %g and N(y) %g passes the budget of %d"
+            % (m, B, ny, fields._CANDIDATE_BUDGET))
+    mu = sieved_mobius_sums(field, m - 1)
+    M1 = np.cumsum(mu) - 1
+    W1 = np.cumsum(mu * np.exp(-2 * p * np.log(np.maximum(np.arange(m), 1)))) - 1
+    # above the cut floor(sqrt(BV / V)) < m0: the margin of 2^-48 covers the
+    # rounding of the cut, of BV / V and of the root
+    return M1, W1, B * ny / _weight_one_end(mu) ** 2 * (1 + 2.0 ** -48)
+
+
+def _weight_one_end(mu: np.ndarray) -> int:
+    """m0, the least n >= 2 with mu[n] != 0, or the table's size if there
+    is none: the Moebius sums W_s(j) and M(j) are 1 for 1 <= j < m0."""
+    nonzero = np.flatnonzero(mu[2:])
+    return 2 + int(nonzero[0]) if nonzero.size else mu.size
+
 
 def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
                       params: EisensteinParams, return_parts: bool = False):
@@ -210,24 +253,41 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     (`fields.sieved_mobius_sums`).  The pair and outer-window counts take
     the integer weights M(m) = sum_{n <= m} mu_S(n) at sqrt(BV / V) and
     sqrt(BV / 2V), so they are the exact coprime counts.  The (0, 1) orbit,
-    V = 1, is added apart.  The sum runs block by block (_pair_blocks), each
-    block's V a view of the enumerator's workspace, its ratios, floors,
-    gathers and terms written into one of this call's, so memory is bounded
-    by `fields._PAIR_BLOCK`, not by B; the block sums are added by
-    math.fsum.  At complex s, (N(y) / V)^s is `specfun.exp_real_times`.
+    V = 1, is added apart.
+
+    The weights are 1 below m0, the first n >= 2 with mu_S(n) != 0, read
+    from the table (`_weight_one_end`: 3 on Q, where mu_S(2) = 0, 5 on
+    Q(sqrt 5) and 2 on Q(i)), so every pair with V > BV / m0^2 has
+    W_s = M = 1 at sqrt(BV / V) and M = [V <= BV / 2] at sqrt(BV / 2V).
+    Each block takes (N(y) / V)^s for all its pairs, adds their count and
+    those with V <= BV / 2; only the pairs at or below the cut, a few ulps
+    above BV / m0^2 (about 1/9 of the pairs on Q, 1/25 on Q(sqrt 5), 1/4 on
+    Q(i)), take the ratios, floors and gathers, and add their terms times
+    W_s - 1 and their M - 1.  A pair near the cut lands on the table side,
+    where its weights are exact either way.  The sum runs block by block
+    (_pair_blocks), each block's V a view of the enumerator's workspace, its
+    terms and the table side's ratios, floors and gathers written into one
+    of this call's, so memory is bounded by `fields._PAIR_BLOCK`, not by B;
+    the block sums are added by math.fsum.  At complex s, (N(y) / V)^s is
+    `specfun.exp_real_times`.
+
     Against the coprime sum in ascending order of V, added by math.fsum, the
-    value differs by at most 4.8e-16 relative at s = 1.5, 2 and 1.3+0.5i and
-    2.1e-15 at s = 1.5+9.5i (320 values: ten random points on each of
+    value differs by at most 4.7e-16 relative at s = 1.5, 2 and 1.3+0.5i and
+    1.7e-15 at s = 1.5+9.5i (320 values: ten random points on each of
     Q, Q(sqrt d) for d = 5, -1, 2, 13, -3, -7 and 17 at bound 2e4), and by
-    at most 1.2e-15 at bound 2e5 (128 values, four points per field): the
+    at most 1.1e-15 at bound 2e5 (128 values, four points per field): the
     terms of pairs that are not coprime cancel to the rounding of their
-    phases.  Raises DomainError for an s that is not finite, for a bound that
+    phases.  Weighing every pair gave 6.0e-16, 2.0e-15 and 1.1e-15 on the
+    same points.
+
+    Raises DomainError for an s that is not finite, for a bound that
     is not positive and finite, or so small that no pair lies in the outer
     window, for |Im s log(N(y) / V)| past 1e5 (see exp_real_times), and for
     any cusp but infinity, the only one it sums at.  Raises
-    QuadratureBudgetExceeded, before it builds anything, when its Moebius
-    table would pass `fields._CANDIDATE_BUDGET` entries (N(y) below about
-    B / 2^42).
+    QuadratureBudgetExceeded, before it builds anything, when the lattice
+    pairs it predicts (`_lattice_pairs`) pass `_PAIR_BUDGET` (a bound past
+    about 2.3e8 on Q), or when its Moebius table would pass
+    `fields._CANDIDATE_BUDGET` entries (N(y) below about B / 2^42).
     """
     if cusp.sigma != (0, 0):
         raise DomainError("the direct route sums at the infinity cusp only")
@@ -239,19 +299,15 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
         B = default_norm_bound(field, s)
     elif not 0 < B < math.inf:
         raise DomainError("norm_bound must be positive and finite, got %r" % (B,))
+    pairs = _lattice_pairs(field, B)
+    if pairs > _PAIR_BUDGET:
+        raise QuadratureBudgetExceeded(
+            "about %.3g lattice pairs at bound %g pass the budget of %d"
+            % (pairs, B, _PAIR_BUDGET))
     ny = z.ny(field)
     BV = B * ny
-    # V >= N(c)^2 N(y)^2 >= N(y)^2 for c != 0, so the floors stay below
-    # sqrt(B / N(y)) + 1; one more entry absorbs the rounding of V
-    m = int(math.sqrt(B / ny)) + 2
-    if m > fields._CANDIDATE_BUDGET:
-        raise QuadratureBudgetExceeded(
-            "a Moebius table of %.3g entries at bound %g and N(y) %g passes the budget of %d"
-            % (m, B, ny, fields._CANDIDATE_BUDGET))
-    mu = sieved_mobius_sums(field, m - 1)
-    M = np.cumsum(mu)
     p = s if s.imag else s.real  # real arithmetic at real s
-    W = np.cumsum(mu * np.exp(-2 * p * np.log(np.maximum(np.arange(m), 1))))
+    M1, W1, cut = _weight_tables(field, B, ny, p)
     log_ny = math.log(ny)
     unit = BV >= 1.0  # the (0, 1) orbit, V = 1
     # block sums, added by math.fsum so that the value does not depend on the
@@ -260,24 +316,37 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     # one workspace for every block; each j is in range, so clipped gathers
     work = np.empty((5, fields._PAIR_BLOCK))
     j, Mj = np.empty((2, fields._PAIR_BLOCK), dtype=np.intp)
-    Wj, term = np.empty((2, fields._PAIR_BLOCK), dtype=W.dtype)
+    term, table_term = np.empty((2, fields._PAIR_BLOCK), dtype=W1.dtype)
+    low = np.empty(fields._PAIR_BLOCK, dtype=bool)
     for V, _ in _pair_blocks(field, z, BV):
         n = V.size
-        rb, eb, jb, Mb, Wb, tb = work[0, :n], work[4, :n], j[:n], Mj[:n], Wj[:n], term[:n]
-        np.divide(BV, V, out=rb)
-        np.copyto(jb, np.sqrt(rb, out=eb), casting="unsafe")
-        count += int(M.take(jb, out=Mb, mode="clip").sum())
-        W.take(jb, out=Wb, mode="clip")
-        rb *= 0.5
-        np.copyto(jb, np.sqrt(rb, out=rb), casting="unsafe")
-        inner += int(M.take(jb, out=Mb, mode="clip").sum())
+        eb, tb, lo = work[4, :n], term[:n], low[:n]
         # (N(y) / V)^p
         np.subtract(log_ny, np.log(V, out=eb), out=eb)
         if s.imag:
-            exp_real_times(p, eb, tb, work, jb)
+            exp_real_times(p, eb, tb, work, j[:n])
         else:
             np.exp(np.multiply(eb, p, out=eb), out=tb)
-        parts.append(np.sum(np.multiply(tb, Wb, out=tb)))
+        parts.append(np.sum(tb))
+        count += n
+        inner += int(np.count_nonzero(np.less_equal(V, BV / 2, out=lo)))
+        # the pairs at or below the cut, whose weights at floor(sqrt(BV / V))
+        # and floor(sqrt(BV / 2V)) need not be 1
+        np.less_equal(V, cut, out=lo)
+        k = int(np.count_nonzero(lo))
+        if not k:
+            continue
+        rb, jb, Mb, tk = work[0, :k], j[:k], Mj[:k], table_term[:k]
+        np.divide(BV, np.compress(lo, V, out=rb), out=rb)
+        np.compress(lo, tb, out=tk)
+        np.copyto(jb, np.sqrt(rb, out=work[1, :k]), casting="unsafe")
+        count += int(M1.take(jb, out=Mb, mode="clip").sum())
+        # the block's terms are summed: their row takes the weights
+        tk *= W1.take(jb, out=term[:k], mode="clip")
+        rb *= 0.5
+        np.copyto(jb, np.sqrt(rb, out=rb), casting="unsafe")
+        inner += int(M1.take(jb, out=Mb, mode="clip").sum())
+        parts.append(np.sum(tk))
     parts = np.array(parts, dtype=complex)
     main = complex(math.fsum(parts.real), math.fsum(parts.imag))
     if count == inner:
@@ -442,7 +511,13 @@ def eisenstein_fourier(field: FieldData, z: Point, s: complex,
     DomainError also for an s that is not finite, where q^s or q^(1-s),
     q = N(y), leaves the double range, or where the divisor sums would
     (`tau_divisor_sums`); QuadratureBudgetExceeded where the frequency box
-    would pass its budget (`_frequency_box`)."""
+    would pass its budget (`_frequency_box`).  `hilmod eval` prints the
+    bound as the value's est_error."""
+    return _fourier_value(field, z, s, ctx)[0]
+
+
+def _fourier_value(field: FieldData, z: Point, s: complex, ctx: ZetaContext | None):
+    """The value of `eisenstein_fourier` and its error bound."""
     s = _finite_s(s)
     ctx = ctx or make_context(field)
     q = z.ny(field)
@@ -457,7 +532,7 @@ def eisenstein_fourier(field: FieldData, z: Point, s: complex,
     if bound > 1e-6 * abs(value):
         raise DomainError("the Fourier terms cancel at z = %s, s = %r: error bound %.3g "
                           "against a value of %.3g" % (z.coords, s, bound, abs(value)))
-    return value
+    return value, bound
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,11 @@ pair counts against brute force; the height gives the test function's value
 at a point (`eval_test_function`), which checks the cusp-section averages
 and the Gamma-invariance of the test functions.
 
+The direct route's pair sum with every pair weighed (`weighed_pair_sum`):
+each pair of `_pair_blocks` takes its Moebius weights at floor(sqrt(BV / V))
+and floor(sqrt(BV / 2V)) from the tables, where the library weighs only the
+pairs at or below BV / m0^2 and takes the weight 1 for the rest.
+
 The vertical-line scan of the Mellin transform (`vertical_line_scan`, with
 its wide bump `SCAN_BUMP`): |M_f(sigma + it)| sampled on t in [1, t_max] and
 the envelope exponent of (r1 + 4 r2) |s (s - 1) M_f(s)|, the growth bound
@@ -68,9 +73,10 @@ from hilmod.equidist import TestFunction, mellin_transform
 from hilmod.errors import DomainError, PoleAtOne
 from hilmod.fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _coord_mul,
                            _coord_norm, _coprime_mask, _embed_coords, _places, _ragged_values,
-                           _unit_balanced, kronecker, roots_of_unity)
+                           _unit_balanced, kronecker, roots_of_unity, sieved_mobius_sums)
 from hilmod.geometry import Cusp, Point, _geom_cache, cusp_infinity, slice_embeddings
 from hilmod.quadrature import gl_panel_nodes
+from hilmod.specfun import exp_real_times
 from hilmod.zeta import ZetaContext, dirichlet_l, make_context, riemann_zeta
 
 
@@ -784,6 +790,33 @@ def enumerate_pairs(field: FieldData, cusp: Cusp, z: Point, bound: float):
         c1, c2, d1, d2 = (int(v) for v in coords[i])
         out.append(LatticePair((c1, c2), (d1, d2)))
     return out
+
+
+def weighed_pair_sum(field: FieldData, z: Point, s: complex, bound: float):
+    """The pair sum of `eisenstein_direct` at norm bound `bound`, with the
+    weights W_s, M at floor(sqrt(BV / V)) and M at floor(sqrt(BV / 2V))
+    gathered for every pair, block by block: (partial sum, pair count,
+    pairs with V <= BV / 2), the counts the coprime ones."""
+    ny = z.ny(field)
+    BV = bound * ny
+    m = int(math.sqrt(bound / ny)) + 2
+    mu = sieved_mobius_sums(field, m - 1)
+    M = np.cumsum(mu)
+    s = complex(s)
+    p = s if s.imag else s.real
+    W = np.cumsum(mu * np.exp(-2 * p * np.log(np.maximum(np.arange(m), 1))))
+    log_ny = math.log(ny)
+    unit = BV >= 1.0
+    parts, count, inner = [unit * np.exp(p * log_ny)], int(unit), int(BV >= 2.0)
+    for V, _ in _pair_blocks(field, z, BV):
+        j = np.sqrt(BV / V).astype(np.intp)
+        count += int(M.take(j, mode="clip").sum())
+        inner += int(M.take(np.sqrt(BV / V * 0.5).astype(np.intp), mode="clip").sum())
+        L = log_ny - np.log(V)
+        terms = exp_real_times(p, L) if isinstance(p, complex) else np.exp(L * p)
+        parts.append(np.sum(terms * W.take(j, mode="clip")))
+    parts = np.array(parts, dtype=complex)
+    return complex(math.fsum(parts.real), math.fsum(parts.imag)), count, inner
 
 
 def max_cusp_height(field: FieldData, z: Point, floor: float = 0.2):

@@ -117,6 +117,27 @@ def test_eval_fourier_where_its_terms_cancel_row(capsys):
     assert _strict_json(out)["error"] == "DomainError"
 
 
+def test_eval_fourier_est_error_bounds_the_error(capsys):
+    # printed est_error 1e-10 where the value 9765625.000716329 is 7.2e-4
+    # from the direct route's 9765625.00000029
+    rows = []
+    for kind in ("eisenstein-fourier", "eisenstein-direct"):
+        rc, out, _ = run_cli(capsys, "eval", kind, "--z", "0.1,0.1", "--s", "10")
+        assert rc == 0
+        rows.append(_strict_json(out))
+    fourier, direct = rows
+    assert fourier["est_error"] >= abs(fourier["value_re"] - direct["value_re"]) > 1e-4
+    assert fourier["est_error"] <= 1e-6 * fourier["value_re"]
+
+
+def test_eval_direct_past_the_pair_budget_row(capsys):
+    # about 1.2e12 lattice pairs: the call ran on until it was killed
+    rc, out, err = run_cli(capsys, "eval", "eisenstein-direct", "--z", "0.1,1.5", "--s", "2",
+                           "--norm-bound", "1e12")
+    assert rc == 1 and err == ""
+    assert _strict_json(out)["error"] == "QuadratureBudgetExceeded"
+
+
 @pytest.mark.parametrize("argv", [
     ("--z", "0.28+5i,1.3"),
     ("--z", "0.28+nani,1.3"),

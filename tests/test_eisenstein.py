@@ -1,5 +1,7 @@
 import math
+import pathlib
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -18,8 +20,8 @@ from hilmod import zeta as Z
 from hilmod.errors import (DegenerateParameters, DomainError, NotConvergent,
                            QuadratureBudgetExceeded)
 from conftest import random_group_element, random_point
-from oracles import (_pair_table, act, embed, enumerate_pairs, laplacian_fd, make_cusp,
-                     pair_ideal_norm, quotient)
+from oracles import (_pair_table, act, embed, enumerate_pairs, ideal_count_coeffs,
+                     laplacian_fd, make_cusp, pair_ideal_norm, quotient, weighed_pair_sum)
 
 
 def classical_eisenstein_oracle(z, s, terms=40):
@@ -405,6 +407,119 @@ def test_direct_sum_skips_the_pairs_in_two_o(d, seed, bound):
     ref = complex(math.fsum(terms.real), math.fsum(terms.imag)) + A * ny ** s * BV ** (1 - s) / (s - 1)
     assert count == V.size == len(enumerate_pairs(field, inf, z, bound))
     assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def _check_against_weighed_sum(field, z, s, bound):
+    """eisenstein_direct's partial sum, count and tail against the oracle
+    that weighs every pair; returns the count."""
+    inf, s = G.cusp_infinity(field), complex(s)
+    params = E.EisensteinParams(s=s, norm_bound=bound)
+    want, count, inner = weighed_pair_sum(field, z, s, bound)
+    if count == inner:  # no pair in the outer window to fit the tail
+        with pytest.raises(DomainError):
+            E.eisenstein_direct(field, inf, z, params)
+        return count
+    _, main, tail, got = E.eisenstein_direct(field, inf, z, params, return_parts=True)
+    BV = bound * z.ny(field)
+    assert got == count
+    assert tail == (count - inner) / (BV / 2) * z.ny(field) ** s * BV ** (1 - s) / (s - 1)
+    assert abs(main - want) <= 1e-15 * abs(want)
+    return count
+
+
+@pytest.mark.parametrize("d, point, bound, cut, count", [
+    # V = c^2 + d^2 at z = i: 50 = BV / 9 (m0 = 3) and 225 = BV / 2
+    (0, [(0.0, 1.0)], 450.0, 50.0, 436),
+    # V = (|c|^2 + |d|^2)^2 at x = 0, y = 1: 9 = BV / 4 (m0 = 2)
+    (-1, [(0j, 1.0)], 36.0, 9.0, 30),
+    # V = (c^2 + d^2)(c'^2 + d'^2) at x = 0, y = 1: 9 = BV / 25 (m0 = 5)
+    (5, [(0.0, 1.0), (0.0, 1.0)], 225.0, 9.0, 172),
+])
+def test_direct_weights_at_the_cut(d, point, bound, cut, count):
+    # pairs exactly at BV / m0^2 and BV / 2 take the weights of the table;
+    # the counts are the coprime ones.  (At B = 100 on Q(i) the route counts
+    # 76 against 86 with every pair weighed too: the multiples of the pairs
+    # at BV / 4 lie at BV, where the rounding of |c|^2 y^2 drops them.)
+    field = F.make_field(d)
+    z = G.make_point(field, *point)
+    BV = bound * z.ny(field)
+    V = np.concatenate([V.copy() for V, _ in E._pair_blocks(field, z, BV)])
+    m0 = E._weight_one_end(F.sieved_mobius_sums(field, int(math.sqrt(bound)) + 1))
+    assert BV / m0 ** 2 == cut and np.any(V == cut)
+    assert d != 0 or np.any(V == BV / 2)
+    for s in (1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j):
+        assert _check_against_weighed_sum(field, z, s, bound) == count
+    assert count == len(enumerate_pairs(field, G.cusp_infinity(field), z, bound))
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_weights_just_above_the_cut_are_one(d):
+    # at the next double above BV / m0^2 itself, floor(sqrt(BV / V)) is m0
+    # for about 16% of random BV on Q and 80% on Q(sqrt 5)
+    field = F.make_field(d)
+    for BV in np.random.default_rng(30 + d).uniform(1.0, 1e7, 500):
+        M1, W1, cut = E._weight_tables(field, BV, 1.0, 1.3 + 0.5j)
+        j = int(np.sqrt(BV / np.nextafter(cut, math.inf)))
+        assert M1[j] == 0 and W1[j] == 0
+
+
+@given(d=st.sampled_from((0,) + F.REAL_H1 + F.IMAG_H1), seed=st.integers(0, 10 ** 6),
+       log_bound=st.floats(math.log(20.0), math.log(2e4)),
+       s=st.sampled_from((1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j)))
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_matches_every_pair_weighed(d, seed, log_bound, s):
+    # the pairs above BV / m0^2 take the weight 1 untabled; the counts are
+    # those of weighing every pair, and the values agree to the rounding.
+    # Bounds log-uniform: on Q(sqrt 19) a call at 2e4 runs through 1.4e8
+    # candidates of the d boxes for 1.4e4 pairs, about 3 s
+    bound = min(math.exp(log_bound), 2e4)
+    field = F.make_field(d)
+    _check_against_weighed_sum(field, random_point(field, random.Random(seed)), s, bound)
+
+
+@pytest.mark.parametrize("d", (0,) + F.REAL_H1 + F.IMAG_H1)
+def test_weight_one_end_is_the_first_sieved_moebius_value(d):
+    # mu_S inverts the ideals that (2) does not divide, from the independent
+    # ideal counts: a(n) less a(n / N(2))
+    field = F.make_field(d)
+    N, q = 200, 2 ** field.n
+    a = [0] + ideal_count_coeffs(field, N)
+    a_s = [0] + [a[n] - (a[n // q] if n % q == 0 else 0) for n in range(1, N + 1)]
+    mu = [0, 1] + [0] * (N - 1)
+    for n in range(2, N + 1):
+        mu[n] = -sum(a_s[k] * mu[n // k] for k in range(2, n + 1) if n % k == 0)
+    first = next(n for n in range(2, N + 1) if mu[n])
+    table = F.sieved_mobius_sums(field, N)
+    assert E._weight_one_end(table) == first
+    assert E._weight_one_end(table[:first]) == first  # no nonzero entry past 1
+    assert first == {0: 3, 5: 5, -1: 2}.get(d, first)
+
+
+@pytest.mark.parametrize("ops", ["eisenstein-low-t/11", "eisenstein-high-t/11",
+                                 "eisenstein-low-t/15", "eisenstein-high-t/15"])
+def test_lattice_pairs_predicted(ops):
+    # every direct-route call of the benchmark's eisenstein workloads
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.workloads import make_inputs
+    workload, seed = ops.split("/")
+    for op in make_inputs(workload, int(seed)):
+        field = F.make_field(op["d"])
+        z = G.make_point(field, *[(complex(*x) if isinstance(x, list) else x, y)
+                                  for x, y in op["z"]])
+        pairs = sum(V.size for V, _ in E._pair_blocks(field, z, op["bound"] * z.ny(field)))
+        assert abs(E._lattice_pairs(field, op["bound"]) - pairs) <= 0.01 * pairs
+
+
+def test_direct_route_refuses_a_bound_past_the_pair_budget(field_q):
+    # about 1.2e12 pairs at bound 1e12: the sum ran on and on
+    z = G.make_point(field_q, (0.1, 1.5))
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureBudgetExceeded, match="lattice pairs"):
+        E.eisenstein_direct(field_q, G.cusp_infinity(field_q), z,
+                            E.EisensteinParams(s=2, norm_bound=1e12))
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_direct_route_tests_no_coprimality(field_q5, monkeypatch):
