@@ -58,7 +58,7 @@ REPEATS = 5
 def _cases():
     q = fields.make_field(0)
     ctx_q = zeta.make_context(q)
-    X, Y, _ = domains._modular_domain_grid(3.0, 24, 24)
+    X, Y, _ = domains._modular_domain_grid(3.0, 24)
     f5 = fields.make_field(5)
     ctx_5 = zeta.make_context(f5)
     captured = []

@@ -2,7 +2,7 @@
 """Accuracy and cost of the unfolded kernel, per place-degree signature.
 
 For Q, Q(i) and Q(sqrt 5) (signatures (1,), (2,) and (1, 1)) prints the
-time of the defining Mellin route, `mellin_transform(method="defining")`
+time of the Mellin transform's defining integral, `mellin_transform`,
 with bump [2, 4] at s = 2 (792 heights in one array call).  Then, for the
 default bump, the decay fit at the benchmark's depth (`perfbench`
 equidist: k = 2..20 on Q and Q(i), 2..11 on Q(sqrt 5)): the kernel rows of
@@ -109,7 +109,7 @@ def run():
         ctx = make_context(field)
         print("%-10s  %15.4f  %7.4f  %7.4f"
               % ((str(field.place_degrees),)
-                 + timed(lambda: mellin_transform(f, 2.0, field, ctx, method="defining"))))
+                 + timed(lambda: mellin_transform(f, 2.0, field, ctx))))
     print("%-10s  %-6s  %6s  %5s  %12s  %6s  %7s  %9s  %9s"
           % ("signature", "k", "rows", "kappa", "fit median s", "min s", "max s",
              "order 32", "order 48"))

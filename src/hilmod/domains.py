@@ -186,23 +186,25 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
 # Classical fundamental domain of PSL(2, Z)
 # ---------------------------------------------------------------------------
 
-def modular_domain_volume_numeric(panels: int = 64, order: int = 10) -> float:
+def modular_domain_volume_numeric() -> float:
     """Numeric dx dy / y^2 volume of {|x| <= 1/2, |z| >= 1}.
 
     The substitution t = 1/y maps each fibre to (0, 1/sqrt(1-x^2)] with unit
-    density, so the volume is the Gauss-Legendre rule in x of 1/sqrt(1-x^2).
+    density, so the volume is the Gauss-Legendre rule in x of 1/sqrt(1-x^2),
+    64 panels of order 10.
     """
-    xs, wx = gl_panel_nodes(-0.5, 0.5, panels, order)
+    xs, wx = gl_panel_nodes(-0.5, 0.5, 64, 10)
     return math.fsum(wx / np.sqrt(1.0 - xs * xs))
 
 
-def _modular_domain_grid(T: float, panels_x: int, panels_y: int, order: int = 8):
-    """Tensor nodes over {|x| <= 1/2, sqrt(1-x^2) <= y <= T} (for Q)."""
-    xs, wx = gl_panel_nodes(-0.5, 0.5, panels_x, order)
+def _modular_domain_grid(T: float, panels: int):
+    """Tensor nodes over {|x| <= 1/2, sqrt(1-x^2) <= y <= T} (for Q), by
+    `panels` panels of order 8 on each axis."""
+    xs, wx = gl_panel_nodes(-0.5, 0.5, panels, 8)
     X, Y, W = [], [], []
     for x, w in zip(xs, wx):
         y0 = math.sqrt(1.0 - x * x)
-        ys, wy = gl_panel_nodes(y0, T, panels_y, order)
+        ys, wy = gl_panel_nodes(y0, T, panels, 8)
         X.append(np.full(ys.shape, x))
         Y.append(ys)
         W.append(w * wy)
@@ -210,16 +212,17 @@ def _modular_domain_grid(T: float, panels_x: int, panels_y: int, order: int = 8)
 
 
 _MS_MAX_PANELS = 96  # panel cap per axis of the Maass-Selberg grid
+_MS_RTOL = 3e-4  # relative change between panel counts that ends the doubling
 
 
 def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
-                          rtol: float = 3e-4, ctx: ZetaContext | None = None):
+                          ctx: ZetaContext | None = None):
     """Numeric integral of E^T(z,s) E^T(z,s') over the modular surface (Q only).
 
     Splits the classical domain at y = T; below, E^T = E via the Fourier
     grid; above, both truncated series are bare frequency tails and the
     contribution is exponentially negligible (still integrated).  The panel
-    count doubles from 12 until two values agree to rtol, and raises
+    count doubles from 12 until two values agree to _MS_RTOL, and raises
     QuadratureBudgetExceeded if they do not by 96 panels per axis.
     """
     if field.d != 0:
@@ -236,16 +239,16 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
     panels = 12
     prev = None
     while True:
-        X, Y, W = _modular_domain_grid(T, panels, panels)
+        X, Y, W = _modular_domain_grid(T, panels)
         Es = eisenstein_fourier_grid(field, s, [X], [Y], ctx)
         Esp = eisenstein_fourier_grid(field, sp, [X], [Y], ctx)
         val = complex(np.sum(W * Es * Esp / Y ** 2)) + strip
-        if prev is not None and abs(val - prev) <= rtol * abs(val):
+        if prev is not None and abs(val - prev) <= _MS_RTOL * abs(val):
             return val
         if panels >= _MS_MAX_PANELS:
             raise QuadratureBudgetExceeded(
                 "Maass-Selberg integral not converged at %d panels: last change %.3g, "
-                "rtol %.3g" % (panels, abs(val - prev) / abs(val), rtol))
+                "rtol %.3g" % (panels, abs(val - prev) / abs(val), _MS_RTOL))
         prev = val
         panels *= 2
 

@@ -84,9 +84,9 @@ def _pair_rows(field: FieldData, cu, cv, centres, radii):
     The rows come in three runs, each in order of c, then dv: every row of
     each c outside 2o; the odd-dv rows of each c in 2o; the even-dv rows of
     each c in 2o, on which du is odd (d = 1 + 2 d', the coset 1 + 2o).  One
-    ragged stream lays them end to end, as `fields._ball_blocks` does the
-    rows of its balls, and each block holds at most `fields._PAIR_BLOCK`
-    points."""
+    ragged stream lays the rows end to end and another their points, and
+    each block holds at most `fields._PAIR_BLOCK` rows or points; a row
+    longer than that is split between blocks."""
     vlo, vhi, u_range = _ball_ranges(field, centres, radii)
     even = (cu | cv) & 1 == 0
     ev = np.flatnonzero(even)
@@ -252,7 +252,12 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     sums the coefficients of 1 / (zeta_K(2s) (1 - N(2)^-2s))
     (`fields.sieved_mobius_sums`).  The pair and outer-window counts take
     the integer weights M(m) = sum_{n <= m} mu_S(n) at sqrt(BV / V) and
-    sqrt(BV / 2V), so they are the exact coprime counts.  The (0, 1) orbit,
+    sqrt(BV / 2V), so they are the exact coprime counts where no pair's V
+    lies on BV or on BV / m^2 within rounding.  Where one does, the rounding
+    of V can drop a multiple g (c', d') at V = BV while sqrt(BV / V') still
+    reaches N(g), and the count is off: at integral points Q(i) at x = 0,
+    y = 1, B = 100 counts 76 of the 86 coprime pairs, and Q(sqrt 5) at
+    x = (0, 0), y = (1, 1), B = 100 counts 74 of 76.  The (0, 1) orbit,
     V = 1, is added apart.
 
     The weights are 1 below m0, the first n >= 2 with mu_S(n) != 0, read

@@ -16,24 +16,24 @@ from .errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
 from .fields import FieldData, ideal_totient_sums, make_field
 from .geometry import _PLACE_WEIGHTS, unfold_constant
 from .quadrature import gl_panel_nodes
-from .zeta import ZetaContext, make_context, phi
+from .zeta import ZetaContext, make_context
 
 
 # ---------------------------------------------------------------------------
 # Test functions (incomplete Eisenstein series over a plateau bump)
 # ---------------------------------------------------------------------------
 
-def _ramp(t: np.ndarray, sharpness: float) -> np.ndarray:
+def _ramp(t: np.ndarray) -> np.ndarray:
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, and e0 / (e0 + e1) with
-    e0 = exp(-sharpness / t), e1 = exp(-sharpness / (1 - t)) only in between."""
+    e0 = exp(-1 / t), e1 = exp(-1 / (1 - t)) only in between."""
     t = np.array(t, dtype=float)
     t[t <= 0] = 0.0
     t[t >= 1] = 1.0
     inner = (t > 0) & (t < 1)
     ti = t[inner]
     with np.errstate(over="ignore"):
-        f0 = np.exp(-sharpness / ti)
-        f1 = np.exp(-sharpness / (1 - ti))
+        f0 = np.exp(-1.0 / ti)
+        f1 = np.exp(-1.0 / (1 - ti))
     t[inner] = f0 / (f0 + f1)
     return t
 
@@ -51,12 +51,11 @@ class TestFunction:
     t1: float
     shoulder: float
     amplitude: float = 1.0
-    sharpness: float = 1.0
 
     def profile(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        up = _ramp((q - self.t0) / self.shoulder, self.sharpness)
-        down = _ramp((self.t1 - q) / self.shoulder, self.sharpness)
+        up = _ramp((q - self.t0) / self.shoulder)
+        down = _ramp((self.t1 - q) / self.shoulder)
         return self.amplitude * up * down
 
 
@@ -69,15 +68,14 @@ DEFAULT_BUMP = (1.8, 2.8)
 
 def make_test_function(field: FieldData, t0: float = DEFAULT_BUMP[0],
                        t1: float = DEFAULT_BUMP[1],
-                       shoulder: float | None = None,
                        amplitude: float = 1.0) -> TestFunction:
+    """The plateau bump on [t0, t1] with shoulders of a quarter of the
+    support, so the plateau covers half of it."""
     if not t0 > field.l1_estimate:
         raise DomainError("support floor %g must exceed l1 ~ %g" % (t0, field.l1_estimate))
     if not t0 < t1 < math.inf:
         raise DomainError("support [%g, %g] is not a finite interval" % (t0, t1))
-    if shoulder is None:
-        shoulder = (t1 - t0) / 4.0  # plateau covers at least half the support
-    return TestFunction(t0, t1, shoulder, amplitude)
+    return TestFunction(t0, t1, (t1 - t0) / 4.0, amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
     return out
 
 
-def _unfolded_sum(f: TestFunction, q, field: FieldData, order: int = 24) -> np.ndarray:
+def _unfolded_sum(f: TestFunction, q, field: FieldData, order: int) -> np.ndarray:
     """The cusp terms of m_q for a height or a 1-D array of heights, as an
     array: the rows n = nmax(q) .. 1 of every height, laid end to end, take
     one kernel call on their distinct kappa (kappa(2n, q/4) = kappa(n, q)
@@ -224,16 +222,16 @@ def _horoball_sum(f: TestFunction, q: np.ndarray, field: FieldData, order: int) 
 # Haar average and Mellin transform
 # ---------------------------------------------------------------------------
 
-def profile_integral(f: TestFunction, power: complex, panels: int = 24,
-                     order: int = 12) -> complex:
+def profile_integral(f: TestFunction, power: complex) -> complex:
     """integral of psi(q) q^{power} dq over the support, with panel edges
-    at the shoulder junctions where psi is only piecewise analytic."""
+    at the shoulder junctions where psi is only piecewise analytic: 24
+    panels of order 12 on each piece."""
     total = 0.0 + 0.0j
     edges = (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a < 1e-15:
             continue
-        x, w = gl_panel_nodes(a, b, panels, order)
+        x, w = gl_panel_nodes(a, b, 24, 12)
         total += complex(np.sum(w * f.profile(x) * np.exp(power * np.log(x))))
     return total
 
@@ -247,27 +245,17 @@ def haar_average(f: TestFunction, field: FieldData,
 
 
 def mellin_transform(f: TestFunction, s: complex, field: FieldData,
-                     ctx: ZetaContext | None = None, method: str = "zero-mode"):
-    """Mellin transform of the cusp-section averages.
-
-    method "zero-mode" (the default) uses the unfolded
-    representation M(f, s) = Psi1(s) + phi(s) Psi2(s), valid wherever phi
-    is regular; "defining" integrates m_q(f) q^{s-2} dq numerically
-    (Re(s) > 1) on [1e-3, t1], with the q < 1e-3 part replaced by the m(f)
-    limit.
+                     ctx: ZetaContext | None = None):
+    """Mellin transform M(f, s) of the cusp-section averages by its defining
+    integral (Re(s) > 1, else `PoleAtOne`): m_q(f) q^{s-2} dq integrated
+    numerically on [1e-3, t1], with the q < 1e-3 part replaced by the m(f)
+    limit.  Zagier's closed form Psi1(s) + phi(s) Psi2(s), which the tests
+    compare it against, is `tests/oracles.mellin_zero_mode`.
     """
     s = complex(s)
-    if s == 1.0:
-        raise PoleAtOne("Mellin transform pole at s=1")
-    ctx = ctx or make_context(field)
-    if method == "zero-mode":
-        psi1 = profile_integral(f, s - 2.0)
-        psi2 = profile_integral(f, -1.0 - s)
-        return psi1 + phi(ctx, s) * psi2
-    if method != "defining":
-        raise ValueError("unknown method %r" % (method,))
     if s.real <= 1.0:
-        raise PoleAtOne("defining integral needs Re(s) > 1")
+        raise PoleAtOne("the Mellin transform's defining integral needs Re(s) > 1")
+    ctx = ctx or make_context(field)
     qmin = 1e-3
     mf = haar_average(f, field, ctx)
     # exact contribution of the constant limit over (0, T1]
@@ -298,17 +286,18 @@ def rankin_selberg_check(field: FieldData, f: TestFunction, s: complex,
         raise PoleAtOne("Rankin-Selberg check needs Re(s) > 1")
     ctx = ctx or make_context(field)
     c1 = unfold_constant(field)
-    lhs = c1 * mellin_transform(f, s, field, ctx, method="defining")
+    lhs = c1 * mellin_transform(f, s, field, ctx)
     rhs = _unfolded_ef_integral(field, f, s, ctx)
     return lhs, rhs
 
 
 def _unfolded_ef_integral(field: FieldData, f: TestFunction, s: complex,
-                          ctx: ZetaContext, nodes: int = 14) -> complex:
+                          ctx: ZetaContext) -> complex:
     """C1 * int psi(q) q^{-2} [box average of E at height q] dq with the
-    box average done by tensor quadrature on Fourier values, summed over
-    the box in factored form (`eisenstein_box_average`)."""
-    xs, wx = gl_panel_nodes(-0.5, 0.5, max(1, nodes // 7), 7)
+    box average done by tensor quadrature on Fourier values (2 panels of
+    order 7 per box coordinate), summed over the box in factored form
+    (`eisenstein_box_average`)."""
+    xs, wx = gl_panel_nodes(-0.5, 0.5, 2, 7)
     # q nodes over the shoulder pieces
     qs_all, qw_all = [], []
     edges = (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
@@ -341,7 +330,6 @@ class ExperimentReport:
     slope_ci: tuple[float, float]
     runtime: float
     degenerate: bool = False
-    discarded_prefix: int = 2
     k_min: int = 0
 
     def rows(self):
@@ -389,4 +377,4 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
         ci = (slope - 1.96 * se, slope + 1.96 * se)
     return ExperimentReport(qs, ms.tolist(), mf, errs.tolist(), [32] * len(qs),
                             quad_errs.tolist(), slope, ci,
-                            time.perf_counter() - t_start, degenerate, drop, k_min)
+                            time.perf_counter() - t_start, degenerate, k_min)

@@ -41,9 +41,5 @@ class DegenerateParameters(HilmodError):
     """Closed form requested at a removable or genuine degeneracy."""
 
 
-class SingularBasisMatrix(HilmodError):
-    """Local-coordinate linear system is singular (invalid field data)."""
-
-
 class QuadratureBudgetExceeded(HilmodError):
     """Node escalation hit its cap before reaching the requested tolerance."""

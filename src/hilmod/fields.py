@@ -327,7 +327,7 @@ def _coprime_mask(field: FieldData, c1, c2, d1, d2):
 # the roots of unity and the ideal generators.
 # ---------------------------------------------------------------------------
 
-_PAIR_BLOCK = 1 << 14  # lattice points per block of the ball enumerator (and of the pair sum)
+_PAIR_BLOCK = 1 << 14  # values per block of the ragged streams of the direct route's pair sum
 
 # Entries of the largest table one call builds: the predicted size of a
 # ball (`_ball_size`: the d candidates of `domains.slice_candidates`, about
@@ -372,11 +372,6 @@ def _ragged_values(lo: np.ndarray, hi: np.ndarray):
     the row and the value of every entry."""
     for j, v0, n in _ragged_blocks(lo, hi):
         yield np.repeat(j, n), _piece_values(v0, n)
-
-
-def _piece_points(k, v, u0, n):
-    """The (k, u, v) points of the row pieces (k, v, u0, n), in order."""
-    return np.repeat(k, n), _piece_values(u0, n), np.repeat(v, n)
 
 
 def _embed_coords(field: FieldData, u, v):
@@ -424,24 +419,17 @@ def _ball_ranges(field: FieldData, centres, radii, omega=None):
     return vlo.astype(np.int64), vhi.astype(np.int64), u_range
 
 
-def _ball_blocks(field: FieldData, centres, radii, omega=None):
-    """The points of `_ball_ranges` as a stream of blocks of row pieces
-    (k, v, u0, n): the points u0, ..., u0 + n - 1 of the row (ball k, v), in
-    order of ball, then v, then u.  Rows are built and points streamed at
-    most _PAIR_BLOCK at a time; a row longer than that is split between
-    blocks.  `_ball_points` expands the pieces; `eisenstein._pair_rows`
-    lays out the rows of the direct route in the same way."""
-    vlo, vhi, u_range = _ball_ranges(field, centres, radii, omega)
-    for k, v in _ragged_values(vlo, vhi):
-        for j, u0, n in _ragged_blocks(*(a.astype(np.int64) for a in u_range(k, v))):
-            yield k[j], v[j], u0, n
-
-
 def _ball_points(field: FieldData, centres, radii, omega=None):
-    """Every point of `_ball_blocks` in one (k, u, v) triple."""
-    blocks = [(np.zeros(0, dtype=np.int64),) * 4]
-    blocks += _ball_blocks(field, centres, radii, omega)
-    return _piece_points(*(np.concatenate(a) for a in zip(*blocks)))
+    """Every point of `_ball_ranges` in one (k, u, v) triple of int64
+    arrays, in order of ball, then v, then u: the v ranges expanded into
+    the rows (ball k, v), and the u range of each row into its points, all
+    at once: the callers size the large balls by `_ball_size` first."""
+    vlo, vhi, u_range = _ball_ranges(field, centres, radii, omega)
+    nv = np.maximum(vhi - vlo + 1, 0)
+    k, v = np.repeat(np.arange(nv.size), nv), _piece_values(vlo, nv)
+    ulo, uhi = (a.astype(np.int64) for a in u_range(k, v))
+    nu = np.maximum(uhi - ulo + 1, 0)
+    return np.repeat(k, nu), _piece_values(ulo, nu), np.repeat(v, nu)
 
 
 def _ball_size(field: FieldData, radii, what: str) -> float:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SingularBasisMatrix
+from .errors import DomainError
 from .fields import FieldData, make_field
 
 
@@ -27,10 +27,6 @@ class Point:
         for x, y in self.coords:
             if not (0 < y < math.inf and cmath.isfinite(x)):
                 raise DomainError("point coordinate (%r, %r) is not finite with y > 0" % (x, y))
-
-    @property
-    def r(self) -> int:
-        return len(self.coords)
 
     def ny(self, field: FieldData) -> float:
         """N(y) = prod_i y_i^deg_i; DomainError where it leaves the double
@@ -119,10 +115,7 @@ def _geom_cache(d: int):
     for o, deg in zip(field.omega_places, field.place_degrees):
         basis = [1.0, o][:field.n]
         rows += [[b.real for b in basis]] + ([[0.0, o.imag]] if deg == 2 else [])
-    O = np.array(rows, dtype=float)
-    if abs(np.linalg.det(O)) < 1e-12:
-        raise SingularBasisMatrix("integral basis embedding matrix is singular")
-    return O, np.array([math.log(abs(e)) for e in field.unit_places])
+    return np.array(rows, dtype=float), np.array([math.log(abs(e)) for e in field.unit_places])
 
 
 def slice_embeddings(field: FieldData, q: float, X: np.ndarray, Y: np.ndarray | None):

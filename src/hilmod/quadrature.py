@@ -47,7 +47,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gl_panel_nodes(a: float, b: float, panels: int, order: int = 12):
+def gl_panel_nodes(a: float, b: float, panels: int, order: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     x, w = _gl_nodes(order)
     edges = np.linspace(a, b, panels + 1)

@@ -105,19 +105,19 @@ def _sinpi(s: complex) -> complex:
     return complex(np.sin(np.pi * np.complex128(s)))
 
 
-def exp_real_times(p: complex, L: np.ndarray, out=None, work=None, index=None) -> np.ndarray:
+def exp_real_times(p: complex, L: np.ndarray, out: np.ndarray, work: np.ndarray,
+                   index: np.ndarray) -> np.ndarray:
     """exp(p L) for a complex p and real L into `out` (complex): the real
     exp(Re(p) L) times exp(i theta), theta = Im(p) L rounded as in
     np.exp(p * L), from a table of 2^12 phases and the Taylor terms of
     exp(i r), |r| <= pi / 2^12, to degree 4 (cos) and 5 (sin).  The
     reduction theta = k 2 pi / 2^12 + r is exact to the rounding of r for
-    |theta| <= 1e5; ``DomainError`` beyond.  L is overwritten; `work` (4 rows)
-    and `index` (intp) are scratch of L's size, so that a loop over blocks
-    allocates nothing per block, and are allocated when not given."""
+    |theta| <= 1e5; ``DomainError`` beyond.  L is overwritten; the caller's
+    buffers `work` (at least 4 rows of at least L's size) and `index` (intp,
+    L's size) are scratch, so that a loop over blocks allocates nothing per
+    block."""
     n = L.size
-    out = np.empty(n, dtype=complex) if out is None else out
-    theta, k, cm, sn = np.empty((4, n)) if work is None else work[:4, :n]
-    index = np.empty(n, dtype=np.intp) if index is None else index
+    theta, k, cm, sn = work[:4, :n]
     np.multiply(L, p.imag, out=theta)
     if n and not max(-theta.min(), theta.max()) <= _PHASE_MAX:
         raise DomainError("phase |Im(p) L| past %g, where its reduction is inexact" % _PHASE_MAX)

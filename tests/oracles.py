@@ -55,10 +55,14 @@ each pair of `_pair_blocks` takes its Moebius weights at floor(sqrt(BV / V))
 and floor(sqrt(BV / 2V)) from the tables, where the library weighs only the
 pairs at or below BV / m0^2 and takes the weight 1 for the rest.
 
-The vertical-line scan of the Mellin transform (`vertical_line_scan`, with
-its wide bump `SCAN_BUMP`): |M_f(sigma + it)| sampled on t in [1, t_max] and
-the envelope exponent of (r1 + 4 r2) |s (s - 1) M_f(s)|, the growth bound
-of acceptance criterion 10.
+Zagier's unfolded form of the Mellin transform of the cusp-section
+averages, M(f, s) = Psi1(s) + phi(s) Psi2(s) (`mellin_zero_mode`), valid
+wherever phi is regular: the library integrates M by its definition
+(`equidist.mellin_transform`, Re(s) > 1), and this closed form checks it.
+On it, the vertical-line scan of the Mellin transform (`vertical_line_scan`,
+with its wide bump `SCAN_BUMP`): |M_f(sigma + it)| sampled on t in
+[1, t_max] and the envelope exponent of (r1 + 4 r2) |s (s - 1) M_f(s)|, the
+growth bound of acceptance criterion 10.
 """
 
 import math
@@ -69,7 +73,7 @@ import numpy as np
 
 from hilmod.domains import _half_widths, _reach, _y_rows, slice_candidates
 from hilmod.eisenstein import _pair_blocks
-from hilmod.equidist import TestFunction, mellin_transform
+from hilmod.equidist import TestFunction, profile_integral
 from hilmod.errors import DomainError, PoleAtOne
 from hilmod.fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _coord_mul,
                            _coord_norm, _coprime_mask, _embed_coords, _places, _ragged_values,
@@ -77,7 +81,7 @@ from hilmod.fields import (FieldData, _ball_points, _canonical_c, _coord_conj, _
 from hilmod.geometry import Cusp, Point, _geom_cache, cusp_infinity, slice_embeddings
 from hilmod.quadrature import gl_panel_nodes
 from hilmod.specfun import exp_real_times
-from hilmod.zeta import ZetaContext, dirichlet_l, make_context, riemann_zeta
+from hilmod.zeta import ZetaContext, dirichlet_l, make_context, phi, riemann_zeta
 
 
 def _shadow_boxes(field: FieldData, coords: np.ndarray, q: float, floor: float, ymax):
@@ -813,7 +817,11 @@ def weighed_pair_sum(field: FieldData, z: Point, s: complex, bound: float):
         count += int(M.take(j, mode="clip").sum())
         inner += int(M.take(np.sqrt(BV / V * 0.5).astype(np.intp), mode="clip").sum())
         L = log_ny - np.log(V)
-        terms = exp_real_times(p, L) if isinstance(p, complex) else np.exp(L * p)
+        if isinstance(p, complex):
+            terms = exp_real_times(p, L, np.empty(L.size, dtype=complex), np.empty((4, L.size)),
+                                   np.empty(L.size, dtype=np.intp))
+        else:
+            terms = np.exp(L * p)
         parts.append(np.sum(terms * W.take(j, mode="clip")))
     parts = np.array(parts, dtype=complex)
     return complex(math.fsum(parts.real), math.fsum(parts.imag)), count, inner
@@ -840,8 +848,19 @@ def eval_test_function(f: TestFunction, z: Point, field: FieldData) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The vertical-line scan of the Mellin transform
+# The Mellin transform's zero mode and its vertical-line scan
 # ---------------------------------------------------------------------------
+
+def mellin_zero_mode(f: TestFunction, s: complex, ctx: ZetaContext) -> complex:
+    """M(f, s) = Psi1(s) + phi(s) Psi2(s), with Psi1(s) = int psi(q) q^(s-2) dq
+    and Psi2(s) = int psi(q) q^(-1-s) dq, wherever phi is regular."""
+    s = complex(s)
+    if s == 1.0:
+        raise PoleAtOne("Mellin transform pole at s=1")
+    psi1 = profile_integral(f, s - 2.0)
+    psi2 = profile_integral(f, -1.0 - s)
+    return psi1 + phi(ctx, s) * psi2
+
 
 # Wide bump for the vertical-line scan: the growth lemma is asymptotic, and
 # a broad smooth profile brings the Mellin decay inside the scanned window.
@@ -860,7 +879,7 @@ def vertical_line_scan(f: TestFunction, sigma: float, t_max: float,
     samples = []
     for t in ts:
         s = complex(sigma, t)
-        m = mellin_transform(f, s, field, ctx)
+        m = mellin_zero_mode(f, s, ctx)
         samples.append((float(t), abs(m)))
     pref = field.r1 + 4 * field.r2
     g = np.array([pref * abs(complex(sigma, t) * complex(sigma - 1, t)) * m

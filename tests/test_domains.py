@@ -331,7 +331,7 @@ def test_modular_domain_volume():
 
 
 def test_maass_selberg_numeric_quick(field_q, ctx_q):
-    num = D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, rtol=1e-3, ctx=ctx_q)
+    num = D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, ctx=ctx_q)
     closed = E.maass_selberg_closed_form(field_q, 1.5, 1.25, 3.0, ctx_q)
     assert abs(num - closed) <= 1e-3 * abs(closed)
 
@@ -469,8 +469,9 @@ def test_maass_selberg_numeric_raises_at_panel_cap(field_q, ctx_q, monkeypatch):
     # tells apart.  At s = 1.5 + 30i they agree to 9.0e-12, never to 1e-13
     # (24 and 48 panels agree to 4.6e-14).
     monkeypatch.setattr(D, "_MS_MAX_PANELS", 24)
+    monkeypatch.setattr(D, "_MS_RTOL", 1e-13)
     with pytest.raises(QuadratureBudgetExceeded):
-        D.maass_selberg_numeric(field_q, 1.5 + 30j, 1.25, 3.0, rtol=1e-13, ctx=ctx_q)
+        D.maass_selberg_numeric(field_q, 1.5 + 30j, 1.25, 3.0, ctx=ctx_q)
 
 
 def test_maass_selberg_numeric_is_for_q_only(field_q5, ctx_q5):

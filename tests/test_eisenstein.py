@@ -95,7 +95,7 @@ def test_enumerate_pairs_complete_against_box_brute(d):
 
 
 @pytest.mark.parametrize("d", [0, 5, -1, 2, 3, -3, 13, -7])
-def test_ball_points_match_box_brute(d, monkeypatch):
+def test_ball_points_match_box_brute(d):
     # random balls against a scan of a box of ring coordinates, with the
     # embeddings of the integral basis; and the order: balls, then v, then u
     field = F.make_field(d)
@@ -119,8 +119,6 @@ def test_ball_points_match_box_brute(d, monkeypatch):
     assert len(want) > 20
     assert set(got) == want and len(got) == len(want)
     assert got == sorted(got, key=lambda p: (p[0], p[2], p[1]))
-    monkeypatch.setattr(F, "_PAIR_BLOCK", 7)
-    assert [tuple(a) for a in zip(*F._ball_points(field, centres, radii))] == got
 
 
 @pytest.mark.parametrize("d", [0, 5, -1])
@@ -132,19 +130,21 @@ def test_pair_blocks_cross_block_boundaries(d, monkeypatch):
     params = E.EisensteinParams(s=1.3 + 0.5j, norm_bound=bound)
     pairs = enumerate_pairs(field, inf, z, bound)
     value = E.eisenstein_direct(field, inf, z, params)
-    balls = E._pair_geometry(field, z, bound * z.ny(field))[3:]
-    vlo, vhi, _ = F._ball_ranges(field, *balls)
+    cu, cv, _, centres, radii = E._pair_geometry(field, z, bound * z.ny(field))
+    vlo, vhi, _ = F._ball_ranges(field, centres, radii)
     for block in (13, 97):
         monkeypatch.setattr(F, "_PAIR_BLOCK", block)
         assert enumerate_pairs(field, inf, z, bound) == pairs
         got = E.eisenstein_direct(field, inf, z, params)
         assert abs(got - value) <= 1e-14 * abs(value)
-        # a row (ball k, v) whose points straddle two blocks comes as two
-        # pieces, the second starting where the first ends
-        blocks = list(F._ball_blocks(field, *balls))
-        assert all(n.size <= block and n.sum() <= block for _, _, _, n in blocks)
-        split = [(k0[-1], v0[-1], u0[-1] + n0[-1]) == (k1[0], v1[0], u1[0])
-                 for (k0, v0, u0, n0), (k1, v1, u1, _) in zip(blocks, blocks[1:])]
+        # a row (c_k, dv) whose points straddle two blocks comes as two
+        # pieces, the second starting where the first ends (du by a step of
+        # 2 on the last run, so the first q pieces of a block step by 1)
+        blocks = list(E._pair_rows(field, cu, cv, centres, radii))
+        assert all(n.size <= block and n.sum() <= block for _, _, _, n, _ in blocks)
+        split = [(k0[-1], v0[-1], u0[-1] + n0[-1] * (1 if q0 == n0.size else 2))
+                 == (k1[0], v1[0], u1[0])
+                 for (k0, v0, u0, n0, q0), (k1, v1, u1, _, _) in zip(blocks, blocks[1:])]
         assert sum(split) >= 2
     # at block 13 the (c, dv) rows span several blocks; the du level does at both
     assert np.maximum(vhi - vlo + 1, 0).sum() > 2 * 13
@@ -278,19 +278,17 @@ def _check_direct_pins(d, count, values):
 def test_direct_route_block_size_invariant(block, monkeypatch):
     # _pair_blocks yields views of a workspace that the next block
     # overwrites: at every block size the pinned counts and values hold, and
-    # the d balls and the pair table equal those of one block of 2^20
+    # the pair table equals that of one block of 2^20
     for d, count, values in _PINNED_VALUES:
         if d not in (0, 5, -1, -3, 13):
             continue
         field = F.make_field(d)
         z = G.make_point(field, *_PINNED_POINTS[d])
         BV = 2e4 * z.ny(field)
-        balls = E._pair_geometry(field, z, BV)[3:]
         monkeypatch.setattr(F, "_PAIR_BLOCK", 1 << 20)
-        points, (coords, V) = F._ball_points(field, *balls), _pair_table(field, z, BV)
+        coords, V = _pair_table(field, z, BV)
         monkeypatch.setattr(F, "_PAIR_BLOCK", block)
         _check_direct_pins(d, count, values)
-        assert all(np.array_equal(a, b) for a, b in zip(F._ball_points(field, *balls), points))
         got_coords, got_V = _pair_table(field, z, BV)
         assert np.array_equal(got_coords, coords) and np.array_equal(got_V, V)
         assert V.size > 4 * (1 << 8)
