@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
-"""Residual, size and cost of the closed-form remark identity.
+"""Residual, size and memory of the closed-form remark identity.
 
 For d = 0, 5, -1, 2, -3 and 13, at s' = 2 and T = 3, prints one JSON record
 per field: the relative residual |lhs - rhs| / |rhs| of
 `remark_identity_check`, the number of cusp classes it enumerates and of
-their distinct norms, its time (median, min and max of 5 runs, each with an
-empty class cache, so the enumeration is timed too), its tracemalloc peak,
-and the residual with q_lo = q_hi / 1e3 and q_hi / 1e5 in place of the
-default q_hi / 1e4 (`domains._Q_LO`).  Takes no options:
+their distinct norms, its tracemalloc peak (with an empty class cache, so
+the enumeration counts too), and the residual with q_lo = q_hi / 1e3 and
+q_hi / 1e5 in place of the default q_hi / 1e4 (`domains._Q_LO`).
+`scripts/layer_timing.py` times the identity on the benchmark's fields.
+Takes no options:
 
     python scripts/remark_identity_accuracy.py
 
-Measured on a 2-core x86-64 host with numpy 2.4; the time is the median
-(min-max) of 5 runs, in two runs of the script:
+Measured on a 2-core x86-64 host with numpy 2.4:
 
-    d    residual  classes  norms  time ms                 peak MiB  q_lo 1e3  q_lo 1e5
-    0    2.45e-09  3004     99     1.6 (1.5-1.7), 1.6      0.46      4.9e-08   6.8e-12
-    5    3.39e-09  1844     28     2.3 (2.2-2.6), 2.6      0.56      1.8e-07   5.6e-12
-    -1   4.90e-09  2488     42     2.4 (2.3-2.5), 3.5      0.73      8.2e-08   1.5e-11
-    2    2.23e-09  2256     38     3.1 (2.8-3.7), 3.3      0.87      1.1e-07   8.5e-11
-    -3   1.26e-10  2328     35     3.1 (3.0-3.6), 4.5      1.02      3.2e-08   8.8e-12
-    13   8.50e-10  2084     29     2.9 (2.7-9.1), 3.0      0.82      1.0e-07   4.3e-11
+    d    residual  classes  norms  peak MiB  q_lo 1e3  q_lo 1e5
+    0    2.45e-09  3004     99     0.46      4.9e-08   6.8e-12
+    5    3.39e-09  1844     28     0.56      1.8e-07   5.6e-12
+    -1   4.90e-09  2488     42     0.73      8.2e-08   1.5e-11
+    2    2.23e-09  2256     38     0.87      1.1e-07   8.5e-11
+    -3   1.26e-10  2328     35     1.02      3.2e-08   8.8e-12
+    13   8.50e-10  2084     29     0.82      1.0e-07   4.3e-11
 
 The residual follows q_lo^(s'-1), the order of the error of extending V_T
 below q_lo by its value there, up to a factor that moves with q_lo.
@@ -28,9 +28,7 @@ below q_lo by its value there, up to a factor that moves with q_lo.
 
 import json
 import pathlib
-import statistics
 import sys
-import time
 import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
@@ -54,13 +52,7 @@ def run():
     for d in FIELDS:
         field = make_field(d)
         ctx = make_context(field)
-        residual(field, ctx)  # warm the zeta context and the imports
-        times = []
-        for _ in range(5):
-            domains._cusp_classes.cache_clear()
-            t = time.perf_counter()
-            resid = residual(field, ctx)
-            times.append(time.perf_counter() - t)
+        resid = residual(field, ctx)  # also warms the zeta context and the imports
         domains._cusp_classes.cache_clear()
         tracemalloc.start()
         residual(field, ctx)
@@ -76,10 +68,7 @@ def run():
                 domains._Q_LO = default
         records.append({
             "d": d, "residual": "%.2e" % resid, "classes": int(counts.sum()),
-            "norms": int(norms.size),
-            "time_ms": {"median": round(1e3 * statistics.median(times), 2),
-                        "min": round(1e3 * min(times), 2), "max": round(1e3 * max(times), 2)},
-            "peak_mib": round(peak / 2 ** 20, 2),
+            "norms": int(norms.size), "peak_mib": round(peak / 2 ** 20, 2),
             "residual_at_q_lo_ratio": ratios})
     print(json.dumps(records, indent=1))
 

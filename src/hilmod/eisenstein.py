@@ -283,7 +283,11 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     at most 1.1e-15 at bound 2e5 (128 values, four points per field): the
     terms of pairs that are not coprime cancel to the rounding of their
     phases.  Weighing every pair gave 6.0e-16, 2.0e-15 and 1.1e-15 on the
-    same points.
+    same points.  Those figures come from samples; where the terms cancel,
+    the error is larger.  The worst known case is 3.9e-15 relative against a
+    200-bit sum over the same V: d = -7, the tests' `random_point` at seed
+    712, B = e^3, s = 1.5+9.5i, where the terms of 16 coprime pairs, of
+    absolute sum 2.38, cancel to a value of 0.136.
 
     Raises DomainError for an s that is not finite, for a bound that
     is not positive and finite, or so small that no pair lies in the outer

@@ -50,7 +50,7 @@ class TestFunction:
     t0: float
     t1: float
     shoulder: float
-    amplitude: float = 1.0
+    amplitude: float
 
     def profile(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -121,7 +121,7 @@ def cusp_section_average(f: TestFunction, q, field: FieldData,
 
     `nodes` has no reader.  The benchmark's horoball operation passes it, so
     it is dropped with the benchmark's tolerances, in a change that claims
-    no gain (ROADMAP item 4).
+    no gain (ROADMAP item 5).
     """
     qs = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(qs) & (qs > 0)):
@@ -329,8 +329,8 @@ class ExperimentReport:
     fitted_slope: float
     slope_ci: tuple[float, float]
     runtime: float
-    degenerate: bool = False
-    k_min: int = 0
+    degenerate: bool
+    k_min: int
 
     def rows(self):
         for j, (q, mq, e, n, qe) in enumerate(zip(self.q_grid, self.m_values, self.errors,

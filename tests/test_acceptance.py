@@ -252,7 +252,7 @@ def test_criterion_9_equidistribution():
 
 def test_criterion_10_vertical_scan():
     fd, ctx = _FIELDS[0], _CTX[0]
-    f = Q.TestFunction(*SCAN_BUMP)
+    f = Q.TestFunction(*SCAN_BUMP, 1.0)
     scan = vertical_line_scan(f, 0.8, 20.0, fd, ctx)
     ok = scan["envelope_exponent"] <= 0.1
     _report("10 vertical-scan", ok,

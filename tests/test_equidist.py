@@ -541,7 +541,7 @@ def test_one_kernel_row_per_distinct_kappa(field_q, ctx_q, monkeypatch):
 @pytest.mark.parametrize("shoulder", [None, 0.7])  # 0.7: the shoulders overlap
 def test_kernel_evaluates_no_bump_above_t1(field_q, monkeypatch, degrees, shoulder):
     f = Q.make_test_function(field_q, 2.0, 3.0) if shoulder is None else \
-        Q.TestFunction(2.0, 3.0, shoulder)
+        Q.TestFunction(2.0, 3.0, shoulder, 1.0)
     edges = [b * (1 + e) for b in (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
              for e in (-1e-15, 0.0, 1e-15)]
     kappas = np.concatenate([np.geomspace(0.5, 1e6, 200), edges])
@@ -578,7 +578,7 @@ def test_decay_fit_needs_two_heights(field_q, ctx_q, k_min, k_max):
 
 
 def test_vertical_scan_shape_and_linearity(field_q, ctx_q):
-    f = Q.TestFunction(*SCAN_BUMP)
+    f = Q.TestFunction(*SCAN_BUMP, 1.0)
     scan = vertical_line_scan(f, 0.8, 8.0, field_q, ctx_q, n_samples=24)
     assert scan["samples"][0][0] == 1.0  # scan starts at t = 1
     scan2 = vertical_line_scan(scaled(f, 2.0), 0.8, 8.0, field_q, ctx_q, n_samples=24)
