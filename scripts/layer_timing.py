@@ -79,12 +79,13 @@ def record(layer, given, work, call, prepare=None):
 
 
 @contextlib.contextmanager
-def spied(owner, name):
-    """The (args, kwargs) of every call of owner.name made inside the block."""
+def spied(owner, name, keep=None):
+    """The (args, kwargs) of every call of owner.name made inside the block,
+    or keep(*args) of each where keep is given."""
     fn, calls = getattr(owner, name), []
 
     def spy(*args, **kwargs):
-        calls.append((args, kwargs))
+        calls.append(keep(*args) if keep else (args, kwargs))
         return fn(*args, **kwargs)
     setattr(owner, name, spy)
     try:
@@ -202,6 +203,30 @@ def pair_records(low, high):
                          {"pairs": int(direct()[3])}, direct)
 
 
+def phase_records(low, high):
+    """The complex powers (N(y) / V)^s of the direct route, on the blocks of
+    L = log(N(y) / V) of the low-t call on Q at complex s and of the first
+    high-t call, each block timed into one set of buffers."""
+    q = next(c for c in low if c.d == 0 and c.s.imag)
+    for workload, c in (("eisenstein-low-t", q), ("eisenstein-high-t", high[0])):
+        # L is overwritten by the call: keep a copy of each block
+        with spied(eisenstein, "exp_real_times", keep=lambda p, L, *_: L.copy()) as blocks:
+            eisenstein.eisenstein_direct(c.field, geometry.cusp_infinity(c.field), c.z,
+                                         eisenstein.EisensteinParams(s=c.s, norm_bound=c.bound))
+        L, size = [np.empty_like(b) for b in blocks], fields._PAIR_BLOCK
+        out, work, index = (np.empty(size, dtype=complex), np.empty((4, size)),
+                            np.empty(size, dtype=np.intp))
+
+        def restore():
+            for a, b in zip(L, blocks):
+                np.copyto(a, b)
+        yield record("specfun.exp_real_times",
+                     {"workload": workload, "d": c.d, "s": s_text(c.s), "bound": c.bound},
+                     {"values": sum(b.size for b in blocks), "blocks": len(blocks)},
+                     lambda: [specfun.exp_real_times(c.s, a, out[:a.size], work, index[:a.size])
+                              for a in L], restore)
+
+
 def grid_records(ops):
     """The Fourier grids of the Maass-Selberg check, the box averages of the
     Rankin-Selberg checks, and the Bessel tables they build."""
@@ -307,7 +332,8 @@ def run():
     report["records"] = [*zeta_records(low),
                          *fourier_records("eisenstein-low-t", low, "real"),
                          *fourier_records("eisenstein-high-t", high, "complex"),
-                         *pair_records(low, high), *grid_records(ops),
+                         *pair_records(low, high), *phase_records(low, high),
+                         *grid_records(ops),
                          *unfolded_records(ops, equidist_ops), *class_records(ops, equidist_ops)]
     report["pace_after"] = timed(pace.probe, repeats=pace.BLOCK)
     report["run_s"] = time.perf_counter() - start

@@ -131,26 +131,32 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     the terms that do not (dv omega_i, the d-ball centre m_i, h_i, and
     (dv Im omega - Im m)^2 at a complex place) are formed once per piece.
     V_i is added up in the order of du + dv omega_i, so V keeps the bits of
-    V from each pair's embeddings, with |w|^2 = (Re w)^2 + (Im w)^2.
+    V from each pair's embeddings, with |w|^2 = (Re w)^2 + (Im w)^2.  du is
+    built once per block, as floats.  Where every dv of a block is 0 (every
+    block on Q), the sum skips dv omega_i: that term is +-0.0, and
+    +-0.0 + du is du exactly, so V keeps its bits there too.
 
-    V and the pass mask are views of a workspace allocated once per call,
-    valid until the next block is drawn: a caller that keeps V copies it,
-    and calls cols() first.  np.repeat spreads the piece terms: gathered
-    into the workspace along a cumsum piece index they ran 6-30% slower.
+    V is the block's own array, its kept pairs taken by boolean indexing.
+    The pass mask that cols() reads is a view of a workspace allocated once
+    per call, valid until the next block is drawn, so a caller calls cols()
+    before it draws the next block.  np.repeat spreads the piece terms:
+    gathered into the workspace along a cumsum piece index they ran 6-30%
+    slower.
     """
     cu, cv, h, centres, radii = _pair_geometry(field, z, BV)
     R = field.regulator
     omegas = field.omega_places
-    tmp, Vk = np.empty((2, fields._PAIR_BLOCK))
+    tmp = np.empty(fields._PAIR_BLOCK)
     keep, edge = np.empty((2, fields._PAIR_BLOCK), dtype=bool)
-    ramps = np.arange(fields._PAIR_BLOCK) * np.array([[1], [2]])
+    ramps = np.arange(fields._PAIR_BLOCK, dtype=float) * np.array([[1], [2]])
 
     def du_values(du0, n, q):
-        """du on the pieces, by a step of 1 in the first q, then of 2."""
+        """du on the pieces, by a step of 1 in the first q, then of 2, as
+        floats (exact: |du| < 2^53)."""
         starts = np.cumsum(n) - n
         p = int(starts[q]) if q < n.size else int(n.sum())
         starts[q:] <<= 1
-        du = np.repeat(du0 - starts, n)
+        du = np.repeat((du0 - starts).astype(float), n)
         du[:p] += ramps[0, :p]
         du[p:] += ramps[1, p:du.size]
         return du
@@ -158,11 +164,16 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
     for k, dv, du0, n, q in _pair_rows(field, cu, cv, centres, radii):
         du = du_values(du0, n, q)
         N = du.size
+        dv_zero = not dv.any()
         Vp = []
         for o, m, hi, deg in zip(omegas, centres, h, field.place_degrees):
-            Vi = np.repeat(dv * o.real, n)
-            Vi += du
-            Vi -= np.repeat(m.real[k], n)
+            if dv_zero:
+                Vi = np.repeat(m.real[k], n)
+                np.subtract(du, Vi, out=Vi)
+            else:
+                Vi = np.repeat(dv * o.real, n)
+                Vi += du
+                Vi -= np.repeat(m.real[k], n)
             Vi *= Vi
             if deg == 2:
                 Vi += np.repeat((dv * o.imag - m.imag[k]) ** 2, n)
@@ -178,13 +189,12 @@ def _pair_blocks(field: FieldData, z: Point, BV: float):
         if field.r == 2:
             kp &= np.greater_equal(w, -2 * R, out=edge[:N])
             kp &= np.less(w, 2 * R, out=edge[:N])
-        kept = int(np.count_nonzero(kp))
-        if kept < N:
-            V = np.compress(kp, V, out=Vk[:kept])
+        if not kp.all():
+            V = V[kp]
 
         def cols(k=k, dv=dv, du0=du0, n=n, q=q, keep=kp):
             kq, dvp = np.repeat(k, n)[keep], np.repeat(dv, n)[keep]
-            return cu[kq], cv[kq], du_values(du0, n, q)[keep], dvp
+            return cu[kq], cv[kq], du_values(du0, n, q)[keep].astype(np.int64), dvp
         yield V, cols
 
 
@@ -270,11 +280,11 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     Q(i)), take the ratios, floors and gathers, and add their terms times
     W_s - 1 and their M - 1.  A pair near the cut lands on the table side,
     where its weights are exact either way.  The sum runs block by block
-    (_pair_blocks), each block's V a view of the enumerator's workspace, its
-    terms and the table side's ratios, floors and gathers written into one
-    of this call's, so memory is bounded by `fields._PAIR_BLOCK`, not by B;
-    the block sums are added by math.fsum.  At complex s, (N(y) / V)^s is
-    `specfun.exp_real_times`.
+    (_pair_blocks), each block's terms, floors and gathers written into a
+    workspace of this call's; the table side takes its pairs' V and terms
+    by boolean indexing, arrays of at most a block.  So memory is bounded by
+    `fields._PAIR_BLOCK`, not by B; the block sums are added by math.fsum.
+    At complex s, (N(y) / V)^s is `specfun.exp_real_times`.
 
     Against the coprime sum in ascending order of V, added by math.fsum, the
     value differs by at most 4.7e-16 relative at s = 1.5, 2 and 1.3+0.5i and
@@ -325,7 +335,7 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
     # one workspace for every block; each j is in range, so clipped gathers
     work = np.empty((5, fields._PAIR_BLOCK))
     j, Mj = np.empty((2, fields._PAIR_BLOCK), dtype=np.intp)
-    term, table_term = np.empty((2, fields._PAIR_BLOCK), dtype=W1.dtype)
+    term = np.empty(fields._PAIR_BLOCK, dtype=W1.dtype)
     low = np.empty(fields._PAIR_BLOCK, dtype=bool)
     for V, _ in _pair_blocks(field, z, BV):
         n = V.size
@@ -341,13 +351,12 @@ def eisenstein_direct(field: FieldData, cusp: Cusp, z: Point,
         inner += int(np.count_nonzero(np.less_equal(V, BV / 2, out=lo)))
         # the pairs at or below the cut, whose weights at floor(sqrt(BV / V))
         # and floor(sqrt(BV / 2V)) need not be 1
-        np.less_equal(V, cut, out=lo)
-        k = int(np.count_nonzero(lo))
+        rb = V[np.less_equal(V, cut, out=lo)]
+        k = rb.size
         if not k:
             continue
-        rb, jb, Mb, tk = work[0, :k], j[:k], Mj[:k], table_term[:k]
-        np.divide(BV, np.compress(lo, V, out=rb), out=rb)
-        np.compress(lo, tb, out=tk)
+        tk, jb, Mb = tb[lo], j[:k], Mj[:k]
+        np.divide(BV, rb, out=rb)
         np.copyto(jb, np.sqrt(rb, out=work[1, :k]), casting="unsafe")
         count += int(M1.take(jb, out=Mb, mode="clip").sum())
         # the block's terms are summed: their row takes the weights

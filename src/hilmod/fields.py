@@ -345,19 +345,26 @@ def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
     """The integer ranges [lo_j, hi_j], laid end to end, in consecutive
     blocks of at most _PAIR_BLOCK values, as row pieces: per block the rows
     j it touches, the first value of each piece and its length.  A row
-    longer than a block is split between blocks; empty rows are dropped."""
-    counts = np.maximum(hi - lo + 1, 0)
+    longer than a block is split between blocks; empty rows are dropped.
+    The blocks' first and last rows are found at once, so a block costs
+    three slices and the trim of its two end pieces."""
+    counts = hi - lo + 1
+    rows = np.flatnonzero(counts > 0)
+    counts, lo = counts[rows], lo[rows]
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
-    for a in range(0, total, _PAIR_BLOCK):
-        b = min(a + _PAIR_BLOCK, total)
-        r0 = int(np.searchsorted(ends, a, side="right"))
-        r1 = int(np.searchsorted(ends, b, side="left")) + 1
-        first = ends[r0:r1] - counts[r0:r1]
-        skip = np.maximum(a - first, 0)
-        n = np.minimum(counts[r0:r1], b - first) - skip
-        rows = np.flatnonzero(n > 0)
-        yield rows + r0, lo[rows + r0] + skip[rows], n[rows]
+    a = np.arange(0, total, _PAIR_BLOCK)
+    b = np.minimum(a + _PAIR_BLOCK, total)
+    # rows r0..r1-1 hold the values a..b-1: r0 the first ending past a, r1 - 1
+    # the first ending at or past b
+    r0, r1 = np.searchsorted(ends, a, side="right"), np.searchsorted(ends, b) + 1
+    for a, b, r0, r1 in zip(a.tolist(), b.tolist(), r0.tolist(), r1.tolist()):
+        v0, n = lo[r0:r1].copy(), counts[r0:r1].copy()
+        head = a - int(ends[r0] - counts[r0])  # values of the first row in earlier blocks
+        v0[0] += head
+        n[0] -= head
+        n[-1] -= int(ends[r1 - 1]) - b         # values of the last row in later blocks
+        yield rows[r0:r1], v0, n
 
 
 def _piece_values(v0: np.ndarray, n: np.ndarray) -> np.ndarray:

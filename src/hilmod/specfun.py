@@ -71,8 +71,9 @@ _PHASE_MAX = 1e5
 _PHASE_HI = math.ldexp(round(math.ldexp(math.pi / 2048, 36)), -36)
 _PHASE_LO = ((math.pi - 2048 * _PHASE_HI) + 1.2246467991473532e-16) / 2048  # pi - fl(pi)
 _a, _d = np.arange(_PHASE_SIZE) * _PHASE_HI, np.arange(_PHASE_SIZE) * _PHASE_LO  # d < 5e-8
-_PHASE_COS = np.cos(_a) - (_d * np.sin(_a) + 0.5 * _d * _d * np.cos(_a))  # to order d^2
-_PHASE_SIN = np.sin(_a) + (_d * np.cos(_a) - 0.5 * _d * _d * np.sin(_a))
+_PHASE_TABLE = np.empty(_PHASE_SIZE, dtype=complex)  # exp(2 pi i k / 2^12), to order d^2
+_PHASE_TABLE.real = np.cos(_a) - (_d * np.sin(_a) + 0.5 * _d * _d * np.cos(_a))
+_PHASE_TABLE.imag = np.sin(_a) + (_d * np.cos(_a) - 0.5 * _d * _d * np.sin(_a))
 del _a, _d
 
 
@@ -109,15 +110,18 @@ def exp_real_times(p: complex, L: np.ndarray, out: np.ndarray, work: np.ndarray,
                    index: np.ndarray) -> np.ndarray:
     """exp(p L) for a complex p and real L into `out` (complex): the real
     exp(Re(p) L) times exp(i theta), theta = Im(p) L rounded as in
-    np.exp(p * L), from a table of 2^12 phases and the Taylor terms of
-    exp(i r), |r| <= pi / 2^12, to degree 4 (cos) and 5 (sin).  The
+    np.exp(p * L), from one complex table of 2^12 phases and the Taylor
+    terms of exp(i r), |r| <= pi / 2^12, to degree 4 (cos) and 5 (sin).
+    The amplitude scales those terms, 1 + (cos r - 1) and sin r, into `out`,
+    which one complex product with the gathered phases completes.  The
     reduction theta = k 2 pi / 2^12 + r is exact to the rounding of r for
     |theta| <= 1e5; ``DomainError`` beyond.  L is overwritten; the caller's
-    buffers `work` (at least 4 rows of at least L's size) and `index` (intp,
-    L's size) are scratch, so that a loop over blocks allocates nothing per
-    block."""
+    buffers `work` (C-contiguous, at least 4 rows of at least L's size) and
+    `index` (intp, L's size) are scratch, and the gathered phases go into
+    the first two rows of `work`, so that a loop over blocks allocates
+    nothing per block."""
     n = L.size
-    theta, k, cm, sn = work[:4, :n]
+    theta, k, cs, sn = work[:4, :n]
     np.multiply(L, p.imag, out=theta)
     if n and not max(-theta.min(), theta.max()) <= _PHASE_MAX:
         raise DomainError("phase |Im(p) L| past %g, where its reduction is inexact" % _PHASE_MAX)
@@ -127,30 +131,23 @@ def exp_real_times(p: complex, L: np.ndarray, out: np.ndarray, work: np.ndarray,
     np.copyto(index, k, casting="unsafe")
     np.bitwise_and(index, _PHASE_SIZE - 1, out=index)
     r, r2 = theta, k                      # theta becomes r, k becomes r^2
-    np.subtract(theta, np.multiply(k, _PHASE_HI, out=cm), out=r)
-    np.subtract(r, np.multiply(k, _PHASE_LO, out=cm), out=r)
+    np.subtract(theta, np.multiply(k, _PHASE_HI, out=cs), out=r)
+    np.subtract(r, np.multiply(k, _PHASE_LO, out=cs), out=r)
     np.multiply(r, r, out=r2)
-    np.multiply(r2, 1 / 24, out=cm)       # cos r - 1
-    cm -= 0.5
-    cm *= r2
+    np.multiply(r2, 1 / 24, out=cs)       # cos r
+    cs -= 0.5
+    cs *= r2
+    cs += 1
     np.multiply(r2, 1 / 120, out=sn)      # sin r
     sn -= 1 / 6
     sn *= r2
     sn *= r
     sn += r
-    tc = np.take(_PHASE_COS, index, out=r2, mode="clip")
-    ts = np.take(_PHASE_SIN, index, out=r, mode="clip")
-    re, im = out.real, out.imag
-    np.multiply(tc, cm, out=re)           # (tc + i ts)(1 + cm + i sn)
-    re -= np.multiply(ts, sn, out=im)
-    re += tc
-    re *= amp
-    cm *= ts
-    sn *= tc
-    np.add(cm, sn, out=im)
-    im += ts
-    im *= amp
-    return out
+    np.multiply(cs, amp, out=out.real)
+    np.multiply(sn, amp, out=out.imag)
+    # rows 0 and 1, spent with r and r^2, as n complex values
+    phase = work[:2].reshape(-1)[:2 * n].view(complex)
+    return np.multiply(out, np.take(_PHASE_TABLE, index, out=phase, mode="clip"), out=out)
 
 
 def bessel_k(s: complex, y: float) -> complex:

@@ -164,12 +164,12 @@ def _reference_V(field, z, c1, c2, d1, d2):
 @pytest.mark.parametrize("block", [None, 13])
 @pytest.mark.parametrize("d", [0, 5, -1, 2, 13, -3, -7])
 def test_pair_blocks_match_point_reference(d, block, monkeypatch):
-    # V from the row pieces against V from each pair's embeddings, block by
-    # block; and the pairs, in order, against the points of the d balls kept
-    # by that reference V and the unit window, less those with c and d both
-    # in 2o.  The stated stream order: three runs, each in order of c, then
-    # dv, then du: the c outside 2o; the c in 2o with dv odd; the c in 2o
-    # with dv even
+    # V from the row pieces bit for bit against V from each pair's
+    # embeddings, block by block; and the pairs, in order, against the points
+    # of the d balls kept by that reference V and the unit window, less those
+    # with c and d both in 2o.  The stated stream order: three runs, each in
+    # order of c, then dv, then du: the c outside 2o; the c in 2o with dv
+    # odd; the c in 2o with dv even
     field = F.make_field(d)
     z = random_point(field, random.Random(70 + d))
     BV = (2e3 if block else 2e4) * z.ny(field)
@@ -180,7 +180,7 @@ def test_pair_blocks_match_point_reference(d, block, monkeypatch):
         cols = cols()
         ref, _ = _reference_V(field, z, *cols)
         assert V.shape == ref.shape
-        assert np.all(np.abs(V - ref) <= 4.5e-16 * ref)
+        assert np.array_equal(V, ref)
         got.append(np.stack(cols, axis=1))
     got = np.concatenate(got)
     cu, cv, _, centres, radii = E._pair_geometry(field, z, BV)

@@ -382,6 +382,24 @@ def test_canonical_c_one_per_torsion_orbit(d):
     assert np.all(hits == 1)
 
 
+@given(ranges=st.lists(st.tuples(st.integers(-50, 50), st.integers(-3, 40)), max_size=30),
+       block=st.integers(1, 50))
+@settings(max_examples=200, deadline=None)
+def test_ragged_blocks_lay_the_ranges_end_to_end(ranges, block):
+    # against the ranges listed value by value: the blocks hold every value
+    # once, in order, each block full but the last, and no piece is empty
+    lo = np.array([a for a, _ in ranges], dtype=np.int64)
+    hi = np.array([a + w for a, w in ranges], dtype=np.int64)
+    want = [(j, v) for j, (a, w) in enumerate(ranges) for v in range(a, a + w + 1)]
+    with mock.patch.object(F, "_PAIR_BLOCK", block):
+        blocks = list(F._ragged_blocks(lo, hi))
+    got = [(j, v) for rows, v0, n in blocks
+           for j, a, k in zip(rows.tolist(), v0.tolist(), n.tolist()) for v in range(a, a + k)]
+    assert got == want
+    assert all(n.min() > 0 for _, _, n in blocks)
+    assert [int(n.sum()) for _, _, n in blocks[:-1]] == [block] * (len(blocks) - 1)
+
+
 _GCD_FIELDS = {d: F.make_field(d) for d in (0, 5, -1, -3, 13, 19, 41, -163)}
 _ENTRY = st.integers(-10 ** 3, 10 ** 3)
 _ball_points = oracles._ball_points

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -107,6 +108,22 @@ def test_exp_real_times_reduction_edge():
     for edge in (np.nextafter(-10.0, -11.0), np.nextafter(10.0, 11.0)):
         with pytest.raises(DomainError):
             _exp_real_times(p, np.array([-1.0, edge]))
+
+
+def test_exp_real_times_allocates_nothing_per_block():
+    # on a block of 2^14 values (128 KiB of doubles) into the caller's
+    # buffers, the tracemalloc peak is a few array views, not a block
+    n = 1 << 14
+    L = np.random.default_rng(29).uniform(-15.0, 0.0, n)
+    out, work, index = np.empty(n, dtype=complex), np.empty((4, n)), np.empty(n, dtype=np.intp)
+    S.exp_real_times(1.3 + 0.5j, L.copy(), out, work, index)
+    tracemalloc.start()
+    try:
+        S.exp_real_times(1.3 + 0.5j, L, out, work, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096
 
 
 def test_bessel_half_order_closed_form():
