@@ -9,10 +9,11 @@ frequencies, classes or kappa).  `per_s` is the first work count over the
 median seconds.  Wherever a benchmark workload reaches a layer, the inputs
 are that workload's at seed 11 (`perfbench.workloads.make_inputs`); the
 work counts come from running the layer's caller once with the layer's
-calls recorded.  The class enumeration is timed with an empty
-`domains._cusp_classes` cache.  Before the layers and after them, the host's
-pace: `pace.BLOCK` calls of perfbench's pace probe, fixed work that uses no
-hilmod code, timed the same way.
+calls recorded (the unfolded kernel's ramp values, from one replay of its
+calls with `equidist._ramp` recorded).  The class enumeration is timed
+with an empty `domains._cusp_classes` cache.  Before the layers and after
+them, the host's pace: `pace.BLOCK` calls of perfbench's pace probe, fixed
+work that uses no hilmod code, timed the same way.
 
 This measures what each layer costs, and what share of a route each layer
 takes.  It does not resolve a change between two versions of the code: the
@@ -271,12 +272,15 @@ def unfolded_records(ops, equidist_ops):
             return equidist.decay_exponent_fit(f, field, op["k_min"], op["k_max"], ctx)
         with spied(equidist, "_unfolded_kernel") as kernels:
             fit()
+        with spied(equidist, "_ramp", np.size) as ramps:
+            replay(equidist._unfolded_kernel, kernels)
         given = {"workload": "equidist", **op}
         kappa = sum(np.size(args[1]) for args, _ in kernels)
         yield record("equidist._unfolded_kernel",
                      {**given, "calls_of": "decay_exponent_fit",
                       "orders": [args[3] for args, _ in kernels]},
-                     {"kappa": kappa}, lambda: replay(equidist._unfolded_kernel, kernels))
+                     {"kappa": kappa, "ramp_values": sum(ramps)},
+                     lambda: replay(equidist._unfolded_kernel, kernels))
         yield record("equidist.decay_exponent_fit", given,
                      {"kappa": kappa, "heights": op["k_max"] - op["k_min"] + 1}, fit)
     for op in ops["rankin_selberg"]:

@@ -24,18 +24,14 @@ from .zeta import ZetaContext, make_context
 # ---------------------------------------------------------------------------
 
 def _ramp(t: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, and e0 / (e0 + e1) with
-    e0 = exp(-1 / t), e1 = exp(-1 / (1 - t)) only in between."""
-    t = np.array(t, dtype=float)
-    t[t <= 0] = 0.0
-    t[t >= 1] = 1.0
-    inner = (t > 0) & (t < 1)
-    ti = t[inner]
-    with np.errstate(over="ignore"):
-        f0 = np.exp(-1.0 / ti)
-        f1 = np.exp(-1.0 / (1 - ti))
-    t[inner] = f0 / (f0 + f1)
-    return t
+    """C-infinity ramp e0 / (e0 + e1), e0 = exp(-1 / t), e1 = exp(-1 / (1 - t)),
+    on t clamped to [+0, 1], with both exponentials taken at every point:
+    exp(-1 / +0) = 0 makes it exactly 0 for t <= 0 and 1 for t >= 1."""
+    t = np.clip(t, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into +0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        e0 = np.exp(-1.0 / t)
+        e1 = np.exp(-1.0 / (1.0 - t))
+    return e0 / (e0 + e1)
 
 
 @dataclass(frozen=True)
@@ -52,11 +48,15 @@ class TestFunction:
     shoulder: float
     amplitude: float
 
+    def rise(self, q) -> np.ndarray:
+        return _ramp((q - self.t0) / self.shoulder)
+
+    def fall(self, q) -> np.ndarray:
+        return _ramp((self.t1 - q) / self.shoulder)
+
     def profile(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        up = _ramp((q - self.t0) / self.shoulder)
-        down = _ramp((self.t1 - q) / self.shoulder)
-        return self.amplitude * up * down
+        return self.amplitude * self.rise(q) * self.fall(q)
 
 
 # Standard bump for the equidistribution experiments.  Fitted slopes over a
@@ -70,11 +70,16 @@ def make_test_function(field: FieldData, t0: float = DEFAULT_BUMP[0],
                        t1: float = DEFAULT_BUMP[1],
                        amplitude: float = 1.0) -> TestFunction:
     """The plateau bump on [t0, t1] with shoulders of a quarter of the
-    support, so the plateau covers half of it."""
-    if not t0 > field.l1_estimate:
-        raise DomainError("support floor %g must exceed l1 ~ %g" % (t0, field.l1_estimate))
-    if not t0 < t1 < math.inf:
-        raise DomainError("support [%g, %g] is not a finite interval" % (t0, t1))
+    support, so the plateau covers half of it.  t0, t1 and the amplitude are
+    taken as floats: `DomainError` unless l1 < t0 < t1 < inf and the
+    amplitude is finite."""
+    try:
+        t0, t1, amplitude = float(t0), float(t1), float(amplitude)
+    except OverflowError:
+        raise DomainError("t0, t1 and the amplitude must lie in the double range") from None
+    if not (field.l1_estimate < t0 < t1 < math.inf and math.isfinite(amplitude)):
+        raise DomainError("support [%g, %g] must lie above l1 ~ %g, amplitude %g be finite"
+                          % (t0, t1, field.l1_estimate, amplitude))
     return TestFunction(t0, t1, (t1 - t0) / 4.0, amplitude)
 
 
@@ -153,37 +158,42 @@ def _totients(field: FieldData, N: int) -> np.ndarray:
 _KERNEL_BLOCK = 1 << 13  # integrand values evaluated per block
 
 
-def _break_edges(f: TestFunction, kappa: np.ndarray) -> np.ndarray:
-    """Edges [0, x(t1), x(t1 - sh), x(t0 + sh), x(t0)] for each kappa, one
-    row each, with x(b) = sqrt(max(kappa / b - 1, 0)): a break above kappa
-    gives a zero-length piece, and kappa <= t0 gives only those.  Rows are
-    sorted, as the shoulders may overlap."""
-    breaks = np.array([f.t1, f.t1 - f.shoulder, f.t0 + f.shoulder, f.t0])
-    lev = np.sqrt(np.maximum(kappa[:, None] / breaks - 1.0, 0.0))
-    return np.sort(np.concatenate([np.zeros((kappa.size, 1)), lev], axis=1), axis=1)
+def _break_edges(breaks: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Edges x(b) = sqrt(max(kappa / b - 1, 0)) of the breaks b, given in
+    descending order, one row per kappa.  Division, max and sqrt are
+    monotone, so each row ascends, exactly, without a sort.  A break above
+    kappa gives a zero-length piece, and kappa <= t0 gives only those."""
+    return np.sqrt(np.maximum(kappa[:, None] / breaks - 1.0, 0.0))
 
 
 def _unfolded_kernel(f: TestFunction, kappa, degrees: tuple[int, ...],
                      order: int) -> np.ndarray:
     """K(kappa) = int_0^inf psi(kappa / (1 + x^2)) w(x) dx for an array of
     kappa, with the weight of the place degrees (`geometry._PLACE_WEIGHTS`):
-    one GL rule of `order` nodes on each piece between the shoulder breaks,
-    psi taken as exactly 0 on the first, [0, x(t1)], where kappa / (1 + x^2)
-    >= t1.  Rows are evaluated in blocks of about _KERNEL_BLOCK nodes, edges
-    included, so memory does not grow with the number of kappa."""
+    one GL rule of `order` nodes on each of the 3 pieces between the shoulder
+    breaks; [0, x(t1)], where psi is 0, takes none.  psi is the amplitude
+    times the one ramp that varies on a shoulder piece (the other is exactly
+    1.0 there), and the amplitude on the plateau (`profile` where the
+    shoulders overlap).  Rows go in blocks of about _KERNEL_BLOCK nodes."""
     kappa = np.asarray(kappa, dtype=float).ravel()
     weight = _PLACE_WEIGHTS[degrees]
     gx, gw = gl_panel_nodes(-1.0, 1.0, 1, order)
+    breaks = np.array(sorted([f.t1, f.t1 - f.shoulder, f.t0 + f.shoulder, f.t0], reverse=True))
+    # piece j holds the heights [b_j+1, b_j]: which of its ramps vary there
+    rises, falls = breaks[1:] < f.t0 + f.shoulder, breaks[:-1] > f.t1 - f.shoulder
     out = np.empty(kappa.size)
-    step = max(1, _KERNEL_BLOCK // (4 * order))  # 4 pieces per row
+    step = max(1, _KERNEL_BLOCK // (3 * order))  # 3 pieces per row
     for lo in range(0, kappa.size, step):
         k = kappa[lo:lo + step]
-        edges = _break_edges(f, k)
+        edges = _break_edges(breaks, k)
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
         x = 0.5 * (edges[:, 1:, None] + edges[:, :-1, None]) + half[:, :, None] * gx
         t = x * x + 1.0
-        psi = np.zeros_like(t)  # piece 0, [0, x(t1)], lies above the support
-        psi[:, 1:] = f.profile(k[:, None, None] / t[:, 1:])
+        psi = np.full_like(t, f.amplitude)
+        for j in np.flatnonzero(rises | falls):
+            q = k[:, None] / t[:, j]
+            psi[:, j] = f.profile(q) if rises[j] and falls[j] else \
+                f.amplitude * (f.rise(q) if rises[j] else f.fall(q))
         out[lo:lo + step] = np.einsum("kpo,kp,o->k", psi * weight(x, t), half, gw)
     return out
 

@@ -297,3 +297,14 @@ def test_equidist_bad_config(tmp_path, capsys, text):
     rc, out, err = run_cli(capsys, "equidist", "--config", str(cfg_path))
     assert rc == 2 and out == ""
     assert err.startswith("error: DomainError: ")
+
+
+@pytest.mark.parametrize("key", ["t0", "t1", "amplitude"])
+def test_equidist_config_integer_past_double_range(tmp_path, capsys, key):
+    # a 400-digit integer passes the config's type check; it ended in an
+    # OverflowError traceback before the test function took it as a float
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"%s": 1%s}' % (key, "0" * 400))
+    rc, out, err = run_cli(capsys, "equidist", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: DomainError: ") and len(err.splitlines()) == 1

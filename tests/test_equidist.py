@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -44,6 +45,16 @@ def test_profile_scaling_exact(field_q):
 def test_test_function_requires_support_above_l1(field_q):
     with pytest.raises(DomainError):
         Q.make_test_function(field_q, 0.8, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400])
+@pytest.mark.parametrize("name", ["t0", "t1", "amplitude"])
+def test_test_function_refuses_non_finite(field_q, name, value):
+    # a nan or inf amplitude gave a nan m_q with a RuntimeWarning, and an
+    # integer past the double range an OverflowError
+    with pytest.raises(DomainError):
+        Q.make_test_function(field_q, **{name: value})
 
 
 def test_eval_plateau_point(field_q):
@@ -319,9 +330,9 @@ def test_kernel_two_planes_against_nested_quad(field_q5):
 
 
 def test_kernel_two_planes_blocks(field_q5, monkeypatch):
-    # three kappa rows per block of four pieces at order 16
+    # three kappa rows per block of three pieces at order 16
     f = Q.make_test_function(field_q5, 2.0, 4.0)
-    monkeypatch.setattr(Q, "_KERNEL_BLOCK", 3 * 4 * 16)
+    monkeypatch.setattr(Q, "_KERNEL_BLOCK", 3 * 3 * 16)
     kappas = np.linspace(1.9, 9.0, 11)
     together = Q._unfolded_kernel(f, kappas, (1, 1), 16)
     alone = np.array([Q._unfolded_kernel(f, [k], (1, 1), 16)[0] for k in kappas])
@@ -540,21 +551,60 @@ def test_one_kernel_row_per_distinct_kappa(field_q, ctx_q, monkeypatch):
 @pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1)])
 @pytest.mark.parametrize("shoulder", [None, 0.7])  # 0.7: the shoulders overlap
 def test_kernel_evaluates_no_bump_above_t1(field_q, monkeypatch, degrees, shoulder):
+    # the heights at which the kernel evaluates psi: those of the one ramp
+    # of each shoulder piece, and profile's (once, not its ramps') on the
+    # middle piece where the shoulders overlap; and the ramp values, profile's
+    # included
     f = Q.make_test_function(field_q, 2.0, 3.0) if shoulder is None else \
         Q.TestFunction(2.0, 3.0, shoulder, 1.0)
     edges = [b * (1 + e) for b in (f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1)
              for e in (-1e-15, 0.0, 1e-15)]
     kappas = np.concatenate([np.geomspace(0.5, 1e6, 200), edges])
-    profile, seen = Q.TestFunction.profile, []
+    seen, in_profile, ramps = [], [], []
+    profile = Q.TestFunction.profile
 
-    def recorded(self, t):
-        seen.append(np.asarray(t, dtype=float).ravel())
-        return profile(self, t)
-    monkeypatch.setattr(Q.TestFunction, "profile", recorded)
+    def ramp_spy(ramp):
+        def recorded(self, q):
+            ramps.append(np.size(q))
+            if not in_profile:
+                seen.append(np.ravel(q))
+            return ramp(self, q)
+        return recorded
+
+    def profile_spy(self, q):
+        seen.append(np.ravel(q))
+        in_profile.append(True)
+        value = profile(self, q)
+        in_profile.pop()
+        return value
+    monkeypatch.setattr(Q.TestFunction, "rise", ramp_spy(Q.TestFunction.rise))
+    monkeypatch.setattr(Q.TestFunction, "fall", ramp_spy(Q.TestFunction.fall))
+    monkeypatch.setattr(Q.TestFunction, "profile", profile_spy)
     Q._unfolded_kernel(f, kappas, degrees, 24)
     heights = np.concatenate(seen)
-    assert heights.size == kappas.size * 3 * 24  # pieces 1-3 of each row
+    overlap = f.t0 + f.shoulder > f.t1 - f.shoulder
+    assert heights.size == kappas.size * (2 + overlap) * 24  # one ramp per shoulder piece
     assert heights.max() <= f.t1
+    assert sum(ramps) == kappas.size * (2 + 2 * overlap) * 24
+
+
+# Pinned on x86-64 with numpy 2.4: sha256 of the kernel's bytes on 2,000
+# kappa in [0.5, 1e6] and every break times 1 - 1e-15, 1 and 1 + 1e-15, for
+# the quarter and the overlapping 0.7 shoulders of [2, 3], the three
+# place-degree signatures and orders 20, 24 and 32, in that order.
+_KERNEL_PIN = "49a8554f09bddc98c907cc44acbdc05931ed9fbca500811b29c3c06a3d06a58c"
+
+
+def test_kernel_bytes_pinned(field_q):
+    digest = hashlib.sha256()
+    for f in (Q.make_test_function(field_q, 2.0, 3.0), Q.TestFunction(2.0, 3.0, 0.7, 1.0)):
+        breaks = np.array([f.t0, f.t0 + f.shoulder, f.t1 - f.shoulder, f.t1])
+        kappas = np.concatenate([np.geomspace(0.5, 1e6, 2000),
+                                 np.outer(breaks, [1 - 1e-15, 1.0, 1 + 1e-15]).ravel()])
+        for degrees in ((1,), (2,), (1, 1)):
+            for order in (20, 24, 32):
+                digest.update(Q._unfolded_kernel(f, kappas, degrees, order).tobytes())
+    assert digest.hexdigest() == _KERNEL_PIN
 
 
 # Mellin sides of rankin_selberg_check, bump [2, 4], s = 2, as float.hex of
