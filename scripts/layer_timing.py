@@ -5,7 +5,9 @@ Each record times one layer on one input: one untimed call, then REPEATS
 calls timed with time.perf_counter, as the median, min and max seconds and
 their spread (q3 - q1) / median, with the minor page faults of each call
 (`resource.getrusage`) and the layer's work counts (pairs, values,
-frequencies, classes or kappa).  `per_s` is the first work count over the
+frequencies, classes or kappa; a direct-route call also counts the
+stretches it sums by Euler-Maclaurin, their node values and the pairs it
+sums one by one).  `per_s` is the first work count over the
 median seconds.  Wherever a benchmark workload reaches a layer, the inputs
 are that workload's at seed 11 (`perfbench.workloads.make_inputs`); the
 work counts come from running the layer's caller once with the layer's
@@ -201,7 +203,36 @@ def pair_records(low, high):
                                                     c.z, params, return_parts=True)
             yield record("eisenstein.eisenstein_direct",
                          {"workload": workload, "d": c.d, "s": s_text(c.s), "bound": c.bound},
-                         {"pairs": int(direct()[3])}, direct)
+                         direct_work(direct), direct)
+
+
+def direct_work(direct):
+    """The pairs that one direct-route call accounts for, the weight-one
+    stretches it sums by Euler-Maclaurin, their Gauss-Legendre node values
+    and the sum of their computed error bounds, and the pairs it sums one
+    by one."""
+    plan, blocks, stretches, pairs = (eisenstein._weight_one_stretches,
+                                      eisenstein._pair_blocks, [], [])
+
+    def plan_spy(*args):
+        out = plan(*args)
+        stretches.append(out[3])
+        return out
+
+    def blocks_spy(*args):
+        for V, cols in blocks(*args):
+            pairs.append(V.size)
+            yield V, cols
+    eisenstein._weight_one_stretches, eisenstein._pair_blocks = plan_spy, blocks_spy
+    try:
+        accounted = int(direct()[3])
+    finally:
+        eisenstein._weight_one_stretches, eisenstein._pair_blocks = plan, blocks
+    # a stretch: (row, K, ..., panels, bound)
+    return {"pairs": accounted, "em_stretches": sum(st[1].size for st in stretches),
+            "em_node_values": sum(int(st[-2].sum()) for st in stretches) * eisenstein._EM_ORDER,
+            "em_error_bound": sum(float(st[-1].sum()) for st in stretches),
+            "pairs_one_by_one": sum(pairs)}
 
 
 def phase_records(low, high):
@@ -210,10 +241,12 @@ def phase_records(low, high):
     high-t call, each block timed into one set of buffers."""
     q = next(c for c in low if c.d == 0 and c.s.imag)
     for workload, c in (("eisenstein-low-t", q), ("eisenstein-high-t", high[0])):
-        # L is overwritten by the call: keep a copy of each block
-        with spied(eisenstein, "exp_real_times", keep=lambda p, L, *_: L.copy()) as blocks:
+        # L is overwritten by the call: keep a copy of each block, of the
+        # pairs' terms (p = s; on Q the stretches' nodes take 1 - 2s)
+        with spied(eisenstein, "exp_real_times", keep=lambda p, L, *_: (p, L.copy())) as calls:
             eisenstein.eisenstein_direct(c.field, geometry.cusp_infinity(c.field), c.z,
                                          eisenstein.EisensteinParams(s=c.s, norm_bound=c.bound))
+        blocks = [L for p, L in calls if p == c.s]
         L, size = [np.empty_like(b) for b in blocks], fields._PAIR_BLOCK
         out, work, index = (np.empty(size, dtype=complex), np.empty((4, size)),
                             np.empty(size, dtype=np.intp))

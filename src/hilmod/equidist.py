@@ -13,7 +13,7 @@ import numpy as np
 from .domains import _cusp_classes, eisenstein_box_average
 from .eisenstein import orbifold_volume
 from .errors import DomainError, PoleAtOne, QuadratureBudgetExceeded
-from .fields import FieldData, ideal_totient_sums, make_field
+from .fields import _CANDIDATE_BUDGET, FieldData, ideal_totient_sums, make_field
 from .geometry import _PLACE_WEIGHTS, unfold_constant
 from .quadrature import gl_panel_nodes
 from .zeta import ZetaContext, make_context
@@ -205,7 +205,12 @@ def _unfolded_sum(f: TestFunction, q, field: FieldData, order: int) -> np.ndarra
     exactly on the dyadic grid), and each height's rows are summed in that
     order (ascending kernel size)."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    nmax = np.floor(1.0 / np.sqrt(q * f.t0)).astype(np.int64)
+    nmax = np.floor(1.0 / np.sqrt(q * f.t0))
+    if not nmax.sum() <= _CANDIDATE_BUDGET:
+        raise QuadratureBudgetExceeded("the unfolded sums at heights down to %g lay out %.3g "
+                                       "rows, past the budget of %d"
+                                       % (q.min(), nmax.sum(), _CANDIDATE_BUDGET))
+    nmax = nmax.astype(np.int64)
     ends = np.cumsum(nmax)
     n = np.repeat(ends, nmax) - np.arange(int(nmax.sum()))
     T = _totients(field, int(nmax.max(initial=0)))[n - 1]
@@ -358,6 +363,18 @@ def decay_exponent_fit(f: TestFunction, field: FieldData, k_min: int,
     error above max(0.1 |m_q - m|, 1e-12 scale) raises."""
     if k_max <= k_min:
         raise DomainError("the fit needs two heights or more, got k = %d .. %d" % (k_min, k_max))
+    if k_min < -1022:
+        raise DomainError("heights 2^-k must be normal doubles, got k_min = %d" % k_min)
+    # the unfolded sums lay out floor(2^(k/2) / sqrt(t0)) rows at height 2^-k,
+    # fewer than 2^(k_max/2) / (sqrt(t0) (1 - 2^-1/2)) in all: predicted
+    # before any height is listed
+    k_top = 2 * math.log2(_CANDIDATE_BUDGET * math.sqrt(f.t0) * (1 - 2 ** -0.5))
+    if k_max > k_top:
+        shown = str(k_max) if k_max < 10 ** 6 else "a %d-digit number" % len(str(k_max))
+        raise QuadratureBudgetExceeded(
+            "k_max = %s: the heights 2^-k lay out more rows of the unfolded sums than the "
+            "budget of %d allows (k_max <= %d at t0 = %g)"
+            % (shown, _CANDIDATE_BUDGET, int(k_top), f.t0))
     t_start = time.perf_counter()
     ctx = ctx or make_context(field)
     mf = haar_average(f, field, ctx)

@@ -347,11 +347,12 @@ def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
     j it touches, the first value of each piece and its length.  A row
     longer than a block is split between blocks; empty rows are dropped.
     The blocks' first and last rows are found at once, so a block costs
-    three slices and the trim of its two end pieces."""
+    three slices, a gather of its rows' first values and the trim of its
+    two end pieces; per row only its index and end are kept."""
     counts = hi - lo + 1
     rows = np.flatnonzero(counts > 0)
-    counts, lo = counts[rows], lo[rows]
-    ends = np.cumsum(counts)
+    ends = np.cumsum(counts[rows])
+    del counts  # the blocks take their rows' counts from the ends
     total = int(ends[-1]) if ends.size else 0
     a = np.arange(0, total, _PAIR_BLOCK)
     b = np.minimum(a + _PAIR_BLOCK, total)
@@ -359,11 +360,12 @@ def _ragged_blocks(lo: np.ndarray, hi: np.ndarray):
     # the first ending at or past b
     r0, r1 = np.searchsorted(ends, a, side="right"), np.searchsorted(ends, b) + 1
     for a, b, r0, r1 in zip(a.tolist(), b.tolist(), r0.tolist(), r1.tolist()):
-        v0, n = lo[r0:r1].copy(), counts[r0:r1].copy()
-        head = a - int(ends[r0] - counts[r0])  # values of the first row in earlier blocks
-        v0[0] += head
-        n[0] -= head
-        n[-1] -= int(ends[r1 - 1]) - b         # values of the last row in later blocks
+        start = int(ends[r0 - 1]) if r0 else 0   # values of the rows before r0
+        v0, n = lo[rows[r0:r1]], ends[r0:r1].copy()
+        n[1:] -= ends[r0:r1 - 1]
+        n[0] -= a                               # values of the first row in earlier blocks
+        v0[0] += a - start
+        n[-1] -= int(ends[r1 - 1]) - b          # values of the last row in later blocks
         yield rows[r0:r1], v0, n
 
 

@@ -279,6 +279,22 @@ def test_equidist_needs_two_heights(capsys, k_min, k_max):
     assert err.startswith("error: DomainError: ")
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("--k-max", "60"), None),      # asked numpy for 20.4 GiB
+    ((), '{"k_max": 1%s}' % ("0" * 400)),   # hung listing the heights
+])
+def test_equidist_rows_past_the_budget(tmp_path, capsys, argv, config):
+    # these asked numpy for 20.4 GiB, or hung listing the heights: the
+    # unfolded rows are predicted first
+    if config:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        argv = ("--config", str(cfg_path))
+    rc, out, err = run_cli(capsys, "equidist", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: QuadratureBudgetExceeded: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]",                       # not an object
     '"cfg"',

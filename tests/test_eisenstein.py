@@ -476,6 +476,141 @@ def test_direct_sum_matches_every_pair_weighed(d, seed, log_bound, s):
     _check_against_weighed_sum(field, random_point(field, random.Random(seed)), s, bound)
 
 
+def _stretch_plan(field, z, bound, s):
+    """The geometry at (z, B N(y)) and `_weight_one_stretches` there."""
+    ny = z.ny(field)
+    BV = bound * ny
+    _, _, cut = E._weight_tables(field, bound, ny, s)
+    geometry = E._pair_geometry(field, z, BV)
+    return BV, cut, geometry, E._weight_one_stretches(field, geometry, BV, cut, complex(s), ny)
+
+
+def _row_pairs(field, z, BV, trimmed=None):
+    """The (c, d) keys and V of the pairs of `_pair_blocks` on Q."""
+    keys, Vs = [], []
+    for V, cols in E._pair_blocks(field, z, BV, trimmed):
+        c, _, d, _ = cols()
+        keys.append(c << 32 | (d + (1 << 31)))
+        Vs.append(V.copy())
+    return np.concatenate(keys), np.concatenate(Vs)
+
+
+@given(seed=st.integers(0, 10 ** 6), log_bound=st.floats(math.log(1e3), math.log(2e6)))
+@settings(max_examples=12, deadline=None)
+@example(seed=480, log_bound=math.log(2e6))
+def test_weight_one_stretches_partition_the_rows(seed, log_bound):
+    # on Q the stretches summed by Euler-Maclaurin and the trimmed rows
+    # split the pairs of the whole rows exactly: each stretch is a maximal
+    # run of one row's pairs with cut < V <= BV (its neighbours are missing
+    # or at or below the cut), its points are pairs of the rows, and the
+    # counts of its pairs and of those with V <= BV / 2 are the stretches'
+    # counts; the route's count is that of the coprime pairs that
+    # `enumerate_pairs` lists (their table, `_pair_table`)
+    field = F.make_field(0)
+    z = random_point(field, random.Random(seed))
+    bound = math.exp(log_bound)
+    BV, cut, geometry, (du_ranges, count, inner, stretches) = _stretch_plan(field, z, bound, 1.5)
+    k, _, a, b, step = stretches[:5]
+    keys, V = _row_pairs(field, z, BV)
+    order = np.argsort(keys)
+    keys, V = keys[order], V[order]
+    rest, _ = _row_pairs(field, z, BV, (geometry, du_ranges))
+    c = geometry[0][k]
+    n = ((b - a) / step).astype(np.int64) + 1
+    d = np.repeat(a, n) + step.repeat(n) * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+    em = np.repeat(c, n) << 32 | (d.astype(np.int64) + (1 << 31))
+    assert np.array_equal(np.sort(np.concatenate([rest, em])), keys)
+    at = np.searchsorted(keys, em)
+    assert np.all((V[at] > cut) & (V[at] <= BV))
+    assert count == em.size and inner == np.count_nonzero(V[at] <= BV / 2)
+    for side in (a - step, b + step):
+        key = c << 32 | (side.astype(np.int64) + (1 << 31))
+        i = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        assert np.all((keys[i] != key) | (V[i] <= cut))
+    if bound > 2e4:
+        assert count > 0.5 * V.size
+    got = E.eisenstein_direct(field, G.cusp_infinity(field), z,
+                              E.EisensteinParams(s=1.5, norm_bound=bound), return_parts=True)[3]
+    assert got == _pair_table(field, z, BV)[1].size
+
+
+@pytest.mark.parametrize("bound", [2e4, 2e5, 2e6])
+def test_direct_route_moves_little_without_the_stretch_sums(bound, monkeypatch):
+    # with no correction terms to take, no stretch qualifies and every pair
+    # is summed one by one: the count does not move, and the partial sum by
+    # at most 1e-15 of the size of its terms, the sum at s = Re s (|main|
+    # itself at real s).  Where the terms cancel, the two sums' orders differ by more
+    # than 1e-15 of |main|: at s = 1.5+9.5i, B = 2e4 one of these points has
+    # |main| 0.26 against terms of size 2.6, and there the route with the
+    # stretches reads 2.4e-15, the one without 1.4e-15 of |main| from a
+    # 25-digit sum of the same terms
+    field = F.make_field(0)
+    inf = G.cusp_infinity(field)
+    rng = random.Random(int(bound))
+    for _ in range(10):
+        z = random_point(field, rng)
+        for s in (1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j):
+            params = E.EisensteinParams(s=s, norm_bound=bound)
+            assert _stretch_plan(field, z, bound, s)[3][1] > 0.5 * E._lattice_pairs(field, bound)
+            _, main, _, count = E.eisenstein_direct(field, inf, z, params, return_parts=True)
+            with monkeypatch.context() as m:
+                m.setattr(E, "_EM_TERMS", 0)
+                assert _stretch_plan(field, z, bound, s)[3][1] == 0
+                _, want, _, want_count = E.eisenstein_direct(field, inf, z, params,
+                                                             return_parts=True)
+                size = E.eisenstein_direct(field, inf, z, E.EisensteinParams(
+                    s=complex(s).real, norm_bound=bound), return_parts=True)[1]
+            assert count == want_count
+            assert abs(main - want) <= 1e-15 * max(abs(want), abs(size))
+
+
+def test_stretch_sums_against_mpmath():
+    # 30-digit sums of random stretches: the Euler-Maclaurin value within
+    # its computed bound plus the rounding of its terms (2e-15 of the sum
+    # of |f|, and 3e-14 at Im s = 9.5, where the phases' rounding, which
+    # the pair sum carries too, dominates), and the Euler-Maclaurin formula
+    # with the exact integral, no Gauss error, within the bound
+    field = F.make_field(0)
+    rng = random.Random(34)
+    checked = 0
+    with mp.workdps(30):
+        while checked < 60:
+            z = random_point(field, rng)
+            (x, y), = z.coords
+            s = rng.choice([1.5, 2.0, 1.3 + 0.5j, 1.5 + 9.5j])
+            bound = 10 ** rng.uniform(3, math.log10(2e6))
+            p = s if isinstance(s, complex) else float(s)
+            size = F._PAIR_BLOCK
+            stretches = _stretch_plan(field, z, bound, s)[3][3]
+            values = E._stretch_sums(stretches, p, y, np.empty((5, size)),
+                                     np.empty(size, dtype=complex if s.imag else float),
+                                     np.empty(size, dtype=np.intp))
+            _, K, a, b, step, m, h, *_, bound_em = stretches
+            for i in rng.sample(range(K.size), min(6, K.size)):
+                ms, hs, ss = mp.mpf(m[i]), mp.mpf(h[i]), mp.mpc(s)
+
+                def f(d):
+                    return (y / ((d - ms) ** 2 + hs)) ** ss
+
+                def derivative(n, d):
+                    G2 = (d - ms) ** 2 + hs
+                    return ((-1) ** n * mp.factorial(n) * f(d) * G2 ** (-mp.mpf(n) / 2)
+                            * mp.gegenbauer(n, ss, (d - ms) / mp.sqrt(G2)))
+                points = [mp.mpf(v) for v in np.arange(a[i], b[i] + 1, step[i])]
+                exact = mp.fsum(f(d) for d in points)
+                size_f = mp.fsum(abs(f(d)) for d in points)
+                A, Bd = mp.mpf(a[i]), mp.mpf(b[i])
+                em = (mp.quad(f, [A, ms, Bd] if A < ms < Bd else [A, Bd]) / int(step[i])
+                      + (f(A) + f(Bd)) / 2
+                      + mp.fsum(mp.bernoulli(2 * k) / mp.factorial(2 * k) * int(step[i]) ** (2 * k - 1)
+                                * (derivative(2 * k - 1, Bd) - derivative(2 * k - 1, A))
+                                for k in range(1, int(K[i]) + 1)))
+                assert abs(em - exact) <= bound_em[i]
+                tol = (3e-14 if s.imag > 1 else 2e-15) * size_f
+                assert abs(complex(values[i]) - exact) <= bound_em[i] + tol
+                checked += 1
+
+
 @pytest.mark.parametrize("d", (0,) + F.REAL_H1 + F.IMAG_H1)
 def test_weight_one_end_is_the_first_sieved_moebius_value(d):
     # mu_S inverts the ideals that (2) does not divide, from the independent

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -625,6 +627,43 @@ def test_rankin_selberg_mellin_side_pinned(d):
 def test_decay_fit_needs_two_heights(field_q, ctx_q, k_min, k_max):
     with pytest.raises(DomainError):
         Q.decay_exponent_fit(Q.make_test_function(field_q), field_q, k_min, k_max, ctx_q)
+
+
+@pytest.mark.parametrize("k_max", [60, 10 ** 400])
+def test_decay_fit_refuses_rows_past_the_budget(field_q, ctx_q, k_max):
+    # k_max = 60 asked numpy for 20.4 GiB of rows, and 10**400 hung listing
+    # the heights: the rows are predicted from k_min, k_max and t0 first
+    f = Q.make_test_function(field_q)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(QuadratureBudgetExceeded):
+            Q.decay_exponent_fit(f, field_q, 3, k_max, ctx_q)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.01 and peak < 2 ** 20
+
+
+def test_decay_fit_budget_admits_the_deepest_fits(field_q, ctx_q):
+    # the benchmark's deepest fit, Q at k_max = 20, lays out about 2,600
+    # rows a call; the prediction's limit sits well past it, and the fits
+    # below it run
+    f = Q.make_test_function(field_q)
+    k_top = 2 * math.log2(F._CANDIDATE_BUDGET * math.sqrt(f.t0) * (1 - 2 ** -0.5))
+    assert 30 < k_top
+    rows = sum(math.floor(1 / math.sqrt(2.0 ** -k * f.t0)) for k in range(3, int(k_top) + 1))
+    assert rows <= F._CANDIDATE_BUDGET
+    Q.decay_exponent_fit(f, field_q, 18, 20, ctx_q)
+    with pytest.raises(QuadratureBudgetExceeded):
+        Q.decay_exponent_fit(f, field_q, 3, int(k_top) + 1, ctx_q)
+
+
+def test_section_average_refuses_rows_past_the_budget(field_q):
+    # a height whose unfolded sum lays out 1e15 rows
+    with pytest.raises(QuadratureBudgetExceeded):
+        Q.cusp_section_average(Q.make_test_function(field_q), 1e-30, field_q)
 
 
 def test_vertical_scan_shape_and_linearity(field_q, ctx_q):
