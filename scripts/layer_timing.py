@@ -7,9 +7,11 @@ their spread (q3 - q1) / median, with the minor page faults of each call
 (`resource.getrusage`) and the layer's work counts (pairs, values,
 frequencies, classes or kappa; a direct-route call also counts the
 stretches it sums by Euler-Maclaurin, their node values and the pairs it
-sums one by one).  `per_s` is the first work count over the
-median seconds.  Wherever a benchmark workload reaches a layer, the inputs
-are that workload's at seed 11 (`perfbench.workloads.make_inputs`); the
+sums one by one; the Maass-Selberg call, the domain points per order of
+the levels it evaluates and their panel counts).  `per_s` is the first
+work count over the median seconds.  Wherever a benchmark workload
+reaches a layer, the inputs are that workload's at seed 11
+(`perfbench.workloads.make_inputs`); the
 work counts come from running the layer's caller once with the layer's
 calls recorded (the unfolded kernel's ramp values, from one replay of its
 calls with `equidist._ramp` recorded).  The class enumeration is timed
@@ -262,12 +264,19 @@ def phase_records(low, high):
 
 
 def grid_records(ops):
-    """The Fourier grids of the Maass-Selberg check, the box averages of the
+    """The Maass-Selberg check and its Fourier grids, the box averages of the
     Rankin-Selberg checks, and the Bessel tables they build."""
     op = ops["maass_selberg"][0]
     field, ctx = field_ctx(op["d"])
-    with spied(domains, "eisenstein_fourier_grid") as grids:
-        domains.maass_selberg_numeric(field, op["s"], op["sp"], op["T"], ctx)
+
+    def maass_selberg():
+        return domains.maass_selberg_numeric(field, op["s"], op["sp"], op["T"], ctx)
+    with spied(domains, "eisenstein_fourier_grid") as grids, \
+            spied(domains, "_modular_domain_grid", keep=lambda T, panels: panels) as levels:
+        maass_selberg()
+    yield record("domains.maass_selberg_numeric", {"workload": "identities", **op},
+                 {"points": sum(domains._modular_domain_grid(op["T"], p)[0].size
+                                for p in levels), "levels": levels}, maass_selberg)
     work, tables = fourier_work(lambda: replay(domains.eisenstein_fourier_grid, grids))
     yield record("domains.eisenstein_fourier_grid",
                  {"workload": "identities", "calls_of": "maass_selberg_numeric", **op,

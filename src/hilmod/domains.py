@@ -68,7 +68,7 @@ def _bessel_blocks(field: FieldData, s: complex, table: FrequencyTable, ys):
     (frequency slice, flat indices of the entries whose total argument is at
     most the cut, rows x frequencies block) of at most _BOX_BLOCK values (one
     frequency at least).  Only those entries are interpolated; the rest are
-    0 (38% of the entries are kept over the identity checks: 44% on the
+    0 (29% of the entries are kept over the identity checks: 47% on the
     Maass-Selberg grids, 25% on the Q(sqrt 5) Rankin-Selberg box).  The
     places share one degree, so one order: K is one `_BesselTable` over the
     arguments at every place, up to the cut, real at real order."""
@@ -127,12 +127,17 @@ def eisenstein_fourier_grid(field: FieldData, s: complex, xs, ys,
     return out + 2 ** (field.r + 1) * np.sqrt(q) / zs2 * tail
 
 
-def _y_rows(field: FieldData, q: float, nodes, weights):
-    """Heights (one array per place) on the slice at height q at the tensor rule
-    (nodes, weights) on the r - 1 Y axes, and its weights; one row when r = 1."""
+def _y_rows(field: FieldData, qs, nodes, weights):
+    """Heights (one array per place, rows by q, then by Y node) on the slices
+    at heights qs (an array or one q) at the tensor rule (nodes, weights) on
+    the r - 1 Y axes, and its weights; one row per q when r = 1.  One
+    `slice_embeddings` call at q = 1 gives the Y factors, and each height
+    scales them by q^(1/n), a Python float: the bits of a call at that q."""
     Y = np.array(list(itertools.product(nodes, repeat=field.r - 1)))
     wy = np.prod(list(itertools.product(weights, repeat=field.r - 1)), axis=1)
-    return slice_embeddings(field, q, np.zeros((wy.size, field.n)), Y)[1], wy
+    unit = slice_embeddings(field, 1.0, np.zeros((wy.size, field.n)), Y)[1]
+    scale = np.array([float(q) ** (1.0 / field.n) for q in np.ravel(qs)])
+    return [np.outer(scale, y).ravel() for y in unit], wy
 
 
 def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
@@ -160,10 +165,7 @@ def eisenstein_box_average(field: FieldData, s: complex, qs, nodes, weights,
     qs = np.asarray(qs, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    # one height row per (q, Y node)
-    per_q = [_y_rows(field, float(qv), nodes, weights) for qv in qs]
-    wy = per_q[0][1]
-    ys = [np.concatenate(v) for v in zip(*(yq for yq, _ in per_q))]
+    ys, wy = _y_rows(field, qs, nodes, weights)  # one height row per (q, Y node)
     box_weight = float(weights.sum()) ** field.n * float(wy.sum())
     out = (qs ** s + phi(ctx, s) * qs ** (1 - s)) * box_weight
     table = frequency_table(field, s, [float(y.min()) for y in ys])
@@ -198,35 +200,41 @@ def modular_domain_volume_numeric() -> float:
 
 
 def _modular_domain_grid(T: float, panels: int):
-    """Tensor nodes over {|x| <= 1/2, sqrt(1-x^2) <= y <= T} (for Q), by
-    `panels` panels of order 8 on each axis."""
+    """Tensor nodes and dx dy weights over {|x| <= 1/2, sqrt(1-x^2) <= y <= T}
+    (for Q): `panels` panels of order 8 in x, and at each x node as many
+    panels uniform in u = log y on [log sqrt(1-x^2), log T], each weight
+    times y (dy = y du), as one array map of the rule on [0, 1]."""
     xs, wx = gl_panel_nodes(-0.5, 0.5, panels, 8)
-    X, Y, W = [], [], []
-    for x, w in zip(xs, wx):
-        y0 = math.sqrt(1.0 - x * x)
-        ys, wy = gl_panel_nodes(y0, T, panels, 8)
-        X.append(np.full(ys.shape, x))
-        Y.append(ys)
-        W.append(w * wy)
-    return np.concatenate(X), np.concatenate(Y), np.concatenate(W)
+    t, wt = gl_panel_nodes(0.0, 1.0, panels, 8)
+    u0 = 0.5 * np.log1p(-xs * xs)
+    span = math.log(T) - u0
+    Y = np.exp(u0[:, None] + span[:, None] * t)
+    W = (wx * span)[:, None] * wt * Y
+    return np.repeat(xs, t.size), Y.ravel(), W.ravel()
 
 
 _MS_MAX_PANELS = 96  # panel cap per axis of the Maass-Selberg grid
-_MS_RTOL = 3e-4  # relative change between panel counts that ends the doubling
+_MS_RTOL = 1e-10  # relative change between panel counts that ends the doubling
 
 
 def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
                           ctx: ZetaContext | None = None):
     """Numeric integral of E^T(z,s) E^T(z,s') over the modular surface (Q only).
 
-    Splits the classical domain at y = T; below, E^T = E via the Fourier
-    grid; above, both truncated series are bare frequency tails and the
-    contribution is exponentially negligible (still integrated).  The panel
-    count doubles from 12 until two values agree to _MS_RTOL, and raises
-    QuadratureBudgetExceeded if they do not by 96 panels per axis.
-    """
+    Splits the classical domain at y = T.  Below, E^T = E via the Fourier
+    grid on `_modular_domain_grid`, where E_s E_s' / y du is smooth in
+    u = log y (at complex s it oscillates at a uniform rate).  Its panel
+    count doubles from 3 until two levels agree to _MS_RTOL = 1e-10 relative,
+    and the finer level is returned; QuadratureBudgetExceeded if they do not
+    by 96 panels per axis.  Above T, both truncated series are bare frequency
+    tails, exponentially negligible but still integrated (8 x 8 panels).  At
+    s = 1.5, s' = 1.25 the rule stops at levels 3 and 6, within 8.6e-16
+    relative of the closed form at T = 3, 30, 100 and 1000, 9.8e-13 at T = 1
+    (4.2e-14 at s = 1.5+10i, T = 3).  DomainError unless 1 <= T < inf."""
     if field.d != 0:
         raise DomainError("numeric Maass-Selberg integral implemented for Q only")
+    if not 1.0 <= T < math.inf:
+        raise DomainError("need 1 <= T < inf, got T = %r" % (T,))
     ctx = ctx or make_context(field)
     # strip above T: truncated tails only, the same at every panel count
     xs2, wx2 = gl_panel_nodes(-0.5, 0.5, 8, 8)
@@ -236,8 +244,7 @@ def maass_selberg_numeric(field: FieldData, s: complex, sp: complex, T: float,
     t1 = eisenstein_fourier_grid(field, s, [X2.ravel()], [Y2.ravel()], ctx, zero_mode=False)
     t2 = eisenstein_fourier_grid(field, sp, [X2.ravel()], [Y2.ravel()], ctx, zero_mode=False)
     strip = complex(np.sum(W2.ravel() * t1 * t2 / Y2.ravel() ** 2))
-    panels = 12
-    prev = None
+    panels, prev = 3, None
     while True:
         X, Y, W = _modular_domain_grid(T, panels)
         Es = eisenstein_fourier_grid(field, s, [X], [Y], ctx)

@@ -851,7 +851,9 @@ def maass_selberg_closed_form(field: FieldData, s: complex, sp: complex,
                               T: float, ctx: ZetaContext | None = None) -> complex:
     """C[(T^{s+s'-1} - phi(s)phi(s')T^{1-s-s'})/(s+s'-1)]
        + C[(T^{s-s'}phi(s') - T^{s'-s}phi(s))/(s-s')],
-       with C = 2^{r1-r2} sqrt(D) R h / omega."""
+       with C = 2^{r1-r2} sqrt(D) R h / omega.  DomainError unless 1 <= T < inf."""
+    if not 1.0 <= T < math.inf:
+        raise DomainError("need 1 <= T < inf, got T = %r" % (T,))
     s, sp = complex(s), complex(sp)
     if s == sp or s + sp == 1:
         raise DegenerateParameters("requires s != s' and s + s' != 1")

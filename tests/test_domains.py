@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -464,19 +466,68 @@ def test_maass_selberg_strip_computed_once(field_q, ctx_q, monkeypatch):
 
 
 def test_maass_selberg_numeric_raises_at_panel_cap(field_q, ctx_q, monkeypatch):
-    # at s = 1.5, s' = 1.25 the rule has converged to rounding by 12 panels:
-    # 12 and 24 panels agree to the last bit or to one ulp, which no rtol
-    # tells apart.  At s = 1.5 + 30i they agree to 9.0e-12, never to 1e-13
-    # (24 and 48 panels agree to 4.6e-14).
-    monkeypatch.setattr(D, "_MS_MAX_PANELS", 24)
+    # at s = 1.5, s' = 1.25 the log-y rule has converged to rounding by 6
+    # panels: levels 3 and 6 agree to 1.5e-15, which no rtol tells apart.  At
+    # s = 1.5 + 30i the levels 3, 6, 12 and 24 change by 1.3e-5, 2.9e-10 and
+    # 9.4e-14: at a cap of 12 panels the last change is 2.9e-10, never 1e-13
+    # (at a cap of 24, 9.4e-14 would pass).
+    monkeypatch.setattr(D, "_MS_MAX_PANELS", 12)
     monkeypatch.setattr(D, "_MS_RTOL", 1e-13)
-    with pytest.raises(QuadratureBudgetExceeded):
+    with pytest.raises(QuadratureBudgetExceeded, match=r"at 12 panels: last change 2\.9\d*e-10"):
         D.maass_selberg_numeric(field_q, 1.5 + 30j, 1.25, 3.0, ctx=ctx_q)
 
 
 def test_maass_selberg_numeric_is_for_q_only(field_q5, ctx_q5):
     with pytest.raises(DomainError):
         D.maass_selberg_numeric(field_q5, 1.5, 1.25, 3.0, ctx=ctx_q5)
+
+
+@pytest.mark.parametrize("s, T", [(1.5, 1.0), (1.5, 3.0), (1.5, 30.0), (1.5, 100.0),
+                                  (1.5, 1000.0), (1.5 + 10j, 3.0)])
+def test_maass_selberg_numeric_matches_closed_form(field_q, ctx_q, s, T):
+    # panels uniform in log y: 9.8e-13 at T = 1 (the strip's rule), at most
+    # 8.6e-16 at real s for T = 3 to 1000 and 4.2e-14 at s = 1.5+10i
+    num = D.maass_selberg_numeric(field_q, s, 1.25, T, ctx=ctx_q)
+    closed = E.maass_selberg_closed_form(field_q, s, 1.25, T, ctx_q)
+    assert abs(num - closed) <= 1e-12 * abs(closed)
+
+
+def test_maass_selberg_numeric_stops_at_levels_3_and_6(field_q, ctx_q, monkeypatch):
+    # at the CLI point the levels 3 and 6 agree to 1.5e-15, within _MS_RTOL
+    levels, grid = [], D._modular_domain_grid
+
+    def counted(T, panels):
+        levels.append(panels)
+        return grid(T, panels)
+    monkeypatch.setattr(D, "_modular_domain_grid", counted)
+    D.maass_selberg_numeric(field_q, 1.5, 1.25, 3.0, ctx=ctx_q)
+    assert levels == [3, 6]
+
+
+@pytest.mark.parametrize("T", [0.5, math.inf, math.nan])
+@pytest.mark.parametrize("which", ["numeric", "closed_form"])
+def test_maass_selberg_rejects_bad_heights(field_q, ctx_q, which, T):
+    fn = D.maass_selberg_numeric if which == "numeric" else E.maass_selberg_closed_form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            fn(field_q, 1.5, 1.25, T, ctx_q)
+
+
+@pytest.mark.parametrize("d", [0, 5, -1])
+def test_y_rows_of_heights_equal_per_height_rows(d):
+    # one slice_embeddings call at q = 1, scaled per height: the bits of one
+    # call per height, rows ordered by q, then by Y node
+    field = F.make_field(d)
+    nodes, weights = gl_panel_nodes(-0.5, 0.5, 2, 5)
+    qs = np.array([1e-3, 0.07, 0.5, 1.0, 2.3, 41.0])
+    ys, wy = D._y_rows(field, qs, nodes, weights)
+    Y = np.array(list(itertools.product(nodes, repeat=field.r - 1)))
+    per_q = [G.slice_embeddings(field, float(q), np.zeros((wy.size, field.n)), Y)[1] for q in qs]
+    for i in range(field.r):
+        assert ys[i].tobytes() == np.concatenate([rows[i] for rows in per_q]).tobytes()
+    one, _ = D._y_rows(field, 0.07, nodes, weights)  # one q, as the oracles pass it
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(one, per_q[1]))
 
 
 def _box_shadowed(field, q, T, X, Y, K):
